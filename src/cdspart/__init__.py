@@ -5,26 +5,20 @@ from .builders import (
     BuilderError,
     CdsFamily,
     InsufficientConnectivity,
-    biconvex_backbones,
     cds_biconvex,
     cds_convex,
     cds_interval,
-    convex_backbones,
     extend_to_partition,
     validate_family,
 )
 from .engine import (
     CdsInput,
-    Complete,
-    Emission,
     EngineError,
     GLInstance,
     GlPartition,
     PartitionState,
-    SolveOutcome,
     categorize_trees,
     solve,
-    solve_single_tree,
     validate_cds_input,
 )
 from .flows import (
@@ -38,7 +32,6 @@ from .graphs import (
     Graph,
     GraphError,
     dominates,
-    induced_subgraph,
     is_connected_subset,
     is_k_connected,
     open_neighborhood,

@@ -72,35 +72,31 @@ def cds_interval(m: IntervalModel, k: int) -> CdsFamily:
     return sets
 
 
-def biconvex_backbones(m: BiconvexModel, k: int) -> tuple[Path, ...]:
-    """k disjoint induced a_1..a_na paths with the endpoints stripped.
-
-    These are the pre-augmentation backbones of `cds_biconvex`; each one
-    contains at most one neighbor of b_1 and at most one of b_nb, and
-    already dominates the A side.
-    """
+def backbones(m: ConvexModel, g: Graph, k: int) -> tuple[Path, ...]:
+    """k disjoint induced a_1..a_na paths of a convex (or biconvex) model,
+    endpoints kept; `g` is the model's derived graph."""
     if k < 1:
         raise BuilderError("bad-k", f"k={k}")
     if m.na < 2:
         raise BuilderError("bad-model", "need at least two A-vertices")
-    g = m.derive_graph()
     family = vertex_disjoint_paths(g, m.a_id(0), m.a_id(m.na - 1), want=k)
     if len(family.paths) < k:
         raise InsufficientConnectivity(k, len(family.paths))
-    return tuple(make_induced(g, p)[1:-1] for p in family.paths)
+    return tuple(make_induced(g, p) for p in family.paths)
 
 
 def cds_biconvex(m: BiconvexModel, k: int) -> CdsFamily:
     """k disjoint CDSs of a k-connected biconvex graph.
 
-    Starts from the stripped induced backbones and, for any backbone
-    missing a neighbor of b_1 (resp. b_nb), adds one unused vertex from
-    N(b_1) (resp. N(b_nb)); availability follows from the one-neighbor
-    bound per backbone plus minimum degree >= k.
+    Starts from the induced backbones with their endpoints stripped; each
+    contains at most one neighbor of b_1 and at most one of b_nb, and
+    already dominates the A side.  For any backbone missing a neighbor of
+    b_1 (resp. b_nb), adds one unused vertex from N(b_1) (resp. N(b_nb));
+    availability follows from the one-neighbor bound per backbone plus
+    minimum degree >= k.
     """
     g = m.derive_graph()
-    backbones = biconvex_backbones(m, k)
-    sets = [set(p) for p in backbones]
+    sets = [set(p[1:-1]) for p in backbones(m, g, k)]
     used: set[int] = set()
     for s in sets:
         used |= s
@@ -122,19 +118,6 @@ def cds_biconvex(m: BiconvexModel, k: int) -> CdsFamily:
     return out
 
 
-def convex_backbones(m: ConvexModel, k: int) -> tuple[Path, ...]:
-    """k disjoint induced a_1..a_na paths of a convex model, endpoints kept."""
-    if k < 1:
-        raise BuilderError("bad-k", f"k={k}")
-    if m.na < 2:
-        raise BuilderError("bad-model", "need at least two A-vertices")
-    g = m.derive_graph()
-    family = vertex_disjoint_paths(g, m.a_id(0), m.a_id(m.na - 1), want=k)
-    if len(family.paths) < k:
-        raise InsufficientConnectivity(k, len(family.paths))
-    return tuple(make_induced(g, p) for p in family.paths)
-
-
 def cds_convex(m: ConvexModel, k: int) -> CdsFamily:
     """k disjoint CDSs of a 4k-connected convex bipartite graph.
 
@@ -144,11 +127,11 @@ def cds_convex(m: ConvexModel, k: int) -> CdsFamily:
     each backbone.  The stripped endpoints a_1, a_na join the first set.
     """
     g = m.derive_graph()
-    backbones = convex_backbones(m, k)
+    paths = backbones(m, g, k)
     on_paths: set[int] = set()
-    for p in backbones:
+    for p in paths:
         on_paths |= set(p)
-    sets = [set(p[1:-1]) for p in backbones]
+    sets = [set(p[1:-1]) for p in paths]
     leftover = [a for a in range(m.na) if a not in on_paths]
     for pos, a in enumerate(leftover):
         sets[pos % k].add(a)

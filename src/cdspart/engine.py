@@ -9,9 +9,10 @@ and works in two layers:
   (`vlabel`), sets are classified Over/Under by whether their assignment
   covers their remaining demand, each Under set privately consumes one of
   the remaining trees (`tlabel`), and surpluses are stolen from Over sets;
-* the general driver: trees are grouped so that one terminal-bearing tree
-  plus enough terminal-free trees can satisfy a group of demands, the
-  single-tree case runs on the union, and the solver recurses.
+* the general driver `solve`, the only entry point: trees are grouped so
+  that one terminal-bearing tree plus enough terminal-free trees can
+  satisfy a group of demands, the single-tree case runs on the union, and
+  the driver goes on with the remaining vertices, terminals and trees.
 
 Whenever a set reaches its demand while intersecting exactly one tree, the
 block is emitted, its tree retired, and the remainder is a strictly
@@ -31,7 +32,6 @@ from .graphs import (
     Graph,
     GraphError,
     VertexSet,
-    induced_subgraph,
     is_connected_subset,
 )
 
@@ -79,28 +79,6 @@ class GLInstance:
 @dataclass(frozen=True)
 class GlPartition:
     blocks: tuple[VertexSet, ...]
-
-
-@dataclass(frozen=True)
-class Complete:
-    partition: GlPartition
-
-
-@dataclass(frozen=True)
-class Emission:
-    """Finished blocks plus the reduced instance on the remaining vertices.
-
-    `old_ids[new]` maps the reduced instance's dense ids back to the
-    original graph.
-    """
-
-    blocks: tuple[tuple[int, VertexSet], ...]
-    reduced: GLInstance
-    reduced_trees: CdsInput
-    old_ids: tuple[int, ...]
-
-
-SolveOutcome = Complete | Emission
 
 
 def validate_cds_input(g: Graph, trees: Sequence[DominatingTree]) -> None:
@@ -378,10 +356,10 @@ class PartitionState:
 # -- single-tree case ------------------------------------------------------
 
 
-def _bfs_place_tree(state: PartitionState, ti: int) -> None:
-    """Spread one tree over the sets of its own terminals, tree edges only."""
+def _bfs_place_tree(state: PartitionState, ti: int, roots: list[int]) -> None:
+    """Spread one tree over the sets of its terminals `roots`, tree edges only."""
     tv = state.trees[ti]
-    queue = deque(sorted(c for c in state.terminals if c in tv.vertices))
+    queue = deque(roots)
     while queue:
         x = queue.popleft()
         home = state.placed[x]
@@ -409,9 +387,27 @@ def _place_non_tree(state: PartitionState) -> None:
 
 
 def add_trees(state: PartitionState) -> None:
-    """Step 1: spread the lead tree, then place all non-tree vertices."""
-    _bfs_place_tree(state, 0)
+    """Step 1: spread every terminal-bearing tree, then place all non-tree
+    vertices.
+
+    Trees are spread in ascending index, each BFS rooted at the tree's
+    terminals in ascending id.  In the single-tree case only the lead tree
+    bears terminals.
+    """
+    roots: dict[int, list[int]] = {}
+    for c in sorted(state.terminals):
+        roots.setdefault(state.tree_of[c], []).append(c)
+    for ti in sorted(roots):
+        _bfs_place_tree(state, ti, roots[ti])
     _place_non_tree(state)
+
+
+def _place(state: PartitionState) -> None:
+    """Place the terminals, then spread the trees, checking both steps."""
+    state.place_terminals()
+    state.checkpoint("init")
+    add_trees(state)
+    state.checkpoint("add-trees")
 
 
 def _absorb_and_label(state: PartitionState, idxs: Iterable[int]) -> None:
@@ -564,8 +560,13 @@ def _run_single_tree(
     family_restart: bool = False,
     trace: list[TraceEvent] | None = None,
     strict: bool = True,
-) -> tuple[str, list[tuple[int, VertexSet]], list[int], PartitionState]:
-    """Run the single-tree case; ('complete', ...) or ('emit', ...)."""
+) -> tuple[list[tuple[int, VertexSet]], list[int]]:
+    """Run the single-tree case on `members`; all terminals lie on trees[0].
+
+    Returns the finished (set index, block) pairs and the indices of the
+    trees they use up: every set and tree when the run completes, else the
+    blocks of the first emission.
+    """
     state = PartitionState(
         graph,
         members,
@@ -578,86 +579,15 @@ def _run_single_tree(
         strict=strict,
     )
     try:
-        state.place_terminals()
-        state.checkpoint("init")
-        add_trees(state)
-        state.checkpoint("add-trees")
+        _place(state)
         labeling(state)
         state.checkpoint("labeling")
         add_vertices(state)
         state.checkpoint("add-vertices")
     except _Emit as e:
-        blocks = [(i, frozenset(state.sets[i])) for i in e.set_indices]
-        return ("emit", blocks, e.tree_indices, state)
+        return [(i, frozenset(state.sets[i])) for i in e.set_indices], e.tree_indices
     assert all(state.full)
-    blocks = [(i, frozenset(state.sets[i])) for i in range(state.k)]
-    return ("complete", blocks, list(range(len(trees))), state)
-
-
-def solve_single_tree(
-    instance: GLInstance,
-    trees: Sequence[DominatingTree],
-    *,
-    family_restart: bool = False,
-    trace: list[TraceEvent] | None = None,
-    strict: bool = True,
-) -> SolveOutcome:
-    """Single-tree case on a full instance: all terminals on trees[0].
-
-    Returns Complete when every demand is met, or an Emission carrying the
-    finished blocks and the reduced instance (reindexed densely) with the
-    surviving trees.
-    """
-    g = instance.graph
-    validate_cds_input(g, trees)
-    for c in instance.terminals:
-        if c not in trees[0].vertices:
-            raise EngineError("terminals-not-on-first-tree", f"terminal {c}")
-    views = [_TreeView(t, i) for i, t in enumerate(trees)]
-    kind, blocks, used_trees, _state = _run_single_tree(
-        g,
-        frozenset(range(g.n)),
-        instance.terminals,
-        instance.demands,
-        views,
-        family_restart=family_restart,
-        trace=trace,
-        strict=strict,
-    )
-    if kind == "complete" or len(blocks) == instance.k:
-        ordered = [None] * instance.k
-        for i, block in blocks:
-            ordered[i] = block
-        assert all(b is not None for b in ordered)
-        return Complete(GlPartition(tuple(ordered)))
-    emitted_sets = {i for i, _ in blocks}
-    removed: set[int] = set()
-    for _, block in blocks:
-        removed |= block
-    survivors = frozenset(range(g.n)) - removed
-    sub, old_ids = induced_subgraph(g, survivors)
-    new_id = {old: new for new, old in enumerate(old_ids)}
-    red_terminals = tuple(
-        new_id[instance.terminals[i]] for i in range(instance.k) if i not in emitted_sets
-    )
-    red_demands = tuple(
-        instance.demands[i] for i in range(instance.k) if i not in emitted_sets
-    )
-    red_trees = tuple(
-        DominatingTree(
-            vertices=frozenset(new_id[v] for v in t.vertices),
-            edges=tuple((new_id[u], new_id[v]) for u, v in t.edges),
-        )
-        for ti, t in enumerate(trees)
-        if ti not in used_trees
-    )
-    reduced = GLInstance(graph=sub, terminals=red_terminals, demands=red_demands)
-    return Emission(
-        blocks=tuple((instance.terminals[i], block) for i, block in blocks),
-        reduced=reduced,
-        reduced_trees=red_trees,
-        old_ids=old_ids,
-    )
+    return [(i, frozenset(s)) for i, s in enumerate(state.sets)], list(range(len(trees)))
 
 
 # -- general driver ----------------------------------------------------------
@@ -756,17 +686,26 @@ def solve(
 ) -> GlPartition:
     """Full pipeline: k disjoint dominating trees to a complete partition.
 
-    Loops: normalize terminals onto trees, spread terminal-bearing trees
-    and place stragglers (emitting any set that fills while touching a
-    single tree), pick a tree group able to cover its terminals' demands,
-    solve the single-tree case on the group's union (inflating the first
-    demand to absorb slack, trimmed off afterwards), emit the finished
-    blocks and recurse on what is left.
+    This is the only solve entry point.  Each round normalizes terminals
+    onto trees, then places them and spreads the terminal-bearing trees
+    (emitting any set that fills while touching a single tree), picks a
+    tree group able to cover its terminals' demands, runs the single-tree
+    case on the group's union (inflating the first demand to absorb slack,
+    trimmed off afterwards), retires the finished blocks and their trees
+    and goes on with what is left.
+
+    Tree count: `trees` must hold at least `instance.k` trees, else
+    EngineError("too-few-trees") is raised before any work.  All trees
+    are validated, and only the first k (lowest index) are used.
     """
     g = instance.graph
+    if len(trees) < instance.k:
+        raise EngineError(
+            "too-few-trees", f"{len(trees)} trees for {instance.k} terminals"
+        )
     validate_cds_input(g, trees)
     members = frozenset(range(g.n))
-    pool: list[DominatingTree] = list(trees)
+    pool: list[DominatingTree] = list(trees[: instance.k])
     pool_labels = list(range(len(pool)))
     work = [
         _WorkItem(i, instance.terminals[i], instance.demands[i])
@@ -776,7 +715,8 @@ def solve(
 
     def retire(item_positions: list[int], finished: list[VertexSet], tree_positions: list[int]) -> None:
         nonlocal members, pool, pool_labels, work
-        assert item_positions, "every round must finish at least one block"
+        if not item_positions:
+            raise EngineError("no-progress", "a round finished no block")
         for pos, block in zip(item_positions, finished):
             blocks_out[work[pos].orig] = block
             members = members - block
@@ -786,13 +726,17 @@ def solve(
         pool_labels = [x for i, x in enumerate(pool_labels) if i not in drop]
         if strict:
             seen: set[int] = set()
-            for t in pool:
-                assert t.vertices <= members and not (t.vertices & seen)
+            for t, label in zip(pool, pool_labels):
+                if not t.vertices <= members or t.vertices & seen:
+                    raise EngineError(
+                        "state-invariant", f"retire: tree {label} lost a vertex or overlaps"
+                    )
                 seen |= t.vertices
                 for v in members - t.vertices:
-                    assert g.neighbor_set(v) & t.vertices, (
-                        "reduced trees must dominate the reduced graph"
-                    )
+                    if not g.neighbor_set(v) & t.vertices:
+                        raise EngineError(
+                            "state-invariant", f"retire: tree {label} does not dominate {v}"
+                        )
 
     while work:
         terminals = [r.terminal for r in work]
@@ -812,13 +756,7 @@ def solve(
             strict=strict,
         )
         try:
-            state.place_terminals()
-            state.checkpoint("init")
-            for ti in range(len(pool)):
-                if ti not in t0:
-                    _bfs_place_tree(state, ti)
-            _place_non_tree(state)
-            state.checkpoint("add-tree-vertices")
+            _place(state)
         except _Emit as e:
             retire(
                 e.set_indices,
@@ -836,11 +774,12 @@ def solve(
             gprime |= pool[e].vertices
         sub_demands = [demands[i] for i in member_idxs]
         delta = len(gprime) - sum(sub_demands)
-        assert delta >= 0, "group selection guarantees enough vertices"
+        if delta < 0:
+            raise EngineError("state-invariant", "chosen group is short of vertices")
         sub_demands[0] += delta
         sub_tree_positions = [lead] + list(extras)
         sub_views = [_TreeView(pool[p], pool_labels[p]) for p in sub_tree_positions]
-        kind, blocks, used_local, _state = _run_single_tree(
+        blocks, used_local = _run_single_tree(
             g,
             frozenset(gprime),
             [terminals[i] for i in member_idxs],
@@ -863,5 +802,6 @@ def solve(
         retire(
             finished_positions, finished, [sub_tree_positions[p] for p in used_local]
         )
-    assert not members
+    if members:
+        raise EngineError("state-invariant", f"{len(members)} vertices left unassigned")
     return GlPartition(tuple(blocks_out[i] for i in range(instance.k)))

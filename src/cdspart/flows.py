@@ -137,14 +137,11 @@ class _SplitNetwork:
         return paths
 
 
-def local_connectivity(g: Graph, s: int, t: int) -> int:
-    """Max number of internally vertex-disjoint s-t paths (direct edge counts)."""
+def local_connectivity(g: Graph, s: int, t: int, cap: int | None = None) -> int:
+    """Max number of internally vertex-disjoint s-t paths (direct edge
+    counts), or `cap` if that many exist; the flow stops at `cap`."""
     if s == t:
         raise GraphError("identical-endpoints", f"vertex {s}")
-    return _SplitNetwork(g, s, t).max_flow(None)
-
-
-def _local_connectivity_capped(g: Graph, s: int, t: int, cap: int) -> int:
     return _SplitNetwork(g, s, t).max_flow(cap)
 
 
@@ -161,8 +158,7 @@ def vertex_disjoint_paths(g: Graph, s: int, t: int, want: int | None = None) -> 
     net.max_flow(want)
     paths = sorted(net.extract_paths(), key=lambda p: (len(p), p))
     family = PathFamily(s=s, t=t, paths=tuple(paths))
-    if __debug__:
-        family.validate(g)
+    family.validate(g)
     return family
 
 

@@ -43,16 +43,6 @@ class InstanceBundle:
     terminals: tuple[int, ...] | None = None
     demands: tuple[int, ...] | None = None
 
-    @property
-    def kind(self) -> str:
-        if isinstance(self.model, Graph):
-            return "gl"
-        if isinstance(self.model, IntervalModel):
-            return "interval"
-        if isinstance(self.model, BiconvexModel):
-            return "biconvex"
-        return "convex"
-
     def gl_instance(self) -> GLInstance:
         if self.terminals is None or self.demands is None:
             raise FormatError("invariant", "file carries no terminal/demand extension")
@@ -121,15 +111,22 @@ def parse_bundle(text: str) -> InstanceBundle:
         raise FormatError("syntax", f"expected 'p <kind> ...' header, got {' '.join(toks)}", lineno)
     kind = toks[1]
     if kind == "gl":
-        return _parse_graph(rows)
-    if kind == "interval":
-        return _parse_interval(rows)
-    if kind in ("convex", "biconvex"):
-        return _parse_convex(rows, biconvex=(kind == "biconvex"))
-    raise FormatError("syntax", f"unknown model kind '{kind}'", lineno)
+        model, g, pos = _parse_graph(rows)
+    elif kind == "interval":
+        model, g, pos = _parse_interval(rows)
+    elif kind in ("convex", "biconvex"):
+        model, g, pos = _parse_convex(rows, biconvex=(kind == "biconvex"))
+    else:
+        raise FormatError("syntax", f"unknown model kind '{kind}'", lineno)
+    terminals = demands = None
+    if pos < len(rows):
+        terminals, demands, pos = _parse_gl_extension(rows, pos, g.n)
+    if pos != len(rows):
+        raise FormatError("syntax", "unexpected trailing content", rows[pos][0])
+    return InstanceBundle(model=model, graph=g, terminals=terminals, demands=demands)
 
 
-def _parse_graph(rows: list[tuple[int, list[str]]]) -> InstanceBundle:
+def _parse_graph(rows: list[tuple[int, list[str]]]) -> tuple[Model, Graph, int]:
     lineno, toks = rows[0]
     if len(toks) != 4:
         raise FormatError("syntax", "expected 'p gl <n> <m>'", lineno)
@@ -151,15 +148,10 @@ def _parse_graph(rows: list[tuple[int, list[str]]]) -> InstanceBundle:
         g = Graph(n, edges)
     except GraphError as exc:
         raise FormatError("invariant", str(exc)) from exc
-    terminals = demands = None
-    if pos < len(rows):
-        terminals, demands, pos = _parse_gl_extension(rows, pos, n)
-    if pos != len(rows):
-        raise FormatError("syntax", "unexpected trailing content", rows[pos][0])
-    return InstanceBundle(model=g, graph=g, terminals=terminals, demands=demands)
+    return g, g, pos
 
 
-def _parse_interval(rows: list[tuple[int, list[str]]]) -> InstanceBundle:
+def _parse_interval(rows: list[tuple[int, list[str]]]) -> tuple[Model, Graph, int]:
     lineno, toks = rows[0]
     if len(toks) != 3:
         raise FormatError("syntax", "expected 'p interval <n>'", lineno)
@@ -186,16 +178,10 @@ def _parse_interval(rows: list[tuple[int, list[str]]]) -> InstanceBundle:
     if any(x is None for x in lefts):
         raise FormatError("invariant", "not every interval id is defined")
     model = IntervalModel(lefts=tuple(lefts), rights=tuple(rights))
-    g = model.derive_graph()
-    terminals = demands = None
-    if pos < len(rows):
-        terminals, demands, pos = _parse_gl_extension(rows, pos, n)
-    if pos != len(rows):
-        raise FormatError("syntax", "unexpected trailing content", rows[pos][0])
-    return InstanceBundle(model=model, graph=g, terminals=terminals, demands=demands)
+    return model, model.derive_graph(), pos
 
 
-def _parse_convex(rows: list[tuple[int, list[str]]], biconvex: bool) -> InstanceBundle:
+def _parse_convex(rows: list[tuple[int, list[str]]], biconvex: bool) -> tuple[Model, Graph, int]:
     lineno, toks = rows[0]
     if len(toks) != 5:
         raise FormatError("syntax", f"expected 'p {'biconvex' if biconvex else 'convex'} <nA> <nB> <m>'", lineno)
@@ -228,13 +214,7 @@ def _parse_convex(rows: list[tuple[int, list[str]]], biconvex: bool) -> Instance
         model = cls(na=na, nb=nb, windows=tuple(windows))
     except GraphError as exc:
         raise FormatError("invariant", str(exc)) from exc
-    g = model.derive_graph()
-    terminals = demands = None
-    if pos < len(rows):
-        terminals, demands, pos = _parse_gl_extension(rows, pos, na + nb)
-    if pos != len(rows):
-        raise FormatError("syntax", "unexpected trailing content", rows[pos][0])
-    return InstanceBundle(model=model, graph=g, terminals=terminals, demands=demands)
+    return model, model.derive_graph(), pos
 
 
 def parse_vertex_sets(text: str, prefix: str, n: int) -> tuple[VertexSet, ...]:

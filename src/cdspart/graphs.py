@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 VertexSet = frozenset[int]
@@ -192,84 +193,41 @@ def is_connected(g: Graph) -> bool:
     return is_connected_subset(g, range(g.n))
 
 
-def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on s with dense reindexing.
-
-    Returns (subgraph, old_ids) where old_ids[new] is the original id;
-    new ids follow ascending original id.
-    """
-    old_ids = tuple(sorted(set(s)))
-    index = {old: new for new, old in enumerate(old_ids)}
-    edges = [
-        (index[u], index[v])
-        for u in old_ids
-        for v in g.neighbors(u)
-        if u < v and v in index
-    ]
-    return Graph(len(old_ids), edges), old_ids
-
-
-def vertex_connectivity(g: Graph) -> int:
-    """Exact vertex connectivity via the minimum-degree pair schedule.
+def _connectivity_capped(g: Graph, cap: int) -> int:
+    """min(kappa(g), cap) via the minimum-degree pair schedule.
 
     Fixes a minimum-degree vertex v0 and minimizes local connectivity over
-    all non-neighbors of v0 and over all pairs of neighbors of v0; complete
-    graphs return n - 1 by convention (no separator exists).
+    all non-neighbors of v0 and over all non-adjacent pairs of neighbors
+    of v0 (Esfahanian-Hakimi); every flow stops at the running minimum,
+    which starts at min(cap, deg v0) since kappa <= delta.  Complete
+    graphs count as (n - 1)-connected by convention (no separator exists).
     """
-    from .flows import _local_connectivity_capped
+    from .flows import local_connectivity
 
     if g.n < 2:
         raise GraphError("degenerate-graph", f"n={g.n}")
     if g.is_complete():
-        return g.n - 1
+        return min(g.n - 1, cap)
     v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
-    best = g.n - 1
+    best = min(cap, g.degree(v0))
     nbrs = g.neighbors(v0)
     nbr_set = g.neighbor_set(v0)
-    for u in range(g.n):
-        if u != v0 and u not in nbr_set:
-            best = min(best, _local_connectivity_capped(g, v0, u, best))
-            if best == 0:
-                return 0
-    for i in range(len(nbrs)):
-        for j in range(i + 1, len(nbrs)):
-            x, y = nbrs[i], nbrs[j]
-            if not g.has_edge(x, y):
-                best = min(best, _local_connectivity_capped(g, x, y, best))
+    pairs = chain(
+        ((v0, u) for u in range(g.n) if u != v0 and u not in nbr_set),
+        ((x, y) for i, x in enumerate(nbrs) for y in nbrs[i + 1 :] if not g.has_edge(x, y)),
+    )
+    for s, t in pairs:
+        if best == 0:
+            break
+        best = local_connectivity(g, s, t, cap=best)
     return best
+
+
+def vertex_connectivity(g: Graph) -> int:
+    """Exact vertex connectivity; complete graphs return n - 1."""
+    return _connectivity_capped(g, g.n - 1)
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff kappa(g) >= k; cheaper than exact connectivity (flows stop at k)."""
-    from .flows import _local_connectivity_capped
-
-    if k <= 0:
-        return True
-    if g.n < 2:
-        raise GraphError("degenerate-graph", f"n={g.n}")
-    if g.is_complete():
-        return g.n - 1 >= k
-    if min(g.degree(v) for v in range(g.n)) < k:
-        return False
-    v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
-    nbrs = g.neighbors(v0)
-    nbr_set = g.neighbor_set(v0)
-    for u in range(g.n):
-        if u != v0 and u not in nbr_set:
-            if _local_connectivity_capped(g, v0, u, k) < k:
-                return False
-    for i in range(len(nbrs)):
-        for j in range(i + 1, len(nbrs)):
-            x, y = nbrs[i], nbrs[j]
-            if not g.has_edge(x, y):
-                if _local_connectivity_capped(g, x, y, k) < k:
-                    return False
-    return True
-
-
-def validate_vertex_set(g: Graph, s: Iterable[int]) -> VertexSet:
-    out = frozenset(s)
-    for v in out:
-        if not 0 <= v < g.n:
-            raise GraphError("bad-vertex", f"{v} not in [0, {g.n})")
-    return out
+    return k <= 0 or _connectivity_capped(g, k) >= k

@@ -9,11 +9,10 @@ import time
 from pathlib import Path
 
 from cdspart.builders import (
-    biconvex_backbones,
+    backbones,
     cds_biconvex,
     cds_convex,
     cds_interval,
-    convex_backbones,
     extend_to_partition,
 )
 from cdspart.cli import main
@@ -107,10 +106,10 @@ def test_03_biconvex_pipeline():
         if vertex_connectivity(g) != k:
             continue
         started = time.perf_counter()
-        backbones = biconvex_backbones(m, k)
+        stripped = [p[1:-1] for p in backbones(m, g, k)]
         first = g.neighbor_set(m.b_id(0))
         last = g.neighbor_set(m.b_id(m.nb - 1))
-        for p in backbones:
+        for p in stripped:
             assert len(set(p) & first) <= 1 and len(set(p) & last) <= 1
         fam = cds_biconvex(m, k)
         part = extend_to_partition(g, fam)
@@ -142,8 +141,7 @@ def test_04_convex_pipeline():
             assert is_k_connected(g, 4 * k)
             flow_checked += 1
         started = time.perf_counter()
-        backbones = convex_backbones(m, k)
-        for p in backbones:
+        for p in backbones(m, g, k):
             a_seq = [v for v in p if v < m.na]
             assert a_seq == sorted(a_seq), "A-vertices must be monotone"
             vs = set(p)

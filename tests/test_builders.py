@@ -3,11 +3,10 @@ import pytest
 from cdspart.builders import (
     BuilderError,
     InsufficientConnectivity,
-    biconvex_backbones,
+    backbones,
     cds_biconvex,
     cds_convex,
     cds_interval,
-    convex_backbones,
     extend_to_partition,
     validate_family,
 )
@@ -84,7 +83,8 @@ class TestCdsBiconvex:
         g = m.derive_graph()
         first = g.neighbor_set(m.b_id(0))
         last = g.neighbor_set(m.b_id(m.nb - 1))
-        for p in biconvex_backbones(m, k):
+        for p in backbones(m, g, k):
+            p = p[1:-1]
             assert len(set(p) & first) <= 1
             assert len(set(p) & last) <= 1
 
@@ -110,7 +110,7 @@ class TestCdsConvex:
     def test_path_properties(self, seed):
         k = 1 + seed % 4
         m = gen_convex(4 * k + 2, 8 * k + 8, 4 * k, seed)
-        for p in convex_backbones(m, k):
+        for p in backbones(m, m.derive_graph(), k):
             a_seq = [v for v in p if v < m.na]
             assert a_seq == sorted(a_seq)
             vs = set(p)
@@ -131,11 +131,11 @@ class TestCdsConvex:
     def test_leftover_shares_are_balanced(self, seed):
         k = 2 + seed % 3
         m = gen_convex(4 * k + 2, 8 * k + 8, 4 * k, seed)
-        backbones = convex_backbones(m, k)
+        paths = backbones(m, m.derive_graph(), k)
         fam = cds_convex(m, k)
         shares = []
         for i, s in enumerate(fam):
-            share = set(s) - set(backbones[i][1:-1])
+            share = set(s) - set(paths[i][1:-1])
             if i == 0:
                 share -= {0, m.na - 1}
             shares.append(len(share))

@@ -102,6 +102,19 @@ class TestErrorPaths:
         assert code == 1
         assert out.startswith("ERROR insufficient-connectivity")
 
+    def test_too_few_trees_exit_2(self, tmp_path, capsys):
+        gl = tmp_path / "x.gl"
+        assert main(["gen", "--class", "planted", "--n", "40", "--k", "3",
+                     "--seed", "9", "-o", str(gl)]) == 0
+        rows = (tmp_path / "x.cds").read_text().splitlines()
+        short = tmp_path / "short.cds"
+        short.write_text("\n".join(["c 2", *rows[1:3]]) + "\n")
+        capsys.readouterr()
+        code, out = run(capsys, "partition", str(gl), "--cds", str(short),
+                        "-o", str(tmp_path / "x.part"))
+        assert code == 2
+        assert out.startswith("ERROR too-few-trees")
+
 
 class TestOracleGl:
     def test_tiny_gl_oracle(self, tmp_path, capsys):

@@ -1,20 +1,25 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import cdspart.engine as eng_module
 from cdspart.engine import (
-    Complete,
-    Emission,
     EngineError,
     GLInstance,
     PartitionState,
     _choose_group,
     _trim_block,
+    _run_single_tree,
     _TreeView,
     add_trees,
     add_vertices,
     categorize_trees,
     labeling,
     solve,
-    solve_single_tree,
     validate_cds_input,
 )
 from cdspart.generators import gen_gl_extension, gen_planted_cds
@@ -161,54 +166,72 @@ class TestSingleTreePhases:
         assert set(state.sets[0]) == set(range(5))
 
 
+def run_single_tree(inst, trees):
+    """The single-tree case on a whole instance whose terminals lie on trees[0]."""
+    views = [_TreeView(t, i) for i, t in enumerate(trees)]
+    return _run_single_tree(
+        inst.graph, frozenset(range(inst.graph.n)), inst.terminals, inst.demands, views
+    )
+
+
+def assert_valid_remainder(inst, trees, blocks, used):
+    """After an emission, the unused trees are disjoint dominating trees of
+    the vertices left over, and the left-over demands add up to them."""
+    rest = set(range(inst.graph.n))
+    for _, block in blocks:
+        rest -= block
+    emitted = {i for i, _ in blocks}
+    assert sum(d for i, d in enumerate(inst.demands) if i not in emitted) == len(rest)
+    seen = set()
+    for ti, t in enumerate(trees):
+        if ti in used:
+            continue
+        assert t.vertices <= rest and not t.vertices & seen
+        seen |= t.vertices
+        assert is_connected_subset(inst.graph, t.vertices)
+        for v in rest - t.vertices:
+            assert inst.graph.neighbor_set(v) & t.vertices
+
+
 class TestSolveSingleTree:
     def test_k4_two_blocks(self):
         inst = GLInstance(graph=k4(), terminals=(0, 1), demands=(2, 2))
-        out = solve_single_tree(inst, k4_trees())
-        assert isinstance(out, Complete)
-        assert verify_gl(inst, out.partition).ok
+        blocks, used = run_single_tree(inst, k4_trees())
+        assert used == [0, 1] and [i for i, _ in blocks] == [0, 1]
+        partition = [b for _, b in blocks]
+        assert verify_gl(inst, partition).ok
+        assert solve(inst, k4_trees()).blocks == tuple(partition)
         assert brute_gl(inst) is not None
 
     def test_k1_single_block(self):
         inst = GLInstance(graph=k4(), terminals=(2,), demands=(4,))
         tree = (DominatingTree(frozenset({2, 3}), ((2, 3),)),)
-        out = solve_single_tree(inst, tree)
-        assert isinstance(out, Complete)
-        assert out.partition.blocks == (frozenset({0, 1, 2, 3}),)
-
-    def test_terminal_off_first_tree_rejected(self):
-        inst = GLInstance(graph=k4(), terminals=(0, 2), demands=(2, 2))
-        with pytest.raises(EngineError, match="terminals-not-on-first-tree"):
-            solve_single_tree(inst, k4_trees())
+        blocks, used = run_single_tree(inst, tree)
+        assert blocks == [(0, frozenset({0, 1, 2, 3}))] and used == [0]
+        assert solve(inst, tree).blocks == (frozenset({0, 1, 2, 3}),)
 
     def test_emission_on_demand_one(self):
         inst = GLInstance(graph=k4(), terminals=(0, 1), demands=(1, 3))
-        out = solve_single_tree(inst, k4_trees())
-        assert isinstance(out, Emission)
-        (terminal, block), = out.blocks
-        assert terminal == 0 and block == frozenset({0})
-        # the reduced instance is a valid general instance
-        red = out.reduced
-        assert red.graph.n == 3 and sum(red.demands) == 3
-        for t in out.reduced_trees:
-            t.validate(red.graph)
+        blocks, used = run_single_tree(inst, k4_trees())
+        assert blocks == [(0, frozenset({0}))] and used == [0]
+        # the unused tree is a valid dominating tree of what is left
+        assert_valid_remainder(inst, k4_trees(), blocks, used)
+        assert solve(inst, k4_trees()).blocks[0] == frozenset({0})
 
     @pytest.mark.parametrize("seed", range(25))
     def test_planted_single_tree_runs(self, seed):
         k = 2 + seed % 4
         n = max(24 + seed, k * (k + 2))
         inst, trees = planted(seed, n, k, on_trees=True)
-        out = solve_single_tree(inst, trees)
-        if isinstance(out, Complete):
-            assert verify_gl(inst, out.partition).ok
+        blocks, used = run_single_tree(inst, trees)
+        if len(blocks) == k:
+            assert verify_gl(inst, [b for _, b in blocks]).ok
         else:
-            for terminal, block in out.blocks:
-                assert terminal in block
+            for i, block in blocks:
+                assert inst.terminals[i] in block
+                assert len(block) == inst.demands[i]
                 assert is_connected_subset(inst.graph, block)
-            red = out.reduced
-            assert sum(red.demands) == red.graph.n
-            for t in out.reduced_trees:
-                t.validate(red.graph)
+            assert_valid_remainder(inst, trees, blocks, used)
 
 
 class TestChooseGroup:
@@ -325,26 +348,39 @@ class TestSolve:
         assert verify_gl(inst, p).ok
 
     def test_emission_continuation_reassembles_original(self):
-        # an emitted prefix plus a solve of the reduced instance must tile
-        # the original instance exactly
+        # the blocks emitted by the single-tree case on the whole instance
+        # are kept by `solve`, whose later rounds tile the remainder
         found = False
         for seed in range(30):
             k = 2 + seed % 4
             n = max(26, k * (k + 2))
             inst, trees = planted(seed, n, k, on_trees=True)
-            out = solve_single_tree(inst, trees)
-            if not isinstance(out, Emission):
+            blocks, used = run_single_tree(inst, trees)
+            if len(blocks) == k:
                 continue
             found = True
-            emitted = {t: b for t, b in out.blocks}
-            rest = solve(out.reduced, out.reduced_trees)
-            back = [frozenset(out.old_ids[v] for v in b) for b in rest.blocks]
-            blocks = []
-            rest_iter = iter(back)
-            for i, c in enumerate(inst.terminals):
-                blocks.append(emitted[c] if c in emitted else next(rest_iter))
-            assert verify_gl(inst, blocks).ok
+            p = solve(inst, trees)
+            assert verify_gl(inst, p).ok
+            for i, block in blocks:
+                assert p.blocks[i] == block
         assert found, "no emission case arose in the sample"
+
+
+class TestTreeCount:
+    def test_too_few_trees_is_named(self):
+        inst, trees = planted(5, 40, 4)
+        with pytest.raises(EngineError, match="too-few-trees"):
+            solve(inst, trees[:3])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extra_trees_are_dropped(self, seed):
+        k = 2 + seed % 3
+        g, trees = gen_planted_cds(40, k + 2, extra_edges=10, seed=seed)
+        terminals, demands = gen_gl_extension(g.n, k, seed=seed ^ 0x9A7)
+        inst = GLInstance(graph=g, terminals=terminals, demands=demands)
+        p = solve(inst, trees)
+        assert verify_gl(inst, p).ok
+        assert p == solve(inst, trees[:k])
 
 
 class TestFamilyRestart:
@@ -394,3 +430,44 @@ class TestStateInvariants:
         state.classify(0, "under")
         with pytest.raises(EngineError, match="under-monotonicity"):
             state.classify(0, "over")
+
+    def test_retire_check_fires(self, monkeypatch):
+        # a round that claims to use up no tree leaves the lead tree in the
+        # pool although the emitted blocks swallowed its vertices
+        original = eng_module._run_single_tree
+        monkeypatch.setattr(
+            eng_module, "_run_single_tree", lambda *a, **kw: (original(*a, **kw)[0], [])
+        )
+        inst = GLInstance(graph=k4(), terminals=(0, 1), demands=(2, 2))
+        with pytest.raises(EngineError, match="state-invariant: retire"):
+            solve(inst, k4_trees())
+
+    def test_retire_check_survives_python_O(self):
+        script = textwrap.dedent(
+            """
+            import cdspart.engine as eng
+            from cdspart.graphs import DominatingTree, Graph
+
+            if __debug__:
+                raise SystemExit("asserts are on: not running under -O")
+            original = eng._run_single_tree
+            eng._run_single_tree = lambda *a, **kw: (original(*a, **kw)[0], [])
+            g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+            trees = (
+                DominatingTree(frozenset({0, 1}), ((0, 1),)),
+                DominatingTree(frozenset({2, 3}), ((2, 3),)),
+            )
+            inst = eng.GLInstance(graph=g, terminals=(0, 1), demands=(2, 2))
+            try:
+                eng.solve(inst, trees)
+            except eng.EngineError as exc:
+                print(exc.code)
+            """
+        )
+        src = str(Path(eng_module.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "state-invariant"

@@ -7,7 +7,6 @@ from cdspart.graphs import (
     Graph,
     GraphError,
     dominates,
-    induced_subgraph,
     is_connected_subset,
     is_k_connected,
     open_neighborhood,
@@ -181,6 +180,21 @@ class TestVertexConnectivity:
         assert vertex_connectivity(g) == brute_vertex_connectivity(g)
 
     @pytest.mark.parametrize("seed", range(12))
+    def test_matches_networkx(self, seed):
+        # beyond brute-force reach: n = 30..200, from sparse to dense
+        nx = pytest.importorskip("networkx")
+        n = 30 + seed * 15
+        m = n * (1 + seed % 4) + (seed % 3) * n // 2
+        g = random_graph(1000 + seed, n, m, connected=seed % 4 != 3)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        kappa = vertex_connectivity(g)
+        assert kappa == nx.node_connectivity(h)
+        for k in range(kappa + 2):
+            assert is_k_connected(g, k) == (kappa >= k)
+
+    @pytest.mark.parametrize("seed", range(12))
     def test_is_k_connected_agrees(self, seed):
         g = random_graph(seed, 8, 12, connected=True)
         kappa = vertex_connectivity(g)
@@ -208,10 +222,3 @@ class TestDominatingTree:
         with pytest.raises(GraphError, match="not-dominating"):
             DominatingTree(frozenset({0, 1}), ((0, 1),)).validate(g)
 
-
-def test_induced_subgraph_reindexes():
-    g = path_graph(5)
-    sub, old = induced_subgraph(g, {1, 2, 4})
-    assert old == (1, 2, 4)
-    assert sub.n == 3 and sub.m == 1
-    assert sub.has_edge(0, 1)
