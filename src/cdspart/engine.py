@@ -32,6 +32,7 @@ from .graphs import (
     Graph,
     GraphError,
     VertexSet,
+    all_dominate,
     is_connected_subset,
 )
 
@@ -82,12 +83,22 @@ class GlPartition:
 
 
 def validate_cds_input(g: Graph, trees: Sequence[DominatingTree]) -> None:
+    """Check the trees in index order; the first failing tree is reported.
+
+    Domination is settled for all trees in one `all_dominate` pass; only if
+    it fails does each tree run the full `validate` (with `dominates`), so
+    the reported tree and message match a tree-by-tree check.
+    """
     if not trees:
         raise EngineError("invalid-cds-input", "no trees")
+    if all_dominate(g, [t.vertices for t in trees]):
+        check = DominatingTree.check_tree
+    else:
+        check = DominatingTree.validate
     seen: set[int] = set()
     for i, t in enumerate(trees):
         try:
-            t.validate(g)
+            check(t, g)
         except GraphError as exc:
             raise EngineError("invalid-cds-input", f"tree {i}: {exc}") from exc
         if t.vertices & seen:
@@ -106,10 +117,11 @@ def categorize_trees(
     terminal tree indices).
     """
     out = list(trees)
-    on_tree: dict[int, int] = {}
+    wanted = set(terminals)
+    on_tree: dict[int, int] = {}  # terminal -> tree, O(min(|T|, k)) per tree
     for i, t in enumerate(out):
-        for v in t.vertices:
-            on_tree[v] = i
+        for c in t.vertices & wanted:
+            on_tree[c] = i
     for c in terminals:
         if c in on_tree:
             continue
@@ -382,7 +394,8 @@ def _place_non_tree(state: PartitionState) -> None:
             (i for i in range(state.k) if not state.full[i] and nbrs & state.sets[i]),
             None,
         )
-        assert target is not None, "dominating trees leave no orphan vertices"
+        if target is None:
+            raise EngineError("state-invariant", f"non-tree vertex {v} touches no open set")
         state.add(v, target, parent=min(nbrs & state.sets[target]))
 
 
@@ -469,7 +482,8 @@ def labeling(state: PartitionState) -> None:
                 (i for i in range(state.k) if g.neighbor_set(v) & state.t1_part[i]),
                 None,
             )
-            assert target is not None, "the lead tree dominates every vertex"
+            if target is None:
+                raise EngineError("state-invariant", f"lead tree does not dominate {v}")
             state.assign_vlabel(v, target)
     for i in range(state.k):
         state.classify(
@@ -545,7 +559,8 @@ def add_vertices(state: PartitionState) -> None:
             ),
             None,
         )
-        assert target is not None, "every non-full set holds a whole dominating tree"
+        if target is None:
+            raise EngineError("state-invariant", f"leftover vertex {v} touches no open set")
         state.add(v, target, parent=min(g.neighbor_set(v) & state.sets[target]))
 
 
@@ -707,6 +722,13 @@ def solve(
     members = frozenset(range(g.n))
     pool: list[DominatingTree] = list(trees[: instance.k])
     pool_labels = list(range(len(pool)))
+    # Retire certificate: each tree's vertex set as validated above, which
+    # dominates all of V.  Rounds only ever add vertices to a tree, and a
+    # superset of it dominates whatever is left, so retire checks inclusion.
+    validated = [t.vertices for t in pool]
+    # Tree index, built once: views follow the pool and are rebuilt only
+    # for a tree that categorize_trees replaces (tree 0 when it grows).
+    views = [_TreeView(t, label) for t, label in zip(pool, pool_labels)]
     work = [
         _WorkItem(i, instance.terminals[i], instance.demands[i])
         for i in range(instance.k)
@@ -714,16 +736,18 @@ def solve(
     blocks_out: dict[int, VertexSet] = {}
 
     def retire(item_positions: list[int], finished: list[VertexSet], tree_positions: list[int]) -> None:
-        nonlocal members, pool, pool_labels, work
+        nonlocal members, pool, pool_labels, views, work
         if not item_positions:
             raise EngineError("no-progress", "a round finished no block")
         for pos, block in zip(item_positions, finished):
             blocks_out[work[pos].orig] = block
             members = members - block
-        work = [r for i, r in enumerate(work) if i not in set(item_positions)]
+        done = set(item_positions)
+        work = [r for i, r in enumerate(work) if i not in done]
         drop = set(tree_positions)
         pool = [t for i, t in enumerate(pool) if i not in drop]
         pool_labels = [x for i, x in enumerate(pool_labels) if i not in drop]
+        views = [v for i, v in enumerate(views) if i not in drop]
         if strict:
             seen: set[int] = set()
             for t, label in zip(pool, pool_labels):
@@ -731,19 +755,20 @@ def solve(
                     raise EngineError(
                         "state-invariant", f"retire: tree {label} lost a vertex or overlaps"
                     )
+                if not validated[label] <= t.vertices:
+                    raise EngineError(
+                        "state-invariant", f"retire: tree {label} lost a validated vertex"
+                    )
                 seen |= t.vertices
-                for v in members - t.vertices:
-                    if not g.neighbor_set(v) & t.vertices:
-                        raise EngineError(
-                            "state-invariant", f"retire: tree {label} does not dominate {v}"
-                        )
 
     while work:
         terminals = [r.terminal for r in work]
         demands = [r.demand for r in work]
         new_pool, t0, t1, tmany = categorize_trees(g, pool, terminals)
+        for i, t in enumerate(new_pool):
+            if t is not pool[i]:
+                views[i] = _TreeView(t, pool_labels[i])
         pool = list(new_pool)
-        views = [_TreeView(t, pool_labels[i]) for i, t in enumerate(pool)]
         state = PartitionState(
             g,
             members,
@@ -778,7 +803,7 @@ def solve(
             raise EngineError("state-invariant", "chosen group is short of vertices")
         sub_demands[0] += delta
         sub_tree_positions = [lead] + list(extras)
-        sub_views = [_TreeView(pool[p], pool_labels[p]) for p in sub_tree_positions]
+        sub_views = [views[p] for p in sub_tree_positions]
         blocks, used_local = _run_single_tree(
             g,
             frozenset(gprime),

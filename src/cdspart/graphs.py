@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 VertexSet = frozenset[int]
 Edge = tuple[int, int]
@@ -83,6 +83,13 @@ class DominatingTree:
     edges: tuple[Edge, ...]
 
     def validate(self, g: Graph) -> None:
+        self.check_tree(g)
+        if not dominates(g, self.vertices):
+            raise GraphError("not-dominating")
+
+    def check_tree(self, g: Graph) -> None:
+        """Every check of `validate` except domination: a nonempty vertex set
+        spanned by its edges, which form a tree of graph edges."""
         vs = self.vertices
         if not vs:
             raise GraphError("empty-tree")
@@ -109,8 +116,6 @@ class DominatingTree:
                     queue.append(y)
         if len(seen) != len(vs):
             raise GraphError("not-a-tree", "tree edges do not connect the vertex set")
-        if not dominates(g, vs):
-            raise GraphError("not-dominating")
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """Tree adjacency (sorted), keyed by vertex."""
@@ -123,19 +128,16 @@ class DominatingTree:
 
 def is_connected_subset(g: Graph, s: Iterable[int]) -> bool:
     """True iff the subgraph induced on s is connected. s must be nonempty."""
-    members = set(s)
-    if not members:
+    unseen = set(s)
+    if not unseen:
         raise GraphError("empty-subset")
-    start = min(members)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y in members and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(members)
+    stack = [unseen.pop()]
+    while stack and unseen:
+        # set intersection walks the smaller side: O(min(|unseen|, deg x))
+        found = g.neighbor_set(stack.pop()) & unseen
+        unseen -= found
+        stack.extend(found)
+    return not unseen
 
 
 def dominates(g: Graph, s: Iterable[int]) -> bool:
@@ -151,6 +153,31 @@ def dominates(g: Graph, s: Iterable[int]) -> bool:
         if not (g.neighbor_set(v) & members):
             return False
     return True
+
+
+def all_dominate(g: Graph, sets: Sequence[Iterable[int]]) -> bool:
+    """True iff every set in `sets` dominates g, i.e. `dominates` holds for each.
+
+    One pass over the closed neighbourhoods of all members, O(n + m) for
+    disjoint sets: `stamp[v]` is the last set seen covering v and `count[v]`
+    the number of distinct sets covering it.  Members outside 0..n-1 cover
+    nothing, as in `dominates`.
+    """
+    n = g.n
+    stamp = [-1] * n
+    count = [0] * n
+    for i, s in enumerate(sets):
+        for v in s:
+            if not 0 <= v < n:
+                continue
+            if stamp[v] != i:
+                stamp[v] = i
+                count[v] += 1
+            for u in g.neighbors(v):
+                if stamp[u] != i:
+                    stamp[u] = i
+                    count[u] += 1
+    return all(c == len(sets) for c in count)
 
 
 def open_neighborhood(g: Graph, s: Iterable[int]) -> VertexSet:

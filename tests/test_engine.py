@@ -1,7 +1,10 @@
+import importlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,13 @@ from cdspart.engine import (
     validate_cds_input,
 )
 from cdspart.generators import gen_gl_extension, gen_planted_cds
-from cdspart.graphs import DominatingTree, Graph, is_connected_subset
+from cdspart.graphs import (
+    DominatingTree,
+    Graph,
+    GraphError,
+    is_connected_subset,
+    spanning_tree,
+)
 from cdspart.verify import brute_gl, verify_gl
 
 
@@ -75,6 +84,69 @@ class TestCdsInputValidation:
         t = DominatingTree(frozenset({0, 1}), ((0, 1),))
         with pytest.raises(EngineError, match="invalid-cds-input"):
             validate_cds_input(g, (t,))
+
+
+def validate_tree_by_tree(g, trees):
+    """validate_cds_input as a loop of per-tree `validate` (each calls
+    `dominates`): the reference for the reported tree and message."""
+    seen = set()
+    for i, t in enumerate(trees):
+        try:
+            t.validate(g)
+        except GraphError as exc:
+            raise EngineError("invalid-cds-input", f"tree {i}: {exc}") from exc
+        if t.vertices & seen:
+            raise EngineError("invalid-cds-input", f"tree {i} overlaps an earlier tree")
+        seen |= t.vertices
+
+
+def drop_leaf(tree):
+    """The tree without its lowest-id leaf (a tree on >= 2 vertices)."""
+    degree = Counter(v for e in tree.edges for v in e)
+    leaf = min(v for v in tree.vertices if degree[v] == 1)
+    return DominatingTree(
+        tree.vertices - {leaf}, tuple(e for e in tree.edges if leaf not in e)
+    )
+
+
+def outcome(fn, *args):
+    try:
+        fn(*args)
+    except GraphError as exc:
+        return type(exc), exc.code, str(exc)
+    return None
+
+
+class TestOnePassValidation:
+    def test_reports_the_tree_a_tree_by_tree_check_reports(self):
+        kinds = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            k = 2 + seed % 6
+            g, trees = gen_planted_cds(4 * k + seed % 40, k, 10, seed)
+            trees = list(trees)
+            for _ in range(rng.randint(0, 3)):
+                i = rng.randrange(k)
+                defect = rng.choice(["shrink", "shrink", "edge", "overlap", "alien"])
+                t = trees[i]
+                if defect == "shrink" and len(t.vertices) > 1:
+                    trees[i] = drop_leaf(t)
+                elif defect == "edge" and t.edges:
+                    trees[i] = DominatingTree(t.vertices, t.edges[1:])
+                elif defect == "overlap":
+                    trees[i] = trees[rng.randrange(k)]
+                elif defect == "alien":
+                    s = set(rng.sample(range(g.n), rng.randint(1, g.n // 2)))
+                    try:
+                        trees[i] = DominatingTree(frozenset(s), spanning_tree(g, s))
+                    except GraphError:
+                        pass
+            expected = outcome(validate_tree_by_tree, g, trees)
+            assert outcome(validate_cds_input, g, trees) == expected, seed
+            kinds.add(expected and next(
+                w for w in ("not-dominating", "not-a-tree", "overlaps") if w in expected[2]
+            ))
+        assert kinds == {None, "not-dominating", "not-a-tree", "overlaps"}
 
 
 class TestCategorizeTrees:
@@ -442,6 +514,34 @@ class TestStateInvariants:
         with pytest.raises(EngineError, match="state-invariant: retire"):
             solve(inst, k4_trees())
 
+    def test_retire_certificate_catches_dropped_vertex(self, monkeypatch):
+        # categorize_trees hands back a terminal-free tree that lost a
+        # validated leaf; the round may still succeed, but retire refuses
+        inst, trees = planted(3, 80, 8)
+        original = eng_module.categorize_trees
+        shrunk = []
+
+        def shrinking(g, pool, terminals):
+            out, t0, t1, tmany = original(g, pool, terminals)
+            if not shrunk and t0:
+                victim = max(t0)
+                shrunk.append(victim)
+                out = out[:victim] + (drop_leaf(out[victim]),) + out[victim + 1 :]
+            return out, t0, t1, tmany
+
+        monkeypatch.setattr(eng_module, "categorize_trees", shrinking)
+        with pytest.raises(EngineError, match="state-invariant: retire: .* validated vertex"):
+            solve(inst, trees)
+        assert shrunk
+
+    def test_orphan_vertex_raises_state_invariant(self):
+        # tree {1, 2} does not dominate 0, whose only neighbour 3 is unplaced
+        # when 0 is reached: no open set is adjacent to it
+        g = Graph(4, [(0, 3), (1, 2), (2, 3)])
+        views = [_TreeView(DominatingTree(frozenset({1, 2}), ((1, 2),)), 0)]
+        with pytest.raises(EngineError, match="state-invariant: non-tree vertex 0"):
+            _run_single_tree(g, frozenset(range(4)), [1], [4], views)
+
     def test_retire_check_survives_python_O(self):
         script = textwrap.dedent(
             """
@@ -471,3 +571,44 @@ class TestStateInvariants:
             env=env, capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "state-invariant"
+
+
+class TestSolveCost:
+    def test_tree_views_built_once_and_no_domination_rescan(self, monkeypatch):
+        # counts, not time: the per-round view rebuild made ~k adjacency
+        # builds per round, and retire re-checked domination every round
+        n, k = 600, 150
+        g, trees = gen_planted_cds(n, k, n // 4, seed=11)
+        terminals, demands = gen_gl_extension(n, k, seed=11 ^ 0xF00D)
+        inst = GLInstance(graph=g, terminals=terminals, demands=demands)
+        counts = Counter()
+        adjacency = DominatingTree.adjacency
+        dominates = importlib.import_module("cdspart.graphs").dominates
+        categorize = eng_module.categorize_trees
+
+        def counted_adjacency(self):
+            counts["adjacency"] += 1
+            return adjacency(self)
+
+        def counted_dominates(*args):
+            counts["dominates"] += 1
+            return dominates(*args)
+
+        def counted_categorize(g, pool, terminals):
+            out = categorize(g, pool, terminals)
+            counts["rounds"] += 1
+            counts["tree 0 grew"] += out[0][0] is not pool[0]
+            return out
+
+        monkeypatch.setattr(DominatingTree, "adjacency", counted_adjacency)
+        for name in ("graphs", "engine", "formats", "builders", "verify"):
+            module = importlib.import_module(f"cdspart.{name}")
+            if hasattr(module, "dominates"):
+                monkeypatch.setattr(module, "dominates", counted_dominates)
+        monkeypatch.setattr(eng_module, "categorize_trees", counted_categorize)
+        p = solve(inst, trees)
+        assert counts["rounds"] > k // 2
+        assert counts["dominates"] == 0
+        assert counts["adjacency"] <= k + counts["tree 0 grew"], counts
+        monkeypatch.undo()
+        assert verify_gl(inst, p).ok

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from cdspart.generators import (
     gen_interval,
     gen_planted_cds,
 )
-from cdspart.graphs import Graph
+from cdspart.graphs import DominatingTree, Graph, GraphError, spanning_tree
 from cdspart.models import BiconvexModel, IntervalModel
 
 
@@ -141,6 +143,46 @@ class TestBuildCdsInput:
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(FormatError, match="set 1"):
             build_cds_input(g, [frozenset({0, 3})])
+
+    def test_reports_the_set_a_set_by_set_check_reports(self):
+        def set_by_set(g, sets):
+            trees = []
+            for i, s in enumerate(sets):
+                try:
+                    trees.append(DominatingTree(frozenset(s), spanning_tree(g, s)))
+                    trees[-1].validate(g)
+                except GraphError as exc:
+                    raise FormatError("invariant", f"set {i + 1}: {exc}") from exc
+            return tuple(trees)
+
+        def outcome(g, sets, build):
+            try:
+                build(g, sets)
+            except FormatError as exc:
+                return exc.code, str(exc)
+            return None
+
+        kinds = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            k = 2 + seed % 6
+            g, trees = gen_planted_cds(4 * k + seed % 40, k, 10, seed)
+            sets = [set(t.vertices) for t in trees]
+            for _ in range(rng.randint(0, 3)):
+                victim = sets[rng.randrange(k)]
+                r = rng.random()
+                if r < 0.35:
+                    victim.clear()
+                if 0.1 <= r < 0.35:
+                    victim.update(rng.sample(range(g.n), rng.randint(1, g.n // 2)))
+                elif r >= 0.35 and victim:
+                    victim.discard(rng.choice(sorted(victim)))
+            expected = outcome(g, sets, set_by_set)
+            assert outcome(g, sets, build_cds_input) == expected, seed
+            kinds.add(expected and next(
+                w for w in ("not-dominating", "not-connected", "empty") if w in expected[1]
+            ))
+        assert kinds == {None, "not-dominating", "not-connected", "empty"}
 
 
 def test_trace_rendering():

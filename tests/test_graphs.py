@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from cdspart.graphs import (
     DominatingTree,
     Graph,
     GraphError,
+    all_dominate,
     dominates,
     is_connected_subset,
     is_k_connected,
@@ -13,6 +16,7 @@ from cdspart.graphs import (
     spanning_tree,
     vertex_connectivity,
 )
+from cdspart.generators import gen_planted_cds
 from cdspart.verify import (
     brute_vertex_connectivity,
     counterexample_chordal,
@@ -81,6 +85,42 @@ class TestConnectedSubset:
         with pytest.raises(GraphError, match="empty-subset"):
             is_connected_subset(path_graph(3), set())
 
+    def test_empty_subset_error_on_large_graph(self):
+        with pytest.raises(GraphError, match="empty-subset"):
+            is_connected_subset(random_graph(3, 120, 400), [])
+
+    def test_matches_networkx(self):
+        # n = 30..200, sparse to dense; subsets from singletons to all of V,
+        # half of them grown as connected pieces and then perhaps cut
+        nx = pytest.importorskip("networkx")
+        outcomes = set()
+        for seed in range(12):
+            n = 30 + seed * 15
+            g = random_graph(2000 + seed, n, n * (1 + seed % 5) // 2)
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            rng = random.Random(seed)
+            for trial in range(25):
+                size = 1 if trial < 3 else rng.randint(2, n)
+                if trial % 2:
+                    s = set(rng.sample(range(n), size))
+                else:
+                    s = {rng.randrange(n)}
+                    frontier = sorted(s)
+                    while frontier and len(s) < size:
+                        x = frontier.pop(rng.randrange(len(frontier)))
+                        for y in g.neighbors(x):
+                            if y not in s and len(s) < size:
+                                s.add(y)
+                                frontier.append(y)
+                    if len(s) > 2 and rng.random() < 0.5:
+                        s.discard(rng.choice(sorted(s)))
+                expected = nx.is_connected(h.subgraph(s))
+                assert is_connected_subset(g, s) == expected, (seed, trial)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
 
 class TestDominates:
     def test_star_center(self):
@@ -106,6 +146,59 @@ class TestDominates:
         grown = set(range(0, 5)) | base
         if dominates(g, base):
             assert dominates(g, grown)
+
+
+class TestAllDominate:
+    """The one-pass check accepts exactly when every per-set `dominates` does."""
+
+    @staticmethod
+    def agree(g, sets):
+        expected = all(dominates(g, s) for s in sets)
+        assert all_dominate(g, sets) == expected
+        return expected
+
+    def test_planted_families(self):
+        outcomes = set()
+        for seed in range(30):
+            k = 2 + seed % 7
+            n = 4 * k + (seed * 13) % 90
+            g, trees = gen_planted_cds(n, k, n // 4, seed)
+            sets = [set(t.vertices) for t in trees]
+            assert self.agree(g, sets)
+            rng = random.Random(seed)
+            for _ in range(6):
+                cut = [set(s) for s in sets]
+                victim = cut[rng.randrange(k)]
+                for v in rng.sample(sorted(victim), rng.randint(1, len(victim))):
+                    victim.discard(v)
+                outcomes.add(self.agree(g, cut))
+        assert outcomes == {True, False}
+
+    def test_random_disjoint_and_overlapping_sets(self):
+        outcomes = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(1, 40)
+            g = random_graph(seed, n, rng.randint(0, n * (n - 1) // 2))
+            k = rng.randint(1, 5)
+            if seed % 2:
+                order = rng.sample(range(n), n)
+                cuts = sorted(rng.randint(0, n) for _ in range(k - 1))
+                sets = [set(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+            else:
+                sets = [set(rng.sample(range(n), rng.randint(0, n))) for _ in range(k)]
+            outcomes.add(self.agree(g, sets))
+        assert outcomes == {True, False}
+
+    def test_edge_cases(self):
+        g = path_graph(5)
+        assert all_dominate(g, [])
+        assert not all_dominate(g, [set()])
+        assert all_dominate(g, [{1, 3}, {0, 2, 4}])
+        assert not all_dominate(g, [{1, 3}, {0, 4}])
+        # members outside 0..n-1 cover nothing, as in `dominates`
+        assert self.agree(g, [{1, 3, 7}, {0, 2, 4, -1}])
+        assert not self.agree(g, [{1, 3, 7}, {0, 4, -1}])
 
 
 class TestOpenNeighborhood:
@@ -221,4 +314,10 @@ class TestDominatingTree:
         g = path_graph(5)
         with pytest.raises(GraphError, match="not-dominating"):
             DominatingTree(frozenset({0, 1}), ((0, 1),)).validate(g)
+
+    def test_check_tree_skips_domination_only(self):
+        g = path_graph(5)
+        DominatingTree(frozenset({0, 1}), ((0, 1),)).check_tree(g)
+        with pytest.raises(GraphError, match="not-a-tree"):
+            DominatingTree(frozenset({0, 2}), ((0, 2),)).check_tree(g)
 
