@@ -10,11 +10,13 @@ so parse/write round-trips are byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .engine import CdsInput, GLInstance, TraceEvent
 from .graphs import (
     DominatingTree,
+    Edge,
     Graph,
     GraphError,
     VertexSet,
@@ -58,38 +60,47 @@ class InstanceBundle:
         )
 
 
-def _tokenize(text: str) -> list[tuple[int, list[str]]]:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((lineno, body.split()))
-    return rows
+_Row = tuple[int, str]
+
+
+def _rows(text: str) -> Iterator[_Row]:
+    """Numbered lines with `#` comments cut off; blank lines are skipped.
+
+    Lazy, so parsing holds one line's tokens at a time, never a table of
+    every line's tokens.
+    """
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        if line and not line.isspace():
+            yield lineno, line
+
+
+def _not_ints(tokens: Sequence[str], lineno: int) -> FormatError:
+    return FormatError("syntax", f"expected integers, got {tokens}", lineno)
 
 
 def _ints(tokens: Sequence[str], lineno: int) -> list[int]:
     try:
         return [int(t) for t in tokens]
     except ValueError as exc:
-        raise FormatError("syntax", f"expected integers, got {tokens}", lineno) from exc
+        raise _not_ints(tokens, lineno) from exc
 
 
 def _parse_gl_extension(
-    rows: list[tuple[int, list[str]]], pos: int, n: int
-) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    lineno, toks = rows[pos]
+    rows: Iterator[_Row], first: _Row, n: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    lineno, line = first
+    toks = line.split()
     if toks[0] != "k" or len(toks) != 2:
         raise FormatError("syntax", f"expected 'k <k>', got {' '.join(toks)}", lineno)
     (k,) = _ints(toks[1:], lineno)
     if k < 1:
         raise FormatError("invariant", f"k must be positive, got {k}", lineno)
-    pos += 1
     terminals: list[int] = []
     demands: list[int] = []
-    for _ in range(k):
-        if pos >= len(rows):
-            raise FormatError("syntax", "missing 't <terminal> <demand>' line", lineno)
-        lineno, toks = rows[pos]
+    for _, (lineno, line) in zip(range(k), rows):
+        toks = line.split()
         if toks[0] != "t" or len(toks) != 3:
             raise FormatError("syntax", f"expected 't <terminal> <demand>', got {' '.join(toks)}", lineno)
         c, d = _ints(toks[1:], lineno)
@@ -99,80 +110,93 @@ def _parse_gl_extension(
             raise FormatError("invariant", f"demand {d} must be positive", lineno)
         terminals.append(c - 1)
         demands.append(d)
-        pos += 1
+    if len(terminals) < k:
+        raise FormatError("syntax", "missing 't <terminal> <demand>' line", lineno)
     if len(set(terminals)) != k:
         raise FormatError("invariant", "terminals are not distinct")
     if sum(demands) != n:
         raise FormatError("invariant", f"demands sum to {sum(demands)}, vertex count is {n}")
-    return tuple(terminals), tuple(demands), pos
+    return tuple(terminals), tuple(demands)
 
 
 def parse_bundle(text: str) -> InstanceBundle:
     """Parse a graph / interval / convex / biconvex file with optional
     terminal-demand extension."""
-    rows = _tokenize(text)
-    if not rows:
+    rows = _rows(text)
+    row = next(rows, None)
+    if row is None:
         raise FormatError("syntax", "empty file", 1)
-    lineno, toks = rows[0]
+    lineno, line = row
+    toks = line.split()
     if toks[0] != "p" or len(toks) < 2:
         raise FormatError("syntax", f"expected 'p <kind> ...' header, got {' '.join(toks)}", lineno)
     kind = toks[1]
     if kind == "gl":
-        model, g, pos = _parse_graph(rows)
+        model, g = _parse_graph(rows, lineno, toks)
     elif kind == "interval":
-        model, g, pos = _parse_interval(rows)
+        model, g = _parse_interval(rows, lineno, toks)
     elif kind in ("convex", "biconvex"):
-        model, g, pos = _parse_convex(rows, biconvex=(kind == "biconvex"))
+        model, g = _parse_convex(rows, lineno, toks, biconvex=(kind == "biconvex"))
     else:
         raise FormatError("syntax", f"unknown model kind '{kind}'", lineno)
     terminals = demands = None
-    if pos < len(rows):
-        terminals, demands, pos = _parse_gl_extension(rows, pos, g.n)
-    if pos != len(rows):
-        raise FormatError("syntax", "unexpected trailing content", rows[pos][0])
+    row = next(rows, None)
+    if row is not None:
+        terminals, demands = _parse_gl_extension(rows, row, g.n)
+        row = next(rows, None)
+    if row is not None:
+        raise FormatError("syntax", "unexpected trailing content", row[0])
     return InstanceBundle(model=model, graph=g, terminals=terminals, demands=demands)
 
 
-def _parse_graph(rows: list[tuple[int, list[str]]]) -> tuple[Model, Graph, int]:
-    lineno, toks = rows[0]
+# Each section parser takes the header row's number and tokens and reads
+# its records from `rows`.  After a record loop `lineno` is the last line
+# read (the header when none was), which is where a short section is
+# reported.
+
+
+def _parse_graph(rows: Iterator[_Row], lineno: int, toks: list[str]) -> tuple[Model, Graph]:
     if len(toks) != 4:
         raise FormatError("syntax", "expected 'p gl <n> <m>'", lineno)
     n, m = _ints(toks[2:], lineno)
-    edges: list[tuple[int, int]] = []
-    pos = 1
-    for _ in range(m):
-        if pos >= len(rows):
-            raise FormatError("syntax", f"expected {m} edge lines", lineno)
-        lineno, toks = rows[pos]
+    edges: list[Edge] = []
+    for _, (lineno, line) in zip(range(m), rows):
+        toks = line.split()
         if toks[0] != "e" or len(toks) != 3:
             raise FormatError("syntax", f"expected 'e <u> <v>', got {' '.join(toks)}", lineno)
-        u, v = _ints(toks[1:], lineno)
+        try:
+            u = int(toks[1])
+            v = int(toks[2])
+        except ValueError:
+            raise _not_ints(toks[1:], lineno) from None
         if not (1 <= u <= n and 1 <= v <= n):
             raise FormatError("invariant", f"edge ({u}, {v}) out of range 1..{n}", lineno)
         edges.append((u - 1, v - 1))
-        pos += 1
+    if len(edges) < m:
+        raise FormatError("syntax", f"expected {m} edge lines", lineno)
     try:
         g = Graph(n, edges)
     except GraphError as exc:
         raise FormatError("invariant", str(exc)) from exc
-    return g, g, pos
+    return g, g
 
 
-def _parse_interval(rows: list[tuple[int, list[str]]]) -> tuple[Model, Graph, int]:
-    lineno, toks = rows[0]
+def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> tuple[Model, Graph]:
     if len(toks) != 3:
         raise FormatError("syntax", "expected 'p interval <n>'", lineno)
     (n,) = _ints(toks[2:], lineno)
     lefts = [None] * n
     rights = [None] * n
-    pos = 1
-    for _ in range(n):
-        if pos >= len(rows):
-            raise FormatError("syntax", f"expected {n} interval lines", lineno)
-        lineno, toks = rows[pos]
+    for _, (lineno, line) in zip(range(n), rows):
+        toks = line.split()
         if toks[0] != "i" or len(toks) != 4:
             raise FormatError("syntax", f"expected 'i <id> <left> <right>', got {' '.join(toks)}", lineno)
-        vid, a, b = _ints(toks[1:], lineno)
+        try:
+            vid = int(toks[1])
+            a = int(toks[2])
+            b = int(toks[3])
+        except ValueError:
+            raise _not_ints(toks[1:], lineno) from None
         if not 1 <= vid <= n:
             raise FormatError("invariant", f"interval id {vid} out of range", lineno)
         if lefts[vid - 1] is not None:
@@ -181,33 +205,37 @@ def _parse_interval(rows: list[tuple[int, list[str]]]) -> tuple[Model, Graph, in
             raise FormatError("invariant", f"interval {vid} has left > right", lineno)
         lefts[vid - 1] = a
         rights[vid - 1] = b
-        pos += 1
-    if any(x is None for x in lefts):
-        raise FormatError("invariant", "not every interval id is defined")
+    # Ids are distinct and in 1..n, so an undefined id means a short section.
+    if None in lefts:
+        raise FormatError("syntax", f"expected {n} interval lines", lineno)
     model = IntervalModel(lefts=tuple(lefts), rights=tuple(rights))
-    return model, model.derive_graph(), pos
+    return model, model.derive_graph()
 
 
-def _parse_convex(rows: list[tuple[int, list[str]]], biconvex: bool) -> tuple[Model, Graph, int]:
-    lineno, toks = rows[0]
+def _parse_convex(
+    rows: Iterator[_Row], lineno: int, toks: list[str], biconvex: bool
+) -> tuple[Model, Graph]:
     if len(toks) != 5:
         raise FormatError("syntax", f"expected 'p {'biconvex' if biconvex else 'convex'} <nA> <nB> <m>'", lineno)
     na, nb, m = _ints(toks[2:], lineno)
     nbrs: list[set[int]] = [set() for _ in range(nb)]
-    pos = 1
-    for _ in range(m):
-        if pos >= len(rows):
-            raise FormatError("syntax", f"expected {m} edge lines", lineno)
-        lineno, toks = rows[pos]
+    for _, (lineno, line) in zip(range(m), rows):
+        toks = line.split()
         if toks[0] != "e" or len(toks) != 3:
             raise FormatError("syntax", f"expected 'e <a> <b>', got {' '.join(toks)}", lineno)
-        a, b = _ints(toks[1:], lineno)
+        try:
+            a = int(toks[1])
+            b = int(toks[2])
+        except ValueError:
+            raise _not_ints(toks[1:], lineno) from None
         if not (1 <= a <= na and 1 <= b <= nb):
             raise FormatError("invariant", f"edge ({a}, {b}) out of side ranges", lineno)
         if (a - 1) in nbrs[b - 1]:
             raise FormatError("invariant", f"duplicate edge ({a}, {b})", lineno)
         nbrs[b - 1].add(a - 1)
-        pos += 1
+    # Duplicates are rejected, so the neighbourhoods hold one entry per line.
+    if sum(map(len, nbrs)) < m:
+        raise FormatError("syntax", f"expected {m} edge lines", lineno)
     windows = []
     for j, s in enumerate(nbrs):
         if not s:
@@ -221,25 +249,28 @@ def _parse_convex(rows: list[tuple[int, list[str]]], biconvex: bool) -> tuple[Mo
         model = cls(na=na, nb=nb, windows=tuple(windows))
     except GraphError as exc:
         raise FormatError("invariant", str(exc)) from exc
-    return model, model.derive_graph(), pos
+    return model, model.derive_graph()
 
 
 def parse_vertex_sets(text: str, prefix: str, n: int) -> tuple[VertexSet, ...]:
     """Shared reader for `c`/`v` style indexed vertex-set files."""
-    rows = _tokenize(text)
-    if not rows:
+    rows = _rows(text)
+    row = next(rows, None)
+    if row is None:
         raise FormatError("syntax", "empty file", 1)
-    pos = 0
     k = None
     if prefix == "s":
-        lineno, toks = rows[0]
+        lineno, line = row
+        toks = line.split()
         if toks[0] != "c" or len(toks) != 2:
             raise FormatError("syntax", f"expected 'c <k>', got {' '.join(toks)}", lineno)
         (k,) = _ints(toks[1:], lineno)
-        pos = 1
+    else:
+        rows = chain((row,), rows)
     sets: list[VertexSet] = []
     expect = 1
-    for lineno, toks in rows[pos:]:
+    for lineno, line in rows:
+        toks = line.split()
         if toks[0] != prefix:
             raise FormatError("syntax", f"expected '{prefix} <i> <v...>', got {' '.join(toks)}", lineno)
         vals = _ints(toks[1:], lineno)

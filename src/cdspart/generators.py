@@ -10,7 +10,7 @@ top; both derivations are part of the reproducibility contract.
 
 from __future__ import annotations
 
-from .engine import CdsInput
+from .engine import CdsInput, validate_cds_input
 from .graphs import DominatingTree, Graph, GraphError, is_k_connected
 from .models import BiconvexModel, ConvexModel, IntervalModel, interval_connectivity
 
@@ -202,8 +202,7 @@ def gen_planted_cds(
         )
         for chain in backbones
     )
-    for t in trees:
-        t.validate(g)
+    validate_cds_input(g, trees)
     return g, trees
 
 

@@ -32,22 +32,22 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
             raise GraphError("bad-order", f"negative vertex count {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)  # a fault is located by a second pass
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError("bad-edge", f"endpoint out of range in ({u}, {v})")
-            if u == v:
-                raise GraphError("self-loop", f"vertex {u}")
-            if v in adj[u]:
-                raise GraphError("duplicate-edge", f"({u}, {v})")
-            adj[u].add(v)
-            adj[v].add(u)
-            m += 1
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise _first_fault(n, edges)
+            adj[u].append(v)
+            adj[v].append(u)
+        adjsets = tuple(map(frozenset, adj))
+        # Every list holds one entry per incident edge; a set loses repeats.
+        if sum(map(len, adjsets)) != 2 * len(edges):
+            raise _first_fault(n, edges)
         self.n = n
-        self.m = m
-        self._adjsets: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
+        self.m = len(edges)
+        self._adjsets: tuple[frozenset[int], ...] = adjsets
+        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -73,6 +73,23 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _first_fault(n: int, edges: Sequence[Edge]) -> GraphError:
+    """The error for the first faulty edge in input order: an endpoint out
+    of range, a self-loop or a repeat of an earlier edge.  Only called on
+    edge lists known to hold a fault."""
+    seen: set[Edge] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return GraphError("bad-edge", f"endpoint out of range in ({u}, {v})")
+        if u == v:
+            return GraphError("self-loop", f"vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return GraphError("duplicate-edge", f"({u}, {v})")
+        seen.add(key)
+    raise AssertionError("no faulty edge")
 
 
 @dataclass(frozen=True)

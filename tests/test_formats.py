@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,12 +14,14 @@ from cdspart.formats import (
     parse_bundle,
     parse_cds_sets,
     parse_partition,
+    parse_vertex_sets,
     write_bundle,
     write_cds,
     write_partition,
     write_trace,
 )
 from cdspart.generators import (
+    SplitMix64,
     gen_biconvex,
     gen_convex,
     gen_gl_extension,
@@ -26,6 +30,8 @@ from cdspart.generators import (
 )
 from cdspart.graphs import DominatingTree, Graph, GraphError, spanning_tree
 from cdspart.models import BiconvexModel, IntervalModel
+
+import reference_parser
 
 
 class TestGraphParsing:
@@ -190,29 +196,212 @@ def test_trace_rendering():
     assert write_trace(events) == "PLACE 5 1\nSTEAL 3 2 1\nEMIT 1 3\nEMIT 2 -\n"
 
 
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except FormatError as exc:
+        return exc.code, exc.line, str(exc)
+
+
+def _streamed_bundle(text):
+    """parse_bundle's result in the reference parser's shape."""
+    b = parse_bundle(text)
+    g = b.graph
+    assert g._adj == tuple(tuple(sorted(s)) for s in g._adjsets)
+    assert 2 * g.m == sum(map(len, g._adjsets))
+    return (None if b.model is g else b.model), g._adjsets, b.terminals, b.demands
+
+
+def assert_same_bundle_outcome(text):
+    assert _outcome(_streamed_bundle, text) == _outcome(reference_parser.parse_bundle, text)
+
+
+def assert_same_sets_outcome(text, prefix, n):
+    expected = _outcome(reference_parser.parse_vertex_sets, text, prefix, n)
+    assert _outcome(parse_vertex_sets, text, prefix, n) == expected
+
+
+def _mutate(text, seed, pos):
+    rng = SplitMix64(seed * 7 + pos)
+    chars = list(text)
+    for _ in range(1 + rng.randint(0, 3)):
+        i = rng.randint(0, len(chars) - 1)
+        chars[i] = "0123456789 ex\np"[rng.randint(0, 14)]
+    return "".join(chars)
+
+
 class TestParserRobustness:
     @given(st.text(max_size=200))
     def test_arbitrary_text_raises_format_error_only(self, text):
-        try:
-            parse_bundle(text)
-        except FormatError:
-            pass
+        assert_same_bundle_outcome(text)
 
     @given(st.integers(0, 40), st.integers(0, 40))
     def test_mutated_valid_files(self, seed, pos):
-        from cdspart.generators import SplitMix64
-
         m = gen_interval(8 + seed % 6, 2, seed % 4)
         t, d = gen_gl_extension(m.n, 2, seed)
         text = write_bundle(
             InstanceBundle(model=m, graph=m.derive_graph(), terminals=t, demands=d)
         )
-        rng = SplitMix64(seed * 7 + pos)
-        chars = list(text)
-        for _ in range(1 + rng.randint(0, 3)):
-            i = rng.randint(0, len(chars) - 1)
-            chars[i] = "0123456789 ex\np"[rng.randint(0, 14)]
-        try:
-            parse_bundle("".join(chars))
-        except FormatError:
-            pass
+        assert_same_bundle_outcome(_mutate(text, seed, pos))
+
+
+# Fragments that reach past the header: short and long sections, records
+# of the wrong kind, extensions, comments and every line break splitlines
+# knows of, and integers that int() accepts in unusual spellings.
+_LINES = [
+    "p gl 3 2", "p gl 4 3", "p gl 2 1", "p interval 3", "p interval 2",
+    "p convex 2 2 3", "p biconvex 2 2 3", "p gl 3", "p", "p gl -1 0",
+    "e 1 2", "e 2 3", "e 3 1", "e 1 1", "e 2 1", "e 1 4", "e 1", "e a 2",
+    "e 1 2 3", "e +1 0_2", "e \uff11 2", "i 1 1 3", "i 2 2 4", "i 3 3 5",
+    "i 1 4 2", "i 4 1 2", "i 1 x 2", "k 1", "k 2", "k 0", "k", "t 1 3",
+    "t 2 1", "t 1 1", "t 3 2", "t 4 1", "t 1 0", "c 2", "c 1", "c x",
+    "s 1 1 2", "s 2 3", "s 1 1 1", "s 2 9", "v 1 1", "v 2 2 3", "v 3",
+    "# note", "e 1 2 # tail", "e 2#3", "", "  ", "\t", "\u3000", "x",
+]
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " \t\n"]
+_soup = st.lists(
+    st.tuples(st.sampled_from(_LINES), st.sampled_from(_BREAKS)), max_size=10
+).map(lambda pairs: "".join(a + b for a, b in pairs))
+
+
+def _sample_texts():
+    for bundle in bundle_samples(6):
+        yield write_bundle(bundle, comments=["sample"])
+    g, trees = gen_planted_cds(40, 4, 10, 3)
+    t, d = gen_gl_extension(g.n, 4, 3)
+    yield write_bundle(InstanceBundle(model=g, graph=g, terminals=t, demands=d))
+
+
+class TestReferenceParser:
+    """The streaming parser against the line-table reference parser."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(Path(__file__).parent.parent.joinpath("fixtures").glob("*"))
+    )
+    def test_fixture_files(self, path):
+        assert_same_bundle_outcome(path.read_text())
+
+    def test_generated_files(self):
+        for text in _sample_texts():
+            assert_same_bundle_outcome(text)
+            assert_same_bundle_outcome(text.replace("\n", "\r\n"))
+            assert_same_bundle_outcome(text.replace(" ", "\t"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p gl 3 2\r\ne 1 2\r\ne 2 3\r\n",
+            "p gl 3 2\r\ne 1 2\r\ne 2 3\r\nk 1\r\nt 1 3\r\n",
+            "p\tgl\t3 2\ne\t1\t2\n\te 2 3\t\n",
+            "p gl 3 2 # header\ne 1 2#x\ne 2 3# y\n",
+            "p gl 3 2\ne 1 2\ne 2# 3\n",
+            "\n\n# c\np gl 3 2\n\n   \n# x\ne 1 2\n\t\n#\ne 2 3\n\n# end\n",
+            "p gl 3 2\ne 1 2\n",
+            "p gl 3 2\ne 1 2\n# trailing comment\n\n",
+            "p gl 3 2\n",
+            "p gl 3 3\ne 1 2\ne 2 3\nk 1\nt 1 3\n",
+            "p gl 3 2\ne 1 2\ne 2 3\nk 1\nt 1 3\ne 1 3\n",
+            "p gl 3 2\ne 1 2\ne 2 3\nk 1\nt 1 3\n# ok\nx\n",
+            "p gl 3 2\ne 1 2\ne 2 3\nx\n",
+            "p gl 3 2\ne 1 2\ne 2 3\nk 2\nt 1 1\n",
+            "p gl 3 2\ne 1 2\ne 2 3\nk 2\nt 1 1\nt 1 2\n",
+            "p gl 3 2\ne 1 2\ne 2 3\nk 2\nt 1 1\nt 2 1\n",
+            "p gl 3 2\ne 1 2\ne 2 3\nk\n",
+            "p gl 3 2\ne 1 2\ne 2 3\nk 0\n",
+            "p gl 3 2\ne 1 2\ne 2 3\nk x\n",
+            "p gl 3 3\ne 1 2\ne 2 1\ne 3 3\n",
+            "p gl 3 3\ne 1 2\ne 3 3\ne 2 1\n",
+            "p gl 3 2\ne 1 2\ne 1 5\n",
+            "p gl 3 2\ne 1 2 3\ne 2 3\n",
+            "p gl 3 2\ne 1 x\n",
+            "p gl 3 -1\ne 1 2\n",
+            "p gl -1 0\n",
+            "p gl 2 1\x0be 1 2\n",
+            "p gl 2 1\u2028e 1 2\u2029",
+            "p gl 2 1\x85e 1 2",
+            "\u3000p gl 2 1\ne 1 2\n",
+            "p gl 2 1\ne \uff11 2\n",
+            "p gl 11 1\ne 1_0 +2\n",
+            "p interval 3\ni 1 1 2\ni 2 2 3\n",
+            "p interval 3\ni 1 1 2\ni 1 2 3\ni 3 3 4\n",
+            "p interval 2\ni 3 1 2\n",
+            "p interval 2\ni 1 3 2\n",
+            "p interval 2\ni 1 a 2\n",
+            "p interval 2\ni 1 1 2\ni 2 2 3\nk 1\nt 2 2\n",
+            "p interval -2\n",
+            "p convex 2 1 2\ne 1 1\n",
+            "p convex 2 1 2\ne 1 1\ne 1 1\n",
+            "p convex 2 1 1\ne 3 1\n",
+            "p convex 3 1 2\ne 1 1\ne 3 1\n",
+            "p convex 2 2 2\ne 1 1\ne 2 1\n",
+            "p biconvex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\nk 1\nt 1 5\n",
+            "p convex 0 0 0\n",
+            "p convex 2 2\n",
+            "",
+            "\n",
+            "# only a comment\n",
+            "   \t\n",
+            "p\n",
+            "q gl 3 2\n",
+            "p foo 1\n",
+        ],
+    )
+    def test_hand_cases(self, text):
+        assert_same_bundle_outcome(text)
+
+    @given(_soup)
+    def test_token_soup(self, text):
+        assert_same_bundle_outcome(text)
+        assert_same_sets_outcome(text, "s", 3)
+        assert_same_sets_outcome(text, "v", 3)
+
+    @given(st.integers(0, 40), st.integers(0, 40))
+    def test_mutated_files_of_every_kind(self, seed, pos):
+        samples = list(_sample_texts())
+        assert_same_bundle_outcome(_mutate(samples[seed % len(samples)], seed, pos))
+        cds = write_cds([frozenset({0, 2}), frozenset({1, 3, 4})])
+        assert_same_sets_outcome(_mutate(cds, seed, pos), "s", 5)
+        blocks = write_partition([frozenset({0}), frozenset({1, 2}), frozenset({3})])
+        assert_same_sets_outcome(_mutate(blocks, seed, pos), "v", 4)
+
+    @pytest.mark.parametrize(
+        "text, prefix, n",
+        [
+            ("c 2\ns 1 1 2\ns 2 3\n", "s", 3),
+            ("c 2\r\ns 1 1\r\n\r\n# x\r\ns 2 2 3\r\n", "s", 3),
+            ("c 2\ns 1 1\n", "s", 3),
+            ("c 0\n", "s", 3),
+            ("c 1 2\n", "s", 3),
+            ("c x\n", "s", 3),
+            ("s 1 1\n", "s", 3),
+            ("c 1\ns 1 1 1\n", "s", 3),
+            ("c 1\ns 1 9\n", "s", 3),
+            ("c 1\ns 1 a\n", "s", 3),
+            ("c 1\ns 2 1\n", "s", 3),
+            ("c 1\ns\n", "s", 3),
+            ("v 1 1\nv 2 2 # x\n\nv 3 3\n", "v", 3),
+            ("v 1\n", "v", 3),
+            ("v 2 1\n", "v", 3),
+            ("v 1 1\tv 2 2\n", "v", 3),
+            ("v 1 1\x0bv 2 2\n", "v", 3),
+            ("", "v", 3),
+            ("# none\n\n", "s", 3),
+        ],
+    )
+    def test_vertex_set_hand_cases(self, text, prefix, n):
+        assert_same_sets_outcome(text, prefix, n)
+
+
+def test_parse_peak_memory_is_linear_in_file_size():
+    """A planted n=600, k=150 bundle (m ~ 79k, ~0.76 MB): parsing must not
+    hold a token table of the whole file."""
+    g, _ = gen_planted_cds(600, 150, 150, 1)
+    t, d = gen_gl_extension(g.n, 150, 1)
+    text = write_bundle(InstanceBundle(model=g, graph=g, terminals=t, demands=d))
+    tracemalloc.start()
+    try:
+        parse_bundle(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * len(text), peak / len(text)

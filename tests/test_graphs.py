@@ -67,6 +67,59 @@ class TestGraphConstruction:
         g = random_graph(7, 12, 20)
         assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
 
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (4, [(0, 1), (1, 2), (0, 1), (3, 3)], "duplicate-edge: (0, 1)"),
+            (4, [(0, 1), (2, 2), (0, 1)], "self-loop: vertex 2"),
+            (4, [(0, 1), (1, 0), (0, 4)], "duplicate-edge: (1, 0)"),
+            (4, [(0, 1), (0, 9), (0, 1)], "bad-edge: endpoint out of range in (0, 9)"),
+            (3, [(0, 1), (1, 2), (2, 1)], "duplicate-edge: (2, 1)"),
+            # the first repeat in input order, not the lowest vertex's
+            (4, [(2, 3), (0, 1), (3, 2), (1, 0)], "duplicate-edge: (3, 2)"),
+            (3, [(-1, 0)], "bad-edge: endpoint out of range in (-1, 0)"),
+        ],
+    )
+    def test_reports_first_fault_in_input_order(self, n, edges, message):
+        with pytest.raises(GraphError) as exc:
+            Graph(n, edges)
+        assert str(exc.value) == message
+        with pytest.raises(GraphError) as again:
+            Graph(n, iter(edges))
+        assert str(again.value) == message
+
+    @given(st.integers(0, 400))
+    def test_faults_match_a_per_edge_check(self, seed):
+        def per_edge(n, edges):
+            adj = [set() for _ in range(n)]
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    return f"bad-edge: endpoint out of range in ({u}, {v})"
+                if u == v:
+                    return f"self-loop: vertex {u}"
+                if v in adj[u]:
+                    return f"duplicate-edge: ({u}, {v})"
+                adj[u].add(v)
+                adj[v].add(u)
+            return tuple(tuple(sorted(s)) for s in adj)
+
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        edges = [
+            (rng.randint(-1, n), rng.randint(-1, n)) for _ in range(rng.randint(0, 12))
+        ]
+        try:
+            got = Graph(n, edges)._adj
+        except GraphError as exc:
+            got = str(exc)
+        assert got == per_edge(n, edges)
+
+    def test_one_shot_edge_generator(self):
+        g = Graph(4, ((i, i + 1) for i in range(3)))
+        assert g.m == 3
+        assert [g.neighbors(v) for v in range(4)] == [(1,), (0, 2), (1, 3), (2,)]
+        assert g.neighbor_set(1) == {0, 2}
+
 
 class TestConnectedSubset:
     def test_triangle(self):
