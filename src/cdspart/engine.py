@@ -182,7 +182,6 @@ class PartitionState:
         set_labels: Sequence[int] | None = None,
         family_restart: bool = False,
         trace: list[TraceEvent] | None = None,
-        strict: bool = True,
     ):
         self.graph = graph
         self.members = members
@@ -193,7 +192,6 @@ class PartitionState:
         self.set_labels = list(set_labels) if set_labels is not None else list(range(self.k))
         self.family_restart = family_restart
         self.trace = trace
-        self.strict = strict
         self.tree_of: dict[int, int] = {}
         for ti, tv in enumerate(self.trees):
             for v in tv.vertices:
@@ -360,9 +358,8 @@ class PartitionState:
     checkpoints_run = 0  # class-wide tally, used by test instrumentation
 
     def checkpoint(self, where: str) -> None:
-        if self.strict:
-            PartitionState.checkpoints_run += 1
-            self.check_invariants(where)
+        PartitionState.checkpoints_run += 1
+        self.check_invariants(where)
 
 
 # -- single-tree case ------------------------------------------------------
@@ -381,22 +378,27 @@ def _bfs_place_tree(state: PartitionState, ti: int, roots: list[int]) -> None:
                 queue.append(y)
 
 
+def _attach(state: PartitionState, v: int, what: str) -> None:
+    """Add v to the lowest-index non-full set it neighbours, under its
+    lowest neighbour there; `what` names v in the error."""
+    nbrs = state.graph.neighbor_set(v)
+    target = next(
+        (i for i in range(state.k) if not state.full[i] and nbrs & state.sets[i]),
+        None,
+    )
+    if target is None:
+        raise EngineError("state-invariant", f"{what} {v} touches no open set")
+    state.add(v, target, parent=min(nbrs & state.sets[target]))
+
+
 def _place_non_tree(state: PartitionState) -> None:
     """Place every vertex lying on no tree into an adjacent non-full set."""
     on_trees: set[int] = set()
     for tv in state.trees:
         on_trees |= tv.vertices
     for v in sorted(state.members - on_trees):
-        if v in state.placed:
-            continue
-        nbrs = state.graph.neighbor_set(v)
-        target = next(
-            (i for i in range(state.k) if not state.full[i] and nbrs & state.sets[i]),
-            None,
-        )
-        if target is None:
-            raise EngineError("state-invariant", f"non-tree vertex {v} touches no open set")
-        state.add(v, target, parent=min(nbrs & state.sets[target]))
+        if v not in state.placed:
+            _attach(state, v, "non-tree vertex")
 
 
 def add_trees(state: PartitionState) -> None:
@@ -433,37 +435,54 @@ def _absorb_and_label(state: PartitionState, idxs: Iterable[int]) -> None:
                 (ti for ti in range(1, len(state.trees)) if ti not in state.tlabel_owner),
                 None,
             )
-            assert free is not None, "at least one Over set leaves a tree unassigned"
+            if free is None:
+                # at least one Over set leaves a tree unassigned
+                raise EngineError("state-invariant", f"no free tree for Under set {i}")
             state.set_tlabel(i, free)
 
 
-def _ensure_tree_adjacency(state: PartitionState) -> None:
-    """Give every tree-assigned set one vertex of its tree, stealing if needed."""
+def _grow_from_tree(state: PartitionState, j: int, ti: int) -> bool:
+    """Add to set j the lowest vertex of tree ti adjacent to its lead-tree
+    part or to what it already holds of tree ti.
+
+    The vertex is taken from the Over set it is assigned to, or stolen from
+    the Under set holding it.  An Over set whose surplus is gone becomes
+    Under and absorbs its assignment; then True is returned, since that set
+    now owns a tree and may need a vertex of it.
+    """
     g = state.graph
-    while True:
-        demoted = None
-        for ti in range(1, len(state.trees)):
-            j = state.tlabel_owner.get(ti)
-            if j is None or state.hit_count[j].get(ti, 0) > 0:
-                continue
-            anchor = state.t1_part[j]
-            u = min(v for v in state.trees[ti].vertices if g.neighbor_set(v) & anchor)
-            parent = min(g.neighbor_set(u) & anchor)
-            if u not in state.placed:
-                s = state.vlabel_of[u]
-                assert state.status[s] == "over"
-                state.add(u, j, parent)
-                if state.needs_demotion(s):
-                    demoted = s
-                    break
-            else:
-                s = state.placed[u]
-                assert state.status[s] == "under" and s != j
-                state.steal(u, s, j, parent)
-        if demoted is None:
-            return
-        state.classify(demoted, "under")
-        _absorb_and_label(state, [demoted])
+    tv = state.trees[ti]
+    anchor = state.t1_part[j] | (state.sets[j] & tv.vertices)
+    v = min(w for w in tv.vertices if w not in state.sets[j] and g.neighbor_set(w) & anchor)
+    parent = min(g.neighbor_set(v) & anchor)
+    if v not in state.placed:
+        s = state.vlabel_of[v]
+        if state.status[s] != "over":
+            raise EngineError("state-invariant", f"unplaced {v} is assigned to non-Over set {s}")
+        state.add(v, j, parent)
+        if state.needs_demotion(s):
+            state.classify(s, "under")
+            _absorb_and_label(state, [s])
+            return True
+    else:
+        s = state.placed[v]
+        if state.status[s] != "under" or s == j:
+            raise EngineError("state-invariant", f"{v} would be stolen from set {s} for set {j}")
+        state.steal(v, s, j, parent)
+    return False
+
+
+def _ensure_tree_adjacency(state: PartitionState) -> None:
+    """Give every tree-assigned set one vertex of its tree, stealing if needed.
+
+    A demotion hands out another tree, so the scan then starts over.
+    """
+    while any(
+        _grow_from_tree(state, j, ti)
+        for ti, j in sorted(state.tlabel_owner.items())
+        if not state.hit_count[j].get(ti)
+    ):
+        pass
 
 
 def labeling(state: PartitionState) -> None:
@@ -520,48 +539,21 @@ def add_vertices(state: PartitionState) -> None:
         if j is None:
             break
         ti = state.tlabel[j]
-        tv = state.trees[ti]
-        while not state.full[j] and state.hit_count[j].get(ti, 0) < tv.size:
+        while not state.full[j] and state.hit_count[j].get(ti, 0) < state.trees[ti].size:
             guard -= 1
             if guard < 0:
                 raise EngineError("no-progress", "tree absorption failed to advance")
-            anchor = state.t1_part[j] | (state.sets[j] & tv.vertices)
-            v = min(
-                w
-                for w in tv.vertices
-                if w not in state.sets[j] and g.neighbor_set(w) & anchor
-            )
-            parent = min(g.neighbor_set(v) & anchor)
-            if v not in state.placed:
-                s = state.vlabel_of[v]
-                assert state.status[s] == "over"
-                state.add(v, j, parent)
-                if state.needs_demotion(s):
-                    state.classify(s, "under")
-                    _absorb_and_label(state, [s])
-                    _ensure_tree_adjacency(state)
-            else:
-                s = state.placed[v]
-                assert state.status[s] == "under" and s != j
-                state.steal(v, s, j, parent)
+            if _grow_from_tree(state, j, ti):
+                _ensure_tree_adjacency(state)
     for i in range(state.k):
         if state.status[i] == "over" and not state.full[i]:
             while not state.full[i]:
                 u = min(state.vlabel_sets[i])
                 state.add(u, i, parent=min(g.neighbor_set(u) & state.t1_part[i]))
-    while len(state.placed) < len(state.members):
-        v = min(w for w in state.members if w not in state.placed)
-        target = next(
-            (
-                i
-                for i in range(state.k)
-                if not state.full[i] and g.neighbor_set(v) & state.sets[i]
-            ),
-            None,
-        )
-        if target is None:
-            raise EngineError("state-invariant", f"leftover vertex {v} touches no open set")
-        state.add(v, target, parent=min(g.neighbor_set(v) & state.sets[target]))
+    # each placement adds one vertex, so one ascending walk meets the
+    # lowest unplaced vertex every time
+    for v in sorted(state.members.difference(state.placed)):
+        _attach(state, v, "leftover vertex")
 
 
 def _run_single_tree(
@@ -574,7 +566,6 @@ def _run_single_tree(
     set_labels: Sequence[int] | None = None,
     family_restart: bool = False,
     trace: list[TraceEvent] | None = None,
-    strict: bool = True,
 ) -> tuple[list[tuple[int, VertexSet]], list[int]]:
     """Run the single-tree case on `members`; all terminals lie on trees[0].
 
@@ -591,7 +582,6 @@ def _run_single_tree(
         set_labels=set_labels,
         family_restart=family_restart,
         trace=trace,
-        strict=strict,
     )
     try:
         _place(state)
@@ -601,7 +591,8 @@ def _run_single_tree(
         state.checkpoint("add-vertices")
     except _Emit as e:
         return [(i, frozenset(state.sets[i])) for i in e.set_indices], e.tree_indices
-    assert all(state.full)
+    if not all(state.full):
+        raise EngineError("state-invariant", "a set is short of its demand after add-vertices")
     return [(i, frozenset(s)) for i, s in enumerate(state.sets)], list(range(len(trees)))
 
 
@@ -627,19 +618,10 @@ def _choose_group(
     demand exactly.
     """
     t0_queue = deque(sorted(t0))
-    candidates: list[tuple[int, list[int]]] = []
-    for lead in sorted(tmany):
-        members = [
-            i for i, c in enumerate(work_terminals) if c in pool[lead].vertices
-        ]
-        extras = [t0_queue.popleft() for _ in range(len(members) - 1)]
-        candidates.append((lead, extras))
-    for lead in sorted(t1):
-        candidates.append((lead, []))
-    for lead, extras in candidates:
-        members = [
-            i for i, c in enumerate(work_terminals) if c in pool[lead].vertices
-        ]
+    for lead in [*sorted(tmany), *sorted(t1)]:
+        members = [i for i, c in enumerate(work_terminals) if c in pool[lead].vertices]
+        # a single-terminal lead takes no extras
+        extras = [t0_queue.popleft() for _ in members[1:]]
         union: set[int] = set(pool[lead].vertices)
         for i in members:
             union |= sets[i]
@@ -697,7 +679,6 @@ def solve(
     *,
     family_restart: bool = False,
     trace: list[TraceEvent] | None = None,
-    strict: bool = True,
 ) -> GlPartition:
     """Full pipeline: k disjoint dominating trees to a complete partition.
 
@@ -721,14 +702,13 @@ def solve(
     validate_cds_input(g, trees)
     members = frozenset(range(g.n))
     pool: list[DominatingTree] = list(trees[: instance.k])
-    pool_labels = list(range(len(pool)))
     # Retire certificate: each tree's vertex set as validated above, which
     # dominates all of V.  Rounds only ever add vertices to a tree, and a
     # superset of it dominates whatever is left, so retire checks inclusion.
     validated = [t.vertices for t in pool]
     # Tree index, built once: views follow the pool and are rebuilt only
     # for a tree that categorize_trees replaces (tree 0 when it grows).
-    views = [_TreeView(t, label) for t, label in zip(pool, pool_labels)]
+    views = [_TreeView(t, label) for label, t in enumerate(pool)]
     work = [
         _WorkItem(i, instance.terminals[i], instance.demands[i])
         for i in range(instance.k)
@@ -736,7 +716,7 @@ def solve(
     blocks_out: dict[int, VertexSet] = {}
 
     def retire(item_positions: list[int], finished: list[VertexSet], tree_positions: list[int]) -> None:
-        nonlocal members, pool, pool_labels, views, work
+        nonlocal members, pool, views, work
         if not item_positions:
             raise EngineError("no-progress", "a round finished no block")
         for pos, block in zip(item_positions, finished):
@@ -746,20 +726,18 @@ def solve(
         work = [r for i, r in enumerate(work) if i not in done]
         drop = set(tree_positions)
         pool = [t for i, t in enumerate(pool) if i not in drop]
-        pool_labels = [x for i, x in enumerate(pool_labels) if i not in drop]
         views = [v for i, v in enumerate(views) if i not in drop]
-        if strict:
-            seen: set[int] = set()
-            for t, label in zip(pool, pool_labels):
-                if not t.vertices <= members or t.vertices & seen:
-                    raise EngineError(
-                        "state-invariant", f"retire: tree {label} lost a vertex or overlaps"
-                    )
-                if not validated[label] <= t.vertices:
-                    raise EngineError(
-                        "state-invariant", f"retire: tree {label} lost a validated vertex"
-                    )
-                seen |= t.vertices
+        seen: set[int] = set()
+        for tv in views:
+            if not tv.vertices <= members or tv.vertices & seen:
+                raise EngineError(
+                    "state-invariant", f"retire: tree {tv.label} lost a vertex or overlaps"
+                )
+            if not validated[tv.label] <= tv.vertices:
+                raise EngineError(
+                    "state-invariant", f"retire: tree {tv.label} lost a validated vertex"
+                )
+            seen |= tv.vertices
 
     while work:
         terminals = [r.terminal for r in work]
@@ -767,7 +745,7 @@ def solve(
         new_pool, t0, t1, tmany = categorize_trees(g, pool, terminals)
         for i, t in enumerate(new_pool):
             if t is not pool[i]:
-                views[i] = _TreeView(t, pool_labels[i])
+                views[i] = _TreeView(t, views[i].label)
         pool = list(new_pool)
         state = PartitionState(
             g,
@@ -778,7 +756,6 @@ def solve(
             set_labels=[r.orig for r in work],
             family_restart=family_restart,
             trace=trace,
-            strict=strict,
         )
         try:
             _place(state)
@@ -813,7 +790,6 @@ def solve(
             set_labels=[work[i].orig for i in member_idxs],
             family_restart=family_restart,
             trace=trace,
-            strict=strict,
         )
         finished: list[VertexSet] = []
         finished_positions: list[int] = []

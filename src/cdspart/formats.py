@@ -9,6 +9,7 @@ so parse/write round-trips are byte-stable.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -21,6 +22,7 @@ from .graphs import (
     GraphError,
     VertexSet,
     all_dominate,
+    dominates,
     spanning_tree,
 )
 from .models import BiconvexModel, ConvexModel, IntervalModel
@@ -185,8 +187,8 @@ def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> tuple
     if len(toks) != 3:
         raise FormatError("syntax", "expected 'p interval <n>'", lineno)
     (n,) = _ints(toks[2:], lineno)
-    lefts = [None] * n
-    rights = [None] * n
+    # keyed by id: the header count sizes nothing before the records are read
+    spans: dict[int, tuple[int, int]] = {}
     for _, (lineno, line) in zip(range(n), rows):
         toks = line.split()
         if toks[0] != "i" or len(toks) != 4:
@@ -199,16 +201,18 @@ def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> tuple
             raise _not_ints(toks[1:], lineno) from None
         if not 1 <= vid <= n:
             raise FormatError("invariant", f"interval id {vid} out of range", lineno)
-        if lefts[vid - 1] is not None:
+        if vid in spans:
             raise FormatError("invariant", f"interval {vid} defined twice", lineno)
         if a > b:
             raise FormatError("invariant", f"interval {vid} has left > right", lineno)
-        lefts[vid - 1] = a
-        rights[vid - 1] = b
+        spans[vid] = (a, b)
     # Ids are distinct and in 1..n, so an undefined id means a short section.
-    if None in lefts:
+    if len(spans) < n:
         raise FormatError("syntax", f"expected {n} interval lines", lineno)
-    model = IntervalModel(lefts=tuple(lefts), rights=tuple(rights))
+    ids = range(1, n + 1)
+    model = IntervalModel(
+        lefts=tuple(spans[v][0] for v in ids), rights=tuple(spans[v][1] for v in ids)
+    )
     return model, model.derive_graph()
 
 
@@ -218,7 +222,9 @@ def _parse_convex(
     if len(toks) != 5:
         raise FormatError("syntax", f"expected 'p {'biconvex' if biconvex else 'convex'} <nA> <nB> <m>'", lineno)
     na, nb, m = _ints(toks[2:], lineno)
-    nbrs: list[set[int]] = [set() for _ in range(nb)]
+    # keyed by B-vertex: the header count sizes nothing before the records
+    # are read, and a B-vertex with no record stops the window loop below
+    nbrs: defaultdict[int, set[int]] = defaultdict(set)
     for _, (lineno, line) in zip(range(m), rows):
         toks = line.split()
         if toks[0] != "e" or len(toks) != 3:
@@ -234,10 +240,11 @@ def _parse_convex(
             raise FormatError("invariant", f"duplicate edge ({a}, {b})", lineno)
         nbrs[b - 1].add(a - 1)
     # Duplicates are rejected, so the neighbourhoods hold one entry per line.
-    if sum(map(len, nbrs)) < m:
+    if sum(map(len, nbrs.values())) < m:
         raise FormatError("syntax", f"expected {m} edge lines", lineno)
     windows = []
-    for j, s in enumerate(nbrs):
+    for j in range(nb):
+        s = nbrs.get(j)
         if not s:
             raise FormatError("invariant", f"B-vertex {j + 1} has no neighbors")
         lo, hi = min(s), max(s)
@@ -302,16 +309,18 @@ def parse_partition(text: str, n: int) -> tuple[VertexSet, ...]:
 def build_cds_input(g: Graph, sets: Sequence[VertexSet]) -> CdsInput:
     """Turn vertex sets into dominating trees via deterministic spanning trees.
 
-    Domination is settled for all sets in one `all_dominate` pass; only if
-    it fails does each tree run the full `validate`, so the first failing
-    set is reported as a set-by-set check would.
+    A spanning tree is a tree of graph edges by construction, so only
+    domination needs checking.  It is settled for all sets in one
+    `all_dominate` pass; only if that fails does each set run `dominates`,
+    so the first failing set is reported as a set-by-set check would.
     """
-    check = DominatingTree.check_tree if all_dominate(g, sets) else DominatingTree.validate
+    dominating = all_dominate(g, sets)
     trees = []
     for i, s in enumerate(sets):
         try:
             trees.append(DominatingTree(vertices=frozenset(s), edges=spanning_tree(g, s)))
-            check(trees[-1], g)
+            if not dominating and not dominates(g, s):
+                raise GraphError("not-dominating")
         except GraphError as exc:
             raise FormatError("invariant", f"set {i + 1}: {exc}") from exc
     return tuple(trees)

@@ -51,7 +51,7 @@ class SplitMix64:
 DEFAULT_RETRIES = 200
 
 
-def gen_interval(n: int, target_k: int, seed: int, retries: int = DEFAULT_RETRIES) -> IntervalModel:
+def gen_interval(n: int, target_k: int, seed: int) -> IntervalModel:
     """Random integer intervals, resampled until the derived graph is
     connected with connectivity at least target_k."""
     if n < target_k + 1:
@@ -60,7 +60,7 @@ def gen_interval(n: int, target_k: int, seed: int, retries: int = DEFAULT_RETRIE
     span = 2 * n
     lo_len = 2 * target_k + 1
     hi_len = 4 * target_k + 4
-    for _ in range(retries):
+    for _ in range(DEFAULT_RETRIES):
         lefts = []
         rights = []
         for _ in range(n):
@@ -71,7 +71,7 @@ def gen_interval(n: int, target_k: int, seed: int, retries: int = DEFAULT_RETRIE
         m = IntervalModel(lefts=tuple(lefts), rights=tuple(rights))
         if interval_connectivity(m) >= target_k:
             return m
-    raise GraphError("generation-failed", f"no kappa>={target_k} interval model in {retries} tries")
+    raise GraphError("generation-failed", f"no kappa>={target_k} interval model in {DEFAULT_RETRIES} tries")
 
 
 def _staircase_windows(
@@ -96,16 +96,14 @@ def _staircase_windows(
     return [(lo, lo + width - 1) for lo in lows]
 
 
-def gen_biconvex(
-    na: int, nb: int, target_k: int, seed: int, retries: int = DEFAULT_RETRIES
-) -> BiconvexModel:
+def gen_biconvex(na: int, nb: int, target_k: int, seed: int) -> BiconvexModel:
     """Monotone-staircase windows (biconvex by construction), resampled
     until connectivity reaches target_k."""
     width = min(na, max(target_k + 2, na - nb + 2 * target_k - 1))
     if na < 2 or nb < 2 or nb < na - width + 2 * target_k - 1:
         raise GraphError("generation-failed", f"sizes too small: na={na}, nb={nb}")
     rng = SplitMix64(seed)
-    for _ in range(retries):
+    for _ in range(DEFAULT_RETRIES):
         wide = width + rng.randint(0, 2)
         wide = min(na, max(wide, na - (nb - 2 * target_k + 1)))
         windows = _staircase_windows(rng, na, nb, wide, target_k)
@@ -113,12 +111,10 @@ def gen_biconvex(
         g = m.derive_graph()
         if is_k_connected(g, target_k):
             return m
-    raise GraphError("generation-failed", f"no kappa>={target_k} biconvex model in {retries} tries")
+    raise GraphError("generation-failed", f"no kappa>={target_k} biconvex model in {DEFAULT_RETRIES} tries")
 
 
-def gen_convex(
-    na: int, nb: int, target_k: int, seed: int, retries: int = DEFAULT_RETRIES
-) -> ConvexModel:
+def gen_convex(na: int, nb: int, target_k: int, seed: int) -> ConvexModel:
     """Random windows certified to give connectivity >= target_k.
 
     Every window contains a common core of target_k consecutive
@@ -133,7 +129,7 @@ def gen_convex(
     if na < max(2, target_k) or nb < 1:
         raise GraphError("generation-failed", f"sizes too small: na={na}, nb={nb}")
     rng = SplitMix64(seed)
-    for _ in range(retries):
+    for _ in range(DEFAULT_RETRIES):
         core_lo = rng.randint(0, na - target_k)
         core_hi = core_lo + target_k - 1
         windows = []
@@ -149,7 +145,7 @@ def gen_convex(
                 cover[i] += 1
         if min(cover) >= target_k:
             return ConvexModel(na=na, nb=nb, windows=tuple(windows))
-    raise GraphError("generation-failed", f"no kappa>={target_k} convex model in {retries} tries")
+    raise GraphError("generation-failed", f"no kappa>={target_k} convex model in {DEFAULT_RETRIES} tries")
 
 
 def gen_planted_cds(

@@ -173,7 +173,7 @@ def test_05_and_09_gl_end_to_end_with_invariants():
         n = max(2 * k + 2, 16 + (seed * 7) % 185)  # n <= 200
         inst, trees = _planted_instance(seed, n, k)
         started = time.perf_counter()
-        p = solve(inst, trees, strict=True)
+        p = solve(inst, trees)
         elapsed = time.perf_counter() - started
         rep = verify_gl(inst, p)
         assert rep.ok, (seed, rep.render())
@@ -186,7 +186,7 @@ def test_05_and_09_gl_end_to_end_with_invariants():
         for rep_i in range(12):
             inst, trees = _planted_instance(10_000 + n + rep_i, n, 4)
             started = time.perf_counter()
-            solve(inst, trees, strict=False)
+            solve(inst, trees)
             times.append(time.perf_counter() - started)
         medians.append(statistics.median(times))
     assert medians[1] / medians[0] < 8.0, medians

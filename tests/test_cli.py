@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -114,6 +118,37 @@ class TestErrorPaths:
                         "-o", str(tmp_path / "x.part"))
         assert code == 2
         assert out.startswith("ERROR too-few-trees")
+
+    def test_interval_count_beyond_any_index_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "m.interval"
+        model.write_text("p interval 99999999999999999999\ni 1 1 2\n")
+        code, out = run(capsys, "verify", "--what", "gl", str(model), str(model))
+        assert code == 2
+        assert out == (
+            "ERROR syntax syntax error at line 2: "
+            "expected 99999999999999999999 interval lines\n"
+        )
+
+    def test_convex_b_count_sizes_nothing_exit_2(self, tmp_path):
+        # under an address-space cap, so a parser that sized a container by
+        # the header count fails with MemoryError instead of eating memory
+        model = tmp_path / "m.convex"
+        model.write_text("p convex 2 99999999999999999999 1\ne 1 1\n")
+        script = textwrap.dedent(
+            f"""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from cdspart.cli import main
+            print("EXIT", main(["verify", "--what", "cds", {str(model)!r}, {str(model)!r}]))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert out.stdout == (
+            "ERROR invariant invariant violated: B-vertex 2 has no neighbors\nEXIT 2\n"
+        ), out.stderr
 
 
 class TestOracleGl:

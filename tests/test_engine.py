@@ -14,7 +14,9 @@ from cdspart.engine import (
     EngineError,
     GLInstance,
     PartitionState,
+    _absorb_and_label,
     _choose_group,
+    _grow_from_tree,
     _trim_block,
     _run_single_tree,
     _TreeView,
@@ -542,6 +544,39 @@ class TestStateInvariants:
         with pytest.raises(EngineError, match="state-invariant: non-tree vertex 0"):
             _run_single_tree(g, frozenset(range(4)), [1], [4], views)
 
+    def k4_state(self):
+        """K4 with its two terminals placed and nothing else."""
+        views = [_TreeView(t, i) for i, t in enumerate(k4_trees())]
+        state = PartitionState(k4(), frozenset(range(4)), [0, 1], [2, 2], views)
+        state.place_terminals()
+        return state
+
+    def test_growth_from_a_non_over_assignment_raises(self):
+        state = self.k4_state()
+        state.assign_vlabel(2, 0)  # corrupt: 2 is assigned to an Under set
+        state.classify(0, "under")
+        with pytest.raises(EngineError, match="state-invariant: unplaced 2"):
+            _grow_from_tree(state, 1, 1)
+
+    def test_stealing_from_a_non_under_set_raises(self):
+        state = self.k4_state()
+        state.add(2, 0, parent=0)
+        state.classify(0, "over")  # corrupt: an Over set holds tree-1 vertex 2
+        with pytest.raises(EngineError, match="state-invariant: 2 would be stolen"):
+            _grow_from_tree(state, 1, 1)
+
+    def test_under_set_without_a_free_tree_raises(self):
+        state = self.k4_state()
+        state.set_tlabel(0, 1)  # corrupt: the only spare tree is taken
+        with pytest.raises(EngineError, match="state-invariant: no free tree for Under set 1"):
+            _absorb_and_label(state, [1])
+
+    def test_unfilled_set_after_add_vertices_raises(self, monkeypatch):
+        monkeypatch.setattr(eng_module, "add_vertices", lambda state: None)
+        inst = GLInstance(graph=k4(), terminals=(0, 1), demands=(2, 2))
+        with pytest.raises(EngineError, match="state-invariant: a set is short"):
+            run_single_tree(inst, k4_trees())
+
     def test_retire_check_survives_python_O(self):
         script = textwrap.dedent(
             """
@@ -610,5 +645,57 @@ class TestSolveCost:
         assert counts["rounds"] > k // 2
         assert counts["dominates"] == 0
         assert counts["adjacency"] <= k + counts["tree 0 grew"], counts
+        monkeypatch.undo()
+        assert verify_gl(inst, p).ok
+
+
+class TestMergedPaths:
+    """Instances that reach each branch of the Under-set growth rule.
+
+    Built as `gen_planted_cds(n, k, extra, seed)` with terminals from
+    `gen_gl_extension(n, k, seed=seed ^ 0xF00D)`; their outputs are pinned
+    in tests/test_golden.py.
+    """
+
+    @pytest.mark.parametrize("params,expected", [
+        ((44, 21, 13, 553), {"demote in ensure"}),
+        ((60, 29, 4, 110), {"steal in ensure"}),
+        ((142, 19, 18, 18), {"demote in ensure", "steal in ensure", "steal in add"}),
+    ])
+    def test_branch_is_reached(self, monkeypatch, params, expected):
+        n, k, extra, seed = params
+        g, trees = gen_planted_cds(n, k, extra, seed)
+        terminals, demands = gen_gl_extension(n, k, seed=seed ^ 0xF00D)
+        inst = GLInstance(graph=g, terminals=terminals, demands=demands)
+        counts = Counter()
+        depth = [0]
+        ensure = eng_module._ensure_tree_adjacency
+        grow = eng_module._grow_from_tree
+        steal = PartitionState.steal
+
+        def where():
+            return "ensure" if depth[0] else "add"
+
+        def counted_ensure(state):
+            depth[0] += 1
+            try:
+                ensure(state)
+            finally:
+                depth[0] -= 1
+
+        def counted_grow(state, j, ti):
+            demoted = grow(state, j, ti)
+            counts[f"demote in {where()}"] += demoted
+            return demoted
+
+        def counted_steal(self, *args):
+            counts[f"steal in {where()}"] += 1
+            return steal(self, *args)
+
+        monkeypatch.setattr(eng_module, "_ensure_tree_adjacency", counted_ensure)
+        monkeypatch.setattr(eng_module, "_grow_from_tree", counted_grow)
+        monkeypatch.setattr(PartitionState, "steal", counted_steal)
+        p = solve(inst, trees)
+        assert {name for name, c in counts.items() if c} >= expected, counts
         monkeypatch.undo()
         assert verify_gl(inst, p).ok
