@@ -58,7 +58,7 @@ def cds_interval(m: IntervalModel, k: int) -> CdsFamily:
     if k < 1:
         raise BuilderError("bad-k", f"k={k}")
     g = m.derive_graph()
-    decomp = interval_path_decomposition(m)
+    decomp = interval_path_decomposition(m, _graph=g)
     s, t = m.n, m.n + 1
     edges = list(g.edges())
     edges += [(v, s) for v in sorted(decomp.bags[0])]

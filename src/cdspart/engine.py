@@ -209,6 +209,8 @@ class PartitionState:
         self.hit_count: list[dict[int, int]] = [dict() for _ in range(self.k)]
         self.attach_parent: dict[int, int | None] = {}
         self.children: dict[int, int] = {}
+        # set j -> (ti, heap, anchor), see `_growth_choice`
+        self._frontiers: dict[int, tuple[int, list[int], set[int]]] = {}
 
     # -- mutations --------------------------------------------------------
 
@@ -233,6 +235,12 @@ class PartitionState:
             self.hit_count[i][ti] = self.hit_count[i].get(ti, 0) + 1
             if ti == 0:
                 self.t1_part[i].add(v)
+            frontier = self._frontiers.get(i)
+            if frontier is not None and ti in (0, frontier[0]):
+                grow_ti, heap, anchor = frontier
+                anchor.add(v)
+                for w in self.graph.neighbor_set(v) & self.trees[grow_ti].vertices:
+                    heapq.heappush(heap, w)
         if not _quiet and self.trace is not None:
             self.trace.append(("place", v, self.set_labels[i]))
         if len(self.sets[i]) == self.demands[i]:
@@ -255,6 +263,11 @@ class PartitionState:
                 del self.hit_count[i][ti]
             if ti == 0:
                 self.t1_part[i].discard(v)
+            frontier = self._frontiers.get(i)
+            if frontier is not None and ti in (0, frontier[0]):
+                frontier[2].discard(v)
+                if ti == frontier[0]:
+                    heapq.heappush(frontier[1], v)
         self.full[i] = False
 
     def steal(self, v: int, frm: int, to: int, parent: int) -> None:
@@ -281,6 +294,35 @@ class PartitionState:
         self.tlabel_owner[ti] = i
 
     # -- queries ----------------------------------------------------------
+
+    def _growth_choice(self, j: int, ti: int) -> tuple[int, int]:
+        """The lowest vertex of tree ti outside set j adjacent to j's anchor
+        (its lead-tree part plus what it holds of tree ti), and the lowest
+        anchor vertex adjacent to it.
+
+        The frontier of j is a lazy min-heap built on first use; `add` and
+        `remove` keep it holding every such vertex, plus stale entries that
+        are popped here, so no call scans the whole tree.
+        """
+        frontier = self._frontiers.get(j)
+        if frontier is None or frontier[0] != ti:
+            tv = self.trees[ti]
+            anchor = self.t1_part[j] | (self.sets[j] & tv.vertices)
+            heap = [
+                w for w in tv.vertices
+                if w not in self.sets[j] and not self.graph.neighbor_set(w).isdisjoint(anchor)
+            ]
+            heapq.heapify(heap)
+            frontier = self._frontiers[j] = (ti, heap, anchor)
+        _, heap, anchor = frontier
+        members = self.sets[j]
+        nbrs = self.graph.neighbor_set
+        while heap and (heap[0] in members or nbrs(heap[0]).isdisjoint(anchor)):
+            heapq.heappop(heap)
+        if not heap:
+            raise EngineError("state-invariant", f"set {j} has no vertex of tree {ti} to grow into")
+        v = heap[0]
+        return v, min(nbrs(v) & anchor)
 
     def deficit(self, i: int) -> int:
         return self.demands[i] - len(self.sets[i])
@@ -450,11 +492,7 @@ def _grow_from_tree(state: PartitionState, j: int, ti: int) -> bool:
     Under and absorbs its assignment; then True is returned, since that set
     now owns a tree and may need a vertex of it.
     """
-    g = state.graph
-    tv = state.trees[ti]
-    anchor = state.t1_part[j] | (state.sets[j] & tv.vertices)
-    v = min(w for w in tv.vertices if w not in state.sets[j] and g.neighbor_set(w) & anchor)
-    parent = min(g.neighbor_set(v) & anchor)
+    v, parent = state._growth_choice(j, ti)
     if v not in state.placed:
         s = state.vlabel_of[v]
         if state.status[s] != "over":

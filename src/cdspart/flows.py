@@ -1,18 +1,22 @@
 """Constructive Menger: maximum families of internally vertex-disjoint
 paths via unit-capacity max flow on a vertex-split network.
 
-Every internal vertex v becomes an in/out pair joined by a unit-capacity
-arc; each undirected edge contributes a unit arc in both directions between
-the out/in copies.  The endpoints are not split, so a direct s-t edge is
-the unit arc s_out -> t_in, i.e. an edge counts as a path with no internal
-vertices.  Augmenting paths are found by BFS in insertion order, which
-makes the produced family deterministic.
+Every vertex v becomes an in/out pair joined by a unit-capacity arc; each
+undirected edge contributes a unit arc in both directions between the
+out/in copies.  A query from s to t starts at the out-copy of s and ends
+at the in-copy of t, so a direct s-t edge is the unit arc s_out -> t_in,
+i.e. an edge counts as a path with no internal vertices.  One network is
+built per graph and answers any number of s-t queries: each query undoes
+the flow of the previous one and sets its own source and sink.
+Augmenting paths are found by BFS in insertion order, which makes the
+produced family deterministic.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import insort
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .graphs import Graph, GraphError
 
@@ -52,87 +56,121 @@ def check_path(g: Graph, p: Path) -> None:
 
 
 class _SplitNetwork:
-    """Residual network for unit-capacity vertex-disjoint path flow."""
+    """Residual network of g with every vertex split, reused across queries.
 
-    def __init__(self, g: Graph, s: int, t: int):
-        self.g = g
+    Node 2v is the in-copy of v and 2v + 1 its out-copy.  Arcs come in
+    (forward, reverse) pairs at indices (2i, 2i + 1) with forward capacity
+    1: first the split arcs, 2v -> 2v + 1 at index 2v, then one pair per
+    directed edge u -> w, 2u + 1 -> 2w, in ascending (u, w) order.  Each
+    node lists its split arc first, then its edge arcs in ascending
+    neighbour order, so BFS order, flow values and path families depend
+    on the query alone, not on the queries before it.  An in-copy lists
+    only the reverse edge arcs that carry capacity, i.e. the edges into v
+    that carry flow; the others would be skipped anyway.  The split arcs
+    of s and t never carry flow: s_in leads only to the source, which is
+    already visited, and t_out is never reached, so splitting them gives
+    the flows of a network that leaves the endpoints whole.
+    """
+
+    def __init__(self, g: Graph):
+        n = g.n
+        adj = [g.neighbors(u) for u in range(n)]
+        self.base = base = 2 * n  # index of the first edge arc
+        first = [base]  # first[u]: the forward arc of u's first edge
+        for nbrs in adj:
+            first.append(first[-1] + 2 * len(nbrs))
+        self.to = to = [0] * first[-1]
+        to[0:base:2] = range(1, base, 2)
+        to[1:base:2] = range(0, base, 2)
+        to[base::2] = [2 * w for w in chain.from_iterable(adj)]
+        to[base + 1 :: 2] = chain.from_iterable(map(repeat, range(1, base, 2), map(len, adj)))
+        self.cap = [1, 0] * (len(to) // 2)
+        self.out: list[list[int]] = []
+        for v in range(n):
+            self.out.append([2 * v])
+            self.out.append([2 * v + 1, *range(first[v], first[v + 1], 2)])
+        self.source = self.sink = -1
+        self._touched: list[int] = []  # arcs the last query pushed flow along
+
+    def max_flow(self, s: int, t: int, limit: int | None) -> int:
+        """Undo the previous query's flow, then push up to `limit` units
+        from s to t."""
+        to, cap, out, base = self.to, self.cap, self.out, self.base
+        for a in self._touched:
+            cap[a & ~1] = 1
+            cap[a | 1] = 0
+            if a >= base:
+                del out[to[a & ~1]][1:]
+        self._touched.clear()
         self.source = 2 * s + 1  # out-copy of s
         self.sink = 2 * t  # in-copy of t
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.out: list[list[int]] = [[] for _ in range(2 * g.n)]
-        for v in range(g.n):
-            if v != s and v != t:
-                self._arc(2 * v, 2 * v + 1)
-        for u in range(g.n):
-            for v in g.neighbors(u):
-                self._arc(2 * u + 1, 2 * v)
-
-    def _arc(self, a: int, b: int) -> None:
-        self.out[a].append(len(self.to))
-        self.to.append(b)
-        self.cap.append(1)
-        self.out[b].append(len(self.to))
-        self.to.append(a)
-        self.cap.append(0)
-
-    def augment_once(self) -> bool:
-        """One BFS augmentation; True iff a source-sink path was found."""
-        parent_arc = [-1] * len(self.out)
-        parent_arc[self.source] = -2
-        queue = deque([self.source])
-        while queue:
-            x = queue.popleft()
-            if x == self.sink:
-                break
-            for a in self.out[x]:
-                y = self.to[a]
-                if self.cap[a] > 0 and parent_arc[y] == -1:
-                    parent_arc[y] = a
-                    queue.append(y)
-        if parent_arc[self.sink] == -1:
-            return False
-        node = self.sink
-        while node != self.source:
-            a = parent_arc[node]
-            self.cap[a] -= 1
-            self.cap[a ^ 1] += 1
-            node = self.to[a ^ 1]
-        return True
-
-    def max_flow(self, limit: int | None) -> int:
         value = 0
         while (limit is None or value < limit) and self.augment_once():
             value += 1
         return value
 
+    def augment_once(self) -> bool:
+        """One BFS augmentation; True iff a source-sink path was found.
+
+        The search stops when the sink is labelled: its parent arc is set
+        once, at discovery, so the path is the one found by popping it.
+        """
+        to, cap, out = self.to, self.cap, self.out
+        source, sink = self.source, self.sink
+        parent_arc = [-1] * len(out)
+        parent_arc[source] = -2
+        queue = [source]
+        for x in queue:  # the list grows while it is walked: a FIFO queue
+            for a in out[x]:
+                if cap[a]:
+                    y = to[a]
+                    if parent_arc[y] == -1:
+                        parent_arc[y] = a
+                        if y == sink:
+                            self._push(parent_arc)
+                            return True
+                        queue.append(y)
+        return False
+
+    def _push(self, parent_arc: list[int]) -> None:
+        to, cap, out, base = self.to, self.cap, self.out, self.base
+        touched = self._touched
+        node = self.sink
+        while node != self.source:
+            a = parent_arc[node]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            touched.append(a)
+            node = to[a ^ 1]
+            if a >= base:  # keep each in-copy's list of open reverse arcs
+                if a & 1:  # a leaves in-copy `node` and is now closed
+                    out[node].remove(a)
+                else:  # the reverse of a leaves in-copy to[a] and is now open
+                    insort(out[to[a]], a ^ 1, lo=1)
+
     def extract_paths(self) -> list[Path]:
         """Decompose the current flow into s-t vertex sequences.
 
+        A forward (even) arc carries flow iff its capacity is used up.
         Cancellation may leave flow cycles; they miss the source, so the
         walks below never touch them and the path count equals the value.
         """
-        used = [False] * len(self.to)
-        flow = [
-            1 - self.cap[a] if a % 2 == 0 else 0 for a in range(len(self.to))
-        ]
+        to, cap, out = self.to, self.cap, self.out
+        used: set[int] = set()
         paths: list[Path] = []
-        for a0 in self.out[self.source]:
-            if a0 % 2 or not flow[a0] or used[a0]:
+        for a0 in out[self.source]:
+            if a0 % 2 or cap[a0] or a0 in used:
                 continue
             seq = [self.source // 2]
-            node = self.source
             arc = a0
             while True:
-                used[arc] = True
-                node = self.to[arc]
+                used.add(arc)
+                node = to[arc]
                 if node % 2 == 0:
                     seq.append(node // 2)
                 if node == self.sink:
                     break
-                arc = next(
-                    b for b in self.out[node] if b % 2 == 0 and flow[b] and not used[b]
-                )
+                arc = next(b for b in out[node] if b % 2 == 0 and not cap[b] and b not in used)
             paths.append(tuple(seq))
         return paths
 
@@ -142,7 +180,7 @@ def local_connectivity(g: Graph, s: int, t: int, cap: int | None = None) -> int:
     counts), or `cap` if that many exist; the flow stops at `cap`."""
     if s == t:
         raise GraphError("identical-endpoints", f"vertex {s}")
-    return _SplitNetwork(g, s, t).max_flow(cap)
+    return _SplitNetwork(g).max_flow(s, t, cap)
 
 
 def vertex_disjoint_paths(g: Graph, s: int, t: int, want: int | None = None) -> PathFamily:
@@ -154,8 +192,8 @@ def vertex_disjoint_paths(g: Graph, s: int, t: int, want: int | None = None) -> 
         raise GraphError("identical-endpoints", f"vertex {s}")
     if want is not None and want < 1:
         raise GraphError("bad-want", f"want={want}")
-    net = _SplitNetwork(g, s, t)
-    net.max_flow(want)
+    net = _SplitNetwork(g)
+    net.max_flow(s, t, want)
     paths = sorted(net.extract_paths(), key=lambda p: (len(p), p))
     family = PathFamily(s=s, t=t, paths=tuple(paths))
     family.validate(g)

@@ -32,7 +32,8 @@ class SplitMix64:
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi] via modulo reduction."""
-        assert lo <= hi
+        if lo > hi:
+            raise GraphError("bad-range", f"randint({lo}, {hi}): empty range")
         return lo + self.next_u64() % (hi - lo + 1)
 
     def shuffle(self, xs: list) -> None:
@@ -42,7 +43,8 @@ class SplitMix64:
 
     def sample_distinct(self, n: int, k: int) -> list[int]:
         """k distinct values from range(n), in draw order."""
-        assert 0 <= k <= n
+        if not 0 <= k <= n:
+            raise GraphError("bad-sample", f"{k} distinct values from range({n})")
         pool = list(range(n))
         self.shuffle(pool)
         return pool[:k]

@@ -243,10 +243,11 @@ def _connectivity_capped(g: Graph, cap: int) -> int:
     Fixes a minimum-degree vertex v0 and minimizes local connectivity over
     all non-neighbors of v0 and over all non-adjacent pairs of neighbors
     of v0 (Esfahanian-Hakimi); every flow stops at the running minimum,
-    which starts at min(cap, deg v0) since kappa <= delta.  Complete
-    graphs count as (n - 1)-connected by convention (no separator exists).
+    which starts at min(cap, deg v0) since kappa <= delta.  All flows run
+    on one vertex-split network of g.  Complete graphs count as
+    (n - 1)-connected by convention (no separator exists).
     """
-    from .flows import local_connectivity
+    from .flows import _SplitNetwork
 
     if g.n < 2:
         raise GraphError("degenerate-graph", f"n={g.n}")
@@ -254,16 +255,19 @@ def _connectivity_capped(g: Graph, cap: int) -> int:
         return min(g.n - 1, cap)
     v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
     best = min(cap, g.degree(v0))
+    if best == 0:
+        return 0
     nbrs = g.neighbors(v0)
     nbr_set = g.neighbor_set(v0)
     pairs = chain(
         ((v0, u) for u in range(g.n) if u != v0 and u not in nbr_set),
         ((x, y) for i, x in enumerate(nbrs) for y in nbrs[i + 1 :] if not g.has_edge(x, y)),
     )
+    net = _SplitNetwork(g)
     for s, t in pairs:
+        best = net.max_flow(s, t, best)
         if best == 0:
             break
-        best = local_connectivity(g, s, t, cap=best)
     return best
 
 

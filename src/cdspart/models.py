@@ -124,16 +124,19 @@ class PathDecomposition:
                 raise GraphError("bad-decomposition", f"vertex {v} occurs non-contiguously")
 
 
-def interval_path_decomposition(m: IntervalModel) -> PathDecomposition:
+def interval_path_decomposition(
+    m: IntervalModel, *, _graph: Graph | None = None
+) -> PathDecomposition:
     """Maximal cliques of the interval graph in sweep order.
 
     One candidate bag per distinct right endpoint r, holding every interval
     covering r; bags contained in the previously kept bag are dropped, which
     leaves exactly the maximal cliques.  Bags being maximal cliques gives
     minimum width, and every bag separates what lies left of it from what
-    lies right.
+    lies right.  A caller that already derived m's graph passes it as
+    `_graph`, which saves a second O(n^2) derivation.
     """
-    g = m.derive_graph()
+    g = m.derive_graph() if _graph is None else _graph
     if not is_connected(g):
         raise GraphError("disconnected")
     bags: list[VertexSet] = []
@@ -160,7 +163,7 @@ def interval_connectivity(m: IntervalModel) -> int:
     g = m.derive_graph()
     if not is_connected(g):
         return 0
-    bags = interval_path_decomposition(m).bags
+    bags = interval_path_decomposition(m, _graph=g).bags
     if len(bags) == 1:
         return m.n - 1
     return min(len(bags[i] & bags[i + 1]) for i in range(len(bags) - 1))

@@ -37,6 +37,8 @@ from cdspart.graphs import (
 )
 from cdspart.verify import brute_gl, verify_gl
 
+from conftest import random_graph
+
 
 def k4():
     return Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -699,3 +701,93 @@ class TestMergedPaths:
         assert {name for name, c in counts.items() if c} >= expected, counts
         monkeypatch.undo()
         assert verify_gl(inst, p).ok
+
+
+class TestGrowthFrontier:
+    """`_grow_from_tree` picks its vertex from a lazily kept heap; each pick
+    must be the vertex and parent of the whole-tree scan it replaced."""
+
+    @staticmethod
+    def scan_choice(state, j, ti):
+        g = state.graph
+        tv = state.trees[ti]
+        anchor = state.t1_part[j] | (state.sets[j] & tv.vertices)
+        v = min(w for w in tv.vertices if w not in state.sets[j] and g.neighbor_set(w) & anchor)
+        return v, min(g.neighbor_set(v) & anchor)
+
+    def checked_solves(self, monkeypatch, instances):
+        grow = eng_module._grow_from_tree
+        checked = [0]
+
+        def checked_grow(state, j, ti):
+            v, parent = self.scan_choice(state, j, ti)
+            try:
+                return grow(state, j, ti)
+            finally:  # also when the placement completes a block (_Emit)
+                assert state.placed.get(v) == j and state.attach_parent[v] == parent
+                checked[0] += 1
+
+        monkeypatch.setattr(eng_module, "_grow_from_tree", checked_grow)
+        for (n, k, extra, seed), family_restart in instances:
+            g, trees = gen_planted_cds(n, k, extra, seed)
+            terminals, demands = gen_gl_extension(n, k, seed=seed ^ 0xF00D)
+            inst = GLInstance(graph=g, terminals=terminals, demands=demands)
+            p = solve(inst, trees, family_restart=family_restart)
+            assert verify_gl(inst, p).ok
+        return checked[0]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_choice_tracks_adds_and_removes(self, seed):
+        # random placements and removals on one set, including anchor
+        # vertices leaving it, which no solve does; the heap must follow
+        rng = random.Random(seed)
+        n = 30
+        g = random_graph(seed, n, 90, connected=True)
+        tree0 = DominatingTree(frozenset(range(10)), ())
+        tree1 = DominatingTree(frozenset(range(10, 25)), ())
+        views = [_TreeView(tree0, 0), _TreeView(tree1, 1)]
+        state = PartitionState(g, frozenset(range(n)), [0], [n], views)
+        state.place_terminals()
+        for _ in range(60):
+            leaves = [v for v in state.sets[0] if v != 0 and not state.children.get(v)]
+            outside = [
+                v for v in range(n)
+                if v not in state.placed and g.neighbor_set(v) & state.sets[0]
+            ]
+            if leaves and (not outside or rng.random() < 0.4):
+                state.remove(rng.choice(leaves), 0)
+            elif outside:
+                v = rng.choice(outside)
+                state.add(v, 0, parent=min(g.neighbor_set(v) & state.sets[0]))
+            try:
+                expected = self.scan_choice(state, 0, 1)
+            except ValueError:  # no tree-1 vertex to grow into
+                continue
+            assert state._growth_choice(0, 1) == expected
+
+    def test_no_vertex_to_grow_into_raises(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        views = [
+            _TreeView(DominatingTree(frozenset({1}), ()), 0),
+            _TreeView(DominatingTree(frozenset({0, 2}), ()), 1),
+        ]
+        state = PartitionState(g, frozenset(range(3)), [1], [3], views)
+        state.place_terminals()
+        state.add(0, 0, parent=1)
+        state.add(2, 0, parent=1)  # the set holds all of tree 1
+        with pytest.raises(EngineError, match="state-invariant: set 0 has no vertex of tree 1"):
+            _grow_from_tree(state, 0, 1)
+
+    @pytest.mark.parametrize("params", [(44, 21, 13, 553), (60, 29, 4, 110), (142, 19, 18, 18)])
+    def test_merged_path_instances(self, monkeypatch, params):
+        assert self.checked_solves(monkeypatch, [(params, False), (params, True)]) > 0
+
+    def test_seeded_corpus(self, monkeypatch):
+        rng = random.Random(606)
+        instances = []
+        for i in range(120):
+            # half with many sets, half with few large ones (long growth runs)
+            n = rng.randint(20, 300) if i % 2 else rng.randint(200, 800)
+            k = rng.randint(2, max(2, n // 8)) if i % 2 else rng.randint(2, 4)
+            instances.append(((n, k, rng.randint(0, n // 4), rng.randint(0, 10**6)), rng.random() < 0.5))
+        assert self.checked_solves(monkeypatch, instances) > 300

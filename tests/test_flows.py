@@ -1,13 +1,17 @@
 import pytest
 
+import cdspart.flows as flows_module
+import reference_flows as ref
 from cdspart.flows import (
     PathFamily,
+    _SplitNetwork,
     check_path,
     local_connectivity,
     make_induced,
     vertex_disjoint_paths,
 )
-from cdspart.graphs import Graph, GraphError
+from cdspart.generators import SplitMix64, gen_biconvex, gen_convex, gen_interval
+from cdspart.graphs import Graph, GraphError, is_k_connected, vertex_connectivity
 from cdspart.verify import brute_min_vertex_cut, counterexample_convex
 
 from conftest import random_graph
@@ -106,3 +110,77 @@ def test_family_validate_rejects_overlap():
     bad = PathFamily(s=0, t=3, paths=((0, 1, 3), (0, 1, 3)))
     with pytest.raises(GraphError, match="not-disjoint"):
         bad.validate(g)
+
+
+def oracle_graphs():
+    """Seeded random graphs (n <= 40, four densities) and small models."""
+    for seed in range(48):
+        n = 4 + seed % 37
+        density = (0.1, 0.25, 0.5, 0.8)[seed % 4]
+        yield f"random-{seed}", random_graph(seed, n, int(density * n * (n - 1) / 2))
+    for seed in range(3):
+        yield f"biconvex-{seed}", gen_biconvex(16, 18, 2 + seed, seed).derive_graph()
+        yield f"convex-{seed}", gen_convex(16, 24, 4, seed).derive_graph()
+        yield f"interval-{seed}", gen_interval(20, 2 + seed, seed).derive_graph()
+
+
+def query_pairs(g, seed, count=5):
+    rng = SplitMix64(seed)
+    pairs = []
+    while len(pairs) < count:
+        s, t = rng.randint(0, g.n - 1), rng.randint(0, g.n - 1)
+        if s != t:
+            pairs.append((s, t))
+    return pairs
+
+
+class TestAgainstReferenceFlows:
+    """The shared network answers as a fresh per-pair network does
+    (tests/reference_flows.py): values and path families alike."""
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in oracle_graphs()])
+    def test_connectivity_and_queries(self, g):
+        kappa = ref.connectivity_capped(g, g.n - 1)
+        assert vertex_connectivity(g) == kappa
+        for k in range(1, 6):
+            assert is_k_connected(g, k) == (ref.connectivity_capped(g, k) >= k)
+        for s, t in query_pairs(g, g.n + g.m):
+            assert local_connectivity(g, s, t) == ref.local_connectivity(g, s, t)
+            for cap in (1, 2, 3):
+                assert local_connectivity(g, s, t, cap) == ref.local_connectivity(g, s, t, cap)
+            assert vertex_disjoint_paths(g, s, t).paths == ref.disjoint_paths(g, s, t)
+            assert vertex_disjoint_paths(g, s, t, want=2).paths == ref.disjoint_paths(g, s, t, 2)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_reused_network_answers_as_fresh_ones(self, seed):
+        # one network, many queries: capped ones stop with flow still on the
+        # network, and the next query must not see it
+        n = 12 + seed
+        g = random_graph(seed, n, n * (2 + seed % 4), connected=True)
+        net = _SplitNetwork(g)
+        caps = [None, 1, 2, None, 3, 1]
+        for i, (s, t) in enumerate(query_pairs(g, seed, count=12)):
+            cap = caps[i % len(caps)]
+            assert net.max_flow(s, t, cap) == ref.local_connectivity(g, s, t, cap)
+            paths = sorted(net.extract_paths(), key=lambda p: (len(p), p))
+            assert tuple(paths) == ref.disjoint_paths(g, s, t, cap)
+            fresh = _SplitNetwork(g)
+            fresh.max_flow(s, t, cap)
+            assert (net.cap, net.out) == (fresh.cap, fresh.out)
+
+
+def test_one_network_per_connectivity_check(monkeypatch):
+    g = gen_biconvex(40, 44, 3, 7).derive_graph()
+    built = []
+    init = _SplitNetwork.__init__
+
+    def counted_init(self, graph):
+        built.append(graph)
+        init(self, graph)
+
+    monkeypatch.setattr(flows_module._SplitNetwork, "__init__", counted_init)
+    assert is_k_connected(g, 3)
+    assert built == [g]
+    built.clear()
+    assert vertex_connectivity(g) == 3
+    assert built == [g]

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import cdspart
 from cdspart.formats import InstanceBundle, write_bundle
 from cdspart.generators import (
     SplitMix64,
@@ -33,6 +40,39 @@ class TestSplitMix64:
         SplitMix64(42).shuffle(a)
         SplitMix64(42).shuffle(b)
         assert a == b and a != list(range(10))
+
+
+    def test_empty_randint_range_raises(self):
+        with pytest.raises(GraphError, match="bad-range"):
+            SplitMix64(1).randint(3, 2)
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (3, -1)])
+    def test_impossible_sample_raises(self, n, k):
+        with pytest.raises(GraphError, match="bad-sample"):
+            SplitMix64(1).sample_distinct(n, k)
+
+    def test_argument_checks_survive_python_O(self):
+        # the checks are explicit raises, so `python -O` keeps them
+        script = textwrap.dedent(
+            """
+            from cdspart.generators import SplitMix64
+            from cdspart.graphs import GraphError
+
+            if __debug__:
+                raise SystemExit("asserts are on: not running under -O")
+            for call in (lambda r: r.randint(3, 2), lambda r: r.sample_distinct(3, 4)):
+                try:
+                    call(SplitMix64(1))
+                except GraphError as exc:
+                    print(exc.code)
+            """
+        )
+        src = str(Path(cdspart.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split() == ["bad-range", "bad-sample"]
 
 
 class TestGenInterval:

@@ -1,8 +1,9 @@
 """Golden outputs: the partition and trace bytes of fixed seeded solves.
 
 Each digest is the sha256 of a partition file followed by its trace file,
-as `cdspart partition --trace` writes them.  A refactor of the engine must
-leave every digest unchanged; a deliberate change of output updates them.
+as `cdspart partition --trace` writes them, or, for a chain that stops at
+`cds`, of the CDS file.  A refactor must leave every digest unchanged; a
+deliberate change of output updates them.
 """
 
 import hashlib
@@ -54,6 +55,18 @@ CHAIN_DIGESTS = {
 }
 
 
+# gen arguments and `cds -k` for chains that stop at the CDS file: with K
+# terminals the convex 4k rule gives only K/4 trees, so `partition` refuses.
+# The file depends on the order of the backbone path family.
+CDS_CHAINS = {
+    "convex": (["--class", "convex", "--na", "40", "--nb", "80", "--k", "8", "--seed", "1"], 2),
+}
+
+CDS_DIGESTS = {
+    "convex": "19e4909c6775645f660e79e5bcfda508d437f0cc2db4192082e3b252f6ee07b7",
+}
+
+
 def solve_digest(n, k, extra, seed, family_restart):
     g, trees = gen_planted_cds(n, k, extra, seed)
     terminals, demands = gen_gl_extension(n, k, seed=seed ^ 0xF00D)
@@ -88,6 +101,16 @@ def test_cli_chain_digest(tmp_path, capsys, name):
     capsys.readouterr()
     digest = hashlib.sha256(part.read_bytes() + trace.read_bytes()).hexdigest()
     assert digest == CHAIN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(CDS_CHAINS))
+def test_cli_cds_digest(tmp_path, capsys, name):
+    gen_args, cds_k = CDS_CHAINS[name]
+    model, cds = tmp_path / "m.gl", tmp_path / "m.cds"
+    assert main(["gen", *gen_args, "-o", str(model)]) == 0
+    assert main(["cds", "--class", gen_args[1], "-k", str(cds_k), str(model), "-o", str(cds)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(cds.read_bytes()).hexdigest() == CDS_DIGESTS[name]
 
 
 def test_same_digest_under_python_O():

@@ -9,6 +9,7 @@ from cdspart.models import (
     interval_connectivity,
     interval_path_decomposition,
 )
+from cdspart.builders import cds_interval
 from cdspart.generators import SplitMix64, gen_interval
 
 
@@ -95,6 +96,24 @@ class TestIntervalConnectivity:
             m = gen_interval(24, k, seed)
             assert interval_connectivity(m) >= k
             assert vertex_connectivity(m.derive_graph()) == interval_connectivity(m)
+
+    @pytest.mark.parametrize(
+        "call", [interval_connectivity, lambda m: cds_interval(m, 3)],
+        ids=["interval_connectivity", "cds_interval"],
+    )
+    def test_graph_is_derived_once(self, monkeypatch, call):
+        m = gen_interval(40, 3, 5)
+        expected = call(m)
+        derived = []
+        derive = IntervalModel.derive_graph
+
+        def counted_derive(self):
+            derived.append(self)
+            return derive(self)
+
+        monkeypatch.setattr(IntervalModel, "derive_graph", counted_derive)
+        assert call(m) == expected
+        assert derived == [m]
 
 
 class TestConvexModels:
