@@ -34,7 +34,6 @@ from .graphs import (
     dominates,
     is_connected_subset,
     is_k_connected,
-    open_neighborhood,
     spanning_tree,
     vertex_connectivity,
 )
@@ -55,7 +54,6 @@ from .verify import (
     counterexample_chordal,
     counterexample_convex,
     counterexample_convex_model,
-    verify_cds_family,
     verify_cds_partition,
     verify_gl,
 )

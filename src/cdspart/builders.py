@@ -10,7 +10,7 @@ CDS partition.
 from __future__ import annotations
 
 from .flows import Path, make_induced, vertex_disjoint_paths
-from .graphs import Graph, GraphError, VertexSet, dominates, is_connected_subset
+from .graphs import Graph, GraphError, VertexSet, first_non_dominating, is_connected_subset
 from .models import BiconvexModel, ConvexModel, IntervalModel, interval_path_decomposition
 
 CdsFamily = tuple[VertexSet, ...]
@@ -33,6 +33,7 @@ class InsufficientConnectivity(BuilderError):
 
 def validate_family(g: Graph, sets: CdsFamily) -> None:
     """Pairwise disjoint, each connected, each dominating; raises otherwise."""
+    bad = first_non_dominating(g, sets)
     seen: set[int] = set()
     for i, s in enumerate(sets):
         if not s:
@@ -42,7 +43,7 @@ def validate_family(g: Graph, sets: CdsFamily) -> None:
         seen |= s
         if not is_connected_subset(g, s):
             raise BuilderError("not-connected", f"set {i}")
-        if not dominates(g, s):
+        if i == bad:
             raise BuilderError("not-dominating", f"set {i}")
 
 
@@ -58,7 +59,7 @@ def cds_interval(m: IntervalModel, k: int) -> CdsFamily:
     if k < 1:
         raise BuilderError("bad-k", f"k={k}")
     g = m.derive_graph()
-    decomp = interval_path_decomposition(m, _graph=g)
+    decomp = interval_path_decomposition(m)
     s, t = m.n, m.n + 1
     edges = list(g.edges())
     edges += [(v, s) for v in sorted(decomp.bags[0])]

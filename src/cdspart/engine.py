@@ -32,7 +32,7 @@ from .graphs import (
     Graph,
     GraphError,
     VertexSet,
-    all_dominate,
+    first_non_dominating,
     is_connected_subset,
 )
 
@@ -85,20 +85,19 @@ class GlPartition:
 def validate_cds_input(g: Graph, trees: Sequence[DominatingTree]) -> None:
     """Check the trees in index order; the first failing tree is reported.
 
-    Domination is settled for all trees in one `all_dominate` pass; only if
-    it fails does each tree run the full `validate` (with `dominates`), so
-    the reported tree and message match a tree-by-tree check.
+    Domination is settled for all trees by one `first_non_dominating` call;
+    the failing tree reports it after its tree checks and before its overlap
+    check, so the reported tree and message match a tree-by-tree `validate`.
     """
     if not trees:
         raise EngineError("invalid-cds-input", "no trees")
-    if all_dominate(g, [t.vertices for t in trees]):
-        check = DominatingTree.check_tree
-    else:
-        check = DominatingTree.validate
+    bad = first_non_dominating(g, [t.vertices for t in trees])
     seen: set[int] = set()
     for i, t in enumerate(trees):
         try:
-            check(t, g)
+            t.check_tree(g)
+            if i == bad:
+                raise GraphError("not-dominating")
         except GraphError as exc:
             raise EngineError("invalid-cds-input", f"tree {i}: {exc}") from exc
         if t.vertices & seen:
@@ -219,8 +218,10 @@ class PartitionState:
             self.add(c, i, parent=None)
 
     def add(self, v: int, i: int, parent: int | None, *, _quiet: bool = False) -> None:
-        assert v in self.members and v not in self.placed
-        assert not self.full[i]
+        if v not in self.members or v in self.placed:
+            raise EngineError("state-invariant", f"add: {v} is not an unplaced member")
+        if self.full[i]:
+            raise EngineError("state-invariant", f"add: set {i} is full")
         prev = self.vlabel_of.pop(v, None)
         if prev is not None:
             self.vlabel_sets[prev].discard(v)
@@ -228,7 +229,8 @@ class PartitionState:
         self.placed[v] = i
         self.attach_parent[v] = parent
         if parent is not None:
-            assert self.graph.has_edge(parent, v) and self.placed.get(parent) == i
+            if not self.graph.has_edge(parent, v) or self.placed.get(parent) != i:
+                raise EngineError("state-invariant", f"add: parent {parent} of {v} is off set {i}")
             self.children[parent] = self.children.get(parent, 0) + 1
         ti = self.tree_of.get(v)
         if ti is not None:
@@ -248,9 +250,12 @@ class PartitionState:
             self._emission_check(i)
 
     def remove(self, v: int, i: int, *, _quiet: bool = False) -> None:
-        assert self.placed.get(v) == i
-        assert v != self.terminals[i]
-        assert self.children.get(v, 0) == 0, "only attachment leaves may be removed"
+        if self.placed.get(v) != i:
+            raise EngineError("state-invariant", f"remove: {v} is not in set {i}")
+        if v == self.terminals[i]:
+            raise EngineError("state-invariant", f"remove: {v} is the terminal of set {i}")
+        if self.children.get(v, 0):
+            raise EngineError("state-invariant", f"remove: {v} is not an attachment leaf")
         parent = self.attach_parent.pop(v)
         if parent is not None:
             self.children[parent] -= 1
@@ -277,7 +282,8 @@ class PartitionState:
         self.add(v, to, parent, _quiet=True)
 
     def assign_vlabel(self, v: int, i: int) -> None:
-        assert v not in self.placed and v not in self.vlabel_of
+        if v in self.placed or v in self.vlabel_of:
+            raise EngineError("state-invariant", f"vlabel: {v} is placed or assigned")
         self.vlabel_of[v] = i
         self.vlabel_sets[i].add(v)
 
@@ -289,7 +295,8 @@ class PartitionState:
             self.was_under[i] = True
 
     def set_tlabel(self, i: int, ti: int) -> None:
-        assert self.tlabel[i] is None and ti not in self.tlabel_owner
+        if self.tlabel[i] is not None or ti in self.tlabel_owner:
+            raise EngineError("state-invariant", f"tlabel: set {i} or tree {ti} is taken")
         self.tlabel[i] = ti
         self.tlabel_owner[ti] = i
 
@@ -677,7 +684,8 @@ def _trim_block(g: Graph, block: VertexSet, terminal: int, target: int) -> Verte
     removing tree leaves preserves connectivity, and the root is never a
     leaf, so the terminal survives.
     """
-    assert terminal in block and 1 <= target <= len(block)
+    if terminal not in block or not 1 <= target <= len(block):
+        raise EngineError("state-invariant", f"trim: no block of {target} around {terminal}")
     kept = set(block)
     parent: dict[int, int] = {}
     child_count: dict[int, int] = {v: 0 for v in kept}
@@ -691,7 +699,8 @@ def _trim_block(g: Graph, block: VertexSet, terminal: int, target: int) -> Verte
                 parent[y] = x
                 child_count[x] += 1
                 queue.append(y)
-    assert len(seen) == len(kept), "block must be connected"
+    if len(seen) != len(kept):
+        raise EngineError("state-invariant", "trim: block is not connected")
     leaves = [v for v in kept if child_count[v] == 0 and v != terminal]
     heapq.heapify(leaves)
     while len(kept) > target:

@@ -15,19 +15,14 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .engine import CdsInput, GLInstance, TraceEvent
-from .graphs import (
-    DominatingTree,
-    Edge,
-    Graph,
-    GraphError,
-    VertexSet,
-    all_dominate,
-    dominates,
-    spanning_tree,
-)
+from .graphs import DominatingTree, Edge, Graph, GraphError, VertexSet, spanning_tree
 from .models import BiconvexModel, ConvexModel, IntervalModel
 
 Model = Graph | IntervalModel | ConvexModel | BiconvexModel
+
+# Largest vertex count a header may declare, checked before anything is sized
+# by it; about 100 times the largest instance the benchmark writes.
+MAX_VERTICES = 1 << 20
 
 
 class FormatError(ValueError):
@@ -161,6 +156,8 @@ def _parse_graph(rows: Iterator[_Row], lineno: int, toks: list[str]) -> tuple[Mo
     if len(toks) != 4:
         raise FormatError("syntax", "expected 'p gl <n> <m>'", lineno)
     n, m = _ints(toks[2:], lineno)
+    if n > MAX_VERTICES:
+        raise FormatError("invariant", f"vertex count {n} exceeds {MAX_VERTICES}", lineno)
     edges: list[Edge] = []
     for _, (lineno, line) in zip(range(m), rows):
         toks = line.split()
@@ -221,6 +218,7 @@ def _parse_convex(
 ) -> tuple[Model, Graph]:
     if len(toks) != 5:
         raise FormatError("syntax", f"expected 'p {'biconvex' if biconvex else 'convex'} <nA> <nB> <m>'", lineno)
+    header = lineno
     na, nb, m = _ints(toks[2:], lineno)
     # keyed by B-vertex: the header count sizes nothing before the records
     # are read, and a B-vertex with no record stops the window loop below
@@ -251,6 +249,8 @@ def _parse_convex(
         if len(s) != hi - lo + 1:
             raise FormatError("invariant", f"B-vertex {j + 1} has a non-contiguous neighborhood")
         windows.append((lo, hi))
+    if na + nb > MAX_VERTICES:
+        raise FormatError("invariant", f"vertex count {na + nb} exceeds {MAX_VERTICES}", header)
     try:
         cls = BiconvexModel if biconvex else ConvexModel
         model = cls(na=na, nb=nb, windows=tuple(windows))
@@ -307,20 +307,16 @@ def parse_partition(text: str, n: int) -> tuple[VertexSet, ...]:
 
 
 def build_cds_input(g: Graph, sets: Sequence[VertexSet]) -> CdsInput:
-    """Turn vertex sets into dominating trees via deterministic spanning trees.
+    """Turn vertex sets into trees via deterministic spanning trees.
 
-    A spanning tree is a tree of graph edges by construction, so only
-    domination needs checking.  It is settled for all sets in one
-    `all_dominate` pass; only if that fails does each set run `dominates`,
-    so the first failing set is reported as a set-by-set check would.
+    A spanning tree is a tree of graph edges by construction, so a set
+    fails here only when it is empty or disconnected.  Domination is left
+    to `engine.validate_cds_input`, which `solve` runs on every input.
     """
-    dominating = all_dominate(g, sets)
     trees = []
     for i, s in enumerate(sets):
         try:
             trees.append(DominatingTree(vertices=frozenset(s), edges=spanning_tree(g, s)))
-            if not dominating and not dominates(g, s):
-                raise GraphError("not-dominating")
         except GraphError as exc:
             raise FormatError("invariant", f"set {i + 1}: {exc}") from exc
     return tuple(trees)

@@ -172,38 +172,19 @@ def dominates(g: Graph, s: Iterable[int]) -> bool:
     return True
 
 
-def all_dominate(g: Graph, sets: Sequence[Iterable[int]]) -> bool:
-    """True iff every set in `sets` dominates g, i.e. `dominates` holds for each.
+def first_non_dominating(g: Graph, sets: Iterable[Iterable[int]]) -> int | None:
+    """The lowest index i for which `dominates(g, sets[i])` fails, or None.
 
-    One pass over the closed neighbourhoods of all members, O(n + m) for
-    disjoint sets: `stamp[v]` is the last set seen covering v and `count[v]`
-    the number of distinct sets covering it.  Members outside 0..n-1 cover
-    nothing, as in `dominates`.
+    Each set's closed neighbourhood is one C-level union of its members'
+    neighbour sets, so the whole family costs O(n + m) when the sets are
+    disjoint.  Members outside 0..n-1 cover nothing, as in `dominates`.
     """
     n = g.n
-    stamp = [-1] * n
-    count = [0] * n
     for i, s in enumerate(sets):
-        for v in s:
-            if not 0 <= v < n:
-                continue
-            if stamp[v] != i:
-                stamp[v] = i
-                count[v] += 1
-            for u in g.neighbors(v):
-                if stamp[u] != i:
-                    stamp[u] = i
-                    count[u] += 1
-    return all(c == len(sets) for c in count)
-
-
-def open_neighborhood(g: Graph, s: Iterable[int]) -> VertexSet:
-    """N(s): vertices outside s adjacent to some member of s."""
-    members = set(s)
-    out: set[int] = set()
-    for v in members:
-        out.update(g.neighbor_set(v))
-    return frozenset(out - members)
+        members = [v for v in s if 0 <= v < n]
+        if len(set(members).union(*map(g.neighbor_set, members))) < n:
+            return i
+    return None
 
 
 def spanning_tree(g: Graph, s: Iterable[int]) -> tuple[Edge, ...]:
@@ -229,12 +210,6 @@ def spanning_tree(g: Graph, s: Iterable[int]) -> tuple[Edge, ...]:
     if len(seen) != len(members):
         raise GraphError("not-connected")
     return tuple(edges)
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        raise GraphError("empty-subset")
-    return is_connected_subset(g, range(g.n))
 
 
 def _connectivity_capped(g: Graph, cap: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, VertexSet, is_connected
+from .graphs import Graph, GraphError, VertexSet
 
 
 @dataclass(frozen=True)
@@ -124,21 +124,15 @@ class PathDecomposition:
                 raise GraphError("bad-decomposition", f"vertex {v} occurs non-contiguously")
 
 
-def interval_path_decomposition(
-    m: IntervalModel, *, _graph: Graph | None = None
-) -> PathDecomposition:
+def _clique_path(m: IntervalModel) -> list[VertexSet]:
     """Maximal cliques of the interval graph in sweep order.
 
     One candidate bag per distinct right endpoint r, holding every interval
     covering r; bags contained in the previously kept bag are dropped, which
-    leaves exactly the maximal cliques.  Bags being maximal cliques gives
-    minimum width, and every bag separates what lies left of it from what
-    lies right.  A caller that already derived m's graph passes it as
-    `_graph`, which saves a second O(n^2) derivation.
+    leaves exactly the maximal cliques.  Every bag separates what lies left
+    of it from what lies right, so the graph is connected exactly when no
+    two consecutive bags are disjoint.
     """
-    g = m.derive_graph() if _graph is None else _graph
-    if not is_connected(g):
-        raise GraphError("disconnected")
     bags: list[VertexSet] = []
     for r in sorted(set(m.rights)):
         bag = frozenset(
@@ -147,6 +141,17 @@ def interval_path_decomposition(
         if bags and bag <= bags[-1]:
             continue
         bags.append(bag)
+    return bags
+
+
+def interval_path_decomposition(m: IntervalModel) -> PathDecomposition:
+    """The clique path of a connected interval model as a path
+    decomposition; bags being maximal cliques gives minimum width."""
+    if m.n == 0:
+        raise GraphError("empty-subset")
+    bags = _clique_path(m)
+    if any(a.isdisjoint(b) for a, b in zip(bags, bags[1:])):
+        raise GraphError("disconnected")
     return PathDecomposition(bags=tuple(bags))
 
 
@@ -155,15 +160,13 @@ def interval_connectivity(m: IntervalModel) -> int:
 
     Minimal separators of an interval graph are the intersections of
     consecutive maximal cliques of its clique path, so the connectivity is
-    the smallest such intersection (n - 1 for a single clique).  Used by
-    the generators; cross-checked against flow-based connectivity in tests.
+    the smallest such intersection (0 if disconnected, n - 1 for a single
+    clique).  Used by the generators; cross-checked against flow-based
+    connectivity in tests.
     """
     if m.n < 2:
         raise GraphError("degenerate-graph", f"n={m.n}")
-    g = m.derive_graph()
-    if not is_connected(g):
-        return 0
-    bags = interval_path_decomposition(m, _graph=g).bags
+    bags = _clique_path(m)
     if len(bags) == 1:
         return m.n - 1
-    return min(len(bags[i] & bags[i + 1]) for i in range(len(bags) - 1))
+    return min(len(a & b) for a, b in zip(bags, bags[1:]))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cdspart.builders import (
@@ -10,8 +12,8 @@ from cdspart.builders import (
     extend_to_partition,
     validate_family,
 )
-from cdspart.generators import gen_biconvex, gen_convex, gen_interval
-from cdspart.graphs import Graph, vertex_connectivity
+from cdspart.generators import gen_biconvex, gen_convex, gen_interval, gen_planted_cds
+from cdspart.graphs import Graph, dominates, is_connected_subset, vertex_connectivity
 from cdspart.models import BiconvexModel, ConvexModel, IntervalModel, interval_connectivity
 from cdspart.verify import verify_cds_family, verify_cds_partition
 
@@ -157,3 +159,53 @@ class TestExtendToPartition:
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(BuilderError, match="not-dominating"):
             extend_to_partition(g, (frozenset({0}),))
+
+
+class TestValidateFamily:
+    """One domination pass, the same verdict and text as a set-by-set check."""
+
+    @staticmethod
+    def set_by_set(g, sets):
+        seen = set()
+        for i, s in enumerate(sets):
+            if not s:
+                raise BuilderError("empty-set", f"set {i}")
+            if s & seen:
+                raise BuilderError("not-disjoint", f"set {i} overlaps an earlier one")
+            seen |= s
+            if not is_connected_subset(g, s):
+                raise BuilderError("not-connected", f"set {i}")
+            if not dominates(g, s):
+                raise BuilderError("not-dominating", f"set {i}")
+
+    @staticmethod
+    def outcome(check, g, sets):
+        try:
+            check(g, sets)
+        except BuilderError as exc:
+            return exc.code, str(exc)
+        return None
+
+    def test_reports_what_a_set_by_set_check_reports(self):
+        kinds = set()
+        for seed in range(80):
+            rng = random.Random(seed)
+            k = 2 + seed % 6
+            g, trees = gen_planted_cds(4 * k + seed % 40, k, 10, seed)
+            sets = [set(t.vertices) for t in trees]
+            for _ in range(rng.randint(0, 3)):
+                victim = sets[rng.randrange(k)]
+                defect = rng.choice(["empty", "shrink", "shrink", "overlap", "alien"])
+                if defect == "empty":
+                    victim.clear()
+                elif defect == "shrink" and victim:
+                    victim.discard(rng.choice(sorted(victim)))
+                elif defect == "overlap":
+                    victim.add(rng.choice(sorted(sets[rng.randrange(k)] or {0})))
+                elif defect == "alien":
+                    victim.update(rng.sample(range(g.n), rng.randint(1, 3)))
+            fam = tuple(frozenset(s) for s in sets)
+            expected = self.outcome(self.set_by_set, g, fam)
+            assert self.outcome(validate_family, g, fam) == expected, seed
+            kinds.add(expected and expected[0])
+        assert kinds == {None, "empty-set", "not-disjoint", "not-connected", "not-dominating"}

@@ -150,6 +150,72 @@ class TestErrorPaths:
             "ERROR invariant invariant violated: B-vertex 2 has no neighbors\nEXIT 2\n"
         ), out.stderr
 
+    @pytest.mark.parametrize("name,text,count", [
+        ("m.gl", "p gl 99999999999999999999 0\n", 99999999999999999999),
+        ("m.convex", "p convex 99999999999 1 1\ne 1 1\n", 100000000000),
+    ])
+    def test_vertex_count_over_the_cap_exit_2(self, tmp_path, name, text, count):
+        # under an address-space cap: a parser that sized the graph by the
+        # header fails with MemoryError instead of naming the count
+        model = tmp_path / name
+        model.write_text(text)
+        script = textwrap.dedent(
+            f"""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from cdspart.cli import main
+            print("EXIT", main(["verify", "--what", "cds", {str(model)!r}, {str(model)!r}]))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert out.stdout == (
+            f"ERROR invariant invariant violated: vertex count {count} exceeds 1048576 "
+            "(line 1)\nEXIT 2\n"
+        ), out.stderr
+
+
+class TestDominationChecks:
+    def test_non_dominating_cds_names_the_tree_exit_2(self, tmp_path, capsys):
+        gl = tmp_path / "p.gl"
+        gl.write_text("p gl 3 2\ne 1 2\ne 2 3\nk 1\nt 1 3\n")
+        cds = tmp_path / "p.cds"
+        cds.write_text("c 1\ns 1 1\n")  # connected, but vertex 3 has no neighbour in it
+        code, out = run(capsys, "partition", str(gl), "--cds", str(cds),
+                        "-o", str(tmp_path / "p.part"))
+        assert code == 2
+        assert out == "ERROR invalid-cds-input invalid-cds-input: tree 0: not-dominating\n"
+
+    def test_partition_settles_domination_in_one_pass(self, tmp_path, monkeypatch):
+        import importlib
+        from collections import Counter
+
+        gl = tmp_path / "x.gl"
+        assert main(["gen", "--class", "planted", "--n", "120", "--k", "6",
+                     "--seed", "4", "-o", str(gl)]) == 0
+        graphs = importlib.import_module("cdspart.graphs")
+        counts = Counter()
+
+        def counted(name):
+            original = getattr(graphs, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            return wrapper
+
+        wrappers = {name: counted(name) for name in ("first_non_dominating", "dominates")}
+        for module_name in ("graphs", "engine", "formats", "builders", "verify", "generators"):
+            module = importlib.import_module(f"cdspart.{module_name}")
+            for name, wrapper in wrappers.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        assert main(["partition", str(gl), "--cds", str(tmp_path / "x.cds"),
+                     "-o", str(tmp_path / "x.part")]) == 0
+        assert counts == {"first_non_dominating": 1}
+
 
 class TestOracleGl:
     def test_tiny_gl_oracle(self, tmp_path, capsys):

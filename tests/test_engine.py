@@ -153,6 +153,23 @@ class TestOnePassValidation:
         assert kinds == {None, "not-dominating", "not-a-tree", "overlaps"}
 
 
+class TestCheckPrecedence:
+    """A tree with two faults reports the one a tree-by-tree check meets first."""
+
+    @pytest.mark.parametrize("trees,message", [
+        # not a tree (no edges for two vertices) and not dominating
+        ([DominatingTree(frozenset({0, 1}), ())], "tree 0: not-a-tree"),
+        # overlaps tree 0 and does not dominate
+        ([DominatingTree(frozenset({1, 2, 3}), ((1, 2), (2, 3))),
+          DominatingTree(frozenset({3}), ())], "tree 1: not-dominating"),
+    ])
+    def test_first_fault_of_a_tree_wins(self, trees, message):
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert outcome(validate_cds_input, g, trees) == outcome(validate_tree_by_tree, g, trees)
+        with pytest.raises(EngineError, match=message):
+            validate_cds_input(g, trees)
+
+
 class TestCategorizeTrees:
     def test_all_terminals_on_first_tree(self):
         trees, t0, t1, tmany = categorize_trees(k4(), k4_trees(), [0, 1])
@@ -791,3 +808,163 @@ class TestGrowthFrontier:
             k = rng.randint(2, max(2, n // 8)) if i % 2 else rng.randint(2, 4)
             instances.append(((n, k, rng.randint(0, n // 4), rng.randint(0, 10**6)), rng.random() < 0.5))
         assert self.checked_solves(monkeypatch, instances) > 300
+
+
+def k4_state(terminals=(0, 1), demands=(2, 2)):
+    """K4 with the two trees of `k4_trees` and its terminals placed."""
+    views = [_TreeView(t, i) for i, t in enumerate(k4_trees())]
+    state = PartitionState(k4(), frozenset(range(4)), list(terminals), list(demands), views)
+    state.place_terminals()
+    return state
+
+
+class TestStateRaises:
+    """Each precondition of a state mutation raises, also under `python -O`."""
+
+    def test_add_of_a_placed_vertex(self):
+        state = k4_state()
+        with pytest.raises(EngineError, match="state-invariant: add: 0 is not an unplaced member"):
+            state.add(0, 1, parent=None)
+
+    def test_add_to_a_full_set(self):
+        state = k4_state()
+        state.add(2, 0, parent=0)
+        with pytest.raises(EngineError, match="state-invariant: add: set 0 is full"):
+            state.add(3, 0, parent=0)
+
+    def test_add_under_a_parent_of_another_set(self):
+        state = k4_state()
+        with pytest.raises(EngineError, match="state-invariant: add: parent 1 of 2 is off set 0"):
+            state.add(2, 0, parent=1)
+
+    def test_remove_of_a_vertex_outside_the_set(self):
+        state = k4_state()
+        with pytest.raises(EngineError, match="state-invariant: remove: 2 is not in set 0"):
+            state.remove(2, 0)
+
+    def test_remove_of_a_terminal(self):
+        state = k4_state()
+        with pytest.raises(EngineError, match="state-invariant: remove: 0 is the terminal of set 0"):
+            state.remove(0, 0)
+
+    def test_remove_of_a_vertex_with_attached_children(self):
+        state = k4_state(terminals=(0,), demands=(4,))
+        state.add(2, 0, parent=0)
+        state.add(3, 0, parent=2)
+        with pytest.raises(EngineError, match="state-invariant: remove: 2 is not an attachment leaf"):
+            state.remove(2, 0)
+
+    def test_vlabel_of_a_placed_vertex(self):
+        state = k4_state()
+        with pytest.raises(EngineError, match="state-invariant: vlabel: 0 is placed or assigned"):
+            state.assign_vlabel(0, 1)
+
+    def test_tlabel_of_a_taken_tree(self):
+        state = k4_state()
+        state.set_tlabel(0, 1)
+        with pytest.raises(EngineError, match="state-invariant: tlabel: set 1 or tree 1 is taken"):
+            state.set_tlabel(1, 1)
+
+    def test_trim_of_a_block_without_its_terminal(self):
+        with pytest.raises(EngineError, match="state-invariant: trim: no block of 1 around 0"):
+            _trim_block(k4(), frozenset({1, 2}), 0, 1)
+
+    def test_trim_of_a_disconnected_block(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(EngineError, match="state-invariant: trim: block is not connected"):
+            _trim_block(g, frozenset({0, 2}), 0, 1)
+
+    def test_raise_survives_python_O(self):
+        script = textwrap.dedent(
+            """
+            from cdspart.engine import EngineError, PartitionState, _TreeView
+            from cdspart.graphs import DominatingTree, Graph
+
+            if __debug__:
+                raise SystemExit("asserts are on: not running under -O")
+            g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+            views = [
+                _TreeView(DominatingTree(frozenset({0, 1}), ((0, 1),)), 0),
+                _TreeView(DominatingTree(frozenset({2, 3}), ((2, 3),)), 1),
+            ]
+            state = PartitionState(g, frozenset(range(4)), [0, 1], [2, 2], views)
+            state.place_terminals()
+            state.add(2, 0, parent=0)
+            try:
+                state.add(3, 0, parent=0)
+            except EngineError as exc:
+                print(exc)
+            """
+        )
+        src = str(Path(eng_module.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "state-invariant: add: set 0 is full"
+
+
+class TestInvariantRules:
+    """Each `check_invariants` rule fires on a state corrupted to break it alone."""
+
+    @staticmethod
+    def fires(state, message):
+        with pytest.raises(EngineError, match=f"state-invariant: corrupt: {message}"):
+            state.check_invariants("corrupt")
+
+    def test_sets_overlap(self):
+        state = k4_state()
+        state.sets[1].add(0)
+        self.fires(state, "sets overlap at 1")
+
+    def test_terminal_missing(self):
+        state = k4_state()
+        state.sets[0].discard(0)
+        self.fires(state, "terminal missing from 0")
+
+    def test_full_flag(self):
+        state = k4_state()
+        state.full[0] = True
+        self.fires(state, "full flag wrong on 0")
+
+    def test_over_demand(self):
+        state = k4_state()
+        state.sets[0].update({2, 3})
+        self.fires(state, "set 0 over demand")
+
+    def test_hit_count(self):
+        state = k4_state()
+        state.hit_count[0][0] = 2
+        self.fires(state, "hit count wrong on 0")
+
+    def test_placement_map_stale(self):
+        state = k4_state()
+        state.placed[2] = 0
+        self.fires(state, "placement map stale at 2")
+
+    def test_bad_attachment(self):
+        state = k4_state()
+        state.attach_parent[1] = 0
+        self.fires(state, "bad attachment of 1")
+
+    def test_tlabel_not_injective(self):
+        state = k4_state()
+        state.tlabel[:] = [1, 1]
+        self.fires(state, "tlabel not injective")
+
+    def test_vlabel_holds_a_placed_vertex(self):
+        state = k4_state()
+        state.vlabel_of[0] = 1
+        self.fires(state, "vlabel holds placed 0")
+
+    def test_vlabel_not_adjacent(self):
+        # terminal 2 lies on tree 1, so set 1 has no lead-tree part to touch
+        state = k4_state(terminals=(0, 2))
+        state.assign_vlabel(3, 1)
+        self.fires(state, "vlabel 3 not adjacent to set 1")
+
+    def test_no_set_is_over(self):
+        state = k4_state()
+        state.classify(0, "under")
+        self.fires(state, "no set is Over")

