@@ -123,10 +123,10 @@ def _cmd_gen(args) -> int:
         comments.append(
             f"{klass} model: na={args.na} nb={args.nb} target_k={args.k} seed={args.seed} prng=splitmix64"
         )
-    g = model.derive_graph()
-    terminals, demands = generators.gen_gl_extension(g.n, args.k, seed=args.seed ^ 0x5EED)
+    # write_bundle reads the model alone, so no graph is derived here
+    terminals, demands = generators.gen_gl_extension(model.n, args.k, seed=args.seed ^ 0x5EED)
     bundle = formats.InstanceBundle(
-        model=model, graph=g, terminals=terminals, demands=demands
+        model=model, graph=None, terminals=terminals, demands=demands
     )
     Path(args.output).write_text(formats.write_bundle(bundle, comments), encoding="utf-8")
     print(f"wrote {args.output}")

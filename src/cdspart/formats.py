@@ -42,10 +42,14 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class InstanceBundle:
-    """A parsed model plus its derived graph and optional GL extension."""
+    """A parsed model plus its derived graph and optional GL extension.
+
+    `graph` is None only in a bundle built to be written: `write_bundle`
+    reads the model alone.
+    """
 
     model: Model
-    graph: Graph
+    graph: Graph | None
     terminals: tuple[int, ...] | None = None
     demands: tuple[int, ...] | None = None
 

@@ -216,11 +216,21 @@ def _connectivity_capped(g: Graph, cap: int) -> int:
     """min(kappa(g), cap) via the minimum-degree pair schedule.
 
     Fixes a minimum-degree vertex v0 and minimizes local connectivity over
-    all non-neighbors of v0 and over all non-adjacent pairs of neighbors
+    the non-neighbors of v0 and over all non-adjacent pairs of neighbors
     of v0 (Esfahanian-Hakimi); every flow stops at the running minimum,
     which starts at min(cap, deg v0) since kappa <= delta.  All flows run
     on one vertex-split network of g.  Complete graphs count as
     (n - 1)-connected by convention (no separator exists).
+
+    Non-neighbors of v0 that form an independent set Y need no flow: Y is
+    built greedily in ascending id, taking u when no neighbor of u is
+    already in Y.  Let b be the final minimum and S a separator with
+    |S| < b cutting v0 from some u in Y.  A neighbor w of u outside S
+    would lie on u's side, so w is neither adjacent to v0 nor in Y; its
+    flow then showed lambda(v0, w) >= b > |S|, a contradiction.  Hence
+    N(u) is inside S and |S| >= deg u >= deg v0 >= b, a contradiction
+    again, so the result is exact.  On a bipartite graph Y holds a whole
+    side, which halves the flows.
     """
     from .flows import _SplitNetwork
 
@@ -234,8 +244,17 @@ def _connectivity_capped(g: Graph, cap: int) -> int:
         return 0
     nbrs = g.neighbors(v0)
     nbr_set = g.neighbor_set(v0)
+    settled: set[int] = set()
+    flowed: list[int] = []
+    for u in range(g.n):
+        if u == v0 or u in nbr_set:
+            continue
+        if g.neighbor_set(u).isdisjoint(settled):
+            settled.add(u)
+        else:
+            flowed.append(u)
     pairs = chain(
-        ((v0, u) for u in range(g.n) if u != v0 and u not in nbr_set),
+        ((v0, u) for u in flowed),
         ((x, y) for i, x in enumerate(nbrs) for y in nbrs[i + 1 :] if not g.has_edge(x, y)),
     )
     net = _SplitNetwork(g)

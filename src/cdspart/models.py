@@ -82,9 +82,6 @@ class ConvexModel:
         ]
         return Graph(self.n, edges)
 
-    def b_neighbors_of_a(self, i: int) -> list[int]:
-        return [j for j, (lo, hi) in enumerate(self.windows) if lo <= i <= hi]
-
 
 @dataclass(frozen=True)
 class BiconvexModel(ConvexModel):
@@ -92,9 +89,25 @@ class BiconvexModel(ConvexModel):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for i in range(self.na):
-            js = self.b_neighbors_of_a(i)
-            if js and js != list(range(js[0], js[-1] + 1)):
+        # A-vertex i sees B-vertices first[i]..last[i], `count` of them (a
+        # running sum of `delta`); its neighbourhood is contiguous iff that
+        # span holds exactly `count`.  Slice writes keep the windows' pass
+        # O(na + sum of window sizes).
+        na = self.na
+        first = [0] * na
+        last = [0] * na
+        delta = [0] * (na + 1)
+        for j, (lo, hi) in enumerate(self.windows):
+            last[lo : hi + 1] = [j] * (hi - lo + 1)
+            delta[lo] += 1
+            delta[hi + 1] -= 1
+        for j in range(self.nb - 1, -1, -1):
+            lo, hi = self.windows[j]
+            first[lo : hi + 1] = [j] * (hi - lo + 1)
+        count = 0
+        for i in range(na):
+            count += delta[i]
+            if count and last[i] - first[i] + 1 != count:
                 raise GraphError(
                     "bad-model", f"A-vertex {i} has a non-contiguous B-neighborhood"
                 )

@@ -38,6 +38,11 @@ def _as_blocks(p: GlPartition | Sequence[Iterable[int]]) -> list[frozenset[int]]
     return [frozenset(b) for b in p]
 
 
+# Most uncovered vertices one report line lists; past it the line gives the
+# count and the lowest ids, so a near-empty cover of a big graph stays short.
+_LISTED = 10
+
+
 def _partition_violations(g: Graph, blocks: list[frozenset[int]]) -> list[tuple[str, str]]:
     out: list[tuple[str, str]] = []
     seen: dict[int, int] = {}
@@ -50,7 +55,11 @@ def _partition_violations(g: Graph, blocks: list[frozenset[int]]) -> list[tuple[
             else:
                 seen[v] = i
     missing = [v for v in range(g.n) if v not in seen]
-    if missing:
+    if len(missing) > _LISTED:
+        out.append(
+            ("partition", f"{len(missing)} uncovered vertices, first {_LISTED} {missing[:_LISTED]}")
+        )
+    elif missing:
         out.append(("partition", f"uncovered vertices {missing}"))
     return out
 

@@ -217,6 +217,24 @@ class TestDominationChecks:
         assert counts == {"first_non_dominating": 1}
 
 
+class TestGen:
+    @pytest.mark.parametrize("klass,sizes", [
+        ("convex", ["--na", "30", "--nb", "60"]),
+        ("interval", ["--n", "30"]),
+    ])
+    def test_gen_derives_no_graph(self, tmp_path, monkeypatch, klass, sizes):
+        # the generators certify connectivity without a graph and the
+        # writer reads the model alone
+        from cdspart.models import ConvexModel, IntervalModel
+
+        derived = []
+        for cls in (ConvexModel, IntervalModel):
+            monkeypatch.setattr(cls, "derive_graph", lambda self: derived.append(self))
+        assert main(["gen", "--class", klass, *sizes, "--k", "3", "--seed", "2",
+                     "-o", str(tmp_path / "m.txt")]) == 0
+        assert derived == []
+
+
 class TestOracleGl:
     def test_tiny_gl_oracle(self, tmp_path, capsys):
         gl = tmp_path / "t.gl"

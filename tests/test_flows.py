@@ -11,7 +11,13 @@ from cdspart.flows import (
     vertex_disjoint_paths,
 )
 from cdspart.generators import SplitMix64, gen_biconvex, gen_convex, gen_interval
-from cdspart.graphs import Graph, GraphError, is_k_connected, vertex_connectivity
+from cdspart.graphs import (
+    Graph,
+    GraphError,
+    _connectivity_capped,
+    is_k_connected,
+    vertex_connectivity,
+)
 from cdspart.verify import brute_min_vertex_cut, counterexample_convex
 
 from conftest import random_graph
@@ -184,3 +190,93 @@ def test_one_network_per_connectivity_check(monkeypatch):
     built.clear()
     assert vertex_connectivity(g) == 3
     assert built == [g]
+
+
+def random_bipartite(seed, na, nb, m, connected):
+    """Seeded bipartite graph with no isolated vertex.  The A side takes ids
+    below the B side when seed is even and above it when odd, so v0 falls
+    on either side.  A disconnected one keeps A-index and B-index parity
+    equal on every edge, which leaves two components."""
+    rng = SplitMix64(seed)
+    a_ids = range(na) if seed % 2 == 0 else range(nb, nb + na)
+    b_ids = range(na, na + nb) if seed % 2 == 0 else range(nb)
+    pairs = set()
+    if connected:  # a zigzag through both sides
+        for i in range(max(na, nb)):
+            pairs.add((i % na, i % nb))
+            pairs.add((i % na, (i + 1) % nb))
+    else:  # one star per parity class
+        pairs.update((i, i % 2) for i in range(na))
+        pairs.update((j % 2, j) for j in range(nb))
+    while len(pairs) < m:
+        i, j = rng.randint(0, na - 1), rng.randint(0, nb - 1)
+        if connected or i % 2 == j % 2:
+            pairs.add((i, j))
+    return Graph(na + nb, sorted(tuple(sorted((a_ids[i], b_ids[j]))) for i, j in pairs))
+
+
+def settled_graphs():
+    """Bipartite graphs, where the settled set is a whole side, and small
+    convex and biconvex models."""
+    for seed in range(24):
+        na, nb = 3 + seed % 7, 4 + seed % 5
+        connected = seed % 6 != 5
+        # a disconnected graph has at least na * nb / 2 same-parity pairs
+        m = min(na * nb * (3 if connected else 2) // 4, (na + nb) * (1 + seed % 4))
+        yield f"bipartite-{seed}", random_bipartite(seed, na, nb, m, connected)
+    for seed in range(6):
+        yield f"convex-{seed}", gen_convex(10 + seed, 14 + 2 * seed, 2 + seed % 3, seed).derive_graph()
+        yield f"biconvex-{seed}", gen_biconvex(12 + seed, 14 + seed, 1 + seed % 4, seed).derive_graph()
+
+
+# kappa = 1: vertex 2 cuts {1, 5} off.  v0 = 0 and its non-neighbours are
+# 1, 4, 5, 6, of which 1, 4 and 6 are settled; only the flow to 5 sees the
+# cut, so settling 5 as well (say, every second non-neighbour) reads 2.
+PINNED = Graph(7, [(0, 2), (0, 3), (1, 2), (1, 5), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 6)])
+
+
+class TestSettledNonNeighbours:
+    """Non-neighbours of v0 settled without a flow leave every answer of
+    the minimum-degree schedule unchanged."""
+
+    @pytest.mark.parametrize(
+        "g", [pytest.param(g, id=name) for name, g in [*settled_graphs(), ("pinned", PINNED)]]
+    )
+    def test_matches_reference_and_networkx(self, g):
+        nx = pytest.importorskip("networkx")
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        kappa = nx.node_connectivity(h)
+        for cap in (1, 2, 3, 4, 5, g.n - 1):
+            assert _connectivity_capped(g, cap) == ref.connectivity_capped(g, cap) == min(cap, kappa)
+
+    def test_pinned_counterexample(self):
+        assert vertex_connectivity(PINNED) == 1
+        assert is_k_connected(PINNED, 1) and not is_k_connected(PINNED, 2)
+
+    @pytest.mark.parametrize("seed", (1588158089, 101, 7))
+    def test_flow_count_on_biconvex(self, monkeypatch, seed):
+        # one flow per unsettled non-neighbour of v0 and per non-adjacent
+        # pair of its neighbours; a schedule without the settled set runs
+        # about twice as many
+        g = gen_biconvex(200, 220, 4, seed).derive_graph()
+        flows = []
+        max_flow = _SplitNetwork.max_flow
+
+        def counted(self, s, t, limit):
+            flows.append((s, t))
+            return max_flow(self, s, t, limit)
+
+        monkeypatch.setattr(flows_module._SplitNetwork, "max_flow", counted)
+        assert is_k_connected(g, 4)
+        v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
+        non_nbrs = [u for u in range(g.n) if u != v0 and not g.has_edge(v0, u)]
+        settled = set()
+        for u in non_nbrs:
+            if not g.neighbor_set(u) & settled:
+                settled.add(u)
+        nbrs = g.neighbors(v0)
+        nbr_pairs = [(x, y) for x in nbrs for y in nbrs if x < y and not g.has_edge(x, y)]
+        assert settled
+        assert len(flows) == len(non_nbrs) - len(settled) + len(nbr_pairs)

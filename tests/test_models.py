@@ -148,6 +148,27 @@ class TestConvexModels:
         with pytest.raises(GraphError, match="non-contiguous"):
             BiconvexModel(na=3, nb=3, windows=((0, 1), (2, 2), (0, 2)))
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_biconvex_check_names_lowest_failing_a_vertex(self, seed):
+        # against the definition: each A-vertex's B-neighbours, listed in
+        # B order, form one run
+        rng = SplitMix64(seed)
+        na, nb = 2 + seed % 6, 2 + seed % 5
+        windows = []
+        for _ in range(nb):
+            lo = rng.randint(0, na - 1)
+            windows.append((lo, rng.randint(lo, min(na - 1, lo + 2))))
+        bad = [
+            i for i in range(na)
+            if (js := [j for j, (lo, hi) in enumerate(windows) if lo <= i <= hi])
+            and js != list(range(js[0], js[-1] + 1))
+        ]
+        if bad:
+            with pytest.raises(GraphError, match=f"A-vertex {bad[0]} has a non-contiguous"):
+                BiconvexModel(na=na, nb=nb, windows=tuple(windows))
+        else:
+            BiconvexModel(na=na, nb=nb, windows=tuple(windows))
+
     def test_derive_graph_ids(self):
         m = ConvexModel(na=2, nb=2, windows=((0, 0), (0, 1)))
         g = m.derive_graph()

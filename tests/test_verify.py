@@ -48,7 +48,44 @@ class TestVerifyGl:
         assert any(rule == "partition" for rule, _ in rep.violations)
 
 
+class TestPartitionRules:
+    """Each partition message fires on an input made to break its rule."""
+
+    def test_unknown_vertex(self):
+        rep = verify_cds_partition(k4(), [{0, 1, 7}, {2, 3}])
+        assert ("partition", "block 0 holds unknown vertex 7") in rep.violations
+
+    def test_vertex_in_two_blocks(self):
+        rep = verify_cds_partition(k4(), [{0, 1}, {1, 2, 3}])
+        assert ("partition", "vertex 1 in blocks 0 and 1") in rep.violations
+
+    def test_few_uncovered_vertices_are_listed(self):
+        rep = verify_cds_partition(k4(), [{0, 1}])
+        assert ("partition", "uncovered vertices [2, 3]") in rep.violations
+
+    def test_many_uncovered_vertices_are_counted(self):
+        g = Graph(1000, [])
+        rep = verify_cds_partition(g, [{5}])
+        line = "FAIL partition 999 uncovered vertices, first 10 [0, 1, 2, 3, 4, 6, 7, 8, 9, 10]"
+        assert rep.render().splitlines()[0] == line
+
+    def test_ten_uncovered_vertices_are_still_listed(self):
+        rep = verify_cds_partition(Graph(11, []), [{10}])
+        assert ("partition", f"uncovered vertices {list(range(10))}") in rep.violations
+
+    def test_wrong_block_count(self):
+        inst = GLInstance(graph=k4(), terminals=(0, 1), demands=(2, 2))
+        rep = verify_gl(inst, [{0, 2}, {1}, {3}])
+        assert ("partition", "3 blocks for k=2") in rep.violations
+
+
 class TestVerifyCds:
+    def test_disconnected_block(self):
+        # a 6-cycle split into {0, 3} and the rest: 0 and 3 are not adjacent
+        rep = verify_cds_partition(cycle(6), [{0, 3}, {1, 2, 4, 5}])
+        assert ("not-connected", "block 0") in rep.violations
+        assert ("not-connected", "block 1") in rep.violations
+
     def test_k4_halves(self):
         assert verify_cds_partition(k4(), [{0, 1}, {2, 3}]).ok
 
