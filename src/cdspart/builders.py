@@ -58,7 +58,7 @@ def cds_interval(m: IntervalModel, k: int) -> CdsFamily:
     """
     if k < 1:
         raise BuilderError("bad-k", f"k={k}")
-    g = m.derive_graph()
+    g = m.graph
     decomp = interval_path_decomposition(m)
     s, t = m.n, m.n + 1
     edges = list(g.edges())
@@ -96,7 +96,7 @@ def cds_biconvex(m: BiconvexModel, k: int) -> CdsFamily:
     availability follows from the one-neighbor bound per backbone plus
     minimum degree >= k.
     """
-    g = m.derive_graph()
+    g = m.graph
     sets = [set(p[1:-1]) for p in backbones(m, g, k)]
     used: set[int] = set()
     for s in sets:
@@ -127,7 +127,7 @@ def cds_convex(m: ConvexModel, k: int) -> CdsFamily:
     because any 4k consecutive A-vertices contain at most 3 vertices of
     each backbone.  The stripped endpoints a_1, a_na join the first set.
     """
-    g = m.derive_graph()
+    g = m.graph
     paths = backbones(m, g, k)
     on_paths: set[int] = set()
     for p in paths:

@@ -3,8 +3,9 @@ verification, oracles and connectivity, wired for reproducible pipelines.
 
 Everything is a flag (no config files or environment variables).  Exit
 codes: 0 success / feasible / verified, 1 infeasible or failed
-verification, 2 usage or parse errors.  Failure paths print a
-machine-parsable first line (`ERROR <code>`, `FAIL <rule> ...` or
+verification, 2 usage, parse or input errors, 3 an engine fault on an
+input that passed validation (`engine.FAULT_CODES`).  Failure paths print
+a machine-parsable first line (`ERROR <code>`, `FAIL <rule> ...` or
 `INFEASIBLE`).
 """
 
@@ -240,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except GraphError as exc:
         print(f"ERROR {exc.code} {exc}")
-        return 2
+        return 3 if exc.code in engine.FAULT_CODES else 2
     except OSError as exc:
         print(f"ERROR io {exc}")
         return 2

@@ -44,6 +44,11 @@ class EngineError(GraphError):
     pass
 
 
+# Codes raised on an input that passed validation: faults of the engine
+# itself, which the CLI reports with their own exit code.
+FAULT_CODES = frozenset({"state-invariant", "under-monotonicity", "no-progress", "no-qualifying-group"})
+
+
 @dataclass(frozen=True)
 class GLInstance:
     """A graph, k distinct terminals and k positive demands summing to n."""
@@ -107,13 +112,13 @@ def validate_cds_input(g: Graph, trees: Sequence[DominatingTree]) -> None:
 
 def categorize_trees(
     g: Graph, trees: Sequence[DominatingTree], terminals: Sequence[int]
-) -> tuple[CdsInput, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Put every terminal on a tree, then bucket trees by terminal count.
+) -> tuple[CdsInput, list[list[int]]]:
+    """Put every terminal on a tree, then index terminals by tree.
 
     Stray terminals are appended to tree 0 (the lowest index; every tree
     dominates every vertex, so an attachment edge always exists), keeping
-    it a dominating tree.  Returns (updated trees, zero-, one-, many-
-    terminal tree indices).
+    it a dominating tree.  Returns (updated trees, by_tree), where
+    by_tree[ti] lists the indices of the terminals on tree ti, ascending.
     """
     out = list(trees)
     wanted = set(terminals)
@@ -133,21 +138,20 @@ def categorize_trees(
             vertices=host.vertices | {c}, edges=host.edges + ((w, c),)
         )
         on_tree[c] = 0
-    counts = [0] * len(out)
-    for c in terminals:
-        counts[on_tree[c]] += 1
-    t0 = tuple(i for i, c in enumerate(counts) if c == 0)
-    t1 = tuple(i for i, c in enumerate(counts) if c == 1)
-    tmany = tuple(i for i, c in enumerate(counts) if c > 1)
-    return tuple(out), t0, t1, tmany
+    by_tree: list[list[int]] = [[] for _ in out]
+    for i, c in enumerate(terminals):
+        by_tree[on_tree[c]].append(i)
+    return tuple(out), by_tree
 
 
 class _TreeView:
-    """Per-solve view of one dominating tree: vertex set + tree adjacency."""
+    """Per-solve view of one dominating tree: the tree, its vertex set and
+    tree adjacency, and its index in the input."""
 
-    __slots__ = ("vertices", "adj", "size", "label")
+    __slots__ = ("tree", "vertices", "adj", "size", "label")
 
     def __init__(self, tree: DominatingTree, label: int):
+        self.tree = tree
         self.vertices = tree.vertices
         self.adj = tree.adjacency()
         self.size = len(tree.vertices)
@@ -200,7 +204,6 @@ class PartitionState:
         self.placed: dict[int, int] = {}
         self.full: list[bool] = [False] * self.k
         self.status: list[str | None] = [None] * self.k
-        self.was_under: list[bool] = [False] * self.k
         self.vlabel_of: dict[int, int] = {}
         self.vlabel_sets: list[set[int]] = [set() for _ in range(self.k)]
         self.tlabel: list[int | None] = [None] * self.k
@@ -288,11 +291,9 @@ class PartitionState:
         self.vlabel_sets[i].add(v)
 
     def classify(self, i: int, status: str) -> None:
-        if self.was_under[i] and status == "over":
+        if self.status[i] == "under" and status == "over":
             raise EngineError("under-monotonicity", f"set {i} left Under")
         self.status[i] = status
-        if status == "under":
-            self.was_under[i] = True
 
     def set_tlabel(self, i: int, ti: int) -> None:
         if self.tlabel[i] is not None or ti in self.tlabel_owner:
@@ -442,12 +443,8 @@ def _attach(state: PartitionState, v: int, what: str) -> None:
 
 def _place_non_tree(state: PartitionState) -> None:
     """Place every vertex lying on no tree into an adjacent non-full set."""
-    on_trees: set[int] = set()
-    for tv in state.trees:
-        on_trees |= tv.vertices
-    for v in sorted(state.members - on_trees):
-        if v not in state.placed:
-            _attach(state, v, "non-tree vertex")
+    for v in sorted(state.members.difference(state.tree_of, state.placed)):
+        _attach(state, v, "non-tree vertex")
 
 
 def add_trees(state: PartitionState) -> None:
@@ -601,33 +598,14 @@ def add_vertices(state: PartitionState) -> None:
         _attach(state, v, "leftover vertex")
 
 
-def _run_single_tree(
-    graph: Graph,
-    members: frozenset[int],
-    terminals: Sequence[int],
-    demands: Sequence[int],
-    trees: Sequence[_TreeView],
-    *,
-    set_labels: Sequence[int] | None = None,
-    family_restart: bool = False,
-    trace: list[TraceEvent] | None = None,
-) -> tuple[list[tuple[int, VertexSet]], list[int]]:
-    """Run the single-tree case on `members`; all terminals lie on trees[0].
+def _run_single_tree(state: PartitionState) -> tuple[list[tuple[int, VertexSet]], list[int]]:
+    """Run the single-tree case on a fresh state whose terminals all lie on
+    its tree 0.
 
     Returns the finished (set index, block) pairs and the indices of the
     trees they use up: every set and tree when the run completes, else the
     blocks of the first emission.
     """
-    state = PartitionState(
-        graph,
-        members,
-        terminals,
-        demands,
-        trees,
-        set_labels=set_labels,
-        family_restart=family_restart,
-        trace=trace,
-    )
     try:
         _place(state)
         labeling(state)
@@ -638,42 +616,41 @@ def _run_single_tree(
         return [(i, frozenset(state.sets[i])) for i in e.set_indices], e.tree_indices
     if not all(state.full):
         raise EngineError("state-invariant", "a set is short of its demand after add-vertices")
-    return [(i, frozenset(s)) for i, s in enumerate(state.sets)], list(range(len(trees)))
+    return [(i, frozenset(s)) for i, s in enumerate(state.sets)], list(range(len(state.trees)))
 
 
 # -- general driver ----------------------------------------------------------
 
 
 def _choose_group(
-    pool: Sequence[DominatingTree],
-    t0: Sequence[int],
-    t1: Sequence[int],
-    tmany: Sequence[int],
-    work_terminals: Sequence[int],
-    work_demands: Sequence[int],
+    views: Sequence[_TreeView],
+    by_tree: Sequence[list[int]],
+    demands: Sequence[int],
     sets: Sequence[set[int]],
-) -> tuple[int, list[int], list[int]]:
+) -> tuple[int, list[int], list[int], set[int]]:
     """Pick a lead tree plus terminal-free trees able to cover its demands.
 
     Iterates many-terminal trees in ascending index, pairing each with the
     lowest-index unused terminal-free trees, then single-terminal trees as
     singleton groups; the first group whose union holds at least the
-    group's total demand wins.  A qualifying group always exists: summed
-    over all groups, the unplaced tree vertices equal the total remaining
-    demand exactly.
+    group's total demand wins, and is returned with that union.  A
+    qualifying group always exists: summed over all groups, the unplaced
+    tree vertices equal the total remaining demand exactly.
     """
-    t0_queue = deque(sorted(t0))
-    for lead in [*sorted(tmany), *sorted(t1)]:
-        members = [i for i, c in enumerate(work_terminals) if c in pool[lead].vertices]
+    free = deque(ti for ti, on in enumerate(by_tree) if not on)
+    many = [ti for ti, on in enumerate(by_tree) if len(on) > 1]
+    single = [ti for ti, on in enumerate(by_tree) if len(on) == 1]
+    for lead in many + single:
+        members = by_tree[lead]
         # a single-terminal lead takes no extras
-        extras = [t0_queue.popleft() for _ in members[1:]]
-        union: set[int] = set(pool[lead].vertices)
+        extras = [free.popleft() for _ in members[1:]]
+        union: set[int] = set(views[lead].vertices)
         for i in members:
             union |= sets[i]
         for e in extras:
-            union |= pool[e].vertices
-        if len(union) >= sum(work_demands[i] for i in members):
-            return lead, members, extras
+            union |= views[e].vertices
+        if len(union) >= sum(demands[i] for i in members):
+            return lead, members, extras, union
     raise EngineError("no-qualifying-group", "contradicts the counting argument")
 
 
@@ -748,14 +725,13 @@ def solve(
         )
     validate_cds_input(g, trees)
     members = frozenset(range(g.n))
-    pool: list[DominatingTree] = list(trees[: instance.k])
     # Retire certificate: each tree's vertex set as validated above, which
     # dominates all of V.  Rounds only ever add vertices to a tree, and a
     # superset of it dominates whatever is left, so retire checks inclusion.
-    validated = [t.vertices for t in pool]
-    # Tree index, built once: views follow the pool and are rebuilt only
-    # for a tree that categorize_trees replaces (tree 0 when it grows).
-    views = [_TreeView(t, label) for label, t in enumerate(pool)]
+    validated = [t.vertices for t in trees[: instance.k]]
+    # The one tree list, built once: a view is rebuilt only for a tree that
+    # categorize_trees replaces (tree 0 when it grows).
+    views = [_TreeView(t, label) for label, t in enumerate(trees[: instance.k])]
     work = [
         _WorkItem(i, instance.terminals[i], instance.demands[i])
         for i in range(instance.k)
@@ -763,7 +739,7 @@ def solve(
     blocks_out: dict[int, VertexSet] = {}
 
     def retire(item_positions: list[int], finished: list[VertexSet], tree_positions: list[int]) -> None:
-        nonlocal members, pool, views, work
+        nonlocal members, views, work
         if not item_positions:
             raise EngineError("no-progress", "a round finished no block")
         for pos, block in zip(item_positions, finished):
@@ -772,7 +748,6 @@ def solve(
         done = set(item_positions)
         work = [r for i, r in enumerate(work) if i not in done]
         drop = set(tree_positions)
-        pool = [t for i, t in enumerate(pool) if i not in drop]
         views = [v for i, v in enumerate(views) if i not in drop]
         seen: set[int] = set()
         for tv in views:
@@ -789,11 +764,10 @@ def solve(
     while work:
         terminals = [r.terminal for r in work]
         demands = [r.demand for r in work]
-        new_pool, t0, t1, tmany = categorize_trees(g, pool, terminals)
-        for i, t in enumerate(new_pool):
-            if t is not pool[i]:
+        current, by_tree = categorize_trees(g, [tv.tree for tv in views], terminals)
+        for i, t in enumerate(current):
+            if t is not views[i].tree:
                 views[i] = _TreeView(t, views[i].label)
-        pool = list(new_pool)
         state = PartitionState(
             g,
             members,
@@ -813,30 +787,24 @@ def solve(
                 e.tree_indices,
             )
             continue
-        lead, member_idxs, extras = _choose_group(
-            pool, t0, t1, tmany, terminals, demands, state.sets
-        )
-        gprime: set[int] = set(pool[lead].vertices)
-        for i in member_idxs:
-            gprime |= state.sets[i]
-        for e in extras:
-            gprime |= pool[e].vertices
+        lead, member_idxs, extras, gprime = _choose_group(views, by_tree, demands, state.sets)
         sub_demands = [demands[i] for i in member_idxs]
         delta = len(gprime) - sum(sub_demands)
         if delta < 0:
             raise EngineError("state-invariant", "chosen group is short of vertices")
         sub_demands[0] += delta
-        sub_tree_positions = [lead] + list(extras)
-        sub_views = [views[p] for p in sub_tree_positions]
+        sub_tree_positions = [lead, *extras]
         blocks, used_local = _run_single_tree(
-            g,
-            frozenset(gprime),
-            [terminals[i] for i in member_idxs],
-            sub_demands,
-            sub_views,
-            set_labels=[work[i].orig for i in member_idxs],
-            family_restart=family_restart,
-            trace=trace,
+            PartitionState(
+                g,
+                frozenset(gprime),
+                [terminals[i] for i in member_idxs],
+                sub_demands,
+                [views[p] for p in sub_tree_positions],
+                set_labels=[work[i].orig for i in member_idxs],
+                family_restart=family_restart,
+                trace=trace,
+            )
         )
         finished: list[VertexSet] = []
         finished_positions: list[int] = []

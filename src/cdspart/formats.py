@@ -214,7 +214,7 @@ def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> tuple
     model = IntervalModel(
         lefts=tuple(spans[v][0] for v in ids), rights=tuple(spans[v][1] for v in ids)
     )
-    return model, model.derive_graph()
+    return model, model.graph
 
 
 def _parse_convex(
@@ -260,7 +260,7 @@ def _parse_convex(
         model = cls(na=na, nb=nb, windows=tuple(windows))
     except GraphError as exc:
         raise FormatError("invariant", str(exc)) from exc
-    return model, model.derive_graph()
+    return model, model.graph
 
 
 def parse_vertex_sets(text: str, prefix: str, n: int) -> tuple[VertexSet, ...]:

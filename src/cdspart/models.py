@@ -10,13 +10,33 @@ na..na+nb-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, VertexSet
 
 
 @dataclass(frozen=True)
-class IntervalModel:
+class _Model:
+    """Base of the models: keeps the derived graph once it is built.
+
+    The cache is a field set with `object.__setattr__`.  A
+    `functools.cached_property` would read the instance `__dict__`, which
+    on CPython 3.11 slows every later attribute read on that model, such
+    as the pair loop of `IntervalModel.derive_graph`.
+    """
+
+    _graph: Graph | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def graph(self) -> Graph:
+        """The derived graph: `derive_graph`, called on first use only."""
+        if self._graph is None:
+            object.__setattr__(self, "_graph", self.derive_graph())
+        return self._graph
+
+
+@dataclass(frozen=True)
+class IntervalModel(_Model):
     """One closed integer interval [left, right] per vertex."""
 
     lefts: tuple[int, ...]
@@ -44,7 +64,7 @@ class IntervalModel:
 
 
 @dataclass(frozen=True)
-class ConvexModel:
+class ConvexModel(_Model):
     """Bipartite model where each B-vertex sees a contiguous A-index window.
 
     windows[j] = (lo, hi) means b_j is adjacent to a_lo..a_hi (0-based,

@@ -119,6 +119,26 @@ class TestErrorPaths:
         assert code == 2
         assert out.startswith("ERROR too-few-trees")
 
+    @pytest.mark.parametrize(
+        "code", ["state-invariant", "under-monotonicity", "no-progress", "no-qualifying-group"]
+    )
+    def test_engine_fault_exit_3(self, tmp_path, capsys, monkeypatch, code):
+        import cdspart.engine as engine
+
+        gl = tmp_path / "x.gl"
+        assert main(["gen", "--class", "planted", "--n", "40", "--k", "3",
+                     "--seed", "9", "-o", str(gl)]) == 0
+
+        def faulty(state):
+            raise engine.EngineError(code, "injected")
+
+        monkeypatch.setattr(engine, "add_trees", faulty)
+        capsys.readouterr()
+        status, out = run(capsys, "partition", str(gl), "--cds", str(tmp_path / "x.cds"),
+                          "-o", str(tmp_path / "x.part"))
+        assert status == 3
+        assert out == f"ERROR {code} {code}: injected\n"
+
     def test_interval_count_beyond_any_index_exit_2(self, tmp_path, capsys):
         model = tmp_path / "m.interval"
         model.write_text("p interval 99999999999999999999\ni 1 1 2\n")
@@ -233,6 +253,29 @@ class TestGen:
         assert main(["gen", "--class", klass, *sizes, "--k", "3", "--seed", "2",
                      "-o", str(tmp_path / "m.txt")]) == 0
         assert derived == []
+
+
+class TestCds:
+    @pytest.mark.parametrize("klass,sizes,k", [
+        ("interval", ["--n", "30", "--k", "3"], 3),
+        ("biconvex", ["--na", "30", "--nb", "34", "--k", "3"], 3),
+        ("convex", ["--na", "10", "--nb", "24", "--k", "8"], 2),
+    ])
+    def test_cds_derives_the_graph_once(self, tmp_path, monkeypatch, klass, sizes, k):
+        # the parser and the builder share the model's one derived graph
+        from cdspart.models import ConvexModel, IntervalModel
+
+        model = tmp_path / "m.txt"
+        assert main(["gen", "--class", klass, *sizes, "--seed", "2", "-o", str(model)]) == 0
+        derived = []
+        for cls in (ConvexModel, IntervalModel):
+            derive = cls.derive_graph
+            monkeypatch.setattr(
+                cls, "derive_graph", lambda self, derive=derive: derived.append(self) or derive(self)
+            )
+        assert main(["cds", "--class", klass, "-k", str(k), str(model),
+                     "-o", str(tmp_path / "m.cdsp")]) == 0
+        assert len(derived) == 1
 
 
 class TestOracleGl:

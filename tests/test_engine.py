@@ -4,10 +4,12 @@ import random
 import subprocess
 import sys
 import textwrap
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cdspart.engine as eng_module
 from cdspart.engine import (
@@ -27,6 +29,7 @@ from cdspart.engine import (
     solve,
     validate_cds_input,
 )
+from cdspart.formats import build_cds_input
 from cdspart.generators import gen_gl_extension, gen_planted_cds
 from cdspart.graphs import (
     DominatingTree,
@@ -35,7 +38,7 @@ from cdspart.graphs import (
     is_connected_subset,
     spanning_tree,
 )
-from cdspart.verify import brute_gl, verify_gl
+from cdspart.verify import brute_cds, brute_gl, verify_gl
 
 from conftest import random_graph
 
@@ -172,20 +175,20 @@ class TestCheckPrecedence:
 
 class TestCategorizeTrees:
     def test_all_terminals_on_first_tree(self):
-        trees, t0, t1, tmany = categorize_trees(k4(), k4_trees(), [0, 1])
-        assert tmany == (0,) and t0 == (1,) and t1 == ()
+        trees, by_tree = categorize_trees(k4(), k4_trees(), [0, 1])
+        assert by_tree == [[0, 1], []]
 
     def test_one_terminal_per_tree(self):
-        trees, t0, t1, tmany = categorize_trees(k4(), k4_trees(), [0, 2])
-        assert t1 == (0, 1) and t0 == () and tmany == ()
+        trees, by_tree = categorize_trees(k4(), k4_trees(), [0, 2])
+        assert by_tree == [[0], [1]]
 
     def test_stray_terminal_attached(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4)])
         tree = DominatingTree(frozenset({0, 1}), ((0, 1),))
-        trees, t0, t1, tmany = categorize_trees(g, (tree,), [4])
+        trees, by_tree = categorize_trees(g, (tree,), [4])
         assert 4 in trees[0].vertices
         trees[0].validate(g)
-        assert t1 == (0,)
+        assert by_tree == [[0]]
 
 
 class TestSingleTreePhases:
@@ -263,7 +266,9 @@ def run_single_tree(inst, trees):
     """The single-tree case on a whole instance whose terminals lie on trees[0]."""
     views = [_TreeView(t, i) for i, t in enumerate(trees)]
     return _run_single_tree(
-        inst.graph, frozenset(range(inst.graph.n)), inst.terminals, inst.demands, views
+        PartitionState(
+            inst.graph, frozenset(range(inst.graph.n)), inst.terminals, inst.demands, views
+        )
     )
 
 
@@ -330,10 +335,12 @@ class TestSolveSingleTree:
 class TestChooseGroup:
     def test_single_lead_takes_everything(self):
         g = k4()
-        trees, t0, t1, tmany = categorize_trees(g, k4_trees(), [0, 1])
+        trees, by_tree = categorize_trees(g, k4_trees(), [0, 1])
+        views = [_TreeView(t, i) for i, t in enumerate(trees)]
         sets = [{0}, {1}]
-        lead, members, extras = _choose_group(trees, t0, t1, tmany, [0, 1], [2, 2], sets)
+        lead, members, extras, union = _choose_group(views, by_tree, [2, 2], sets)
         assert lead == 0 and members == [0, 1] and extras == [1]
+        assert union == {0, 1, 2, 3}
 
     def test_chosen_groups_are_feasible_in_real_solves(self, monkeypatch):
         # capture every group selection made across a batch of solves and
@@ -343,14 +350,14 @@ class TestChooseGroup:
         captured = []
         original = eng._choose_group
 
-        def wrapped(pool, t0, t1, tmany, terminals, demands, sets):
-            out = original(pool, t0, t1, tmany, terminals, demands, sets)
-            lead, members, extras = out
-            union = set(pool[lead].vertices)
+        def wrapped(views, by_tree, demands, sets):
+            out = original(views, by_tree, demands, sets)
+            lead, members, extras, _ = out
+            union = set(views[lead].vertices)
             for i in members:
                 union |= sets[i]
             for e in extras:
-                union |= pool[e].vertices
+                union |= views[e].vertices
             captured.append((len(union), sum(demands[i] for i in members)))
             return out
 
@@ -363,6 +370,57 @@ class TestChooseGroup:
         assert captured, "no solve reached the group-selection phase"
         for union_size, needed in captured:
             assert union_size >= needed
+
+    @staticmethod
+    def scan_group(views, terminals, demands, sets):
+        """Reference group choice by terminal scans: each lead rescans every
+        terminal, and G' is built from the chosen trees and sets."""
+        counts = [sum(c in tv.vertices for c in terminals) for tv in views]
+        free = deque(ti for ti, c in enumerate(counts) if c == 0)
+        leads = [ti for ti, c in enumerate(counts) if c > 1]
+        leads += [ti for ti, c in enumerate(counts) if c == 1]
+        for lead in leads:
+            members = [i for i, c in enumerate(terminals) if c in views[lead].vertices]
+            extras = [free.popleft() for _ in members[1:]]
+            gprime = set(views[lead].vertices)
+            for i in members:
+                gprime |= sets[i]
+            for e in extras:
+                gprime |= views[e].vertices
+            if len(gprime) >= sum(demands[i] for i in members):
+                return lead, members, extras, gprime
+        return None
+
+    def test_index_and_union_match_the_scans(self, monkeypatch):
+        categorize = eng_module.categorize_trees
+        choose = eng_module._choose_group
+        rounds = []
+        groups = [0]
+
+        def checked_categorize(g, trees, terminals):
+            out, by_tree = categorize(g, trees, terminals)
+            assert by_tree == [
+                [i for i, c in enumerate(terminals) if c in t.vertices] for t in out
+            ]
+            rounds.append(list(terminals))
+            return out, by_tree
+
+        def checked_choose(views, by_tree, demands, sets):
+            got = choose(views, by_tree, demands, sets)
+            assert got == self.scan_group(views, rounds[-1], demands, sets)
+            groups[0] += 1
+            return got
+
+        monkeypatch.setattr(eng_module, "categorize_trees", checked_categorize)
+        monkeypatch.setattr(eng_module, "_choose_group", checked_choose)
+        rng = random.Random(4242)
+        for seed in range(100):
+            k = rng.randint(1, 8)
+            inst, trees = planted(seed, max(2 * k + 2, rng.randint(12, 120)), k)
+            p = solve(inst, trees, family_restart=seed % 2 == 1)
+            assert verify_gl(inst, p).ok
+        # most rounds emit while placing; about one solve in five picks a group
+        assert len(rounds) > 300 and groups[0] >= 15, (len(rounds), groups[0])
 
 
 class TestTrim:
@@ -459,6 +517,47 @@ class TestSolve:
         assert found, "no emission case arose in the sample"
 
 
+@st.composite
+def brute_family_cases(draw):
+    """A connected graph on n <= 10 vertices, the first family of k <= 3
+    disjoint CDSs that `brute_cds` finds (k lowered until one exists), and
+    random terminals and demands."""
+    n = draw(st.integers(2, 10))
+    order = draw(st.permutations(range(n)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+    # each pair is kept when its mark is below the density: 4 gives K_n
+    density = draw(st.integers(0, 4))
+    marks = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    edges |= {pair for pair, mark in zip(pairs, marks) if mark < density}
+    g = Graph(n, sorted(edges))
+    k = draw(st.sampled_from([3, 2, 1]))
+    family = brute_cds(g, k, max_n=10)
+    while family is None:  # k = 1 always has one: the graph is connected
+        k -= 1
+        family = brute_cds(g, k, max_n=10)
+    terminals = draw(st.permutations(range(n)))[:k]
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1)))
+    demands = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    return GLInstance(graph=g, terminals=tuple(terminals), demands=tuple(demands)), family
+
+
+K6 = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+
+
+class TestBruteFamilyProperty:
+    @settings(deadline=None, max_examples=300)
+    @given(brute_family_cases())
+    @example((GLInstance(graph=K6, terminals=(5, 0, 3), demands=(1, 3, 2)),
+              brute_cds(K6, 3)))
+    def test_solve_passes_verify_gl(self, case):
+        inst, family = case
+        trees = build_cds_input(inst.graph, family)
+        for family_restart in (False, True):
+            p = solve(inst, trees, family_restart=family_restart)
+            assert verify_gl(inst, p).ok
+
+
 class TestTreeCount:
     def test_too_few_trees_is_named(self):
         inst, trees = planted(5, 40, 4)
@@ -542,13 +641,14 @@ class TestStateInvariants:
         original = eng_module.categorize_trees
         shrunk = []
 
-        def shrinking(g, pool, terminals):
-            out, t0, t1, tmany = original(g, pool, terminals)
+        def shrinking(g, trees, terminals):
+            out, by_tree = original(g, trees, terminals)
+            t0 = [ti for ti, on in enumerate(by_tree) if not on]
             if not shrunk and t0:
                 victim = max(t0)
                 shrunk.append(victim)
                 out = out[:victim] + (drop_leaf(out[victim]),) + out[victim + 1 :]
-            return out, t0, t1, tmany
+            return out, by_tree
 
         monkeypatch.setattr(eng_module, "categorize_trees", shrinking)
         with pytest.raises(EngineError, match="state-invariant: retire: .* validated vertex"):
@@ -561,7 +661,7 @@ class TestStateInvariants:
         g = Graph(4, [(0, 3), (1, 2), (2, 3)])
         views = [_TreeView(DominatingTree(frozenset({1, 2}), ((1, 2),)), 0)]
         with pytest.raises(EngineError, match="state-invariant: non-tree vertex 0"):
-            _run_single_tree(g, frozenset(range(4)), [1], [4], views)
+            _run_single_tree(PartitionState(g, frozenset(range(4)), [1], [4], views))
 
     def k4_state(self):
         """K4 with its two terminals placed and nothing else."""
