@@ -59,11 +59,11 @@ def cds_interval(m: IntervalModel, k: int) -> CdsFamily:
     if k < 1:
         raise BuilderError("bad-k", f"k={k}")
     g = m.graph
-    decomp = interval_path_decomposition(m)
+    bags = interval_path_decomposition(m)
     s, t = m.n, m.n + 1
     edges = list(g.edges())
-    edges += [(v, s) for v in sorted(decomp.bags[0])]
-    edges += [(v, t) for v in sorted(decomp.bags[-1])]
+    edges += [(v, s) for v in sorted(bags[0])]
+    edges += [(v, t) for v in sorted(bags[-1])]
     aug = Graph(m.n + 2, edges)
     family = vertex_disjoint_paths(aug, s, t, want=k)
     if len(family.paths) < k:

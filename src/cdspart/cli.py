@@ -82,23 +82,31 @@ def build_parser() -> argparse.ArgumentParser:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise formats.FormatError("io", f"cannot read {path}: {exc}") from exc
 
 
 def _cmd_gen(args) -> int:
     klass = args.klass
+    if klass in ("interval", "planted"):
+        if args.n is None:
+            raise formats.FormatError("usage", f"gen --class {klass} needs --n")
+        n = args.n
+    else:
+        if args.na is None or args.nb is None:
+            raise formats.FormatError("usage", f"gen --class {klass} needs --na and --nb")
+        n = args.na + args.nb
+    if n > formats.MAX_VERTICES:  # parse_bundle's header bound, before anything is sized
+        raise formats.FormatError("invariant", f"vertex count {n} exceeds {formats.MAX_VERTICES}")
     comments = []
     if klass == "planted":
-        if args.n is None:
-            raise formats.FormatError("usage", "gen --class planted needs --n")
-        extra = args.extra_edges if args.extra_edges is not None else args.n // 4
-        g, trees = generators.gen_planted_cds(args.n, args.k, extra, args.seed)
+        extra = args.extra_edges if args.extra_edges is not None else n // 4
+        g, trees = generators.gen_planted_cds(n, args.k, extra, args.seed)
         terminals, demands = generators.gen_gl_extension(
             g.n, args.k, seed=args.seed ^ 0x5EED
         )
         comments.append(
-            f"planted instance: n={args.n} k={args.k} extra={extra} seed={args.seed} prng=splitmix64"
+            f"planted instance: n={n} k={args.k} extra={extra} seed={args.seed} prng=splitmix64"
         )
         bundle = formats.InstanceBundle(
             model=g, graph=g, terminals=terminals, demands=demands
@@ -110,15 +118,11 @@ def _cmd_gen(args) -> int:
         print(f"wrote {args.output} and {cds_path}")
         return 0
     if klass == "interval":
-        if args.n is None:
-            raise formats.FormatError("usage", "gen --class interval needs --n")
-        model = generators.gen_interval(args.n, args.k, args.seed)
+        model = generators.gen_interval(n, args.k, args.seed)
         comments.append(
-            f"interval model: n={args.n} target_k={args.k} seed={args.seed} prng=splitmix64"
+            f"interval model: n={n} target_k={args.k} seed={args.seed} prng=splitmix64"
         )
     else:
-        if args.na is None or args.nb is None:
-            raise formats.FormatError("usage", f"gen --class {klass} needs --na and --nb")
         fn = generators.gen_biconvex if klass == "biconvex" else generators.gen_convex
         model = fn(args.na, args.nb, args.k, args.seed)
         comments.append(

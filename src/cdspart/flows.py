@@ -175,14 +175,6 @@ class _SplitNetwork:
         return paths
 
 
-def local_connectivity(g: Graph, s: int, t: int, cap: int | None = None) -> int:
-    """Max number of internally vertex-disjoint s-t paths (direct edge
-    counts), or `cap` if that many exist; the flow stops at `cap`."""
-    if s == t:
-        raise GraphError("identical-endpoints", f"vertex {s}")
-    return _SplitNetwork(g).max_flow(s, t, cap)
-
-
 def vertex_disjoint_paths(g: Graph, s: int, t: int, want: int | None = None) -> PathFamily:
     """min(want, lambda(s,t)) internally vertex-disjoint s-t paths.
 

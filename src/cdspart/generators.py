@@ -185,6 +185,9 @@ def gen_planted_cds(
         for i, chain in enumerate(backbones):
             if v not in members[i]:
                 put(v, chain[rng.randint(0, len(chain) - 1)])
+    free = n * (n - 1) // 2 - len(edges)
+    if extra_edges > free:
+        raise GraphError("generation-failed", f"{extra_edges} extra edges, {free} free vertex pairs")
     added = 0
     while added < extra_edges:
         u = rng.randint(0, n - 1)

@@ -133,30 +133,6 @@ class BiconvexModel(ConvexModel):
                 )
 
 
-@dataclass(frozen=True)
-class PathDecomposition:
-    bags: tuple[VertexSet, ...]
-
-    @property
-    def width(self) -> int:
-        return max(len(b) for b in self.bags) - 1
-
-    def check(self, g: Graph) -> None:
-        """Raise unless all three path-decomposition axioms hold for g."""
-        covered: set[int] = set()
-        for b in self.bags:
-            covered |= b
-        if covered != set(range(g.n)):
-            raise GraphError("bad-decomposition", "bags do not cover all vertices")
-        for u, v in g.edges():
-            if not any(u in b and v in b for b in self.bags):
-                raise GraphError("bad-decomposition", f"edge ({u}, {v}) in no bag")
-        for v in range(g.n):
-            idxs = [i for i, b in enumerate(self.bags) if v in b]
-            if idxs != list(range(idxs[0], idxs[-1] + 1)):
-                raise GraphError("bad-decomposition", f"vertex {v} occurs non-contiguously")
-
-
 def _clique_path(m: IntervalModel) -> list[VertexSet]:
     """Maximal cliques of the interval graph in sweep order.
 
@@ -177,15 +153,15 @@ def _clique_path(m: IntervalModel) -> list[VertexSet]:
     return bags
 
 
-def interval_path_decomposition(m: IntervalModel) -> PathDecomposition:
-    """The clique path of a connected interval model as a path
+def interval_path_decomposition(m: IntervalModel) -> tuple[VertexSet, ...]:
+    """The bags of the clique path of a connected interval model, a path
     decomposition; bags being maximal cliques gives minimum width."""
     if m.n == 0:
         raise GraphError("empty-subset")
     bags = _clique_path(m)
     if any(a.isdisjoint(b) for a, b in zip(bags, bags[1:])):
         raise GraphError("disconnected")
-    return PathDecomposition(bags=tuple(bags))
+    return tuple(bags)
 
 
 def interval_connectivity(m: IntervalModel) -> int:

@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import hypothesis
 
+from cdspart.formats import parse_bundle
 from cdspart.generators import SplitMix64
 from cdspart.graphs import Graph
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 hypothesis.settings.register_profile(
     "ci", deadline=None, derandomize=True, max_examples=60
@@ -26,3 +31,8 @@ def random_graph(seed: int, n: int, m: int, *, connected: bool = False) -> Graph
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return Graph(n, sorted(edges))
+
+
+def fixture_graph(name: str) -> Graph:
+    """The graph of `fixtures/<name>`, parsed as the CLI reads it."""
+    return parse_bundle((FIXTURES / name).read_text(encoding="utf-8")).graph

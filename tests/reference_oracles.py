@@ -1,0 +1,91 @@
+"""Exhaustive oracles the tests check the package against.
+
+`verify_cds_family` re-derives disjointness, connectivity and domination
+of a family that need not cover V.  `brute_min_vertex_cut` and
+`brute_vertex_connectivity` find minimum vertex cuts by enumerating
+subsets, independently of the flow network in `cdspart.flows`, so they
+stay usable only on graphs of a few dozen vertices.  Nothing in `src/`
+imports this module.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Iterable, Sequence
+
+from cdspart.graphs import Graph, GraphError, dominates, is_connected_subset
+from cdspart.verify import VerificationReport, _adj_masks, _as_blocks, _bits, _connected_mask
+
+
+def verify_cds_family(g: Graph, sets: Sequence[Iterable[int]]) -> VerificationReport:
+    """Like verify_cds_partition but the sets need not cover V."""
+    blocks = _as_blocks(sets)
+    v: list[tuple[str, str]] = []
+    seen: set[int] = set()
+    for i, b in enumerate(blocks):
+        if b & seen:
+            v.append(("not-disjoint", f"set {i} overlaps an earlier set"))
+        seen |= b
+        if not b or not is_connected_subset(g, b):
+            v.append(("not-connected", f"set {i}"))
+        if not dominates(g, b):
+            v.append(("not-dominating", f"set {i}"))
+    return VerificationReport(tuple(v))
+
+
+def brute_min_vertex_cut(g: Graph, s: int, t: int, max_n: int = 24) -> int:
+    """Minimum s-t vertex cut by subset enumeration (adjacent-edge convention).
+
+    For adjacent endpoints the direct edge cannot be cut by vertex removal,
+    so it contributes 1 plus the cut of the graph without that edge.
+    """
+    if g.n > max_n:
+        raise GraphError("too-large-for-oracle", f"n={g.n} > {max_n}")
+    if s == t:
+        raise GraphError("identical-endpoints")
+    if g.has_edge(s, t):
+        stripped = Graph(g.n, [e for e in g.edges() if set(e) != {s, t}])
+        return 1 + brute_min_vertex_cut(stripped, s, t, max_n)
+    adj = _adj_masks(g)
+    others = [v for v in range(g.n) if v != s and v != t]
+
+    def separated(removed_mask: int) -> bool:
+        comp = 1 << s
+        allowed = ((1 << g.n) - 1) & ~removed_mask
+        while True:
+            grow = comp
+            for v in _bits(comp):
+                grow |= adj[v] & allowed
+            if grow == comp:
+                return not (comp >> t) & 1
+            comp = grow
+
+    for size in range(len(others) + 1):
+        for cut in combinations(others, size):
+            mask = 0
+            for v in cut:
+                mask |= 1 << v
+            if separated(mask):
+                return size
+    return len(others)
+
+
+def brute_vertex_connectivity(g: Graph, max_n: int = 20) -> int:
+    """kappa by enumerating separators; n - 1 for complete graphs."""
+    if g.n > max_n:
+        raise GraphError("too-large-for-oracle", f"n={g.n} > {max_n}")
+    if g.n < 2:
+        raise GraphError("degenerate-graph")
+    if g.is_complete():
+        return g.n - 1
+    adj = _adj_masks(g)
+    full = (1 << g.n) - 1
+    for size in range(g.n - 1):
+        for cut in combinations(range(g.n), size):
+            mask = 0
+            for v in cut:
+                mask |= 1 << v
+            rest = full & ~mask
+            if rest and not _connected_mask(adj, rest):
+                return size
+    return g.n - 1

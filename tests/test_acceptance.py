@@ -28,15 +28,10 @@ from cdspart.generators import (
 )
 from cdspart.graphs import is_k_connected, vertex_connectivity
 from cdspart.models import interval_connectivity
-from cdspart.verify import (
-    brute_cds,
-    brute_gl,
-    brute_min_vertex_cut,
-    verify_cds_partition,
-    verify_gl,
-)
+from cdspart.verify import brute_cds, brute_gl, verify_cds_partition, verify_gl
 
 from conftest import random_graph
+from reference_oracles import brute_min_vertex_cut
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

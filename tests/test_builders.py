@@ -15,7 +15,9 @@ from cdspart.builders import (
 from cdspart.generators import gen_biconvex, gen_convex, gen_interval, gen_planted_cds
 from cdspart.graphs import Graph, dominates, is_connected_subset, vertex_connectivity
 from cdspart.models import BiconvexModel, ConvexModel, IntervalModel, interval_connectivity
-from cdspart.verify import verify_cds_family, verify_cds_partition
+from cdspart.verify import verify_cds_partition
+
+from reference_oracles import verify_cds_family
 
 
 def complete_interval(n):

@@ -85,6 +85,22 @@ class TestErrorPaths:
         assert code == 2
         assert out.startswith("ERROR io")
 
+    def test_non_utf8_model_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.gl"
+        bad.write_bytes(b"p gl 2 1\ne 1 \xff\n")
+        code, out = run(capsys, "connectivity", str(bad))
+        assert code == 2
+        assert out.startswith(f"ERROR io cannot read {bad}: 'utf-8' codec can't decode")
+
+    def test_non_utf8_set_file_exit_2(self, tmp_path, capsys):
+        gl = tmp_path / "g.gl"
+        gl.write_text("p gl 2 1\ne 1 2\n")
+        sets = tmp_path / "bad.cds"
+        sets.write_bytes(b"c 1\ns 1 1 \xff\n")
+        code, out = run(capsys, "verify", "--what", "cds", str(gl), str(sets))
+        assert code == 2
+        assert out.startswith(f"ERROR io cannot read {sets}: 'utf-8' codec can't decode")
+
     def test_verify_failure_exit_1(self, tmp_path, capsys):
         gl = tmp_path / "g.gl"
         gl.write_text("p gl 3 2\ne 1 2\ne 2 3\nk 1\nt 1 3\n")
@@ -253,6 +269,51 @@ class TestGen:
         assert main(["gen", "--class", klass, *sizes, "--k", "3", "--seed", "2",
                      "-o", str(tmp_path / "m.txt")]) == 0
         assert derived == []
+
+
+    @pytest.mark.parametrize("klass,sizes", [
+        ("planted", ["--n", "1048577"]),
+        ("interval", ["--n", "1048577"]),
+        ("convex", ["--na", "1048576", "--nb", "1"]),
+        ("biconvex", ["--na", "1", "--nb", "1048576"]),
+    ])
+    def test_gen_over_the_vertex_cap_exit_2(self, tmp_path, capsys, monkeypatch, klass, sizes):
+        # the parser's header bound, checked before any generator runs
+        import cdspart.generators as generators
+
+        for name in ("gen_planted_cds", "gen_interval", "gen_biconvex", "gen_convex"):
+            monkeypatch.setattr(generators, name, None)
+        out_file = tmp_path / "m.txt"
+        code, out = run(capsys, "gen", "--class", klass, *sizes, "--k", "2",
+                        "--seed", "1", "-o", str(out_file))
+        assert (code, out) == (
+            2, "ERROR invariant invariant violated: vertex count 1048577 exceeds 1048576\n"
+        )
+        assert not out_file.exists()
+
+    def test_planted_extra_edges_up_to_the_free_pairs(self, tmp_path, capsys):
+        # n = 10 has 45 vertex pairs; the backbones and their domination
+        # edges take some, and --extra-edges may ask for the rest, no more
+        def gen(extra):
+            out_file = tmp_path / f"x{extra}.gl"
+            code, out = run(capsys, "gen", "--class", "planted", "--n", "10", "--k", "2",
+                            "--seed", "1", "--extra-edges", str(extra), "-o", str(out_file))
+            return code, out, out_file
+
+        code, _, base = gen(0)
+        assert code == 0
+        free = 45 - int(base.read_text().split("p gl 10 ")[1].split()[0])
+        code, _, full = gen(free)
+        assert code == 0 and "p gl 10 45\n" in full.read_text()
+        code, out, over = gen(free + 1)
+        assert code == 2
+        assert out == (
+            f"ERROR generation-failed generation-failed: {free + 1} extra edges, "
+            f"{free} free vertex pairs\n"
+        )
+        assert not over.exists()
+        code, out, _ = gen(1000)
+        assert code == 2 and out.startswith("ERROR generation-failed")
 
 
 class TestCds:

@@ -6,7 +6,6 @@ from cdspart.flows import (
     PathFamily,
     _SplitNetwork,
     check_path,
-    local_connectivity,
     make_induced,
     vertex_disjoint_paths,
 )
@@ -18,9 +17,9 @@ from cdspart.graphs import (
     is_k_connected,
     vertex_connectivity,
 )
-from cdspart.verify import brute_min_vertex_cut, counterexample_convex
 
-from conftest import random_graph
+from conftest import fixture_graph, random_graph
+from reference_oracles import brute_min_vertex_cut
 
 
 def k_complete(n):
@@ -38,7 +37,7 @@ class TestVertexDisjointPaths:
         assert fam.paths == ((0, 1, 2),)
 
     def test_convex_fixture_two_paths(self):
-        g = counterexample_convex()
+        g = fixture_graph("fig1-convex.gl")
         cut = brute_min_vertex_cut(g, 0, 4)
         assert cut == 2
         fam = vertex_disjoint_paths(g, 0, 4, want=2)
@@ -56,22 +55,22 @@ class TestVertexDisjointPaths:
         s, t = 0, n - 1
         fam = vertex_disjoint_paths(g, s, t)
         fam.validate(g)
-        assert len(fam.paths) == local_connectivity(g, s, t)
+        assert len(fam.paths) == _SplitNetwork(g).max_flow(s, t, None)
         assert len(fam.paths) == brute_min_vertex_cut(g, s, t)
 
 
 class TestLocalConnectivity:
     def test_complete(self):
         g = k_complete(5)
-        assert local_connectivity(g, 0, 4) == 4
+        assert _SplitNetwork(g).max_flow(0, 4, None) == 4
 
     def test_star(self):
         star = Graph(5, [(0, i) for i in range(1, 5)])
-        assert local_connectivity(star, 0, 3) == 1
+        assert _SplitNetwork(star).max_flow(0, 3, None) == 1
 
     def test_adjacent_edge_counts(self):
         g = Graph(2, [(0, 1)])
-        assert local_connectivity(g, 0, 1) == 1
+        assert _SplitNetwork(g).max_flow(0, 1, None) == 1
 
 
 class TestMakeInduced:
@@ -151,9 +150,10 @@ class TestAgainstReferenceFlows:
         for k in range(1, 6):
             assert is_k_connected(g, k) == (ref.connectivity_capped(g, k) >= k)
         for s, t in query_pairs(g, g.n + g.m):
-            assert local_connectivity(g, s, t) == ref.local_connectivity(g, s, t)
+            assert _SplitNetwork(g).max_flow(s, t, None) == ref.local_connectivity(g, s, t)
             for cap in (1, 2, 3):
-                assert local_connectivity(g, s, t, cap) == ref.local_connectivity(g, s, t, cap)
+                want = ref.local_connectivity(g, s, t, cap)
+                assert _SplitNetwork(g).max_flow(s, t, cap) == want
             assert vertex_disjoint_paths(g, s, t).paths == ref.disjoint_paths(g, s, t)
             assert vertex_disjoint_paths(g, s, t, want=2).paths == ref.disjoint_paths(g, s, t, 2)
 

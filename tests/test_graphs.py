@@ -16,13 +16,9 @@ from cdspart.graphs import (
     vertex_connectivity,
 )
 from cdspart.generators import gen_planted_cds
-from cdspart.verify import (
-    brute_vertex_connectivity,
-    counterexample_chordal,
-    counterexample_convex,
-)
 
-from conftest import random_graph
+from conftest import fixture_graph, random_graph
+from reference_oracles import brute_vertex_connectivity
 
 
 def k_complete(n):
@@ -128,7 +124,7 @@ class TestConnectedSubset:
         assert not is_connected_subset(path_graph(3), {0, 2})
 
     def test_chordal_fixture_def(self):
-        g = counterexample_chordal()
+        g = fixture_graph("fig1-chordal.gl")
         # D, E, F = 3, 4, 5 form a triangle in the fixture
         assert g.has_edge(3, 4) and g.has_edge(3, 5) and g.has_edge(4, 5)
         assert is_connected_subset(g, {3, 4, 5})
@@ -183,7 +179,7 @@ class TestDominates:
         assert not dominates(path_graph(5), {0})
 
     def test_chordal_fixture_bde(self):
-        g = counterexample_chordal()
+        g = fixture_graph("fig1-chordal.gl")
         s = {1, 3, 4}  # B, D, E
         # independent check: every vertex outside s has a neighbor in s
         expected = all(v in s or bool(g.neighbor_set(v) & s) for v in range(6))
@@ -291,8 +287,8 @@ class TestVertexConnectivity:
         assert vertex_connectivity(cycle_graph(6)) == 2
 
     def test_fixture_connectivities(self):
-        assert vertex_connectivity(counterexample_chordal()) == 2
-        assert vertex_connectivity(counterexample_convex()) == 2
+        assert vertex_connectivity(fixture_graph("fig1-chordal.gl")) == 2
+        assert vertex_connectivity(fixture_graph("fig1-convex.gl")) == 2
 
     def test_degenerate(self):
         with pytest.raises(GraphError, match="degenerate-graph"):

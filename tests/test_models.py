@@ -2,12 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdspart.graphs import GraphError, vertex_connectivity
+from cdspart.graphs import Graph, GraphError, vertex_connectivity
 from cdspart.models import (
     BiconvexModel,
     ConvexModel,
     IntervalModel,
-    PathDecomposition,
     interval_connectivity,
     interval_path_decomposition,
 )
@@ -37,18 +36,34 @@ class TestIntervalModel:
         assert g.has_edge(0, 1) and not g.has_edge(0, 2) and not g.has_edge(1, 2)
 
 
+def check_path_decomposition(g, bags):
+    """Raise unless all three path-decomposition axioms hold for g."""
+    covered: set[int] = set()
+    for b in bags:
+        covered |= b
+    if covered != set(range(g.n)):
+        raise GraphError("bad-decomposition", "bags do not cover all vertices")
+    for u, v in g.edges():
+        if not any(u in b and v in b for b in bags):
+            raise GraphError("bad-decomposition", f"edge ({u}, {v}) in no bag")
+    for v in range(g.n):
+        idxs = [i for i, b in enumerate(bags) if v in b]
+        if idxs != list(range(idxs[0], idxs[-1] + 1)):
+            raise GraphError("bad-decomposition", f"vertex {v} occurs non-contiguously")
+
+
 class TestIntervalDecomposition:
     def test_identical_intervals_single_bag(self):
         m = IntervalModel(lefts=(1,) * 5, rights=(4,) * 5)
-        d = interval_path_decomposition(m)
-        assert d.bags == (frozenset(range(5)),)
-        assert d.width == 4
+        bags = interval_path_decomposition(m)
+        assert bags == (frozenset(range(5)),)
+        assert max(map(len, bags)) - 1 == 4
 
     def test_three_step_chain(self):
         m = IntervalModel(lefts=(1, 2, 3), rights=(2, 3, 4))
-        d = interval_path_decomposition(m)
-        assert d.bags == (frozenset({0, 1}), frozenset({1, 2}))
-        assert d.width == 1
+        bags = interval_path_decomposition(m)
+        assert bags == (frozenset({0, 1}), frozenset({1, 2}))
+        assert max(map(len, bags)) - 1 == 1
 
     def test_disconnected_error(self):
         m = IntervalModel(lefts=(1, 10), rights=(2, 11))
@@ -81,20 +96,20 @@ class TestIntervalDecomposition:
         m = random_interval_model(seed, n, hi_len=8)
         g = m.derive_graph()
         try:
-            d = interval_path_decomposition(m)
+            bags = interval_path_decomposition(m)
         except GraphError:
             return  # disconnected sample
-        d.check(g)
+        check_path_decomposition(g, bags)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_bags_are_cliques(self, seed):
         m = random_interval_model(seed, 12)
         g = m.derive_graph()
         try:
-            d = interval_path_decomposition(m)
+            bags = interval_path_decomposition(m)
         except GraphError:
             return
-        for bag in d.bags:
+        for bag in bags:
             vs = sorted(bag)
             for i in range(len(vs)):
                 for j in range(i + 1, len(vs)):
@@ -179,19 +194,13 @@ class TestConvexModels:
 
 class TestPathDecompositionChecker:
     def test_rejects_missing_edge(self):
-        from cdspart.graphs import Graph
-
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        d = PathDecomposition(bags=(frozenset({0, 1}), frozenset({1, 2})))
+        bags = (frozenset({0, 1}), frozenset({1, 2}))
         with pytest.raises(GraphError, match="bad-decomposition"):
-            d.check(g)
+            check_path_decomposition(g, bags)
 
     def test_rejects_gap_occurrence(self):
-        from cdspart.graphs import Graph
-
         g = Graph(3, [(0, 1), (1, 2)])
-        d = PathDecomposition(
-            bags=(frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1}))
-        )
+        bags = (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1}))
         with pytest.raises(GraphError, match="bad-decomposition"):
-            d.check(g)
+            check_path_decomposition(g, bags)

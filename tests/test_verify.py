@@ -3,16 +3,10 @@ import pytest
 from cdspart.engine import GLInstance
 from cdspart.generators import gen_planted_cds
 from cdspart.graphs import Graph, GraphError
-from cdspart.verify import (
-    brute_cds,
-    brute_gl,
-    brute_min_vertex_cut,
-    counterexample_chordal,
-    counterexample_convex,
-    verify_cds_family,
-    verify_cds_partition,
-    verify_gl,
-)
+from cdspart.verify import brute_cds, brute_gl, verify_cds_partition, verify_gl
+
+from conftest import fixture_graph
+from reference_oracles import brute_min_vertex_cut, verify_cds_family
 
 
 def k4():
@@ -148,13 +142,13 @@ class TestBruteCds:
         assert brute_cds(k4(), 2) == (frozenset({0}), frozenset({1}))
 
     def test_figure_negatives(self):
-        assert brute_cds(counterexample_chordal(), 2) is None
-        assert brute_cds(counterexample_convex(), 2) is None
+        assert brute_cds(fixture_graph("fig1-chordal.gl"), 2) is None
+        assert brute_cds(fixture_graph("fig1-convex.gl"), 2) is None
 
     def test_figure_positives_at_k1(self):
-        fam = brute_cds(counterexample_chordal(), 1)
+        fam = brute_cds(fixture_graph("fig1-chordal.gl"), 1)
         assert fam is not None
-        assert verify_cds_family(counterexample_chordal(), fam).ok
+        assert verify_cds_family(fixture_graph("fig1-chordal.gl"), fam).ok
 
     def test_outputs_verify(self):
         for seed in range(6):
