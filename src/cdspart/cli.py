@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CDS file; see `cdspart cds` / `cdspart oracle --what cds`")
     s.add_argument("-o", "--output", required=True)
     s.add_argument("--trace", default=None)
-    s.add_argument("--family-restart", action="store_true",
-                   help="emit whole full-set families, not just single sets")
 
     v = sub.add_parser("verify", help="verify a partition or CDS partition")
     v.add_argument("--what", required=True, choices=["gl", "cds"])
@@ -167,9 +165,7 @@ def _cmd_partition(args) -> int:
     trees = formats.build_cds_input(bundle.graph, sets)
     trace = [] if args.trace else None
     started = time.perf_counter()
-    partition = engine.solve(
-        instance, trees, family_restart=args.family_restart, trace=trace
-    )
+    partition = engine.solve(instance, trees, trace=trace)
     elapsed = time.perf_counter() - started
     Path(args.output).write_text(formats.write_partition(partition.blocks), encoding="utf-8")
     if args.trace:

@@ -14,10 +14,12 @@ and works in two layers:
   satisfy a group of demands, the single-tree case runs on the union, and
   the driver goes on with the remaining vertices, terminals and trees.
 
-Whenever a set reaches its demand while intersecting exactly one tree, the
-block is emitted, its tree retired, and the remainder is a strictly
-smaller instance of the same problem.  All arbitrary choices resolve to
-the lowest vertex id / lowest index, so runs are reproducible.
+Emission has one rule: whenever a set reaches its demand while
+intersecting exactly one tree, the block is emitted, its tree retired, and
+the remainder is a strictly smaller instance of the same problem.  A set
+that fills while touching several trees is not emitted then.  All
+arbitrary choices resolve to the lowest vertex id / lowest index, so runs
+are reproducible.
 """
 
 from __future__ import annotations
@@ -159,11 +161,12 @@ class _TreeView:
 
 
 class _Emit(Exception):
-    """Internal signal: full set(s) intersecting exactly as many trees."""
+    """Internal signal: set `set_index` filled while touching only tree
+    `tree_index`."""
 
-    def __init__(self, set_indices: list[int], tree_indices: list[int]):
-        self.set_indices = set_indices
-        self.tree_indices = tree_indices
+    def __init__(self, set_index: int, tree_index: int):
+        self.set_index = set_index
+        self.tree_index = tree_index
 
 
 class PartitionState:
@@ -183,7 +186,6 @@ class PartitionState:
         trees: Sequence[_TreeView],
         *,
         set_labels: Sequence[int] | None = None,
-        family_restart: bool = False,
         trace: list[TraceEvent] | None = None,
     ):
         self.graph = graph
@@ -193,7 +195,6 @@ class PartitionState:
         self.trees = list(trees)
         self.k = len(self.terminals)
         self.set_labels = list(set_labels) if set_labels is not None else list(range(self.k))
-        self.family_restart = family_restart
         self.trace = trace
         self.tree_of: dict[int, int] = {}
         for ti, tv in enumerate(self.trees):
@@ -250,7 +251,11 @@ class PartitionState:
             self.trace.append(("place", v, self.set_labels[i]))
         if len(self.sets[i]) == self.demands[i]:
             self.full[i] = True
-            self._emission_check(i)
+            if len(self.hit_count[i]) == 1:
+                (only,) = self.hit_count[i]
+                if self.trace is not None:
+                    self.trace.append(("emit", self.set_labels[i], self.trees[only].label))
+                raise _Emit(i, only)
 
     def remove(self, v: int, i: int, *, _quiet: bool = False) -> None:
         if self.placed.get(v) != i:
@@ -343,25 +348,6 @@ class PartitionState:
             self.hit_count[i].get(ti, 0) == self.trees[ti].size
             for ti in range(1, len(self.trees))
         )
-
-    def _emission_check(self, i: int) -> None:
-        hits = list(self.hit_count[i])
-        if len(hits) == 1:
-            if self.trace is not None:
-                self.trace.append(("emit", self.set_labels[i], self.trees[hits[0]].label))
-            raise _Emit([i], hits)
-        if self.family_restart:
-            fulls = [j for j in range(self.k) if self.full[j]]
-            for mask in sorted(range(1, 1 << len(fulls)), key=lambda m: (m.bit_count(), m)):
-                group = [fulls[j] for j in range(len(fulls)) if mask >> j & 1]
-                union: set[int] = set()
-                for j in group:
-                    union.update(self.hit_count[j])
-                if len(union) == len(group):
-                    if self.trace is not None:
-                        for j in group:
-                            self.trace.append(("emit", self.set_labels[j], -1))
-                    raise _Emit(group, sorted(union))
 
     # -- invariant suite ---------------------------------------------------
 
@@ -604,7 +590,7 @@ def _run_single_tree(state: PartitionState) -> tuple[list[tuple[int, VertexSet]]
 
     Returns the finished (set index, block) pairs and the indices of the
     trees they use up: every set and tree when the run completes, else the
-    blocks of the first emission.
+    one block and tree of the first emission.
     """
     try:
         _place(state)
@@ -613,7 +599,7 @@ def _run_single_tree(state: PartitionState) -> tuple[list[tuple[int, VertexSet]]
         add_vertices(state)
         state.checkpoint("add-vertices")
     except _Emit as e:
-        return [(i, frozenset(state.sets[i])) for i in e.set_indices], e.tree_indices
+        return [(e.set_index, frozenset(state.sets[e.set_index]))], [e.tree_index]
     if not all(state.full):
         raise EngineError("state-invariant", "a set is short of its demand after add-vertices")
     return [(i, frozenset(s)) for i, s in enumerate(state.sets)], list(range(len(state.trees)))
@@ -701,18 +687,17 @@ def solve(
     instance: GLInstance,
     trees: Sequence[DominatingTree],
     *,
-    family_restart: bool = False,
     trace: list[TraceEvent] | None = None,
 ) -> GlPartition:
     """Full pipeline: k disjoint dominating trees to a complete partition.
 
     This is the only solve entry point.  Each round normalizes terminals
     onto trees, then places them and spreads the terminal-bearing trees
-    (emitting any set that fills while touching a single tree), picks a
-    tree group able to cover its terminals' demands, runs the single-tree
-    case on the group's union (inflating the first demand to absorb slack,
-    trimmed off afterwards), retires the finished blocks and their trees
-    and goes on with what is left.
+    (emitting a set that fills while touching a single tree, the one
+    emission rule), picks a tree group able to cover its terminals'
+    demands, runs the single-tree case on the group's union (inflating the
+    first demand to absorb slack, trimmed off afterwards), retires the
+    finished blocks and their trees and goes on with what is left.
 
     Tree count: `trees` must hold at least `instance.k` trees, else
     EngineError("too-few-trees") is raised before any work.  All trees
@@ -775,17 +760,12 @@ def solve(
             demands,
             views,
             set_labels=[r.orig for r in work],
-            family_restart=family_restart,
             trace=trace,
         )
         try:
             _place(state)
         except _Emit as e:
-            retire(
-                e.set_indices,
-                [frozenset(state.sets[i]) for i in e.set_indices],
-                e.tree_indices,
-            )
+            retire([e.set_index], [frozenset(state.sets[e.set_index])], [e.tree_index])
             continue
         lead, member_idxs, extras, gprime = _choose_group(views, by_tree, demands, state.sets)
         sub_demands = [demands[i] for i in member_idxs]
@@ -802,7 +782,6 @@ def solve(
                 sub_demands,
                 [views[p] for p in sub_tree_positions],
                 set_labels=[work[i].orig for i in member_idxs],
-                family_restart=family_restart,
                 trace=trace,
             )
         )

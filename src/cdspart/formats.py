@@ -385,5 +385,5 @@ def write_trace(events: Sequence[TraceEvent]) -> str:
             lines.append(f"STEAL {v + 1} {frm + 1} {to + 1}")
         elif ev[0] == "emit":
             _, label, tree = ev
-            lines.append(f"EMIT {label + 1} {'-' if tree < 0 else tree + 1}")
+            lines.append(f"EMIT {label + 1} {tree + 1}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -56,8 +56,8 @@ DEFAULT_RETRIES = 200
 def gen_interval(n: int, target_k: int, seed: int) -> IntervalModel:
     """Random integer intervals, resampled until the derived graph is
     connected with connectivity at least target_k."""
-    if n < target_k + 1:
-        raise GraphError("generation-failed", f"need n >= target_k + 1, got {n}, {target_k}")
+    if not 1 <= target_k < n:
+        raise GraphError("generation-failed", f"need 1 <= k < n, got n={n}, k={target_k}")
     rng = SplitMix64(seed)
     span = 2 * n
     lo_len = 2 * target_k + 1
@@ -101,6 +101,8 @@ def _staircase_windows(
 def gen_biconvex(na: int, nb: int, target_k: int, seed: int) -> BiconvexModel:
     """Monotone-staircase windows (biconvex by construction), resampled
     until connectivity reaches target_k."""
+    if target_k < 1:
+        raise GraphError("generation-failed", f"need k >= 1, got k={target_k}")
     width = min(na, max(target_k + 2, na - nb + 2 * target_k - 1))
     if na < 2 or nb < 2 or nb < na - width + 2 * target_k - 1:
         raise GraphError("generation-failed", f"sizes too small: na={na}, nb={nb}")
@@ -128,6 +130,8 @@ def gen_convex(na: int, nb: int, target_k: int, seed: int) -> ConvexModel:
     certificate against flow-based connectivity on small sizes).
     Callers building k CDSs pass target_k = 4k.
     """
+    if target_k < 1:
+        raise GraphError("generation-failed", f"need k >= 1, got k={target_k}")
     if na < max(2, target_k) or nb < 1:
         raise GraphError("generation-failed", f"sizes too small: na={na}, nb={nb}")
     rng = SplitMix64(seed)
@@ -186,7 +190,7 @@ def gen_planted_cds(
             if v not in members[i]:
                 put(v, chain[rng.randint(0, len(chain) - 1)])
     free = n * (n - 1) // 2 - len(edges)
-    if extra_edges > free:
+    if not 0 <= extra_edges <= free:
         raise GraphError("generation-failed", f"{extra_edges} extra edges, {free} free vertex pairs")
     added = 0
     while added < extra_edges:
@@ -207,22 +211,16 @@ def gen_planted_cds(
     return g, trees
 
 
-def gen_gl_extension(
-    n: int, k: int, seed: int, within: list[int] | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def gen_gl_extension(n: int, k: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """k distinct terminals plus a random composition of n into k parts.
 
-    Terminals are drawn uniformly (from `within` when given); demands come
-    from k-1 distinct cut points of [1, n), so every part is positive.
+    Terminals are drawn uniformly; demands come from k-1 distinct cut
+    points of [1, n), so every part is positive.
     """
     if not 1 <= k <= n:
         raise GraphError("generation-failed", f"need 1 <= k <= n, got k={k}, n={n}")
     rng = SplitMix64(seed)
-    pool = sorted(within) if within is not None else list(range(n))
-    if len(pool) < k:
-        raise GraphError("generation-failed", "terminal pool smaller than k")
-    idx = rng.sample_distinct(len(pool), k)
-    terminals = tuple(pool[i] for i in idx)
+    terminals = tuple(rng.sample_distinct(n, k))
     cuts = sorted(x + 1 for x in rng.sample_distinct(n - 1, k - 1))
     bounds = [0] + cuts + [n]
     demands = tuple(bounds[i + 1] - bounds[i] for i in range(k))

@@ -135,6 +135,14 @@ class TestErrorPaths:
         assert code == 2
         assert out.startswith("ERROR too-few-trees")
 
+    def test_partition_takes_no_emission_switch(self, capsys):
+        # one emission rule: partition's options are its files and the trace
+        assert main(["partition", "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert " ".join(usage.split()) == (
+            "usage: cdspart partition [-h] --cds CDS -o OUTPUT [--trace TRACE] input"
+        )
+
     @pytest.mark.parametrize(
         "code", ["state-invariant", "under-monotonicity", "no-progress", "no-qualifying-group"]
     )
@@ -314,6 +322,29 @@ class TestGen:
         assert not over.exists()
         code, out, _ = gen(1000)
         assert code == 2 and out.startswith("ERROR generation-failed")
+        code, out, negative = gen(-1)
+        assert (code, out) == (
+            2, f"ERROR generation-failed generation-failed: -1 extra edges, {free} free vertex pairs\n"
+        )
+        assert not negative.exists()
+
+    @pytest.mark.parametrize("klass,sizes", [
+        ("planted", ["--n", "10"]),
+        ("interval", ["--n", "10"]),
+        ("biconvex", ["--na", "3", "--nb", "3"]),
+        ("convex", ["--na", "3", "--nb", "3"]),
+    ])
+    def test_gen_k_below_one_exit_2(self, tmp_path, capsys, monkeypatch, klass, sizes):
+        # each class generator rejects k itself, before any terminals are drawn
+        import cdspart.generators as generators
+
+        monkeypatch.setattr(generators, "gen_gl_extension", None)
+        out_file = tmp_path / "m.txt"
+        code, out = run(capsys, "gen", "--class", klass, *sizes, "--k", "0",
+                        "--seed", "1", "-o", str(out_file))
+        assert code == 2
+        assert out.startswith("ERROR generation-failed generation-failed: need ") and "k=0" in out
+        assert not out_file.exists()
 
 
 class TestCds:

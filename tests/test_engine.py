@@ -30,7 +30,7 @@ from cdspart.engine import (
     validate_cds_input,
 )
 from cdspart.formats import build_cds_input
-from cdspart.generators import gen_gl_extension, gen_planted_cds
+from cdspart.generators import SplitMix64, gen_gl_extension, gen_planted_cds
 from cdspart.graphs import (
     DominatingTree,
     Graph,
@@ -61,8 +61,15 @@ def planted(seed, n, k, *, on_trees=False):
         if not on_trees or len(trees[0].vertices) >= k:
             break
         s += 1009  # first backbone too small to host all terminals; reseed
-    within = sorted(trees[0].vertices) if on_trees else None
-    terminals, demands = gen_gl_extension(g.n, k, seed=s ^ 0x9A7, within=within)
+    if on_trees:
+        # gen_gl_extension's draws, with the terminals taken from tree 0
+        rng = SplitMix64(s ^ 0x9A7)
+        pool = sorted(trees[0].vertices)
+        terminals = tuple(pool[i] for i in rng.sample_distinct(len(pool), k))
+        cuts = sorted(x + 1 for x in rng.sample_distinct(g.n - 1, k - 1))
+        demands = tuple(b - a for a, b in zip([0, *cuts], [*cuts, g.n]))
+    else:
+        terminals, demands = gen_gl_extension(g.n, k, seed=s ^ 0x9A7)
     return GLInstance(graph=g, terminals=terminals, demands=demands), trees
 
 
@@ -417,7 +424,7 @@ class TestChooseGroup:
         for seed in range(100):
             k = rng.randint(1, 8)
             inst, trees = planted(seed, max(2 * k + 2, rng.randint(12, 120)), k)
-            p = solve(inst, trees, family_restart=seed % 2 == 1)
+            p = solve(inst, trees)
             assert verify_gl(inst, p).ok
         # most rounds emit while placing; about one solve in five picks a group
         assert len(rounds) > 300 and groups[0] >= 15, (len(rounds), groups[0])
@@ -445,13 +452,6 @@ class TestSolve:
         n = max(2 * k + 2, 12 + (seed * 5) % 60)
         inst, trees = planted(seed, n, k)
         p = solve(inst, trees)
-        assert verify_gl(inst, p).ok
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_family_restart_variant_verifies(self, seed):
-        k = 2 + seed % 4
-        inst, trees = planted(seed, 30, k)
-        p = solve(inst, trees, family_restart=True)
         assert verify_gl(inst, p).ok
 
     @pytest.mark.parametrize("seed", range(15))
@@ -484,8 +484,6 @@ class TestSolve:
     @pytest.mark.parametrize("seed,n,k", [(91, 29, 5), (613, 35, 4), (835, 38, 6)])
     def test_vertex_stealing_paths(self, seed, n, k):
         # seeds known to force assigned/placed vertices to change sets
-        from cdspart.generators import SplitMix64
-
         rng = SplitMix64(seed * 131 + 3)
         k_chk = 2 + rng.randint(0, 4)
         n_chk = max(2 * k_chk + 2, rng.randint(10, 100))
@@ -553,9 +551,8 @@ class TestBruteFamilyProperty:
     def test_solve_passes_verify_gl(self, case):
         inst, family = case
         trees = build_cds_input(inst.graph, family)
-        for family_restart in (False, True):
-            p = solve(inst, trees, family_restart=family_restart)
-            assert verify_gl(inst, p).ok
+        p = solve(inst, trees)
+        assert verify_gl(inst, p).ok
 
 
 class TestTreeCount:
@@ -575,25 +572,24 @@ class TestTreeCount:
         assert p == solve(inst, trees[:k])
 
 
-class TestFamilyRestart:
-    def test_detector_emits_tight_family(self):
-        # two sets that each straddle both trees fill up; neither triggers
-        # the single-tree rule, but together they hit exactly two trees
-        from cdspart.engine import _Emit
+class TestEmissionRule:
+    """A set emits when it fills while touching exactly one tree, and only then."""
 
-        g = k4()
+    def test_set_filling_on_one_tree_emits(self):
+        trace = []
         views = [_TreeView(t, i) for i, t in enumerate(k4_trees())]
         state = PartitionState(
-            g, frozenset(range(4)), [0, 1], [2, 2], views, family_restart=True
+            k4(), frozenset(range(4)), [0, 2], [2, 2], views, set_labels=[5, 7], trace=trace
         )
         state.place_terminals()
-        state.add(2, 0, parent=0)  # set 0 = {0, 2}: hits trees 0 and 1
-        with pytest.raises(_Emit) as exc:
-            state.add(3, 1, parent=1)  # set 1 = {1, 3}: same, family closes
-        assert exc.value.set_indices == [0, 1]
-        assert exc.value.tree_indices == [0, 1]
+        with pytest.raises(eng_module._Emit) as exc:
+            state.add(1, 0, parent=0)  # set 0 = {0, 1}: all of tree 0
+        assert (exc.value.set_index, exc.value.tree_index) == (0, 0)
+        assert trace[-1] == ("emit", 5, 0)
 
-    def test_without_flag_no_family_emission(self):
+    def test_tight_family_does_not_emit(self):
+        # two sets that each straddle both trees fill up: together they hit
+        # exactly two trees, but neither touches a single tree
         g = k4()
         views = [_TreeView(t, i) for i, t in enumerate(k4_trees())]
         state = PartitionState(g, frozenset(range(4)), [0, 1], [2, 2], views)
@@ -845,11 +841,11 @@ class TestGrowthFrontier:
                 checked[0] += 1
 
         monkeypatch.setattr(eng_module, "_grow_from_tree", checked_grow)
-        for (n, k, extra, seed), family_restart in instances:
+        for n, k, extra, seed in instances:
             g, trees = gen_planted_cds(n, k, extra, seed)
             terminals, demands = gen_gl_extension(n, k, seed=seed ^ 0xF00D)
             inst = GLInstance(graph=g, terminals=terminals, demands=demands)
-            p = solve(inst, trees, family_restart=family_restart)
+            p = solve(inst, trees)
             assert verify_gl(inst, p).ok
         return checked[0]
 
@@ -897,7 +893,7 @@ class TestGrowthFrontier:
 
     @pytest.mark.parametrize("params", [(44, 21, 13, 553), (60, 29, 4, 110), (142, 19, 18, 18)])
     def test_merged_path_instances(self, monkeypatch, params):
-        assert self.checked_solves(monkeypatch, [(params, False), (params, True)]) > 0
+        assert self.checked_solves(monkeypatch, [params]) > 0
 
     def test_seeded_corpus(self, monkeypatch):
         rng = random.Random(606)
@@ -906,7 +902,7 @@ class TestGrowthFrontier:
             # half with many sets, half with few large ones (long growth runs)
             n = rng.randint(20, 300) if i % 2 else rng.randint(200, 800)
             k = rng.randint(2, max(2, n // 8)) if i % 2 else rng.randint(2, 4)
-            instances.append(((n, k, rng.randint(0, n // 4), rng.randint(0, 10**6)), rng.random() < 0.5))
+            instances.append((n, k, rng.randint(0, n // 4), rng.randint(0, 10**6)))
         assert self.checked_solves(monkeypatch, instances) > 300
 
 

@@ -176,7 +176,3 @@ class TestGenGlExtension:
     def test_k_one(self):
         _, demands = gen_gl_extension(9, 1, 0)
         assert demands == (9,)
-
-    def test_within_pool(self):
-        terminals, _ = gen_gl_extension(20, 3, 5, within=[2, 4, 6, 8])
-        assert set(terminals) <= {2, 4, 6, 8}

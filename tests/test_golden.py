@@ -27,29 +27,20 @@ from cdspart.generators import gen_gl_extension, gen_planted_cds
 PINNED = [(44, 21, 13, 553), (60, 29, 4, 110), (142, 19, 18, 18)]
 
 SOLVE_DIGESTS = {
-    ((44, 21, 13, 553), False): "caf0384d2782cd7d972569136dd3a1f2eea7ede77faadad8bb02190cf43acfec",
-    ((44, 21, 13, 553), True): "1c7402f2455c06b00972c39ca78f73b8abd1de09472ed72a46b0def92c37d8ff",
-    ((60, 29, 4, 110), False): "a1e08017b83309dfd8e63085a0ece29d99e5135742e7c2627491b02e5b0a791d",
-    ((60, 29, 4, 110), True): "edd0d4999878f12cd8da43ce2e72c093c59a1e3186afefce9062e442fb4a7288",
-    ((142, 19, 18, 18), False): "7c834615c49f37ce3b27cbbfc8cddd8b1e76b8fc7e5e8a3db40c384a3d1be20e",
-    ((142, 19, 18, 18), True): "7fed307369e1bdca06ab3b6984bbaceadfe1a6683a5de61423549fed0cc6e848",
+    (44, 21, 13, 553): "caf0384d2782cd7d972569136dd3a1f2eea7ede77faadad8bb02190cf43acfec",
+    (60, 29, 4, 110): "a1e08017b83309dfd8e63085a0ece29d99e5135742e7c2627491b02e5b0a791d",
+    (142, 19, 18, 18): "7c834615c49f37ce3b27cbbfc8cddd8b1e76b8fc7e5e8a3db40c384a3d1be20e",
 }
 
-# gen arguments, `cds -k` (None: the planted trees) and --family-restart
+# gen arguments and `cds -k` (None: the planted trees)
 CHAINS = {
-    "planted": (["--class", "planted", "--n", "200", "--k", "40", "--seed", "2"], None, False),
-    "planted-family-restart": (
-        ["--class", "planted", "--n", "200", "--k", "40", "--seed", "2"], None, True
-    ),
-    "interval": (["--class", "interval", "--n", "40", "--k", "3", "--seed", "5"], 3, False),
-    "biconvex": (
-        ["--class", "biconvex", "--na", "30", "--nb", "34", "--k", "3", "--seed", "2"], 3, False
-    ),
+    "planted": (["--class", "planted", "--n", "200", "--k", "40", "--seed", "2"], None),
+    "interval": (["--class", "interval", "--n", "40", "--k", "3", "--seed", "5"], 3),
+    "biconvex": (["--class", "biconvex", "--na", "30", "--nb", "34", "--k", "3", "--seed", "2"], 3),
 }
 
 CHAIN_DIGESTS = {
     "planted": "03db182188d492d1a98611b6d272c3fafe67bba89d2ed6613d2cb8c8f7d4f919",
-    "planted-family-restart": "17ccce1535efcf26e9a9a039c60d11a42391a5009c0d3aee6a399e54b5b78748",
     "interval": "962a74e5c69e12ee3ef4588df73eb6a42a776101a770008d97ec1051e989950f",
     "biconvex": "93b1549fb7b4605d3c25b584b4082b855892ceef44784df7c4b427a06fda46d9",
 }
@@ -67,28 +58,23 @@ CDS_DIGESTS = {
 }
 
 
-def solve_digest(n, k, extra, seed, family_restart):
+def solve_digest(n, k, extra, seed):
     g, trees = gen_planted_cds(n, k, extra, seed)
     terminals, demands = gen_gl_extension(n, k, seed=seed ^ 0xF00D)
     trace = []
-    p = solve(
-        GLInstance(graph=g, terminals=terminals, demands=demands),
-        trees,
-        family_restart=family_restart,
-        trace=trace,
-    )
+    p = solve(GLInstance(graph=g, terminals=terminals, demands=demands), trees, trace=trace)
     text = write_partition(p.blocks) + write_trace(trace)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("params,family_restart", list(SOLVE_DIGESTS))
-def test_pinned_solve_digest(params, family_restart):
-    assert solve_digest(*params, family_restart) == SOLVE_DIGESTS[params, family_restart]
+@pytest.mark.parametrize("params", PINNED)
+def test_pinned_solve_digest(params):
+    assert solve_digest(*params) == SOLVE_DIGESTS[params]
 
 
 @pytest.mark.parametrize("name", list(CHAINS))
 def test_cli_chain_digest(tmp_path, capsys, name):
-    gen_args, cds_k, family_restart = CHAINS[name]
+    gen_args, cds_k = CHAINS[name]
     model = tmp_path / "m.gl"
     assert main(["gen", *gen_args, "-o", str(model)]) == 0
     cds = model.with_suffix(".cds")
@@ -97,7 +83,7 @@ def test_cli_chain_digest(tmp_path, capsys, name):
         assert main(["cds", "--class", klass, "-k", str(cds_k), str(model), "-o", str(cds)]) == 0
     part, trace = tmp_path / "m.part", tmp_path / "m.trace"
     argv = ["partition", str(model), "--cds", str(cds), "-o", str(part), "--trace", str(trace)]
-    assert main(argv + ["--family-restart"] * family_restart) == 0
+    assert main(argv) == 0
     capsys.readouterr()
     digest = hashlib.sha256(part.read_bytes() + trace.read_bytes()).hexdigest()
     assert digest == CHAIN_DIGESTS[name]
@@ -123,7 +109,7 @@ def test_same_digest_under_python_O():
         if __debug__:
             raise SystemExit("asserts are on: not running under -O")
         from test_golden import solve_digest
-        print(solve_digest(*{params!r}, False))
+        print(solve_digest(*{params!r}))
         """
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -132,4 +118,4 @@ def test_same_digest_under_python_O():
         [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == SOLVE_DIGESTS[params, False]
+    assert out.stdout.strip() == SOLVE_DIGESTS[params]
