@@ -84,16 +84,22 @@ def _read(path: str) -> str:
         raise formats.FormatError("io", f"cannot read {path}: {exc}") from exc
 
 
+# the size flags each `gen` class needs; --extra-edges is planted's alone
+_GEN_SIZES = {"interval": ("n",), "planted": ("n",), "convex": ("na", "nb"), "biconvex": ("na", "nb")}
+
+
 def _cmd_gen(args) -> int:
     klass = args.klass
-    if klass in ("interval", "planted"):
-        if args.n is None:
-            raise formats.FormatError("usage", f"gen --class {klass} needs --n")
-        n = args.n
-    else:
-        if args.na is None or args.nb is None:
-            raise formats.FormatError("usage", f"gen --class {klass} needs --na and --nb")
-        n = args.na + args.nb
+    sizes = _GEN_SIZES[klass]
+    reads = sizes + (("extra_edges",) if klass == "planted" else ())
+    for name in ("n", "na", "nb", "extra_edges"):
+        if name not in reads and getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise formats.FormatError("usage", f"gen --class {klass} does not read {flag}")
+    if any(getattr(args, name) is None for name in sizes):
+        flags = " and ".join(f"--{name}" for name in sizes)
+        raise formats.FormatError("usage", f"gen --class {klass} needs {flags}")
+    n = sum(getattr(args, name) for name in sizes)
     if n > formats.MAX_VERTICES:  # parse_bundle's header bound, before anything is sized
         raise formats.FormatError("invariant", f"vertex count {n} exceeds {formats.MAX_VERTICES}")
     comments = []
@@ -167,9 +173,10 @@ def _cmd_partition(args) -> int:
     started = time.perf_counter()
     partition = engine.solve(instance, trees, trace=trace)
     elapsed = time.perf_counter() - started
-    Path(args.output).write_text(formats.write_partition(partition.blocks), encoding="utf-8")
+    # the partition file is written last, so a failed run leaves none
     if args.trace:
         Path(args.trace).write_text(formats.write_trace(trace), encoding="utf-8")
+    Path(args.output).write_text(formats.write_partition(partition.blocks), encoding="utf-8")
     print(f"wrote {args.output}")
     print(f"solve time: {elapsed:.3f}s", file=sys.stderr)
     return 0

@@ -11,7 +11,7 @@ top; both derivations are part of the reproducibility contract.
 from __future__ import annotations
 
 from .engine import CdsInput, validate_cds_input
-from .graphs import DominatingTree, Graph, GraphError, is_k_connected
+from .graphs import DominatingTree, Graph, GraphError
 from .models import BiconvexModel, ConvexModel, IntervalModel, interval_connectivity
 
 _MASK = (1 << 64) - 1
@@ -86,36 +86,52 @@ def _staircase_windows(
     consecutive A-positions is spanned by >= width - 1 windows; `hold`
     copies are pinned at each extreme so the corner A-vertices reach
     degree `hold`.  Leftover window slots repeat random positions.
+    The caller guarantees nb - (na - width + 1) >= 2 * (hold - 1).
     """
     top = na - width
-    lows = list(range(top + 1))
-    extra = nb - len(lows)
-    bonus = min(hold - 1, extra // 2)
-    lows += [0] * bonus + [top] * bonus
-    for _ in range(extra - 2 * bonus):
+    lows = list(range(top + 1)) + [0] * (hold - 1) + [top] * (hold - 1)
+    for _ in range(nb - len(lows)):
         lows.append(rng.randint(0, top))
     lows.sort()
     return [(lo, lo + width - 1) for lo in lows]
 
 
 def gen_biconvex(na: int, nb: int, target_k: int, seed: int) -> BiconvexModel:
-    """Monotone-staircase windows (biconvex by construction), resampled
-    until connectivity reaches target_k."""
+    """Monotone-staircase windows, biconvex by construction and certified
+    to give connectivity >= k = target_k, so no flow runs.
+
+    Setup.  Every window has width w.  Every left edge in [0, na - w]
+    occurs at least once.  The edges 0 and na - w each occur at least k
+    times: the precondition nb >= na - width + 2k - 1 leaves
+    nb - (na - w + 1) >= 2k - 2 spare windows, so k - 1 extra copies are
+    pinned at each end.
+
+    Case w = na.  The graph is K(na, nb), whose connectivity is
+    min(na, nb).  That is at least k when na >= k, since nb >= 2k - 1.
+
+    Case w < na.  Then width < na, so w >= width >= k + 2.  Remove a set
+    S with |S| < k.  Take two surviving A-vertices a < b whose g
+    in-between A-vertices are all in S; then S holds at most k - 1 - g
+    B-vertices.  a and b share every window whose left edge lies in
+    [max(0, b - w + 1), min(a, na - w)].  This range is nonempty, since
+    b - a = g + 1 <= k <= w - 1.  If the range holds 0 or na - w, at
+    least k windows contain both.  Otherwise it holds w - g - 1 >= k - g
+    distinct left edges.  Either way one shared window survives, so a
+    and b stay joined.  Every surviving B-vertex keeps one of its
+    w >= k + 1 A-neighbours.  So G - S is connected.
+
+    Flow-based connectivity stays the test oracle for this certificate.
+    """
     if target_k < 1:
         raise GraphError("generation-failed", f"need k >= 1, got k={target_k}")
     width = min(na, max(target_k + 2, na - nb + 2 * target_k - 1))
-    if na < 2 or nb < 2 or nb < na - width + 2 * target_k - 1:
+    # na < k: connectivity is at most na, so no model exists
+    if na < max(2, target_k) or nb < 2 or nb < na - width + 2 * target_k - 1:
         raise GraphError("generation-failed", f"sizes too small: na={na}, nb={nb}")
     rng = SplitMix64(seed)
-    for _ in range(DEFAULT_RETRIES):
-        wide = width + rng.randint(0, 2)
-        wide = min(na, max(wide, na - (nb - 2 * target_k + 1)))
-        windows = _staircase_windows(rng, na, nb, wide, target_k)
-        m = BiconvexModel(na=na, nb=nb, windows=tuple(windows))
-        g = m.derive_graph()
-        if is_k_connected(g, target_k):
-            return m
-    raise GraphError("generation-failed", f"no kappa>={target_k} biconvex model in {DEFAULT_RETRIES} tries")
+    wide = min(na, width + rng.randint(0, 2))
+    windows = _staircase_windows(rng, na, nb, wide, target_k)
+    return BiconvexModel(na=na, nb=nb, windows=tuple(windows))
 
 
 def gen_convex(na: int, nb: int, target_k: int, seed: int) -> ConvexModel:

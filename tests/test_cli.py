@@ -135,6 +135,19 @@ class TestErrorPaths:
         assert code == 2
         assert out.startswith("ERROR too-few-trees")
 
+    def test_partition_with_unwritable_trace_leaves_no_partition(self, tmp_path, capsys):
+        # the trace is written first, the partition file last
+        gl = tmp_path / "p.gl"
+        part = tmp_path / "p.part"
+        assert main(["gen", "--class", "planted", "--n", "40", "--k", "3",
+                     "--seed", "9", "-o", str(gl)]) == 0
+        capsys.readouterr()
+        code, out = run(capsys, "partition", str(gl), "--cds", str(tmp_path / "p.cds"),
+                        "-o", str(part), "--trace", str(tmp_path / "nodir" / "t.trace"))
+        assert code == 2
+        assert out.startswith("ERROR io")
+        assert not part.exists()
+
     def test_partition_takes_no_emission_switch(self, capsys):
         # one emission rule: partition's options are its files and the trace
         assert main(["partition", "--help"]) == 0
@@ -265,19 +278,42 @@ class TestGen:
     @pytest.mark.parametrize("klass,sizes", [
         ("convex", ["--na", "30", "--nb", "60"]),
         ("interval", ["--n", "30"]),
+        ("biconvex", ["--na", "30", "--nb", "60"]),
     ])
     def test_gen_derives_no_graph(self, tmp_path, monkeypatch, klass, sizes):
         # the generators certify connectivity without a graph and the
         # writer reads the model alone
-        from cdspart.models import ConvexModel, IntervalModel
+        from cdspart.models import BiconvexModel, ConvexModel, IntervalModel
 
         derived = []
-        for cls in (ConvexModel, IntervalModel):
+        for cls in (BiconvexModel, ConvexModel, IntervalModel):
             monkeypatch.setattr(cls, "derive_graph", lambda self: derived.append(self))
         assert main(["gen", "--class", klass, *sizes, "--k", "3", "--seed", "2",
                      "-o", str(tmp_path / "m.txt")]) == 0
         assert derived == []
 
+
+    @pytest.mark.parametrize("klass,sizes,foreign", [
+        ("interval", ["--n", "10"], [["--na", "4"], ["--nb", "4"], ["--extra-edges", "-5"]]),
+        ("planted", ["--n", "10"], [["--na", "4"], ["--nb", "4"]]),
+        ("convex", ["--na", "6", "--nb", "8"], [["--n", "10"], ["--extra-edges", "3"]]),
+        ("biconvex", ["--na", "6", "--nb", "8"], [["--n", "10"], ["--extra-edges", "3"]]),
+    ], ids=["interval", "planted", "convex", "biconvex"])
+    def test_gen_rejects_flags_of_other_classes(self, tmp_path, capsys, monkeypatch,
+                                                klass, sizes, foreign):
+        # a flag the class does not read is a usage error, raised before
+        # any generator runs
+        import cdspart.generators as generators
+
+        for name in ("gen_planted_cds", "gen_interval", "gen_biconvex", "gen_convex",
+                     "gen_gl_extension"):
+            monkeypatch.setattr(generators, name, None)
+        for flag, value in foreign:
+            out_file = tmp_path / "m.txt"
+            code, out = run(capsys, "gen", "--class", klass, *sizes, flag, value,
+                            "--k", "2", "--seed", "1", "-o", str(out_file))
+            assert (code, out) == (2, f"ERROR usage gen --class {klass} does not read {flag}\n")
+            assert not out_file.exists()
 
     @pytest.mark.parametrize("klass,sizes", [
         ("planted", ["--n", "1048577"]),

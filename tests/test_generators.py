@@ -94,11 +94,33 @@ class TestGenInterval:
 
 class TestGenBiconvex:
     def test_postcondition_and_validity(self):
-        for seed in range(6):
-            k = 2 + seed % 5
-            m = gen_biconvex(12 + 2 * k, 14 + 2 * k, k, seed)
-            g = m.derive_graph()
-            assert is_k_connected(g, k)
+        # the staircase certificate against flows: na from k up, nb from
+        # its minimum max(2, 2k - 1) (where the model is complete
+        # bipartite) to staircases of width k + 2
+        staircases = 0
+        seed = 0
+        for k in range(1, 9):
+            nb_min = max(2, 2 * k - 1)
+            for na in sorted({max(2, k), k + 1, k + 2, k + 4, 2 * k + 7}):
+                for nb in (nb_min, nb_min + 1, nb_min + 3, max(nb_min, na + k - 3), na + 2 * k + 5):
+                    for _ in range(2):
+                        seed += 1
+                        m = gen_biconvex(na, nb, k, seed)
+                        assert is_k_connected(m.derive_graph(), k), (na, nb, k, seed)
+                        staircases += max(hi - lo + 1 for lo, hi in m.windows) < na
+        assert seed >= 300 and staircases >= 80
+
+    def test_na_below_k_fails_without_a_flow(self, monkeypatch):
+        # connectivity is at most na, so the generator rejects na < k
+        # before building any model, let alone a flow network
+        import cdspart.flows as flows
+
+        def no_flow(*args):
+            raise AssertionError("flow network built")
+
+        monkeypatch.setattr(flows._SplitNetwork, "__init__", no_flow)
+        with pytest.raises(GraphError, match="generation-failed: sizes too small: na=3, nb=10"):
+            gen_biconvex(3, 10, 4, 1)
 
     def test_deterministic(self):
         assert gen_biconvex(16, 18, 3, 5) == gen_biconvex(16, 18, 3, 5)
