@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .engine import CdsInput, validate_cds_input
 from .graphs import DominatingTree, Graph, GraphError
-from .models import BiconvexModel, ConvexModel, IntervalModel, interval_connectivity
+from .models import BiconvexModel, ConvexModel, IntervalModel
 
 _MASK = (1 << 64) - 1
 
@@ -50,30 +50,39 @@ class SplitMix64:
         return pool[:k]
 
 
-DEFAULT_RETRIES = 200
-
-
 def gen_interval(n: int, target_k: int, seed: int) -> IntervalModel:
-    """Random integer intervals, resampled until the derived graph is
-    connected with connectivity at least target_k."""
+    """Random integer intervals, proved to give connectivity >= k = target_k.
+
+    k chains each lay abutting intervals [1, b], [b, c], ... up to
+    end = 1 + (2k + 1)(n // k), with lengths from [2k + 1, 4k + 4] and the
+    last one cut at end, so a chain has at most n // k intervals.  The
+    other intervals lie inside [1, end]; the ids are shuffled.
+
+    Every unit gap (x, x + 1) of [1, end] lies inside one interval of
+    each chain.  Remove a set S with |S| < k < n: every gap keeps a
+    crossing interval, so the surviving intervals cover [1, end] with no
+    hole, and closed intervals whose union is a segment form a connected
+    graph.  No slack is added to the chains, so most models have
+    connectivity k exactly, the paper's boundary.
+    """
     if not 1 <= target_k < n:
         raise GraphError("generation-failed", f"need 1 <= k < n, got n={n}, k={target_k}")
     rng = SplitMix64(seed)
-    span = 2 * n
-    lo_len = 2 * target_k + 1
-    hi_len = 4 * target_k + 4
-    for _ in range(DEFAULT_RETRIES):
-        lefts = []
-        rights = []
-        for _ in range(n):
-            a = rng.randint(1, span)
-            b = a + rng.randint(lo_len, hi_len)
-            lefts.append(a)
-            rights.append(b)
-        m = IntervalModel(lefts=tuple(lefts), rights=tuple(rights))
-        if interval_connectivity(m) >= target_k:
-            return m
-    raise GraphError("generation-failed", f"no kappa>={target_k} interval model in {DEFAULT_RETRIES} tries")
+    lo_len, hi_len = 2 * target_k + 1, 4 * target_k + 4
+    end = 1 + lo_len * (n // target_k)
+    spans = []
+    for _ in range(target_k):
+        a = 1
+        while a < end:
+            b = min(end, a + rng.randint(lo_len, hi_len))
+            spans.append((a, b))
+            a = b
+    for _ in range(n - len(spans)):
+        length = rng.randint(lo_len, hi_len)
+        a = rng.randint(1, max(1, end - length))
+        spans.append((a, min(end, a + length)))
+    rng.shuffle(spans)
+    return IntervalModel(lefts=tuple(a for a, _ in spans), rights=tuple(b for _, b in spans))
 
 
 def _staircase_windows(
@@ -135,39 +144,28 @@ def gen_biconvex(na: int, nb: int, target_k: int, seed: int) -> BiconvexModel:
 
 
 def gen_convex(na: int, nb: int, target_k: int, seed: int) -> ConvexModel:
-    """Random windows certified to give connectivity >= target_k.
+    """Random windows, proved to give connectivity >= k = target_k.
 
-    Every window contains a common core of target_k consecutive
-    A-positions and samples are rejected until every A-vertex has degree
-    >= target_k.  Removing fewer than target_k vertices then leaves a
-    core A-vertex alive that is adjacent to every surviving B-vertex,
-    and every surviving A-vertex keeps some B-neighbor, so the remainder
-    is connected; no flow computation is needed (tests cross-check the
-    certificate against flow-based connectivity on small sizes).
-    Callers building k CDSs pass target_k = 4k.
+    Every window contains a common core of k consecutive A-positions,
+    and the first k windows span all of A.  Remove a set S with |S| < k:
+    a core A-vertex survives and sees every surviving B-vertex, and every
+    surviving A-vertex keeps one of its >= k B-neighbours, so G - S is
+    connected.  Callers building k CDSs pass target_k = 4k.
     """
     if target_k < 1:
         raise GraphError("generation-failed", f"need k >= 1, got k={target_k}")
-    if na < max(2, target_k) or nb < 1:
+    # fewer than k A- or B-vertices leave some vertex of degree < k
+    if na < max(2, target_k) or nb < target_k:
         raise GraphError("generation-failed", f"sizes too small: na={na}, nb={nb}")
     rng = SplitMix64(seed)
-    for _ in range(DEFAULT_RETRIES):
-        core_lo = rng.randint(0, na - target_k)
-        core_hi = core_lo + target_k - 1
-        windows = []
-        for _ in range(nb):
-            # half the windows pin each extreme so the corner A-vertices
-            # collect enough neighbors for the degree condition
-            lo = 0 if rng.randint(0, 1) else rng.randint(0, core_lo)
-            hi = na - 1 if rng.randint(0, 1) else rng.randint(core_hi, na - 1)
-            windows.append((lo, hi))
-        cover = [0] * na
-        for lo, hi in windows:
-            for i in range(lo, hi + 1):
-                cover[i] += 1
-        if min(cover) >= target_k:
-            return ConvexModel(na=na, nb=nb, windows=tuple(windows))
-    raise GraphError("generation-failed", f"no kappa>={target_k} convex model in {DEFAULT_RETRIES} tries")
+    core_lo = rng.randint(0, na - target_k)
+    windows = [(0, na - 1)] * target_k
+    for _ in range(nb - target_k):
+        # half the windows pin each extreme, so the graph stays dense
+        lo = 0 if rng.randint(0, 1) else rng.randint(0, core_lo)
+        hi = na - 1 if rng.randint(0, 1) else rng.randint(core_lo + target_k - 1, na - 1)
+        windows.append((lo, hi))
+    return ConvexModel(na=na, nb=nb, windows=tuple(windows))
 
 
 def gen_planted_cds(
@@ -179,7 +177,9 @@ def gen_planted_cds(
     edge to a random member of every backbone (making each one dominating),
     then extra random edges are sprinkled on top.
     """
-    if n < 2 * k or k < 1:
+    if k < 1:
+        raise GraphError("generation-failed", f"need k >= 1, got k={k}")
+    if n < 2 * k:
         raise GraphError("generation-failed", f"need n >= 2k, got n={n}, k={k}")
     rng = SplitMix64(seed)
     perm = list(range(n))

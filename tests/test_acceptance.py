@@ -36,6 +36,11 @@ from reference_oracles import brute_min_vertex_cut
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+# the seed loops that keep only models at kappa = k stop here, so a
+# generator that stops reaching kappa = k fails instead of hanging
+SEED_CAP = 1000
+
+
 def report(num, name, detail):
     print(f"\nACCEPTANCE {num} {name}: PASS — {detail}")
 
@@ -61,10 +66,8 @@ def test_02_interval_pipeline():
         k = 2 + runs % 7  # k in [2, 8]
         n = min(80, 14 + 3 * k + (runs * 5) % 40)
         seed += 1
-        try:
-            m = gen_interval(n, k, seed)
-        except Exception:
-            continue
+        assert seed <= SEED_CAP, f"{runs} models at kappa = k in {SEED_CAP} seeds"
+        m = gen_interval(n, k, seed)
         if interval_connectivity(m) != k:
             continue
         g = m.derive_graph()
@@ -93,6 +96,7 @@ def test_03_biconvex_pipeline():
         na = 10 + (runs % 8) + 2 * k
         nb = na + k + (runs % 3)
         seed += 1
+        assert seed <= SEED_CAP, f"{runs} models at kappa = k in {SEED_CAP} seeds"
         try:
             m = gen_biconvex(na, nb, k, seed)
         except Exception:

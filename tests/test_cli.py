@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -281,16 +282,28 @@ class TestGen:
         ("biconvex", ["--na", "30", "--nb", "60"]),
     ])
     def test_gen_derives_no_graph(self, tmp_path, monkeypatch, klass, sizes):
-        # the generators certify connectivity without a graph and the
-        # writer reads the model alone
-        from cdspart.models import BiconvexModel, ConvexModel, IntervalModel
+        # the generators prove connectivity by construction: no graph, no
+        # clique path, no flow network; the writer reads the model alone
+        import cdspart.flows as flows
+        import cdspart.models as models
 
-        derived = []
-        for cls in (BiconvexModel, ConvexModel, IntervalModel):
-            monkeypatch.setattr(cls, "derive_graph", lambda self: derived.append(self))
+        called = []
+        for cls in (models.BiconvexModel, models.ConvexModel, models.IntervalModel):
+            monkeypatch.setattr(cls, "derive_graph", lambda self: called.append("derive_graph"))
+        for owner, name in ((models, "interval_connectivity"), (models, "_clique_path"),
+                            (flows._SplitNetwork, "__init__")):
+            monkeypatch.setattr(owner, name, lambda *args, name=name: called.append(name))
         assert main(["gen", "--class", klass, *sizes, "--k", "3", "--seed", "2",
                      "-o", str(tmp_path / "m.txt")]) == 0
-        assert derived == []
+        assert called == []
+
+    def test_gen_interval_at_ten_thousand_vertices(self, tmp_path, capsys):
+        out_file = tmp_path / "m.txt"
+        started = time.perf_counter()
+        code, _ = run(capsys, "gen", "--class", "interval", "--n", "10000", "--k", "4",
+                      "--seed", "101", "-o", str(out_file))
+        assert code == 0 and time.perf_counter() - started < 2.0
+        assert "p interval 10000\n" in out_file.read_text()
 
 
     @pytest.mark.parametrize("klass,sizes,foreign", [
@@ -381,6 +394,11 @@ class TestGen:
         assert code == 2
         assert out.startswith("ERROR generation-failed generation-failed: need ") and "k=0" in out
         assert not out_file.exists()
+
+    def test_gen_planted_k_zero_names_k(self, tmp_path, capsys):
+        code, out = run(capsys, "gen", "--class", "planted", "--n", "10", "--k", "0",
+                        "--seed", "1", "-o", str(tmp_path / "p.gl"))
+        assert (code, out) == (2, "ERROR generation-failed generation-failed: need k >= 1, got k=0\n")
 
 
 class TestCds:

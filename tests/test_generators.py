@@ -77,10 +77,23 @@ class TestSplitMix64:
 
 class TestGenInterval:
     def test_postcondition(self):
-        for seed in range(8):
-            k = 2 + seed % 4
-            m = gen_interval(30, k, seed)
-            assert interval_connectivity(m) >= k
+        # the chain certificate against the clique path, and the clique
+        # path against flows on the small models
+        models = 0
+        for k in range(1, 9):
+            for n in range(k + 1, 81, 2):
+                models += 1
+                m = gen_interval(n, k, models)
+                kappa = interval_connectivity(m)
+                assert kappa >= k, (n, k, models)
+                if n <= 30:
+                    assert vertex_connectivity(m.derive_graph()) == kappa, (n, k, models)
+        assert models >= 300
+
+    def test_most_models_sit_at_kappa_k(self):
+        # the paper's boundary: connectivity k exactly, not k plus slack
+        exact = sum(interval_connectivity(gen_interval(80, 4, seed)) == 4 for seed in range(1, 21))
+        assert exact >= 18
 
     def test_deterministic(self):
         a = gen_interval(25, 3, 7)
@@ -132,11 +145,27 @@ class TestGenBiconvex:
 
 class TestGenConvex:
     def test_certificate_against_flows(self):
-        for seed in range(5):
-            k = 1 + seed % 2
-            m = gen_convex(4 * k + 2, 8 * k + 8, 4 * k, seed)
-            g = m.derive_graph()
-            assert is_k_connected(g, 4 * k)
+        # the full-window certificate against flows: na and nb from their
+        # minimum k (nb = k leaves only the full windows) up
+        seed = 0
+        for k in range(1, 9):
+            for na in sorted({max(2, k), k + 1, 2 * k + 3}):
+                for nb in sorted({k, k + 1, 2 * k + 5, 2 * na + 4}):
+                    for _ in range(2):
+                        seed += 1
+                        m = gen_convex(na, nb, k, seed)
+                        assert is_k_connected(m.derive_graph(), k), (na, nb, k, seed)
+        assert seed >= 100
+
+    def test_nb_below_k_fails_without_a_draw(self, monkeypatch):
+        # every A-vertex needs k B-neighbours, so nb < k is rejected
+        # before the first random draw
+        def no_draw(self):
+            raise AssertionError("random draw")
+
+        monkeypatch.setattr(SplitMix64, "next_u64", no_draw)
+        with pytest.raises(GraphError, match="generation-failed: sizes too small: na=10, nb=3"):
+            gen_convex(10, 3, 8, 1)
 
     def test_exact_connectivity_small(self):
         m = gen_convex(6, 16, 4, 3)

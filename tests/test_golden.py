@@ -41,7 +41,7 @@ CHAINS = {
 
 CHAIN_DIGESTS = {
     "planted": "03db182188d492d1a98611b6d272c3fafe67bba89d2ed6613d2cb8c8f7d4f919",
-    "interval": "962a74e5c69e12ee3ef4588df73eb6a42a776101a770008d97ec1051e989950f",
+    "interval": "a1b83bcb00169d01deca7588b1863451acfc7f86e57acd63c753aaa1f2ce466c",
     "biconvex": "93b1549fb7b4605d3c25b584b4082b855892ceef44784df7c4b427a06fda46d9",
 }
 
@@ -54,7 +54,7 @@ CDS_CHAINS = {
 }
 
 CDS_DIGESTS = {
-    "convex": "19e4909c6775645f660e79e5bcfda508d437f0cc2db4192082e3b252f6ee07b7",
+    "convex": "c1fd6c1cf76e03df5c399aa789aa7f9df550af7dd11953ad653c7f7aedd2c2f2",
 }
 
 
