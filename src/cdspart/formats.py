@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .engine import CdsInput, GLInstance, TraceEvent
-from .graphs import DominatingTree, Edge, Graph, GraphError, VertexSet, spanning_tree
+from .graphs import DominatingTree, Graph, GraphError, VertexSet, spanning_tree
 from .models import BiconvexModel, ConvexModel, IntervalModel
 
 Model = Graph | IntervalModel | ConvexModel | BiconvexModel
@@ -61,11 +61,12 @@ class InstanceBundle:
         )
 
 
-_Row = tuple[int, str]
+_Row = tuple[int, list[str]]
 
 
 def _rows(text: str) -> Iterator[_Row]:
-    """Numbered lines with `#` comments cut off; blank lines are skipped.
+    """Numbered lines' tokens with `#` comments cut off; lines without
+    tokens are skipped.
 
     Lazy, so parsing holds one line's tokens at a time, never a table of
     every line's tokens.
@@ -73,8 +74,9 @@ def _rows(text: str) -> Iterator[_Row]:
     for lineno, line in enumerate(text.splitlines(), 1):
         if "#" in line:
             line = line.split("#", 1)[0]
-        if line and not line.isspace():
-            yield lineno, line
+        toks = line.split()
+        if toks:
+            yield lineno, toks
 
 
 def _not_ints(tokens: Sequence[str], lineno: int) -> FormatError:
@@ -91,8 +93,7 @@ def _ints(tokens: Sequence[str], lineno: int) -> list[int]:
 def _parse_gl_extension(
     rows: Iterator[_Row], first: _Row, n: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    lineno, line = first
-    toks = line.split()
+    lineno, toks = first
     if toks[0] != "k" or len(toks) != 2:
         raise FormatError("syntax", f"expected 'k <k>', got {' '.join(toks)}", lineno)
     (k,) = _ints(toks[1:], lineno)
@@ -100,8 +101,7 @@ def _parse_gl_extension(
         raise FormatError("invariant", f"k must be positive, got {k}", lineno)
     terminals: list[int] = []
     demands: list[int] = []
-    for _, (lineno, line) in zip(range(k), rows):
-        toks = line.split()
+    for _, (lineno, toks) in zip(range(k), rows):
         if toks[0] != "t" or len(toks) != 3:
             raise FormatError("syntax", f"expected 't <terminal> <demand>', got {' '.join(toks)}", lineno)
         c, d = _ints(toks[1:], lineno)
@@ -127,13 +127,12 @@ def parse_bundle(text: str) -> InstanceBundle:
     row = next(rows, None)
     if row is None:
         raise FormatError("syntax", "empty file", 1)
-    lineno, line = row
-    toks = line.split()
+    lineno, toks = row
     if toks[0] != "p" or len(toks) < 2:
         raise FormatError("syntax", f"expected 'p <kind> ...' header, got {' '.join(toks)}", lineno)
     kind = toks[1]
     if kind == "gl":
-        model, g = _parse_graph(rows, lineno, toks)
+        model, g = _parse_graph(rows, lineno, toks, text)
     elif kind == "interval":
         model, g = _parse_interval(rows, lineno, toks)
     elif kind in ("convex", "biconvex"):
@@ -153,35 +152,67 @@ def parse_bundle(text: str) -> InstanceBundle:
 # Each section parser takes the header row's number and tokens and reads
 # its records from `rows`.  After a record loop `lineno` is the last line
 # read (the header when none was), which is where a short section is
-# reported.
+# reported.  `_parse_graph` also takes the whole text, which it reads a
+# second time only to name the fault of a graph it rejects.
 
 
-def _parse_graph(rows: Iterator[_Row], lineno: int, toks: list[str]) -> tuple[Model, Graph]:
+def _parse_graph(
+    rows: Iterator[_Row], lineno: int, toks: list[str], text: str
+) -> tuple[Model, Graph]:
     if len(toks) != 4:
         raise FormatError("syntax", "expected 'p gl <n> <m>'", lineno)
     n, m = _ints(toks[2:], lineno)
     if n > MAX_VERTICES:
         raise FormatError("invariant", f"vertex count {n} exceeds {MAX_VERTICES}", lineno)
-    edges: list[Edge] = []
-    for _, (lineno, line) in zip(range(m), rows):
-        toks = line.split()
+    # One lookup range-checks a canonical id token and makes it 0-based; it
+    # also interns the ids, so every adjacency entry is one of n ints.
+    ids = dict(zip(map(str, range(1, n + 1)), range(n)))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for _, (lineno, toks) in zip(range(m), rows):
         if toks[0] != "e" or len(toks) != 3:
             raise FormatError("syntax", f"expected 'e <u> <v>', got {' '.join(toks)}", lineno)
         try:
-            u = int(toks[1])
-            v = int(toks[2])
-        except ValueError:
-            raise _not_ints(toks[1:], lineno) from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise FormatError("invariant", f"edge ({u}, {v}) out of range 1..{n}", lineno)
-        edges.append((u - 1, v - 1))
-    if len(edges) < m:
+            u = ids[toks[1]]
+            v = ids[toks[2]]
+        except KeyError:
+            u, v = _edge_ids(toks, lineno, n)
+        adj[u].append(v)
+        adj[v].append(u)
+    # every edge line adds two entries, a self-loop's both to one list
+    if sum(map(len, adj)) < 2 * m:
         raise FormatError("syntax", f"expected {m} edge lines", lineno)
-    try:
-        g = Graph(n, edges)
-    except GraphError as exc:
-        raise FormatError("invariant", str(exc)) from exc
+    g = Graph.__new__(Graph)
+    if n < 0 or not g._fill(adj):
+        raise _graph_fault(text, n, m)
     return g, g
+
+
+def _edge_ids(toks: list[str], lineno: int, n: int) -> tuple[int, int]:
+    """The 0-based endpoints of an edge line whose tokens are not both
+    canonical ids: `01`, `+2` and the like still parse, the rest fail."""
+    try:
+        u = int(toks[1])
+        v = int(toks[2])
+    except ValueError:
+        raise _not_ints(toks[1:], lineno) from None
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise FormatError("invariant", f"edge ({u}, {v}) out of range 1..{n}", lineno)
+    return u - 1, v - 1
+
+
+def _graph_fault(text: str, n: int, m: int) -> FormatError:
+    """The error for a `gl` section whose lines all parse but whose graph
+    does not: a negative vertex count, a repeated edge or a self-loop.
+    The section is read again as an edge list, so that `Graph` names the
+    first fault in input order."""
+    rows = _rows(text)
+    next(rows)  # the header
+    edges = [(int(u) - 1, int(v) - 1) for _, (_, (_, u, v)) in zip(range(m), rows)]
+    try:
+        Graph(n, edges)
+    except GraphError as exc:
+        return FormatError("invariant", str(exc))
+    raise AssertionError("no faulty edge")
 
 
 def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> tuple[Model, Graph]:
@@ -190,8 +221,7 @@ def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> tuple
     (n,) = _ints(toks[2:], lineno)
     # keyed by id: the header count sizes nothing before the records are read
     spans: dict[int, tuple[int, int]] = {}
-    for _, (lineno, line) in zip(range(n), rows):
-        toks = line.split()
+    for _, (lineno, toks) in zip(range(n), rows):
         if toks[0] != "i" or len(toks) != 4:
             raise FormatError("syntax", f"expected 'i <id> <left> <right>', got {' '.join(toks)}", lineno)
         try:
@@ -227,8 +257,7 @@ def _parse_convex(
     # keyed by B-vertex: the header count sizes nothing before the records
     # are read, and a B-vertex with no record stops the window loop below
     nbrs: defaultdict[int, set[int]] = defaultdict(set)
-    for _, (lineno, line) in zip(range(m), rows):
-        toks = line.split()
+    for _, (lineno, toks) in zip(range(m), rows):
         if toks[0] != "e" or len(toks) != 3:
             raise FormatError("syntax", f"expected 'e <a> <b>', got {' '.join(toks)}", lineno)
         try:
@@ -271,8 +300,7 @@ def parse_vertex_sets(text: str, prefix: str, n: int) -> tuple[VertexSet, ...]:
         raise FormatError("syntax", "empty file", 1)
     k = None
     if prefix == "s":
-        lineno, line = row
-        toks = line.split()
+        lineno, toks = row
         if toks[0] != "c" or len(toks) != 2:
             raise FormatError("syntax", f"expected 'c <k>', got {' '.join(toks)}", lineno)
         (k,) = _ints(toks[1:], lineno)
@@ -280,8 +308,7 @@ def parse_vertex_sets(text: str, prefix: str, n: int) -> tuple[VertexSet, ...]:
         rows = chain((row,), rows)
     sets: list[VertexSet] = []
     expect = 1
-    for lineno, line in rows:
-        toks = line.split()
+    for lineno, toks in rows:
         if toks[0] != prefix:
             raise FormatError("syntax", f"expected '{prefix} <i> <v...>', got {' '.join(toks)}", lineno)
         vals = _ints(toks[1:], lineno)

@@ -40,14 +40,29 @@ class Graph:
                 raise _first_fault(n, edges)
             adj[u].append(v)
             adj[v].append(u)
-        adjsets = tuple(map(frozenset, adj))
-        # Every list holds one entry per incident edge; a set loses repeats.
-        if sum(map(len, adjsets)) != 2 * len(edges):
+        if not self._fill(adj):
             raise _first_fault(n, edges)
-        self.n = n
-        self.m = len(edges)
+
+    def _fill(self, adj: list[list[int]]) -> bool:
+        """Take the graph from per-vertex lists that hold one entry per
+        incident edge, in any order; the lists are sorted in place first,
+        so the sets do not depend on the order the edges came in.
+
+        A repeated edge or a self-loop leaves a set shorter than its list,
+        and then nothing is set and False is returned: the caller names
+        the fault, which only the edges in input order can tell.
+        """
+        for a in adj:
+            a.sort()
+        adjsets = tuple(map(frozenset, adj))
+        twice_m = sum(map(len, adj))
+        if sum(map(len, adjsets)) != twice_m:
+            return False
+        self.n = len(adj)
+        self.m = twice_m // 2
         self._adjsets: tuple[frozenset[int], ...] = adjsets
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        return True
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]

@@ -10,6 +10,7 @@ na..na+nb-1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, VertexSet
@@ -21,8 +22,7 @@ class _Model:
 
     The cache is a field set with `object.__setattr__`.  A
     `functools.cached_property` would read the instance `__dict__`, which
-    on CPython 3.11 slows every later attribute read on that model, such
-    as the pair loop of `IntervalModel.derive_graph`.
+    on CPython 3.11 slows every later attribute read on that model.
     """
 
     _graph: Graph | None = field(default=None, init=False, repr=False, compare=False)
@@ -54,11 +54,16 @@ class IntervalModel(_Model):
         return len(self.lefts)
 
     def derive_graph(self) -> Graph:
+        """A sweep in left-endpoint order: an interval meets exactly the
+        later ones whose left endpoint is at most its right endpoint (closed
+        intervals that only touch meet), so the cost is O(n log n + m)."""
+        lefts, rights = self.lefts, self.rights
+        order = sorted(range(self.n), key=lefts.__getitem__)
+        starts = [lefts[v] for v in order]
         edges = [
             (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if max(self.lefts[u], self.lefts[v]) <= min(self.rights[u], self.rights[v])
+            for i, u in enumerate(order)
+            for v in order[i + 1 : bisect_right(starts, rights[u])]
         ]
         return Graph(self.n, edges)
 
@@ -136,20 +141,31 @@ class BiconvexModel(ConvexModel):
 def _clique_path(m: IntervalModel) -> list[VertexSet]:
     """Maximal cliques of the interval graph in sweep order.
 
-    One candidate bag per distinct right endpoint r, holding every interval
-    covering r; bags contained in the previously kept bag are dropped, which
-    leaves exactly the maximal cliques.  Every bag separates what lies left
-    of it from what lies right, so the graph is connected exactly when no
-    two consecutive bags are disjoint.
+    The candidate bag at a right endpoint r holds every interval covering
+    r.  A sweep over the endpoints keeps those intervals as the active set:
+    before r it adds every interval with left <= r, after it drops the
+    interval ending there.  A bag is a maximal clique exactly when an
+    interval was added since the last kept bag; otherwise it lies inside
+    that bag.  The cost is O(n log n) plus the size of the kept bags.
+    Every bag separates what lies left of it from what lies right, so the
+    graph is connected exactly when no two consecutive bags are disjoint.
     """
+    lefts, rights = m.lefts, m.rights
+    starts = iter(sorted(range(m.n), key=lefts.__getitem__))
+    nxt = next(starts, None)
+    active: set[int] = set()
     bags: list[VertexSet] = []
-    for r in sorted(set(m.rights)):
-        bag = frozenset(
-            v for v in range(m.n) if m.lefts[v] <= r <= m.rights[v]
-        )
-        if bags and bag <= bags[-1]:
-            continue
-        bags.append(bag)
+    fresh = False
+    for v in sorted(range(m.n), key=rights.__getitem__):
+        r = rights[v]
+        while nxt is not None and lefts[nxt] <= r:
+            active.add(nxt)
+            nxt = next(starts, None)
+            fresh = True
+        if fresh:
+            bags.append(frozenset(active))
+            fresh = False
+        active.discard(v)
     return bags
 
 

@@ -339,6 +339,14 @@ class TestReferenceParser:
             "\u3000p gl 2 1\ne 1 2\n",
             "p gl 2 1\ne \uff11 2\n",
             "p gl 11 1\ne 1_0 +2\n",
+            # tokens outside the canonical id table, faults found after the loop
+            "p gl 3 2\ne 01 2\ne 1 +3\n",
+            "p gl 3 1\ne 0 1\n",
+            "p gl 3 3\ne 1 2\ne 2 1\ne 2 x\n",
+            "p gl 3 3\ne 1 2\ne 3 3\ne 1 4\n",
+            "p gl 3 2\ne 01 2\ne 2 +1\n",
+            "p gl 3 2\ne 1 2\ne 3 03\nk 1\nt 1 3\n",
+            "p gl 0 0\n",
             "p interval 3\ni 1 1 2\ni 2 2 3\n",
             "p interval 3\ni 1 1 2\ni 1 2 3\ni 3 3 4\n",
             "p interval 2\ni 3 1 2\n",
@@ -422,3 +430,19 @@ def test_parse_peak_memory_is_linear_in_file_size():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * len(text), peak / len(text)
+
+
+def test_parsed_graph_is_compact_and_interned():
+    """A planted n=600, k=150 bundle: the parsed graph keeps at most 160 B
+    per edge, and its adjacency holds each vertex id as one int object."""
+    g, _ = gen_planted_cds(600, 150, 150, 1)
+    t, d = gen_gl_extension(g.n, 150, 1)
+    text = write_bundle(InstanceBundle(model=g, graph=g, terminals=t, demands=d))
+    tracemalloc.start()
+    try:
+        g = parse_bundle(text).graph
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 160 * g.m, retained / g.m
+    assert len({id(v) for a in g._adj for v in a}) <= g.n

@@ -7,6 +7,7 @@ from cdspart.models import (
     BiconvexModel,
     ConvexModel,
     IntervalModel,
+    _clique_path,
     interval_connectivity,
     interval_path_decomposition,
 )
@@ -25,6 +26,16 @@ def random_interval_model(seed, n, span=None, lo_len=1, hi_len=6):
     return IntervalModel(lefts=tuple(lefts), rights=tuple(rights))
 
 
+# short intervals over a narrow span: ties, touching ends and gaps are common
+_spans = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 8)), max_size=14)
+
+
+def _model(spans):
+    return IntervalModel(
+        lefts=tuple(a for a, _ in spans), rights=tuple(a + w for a, w in spans)
+    )
+
+
 class TestIntervalModel:
     def test_rejects_reversed(self):
         with pytest.raises(GraphError, match="bad-model"):
@@ -34,6 +45,17 @@ class TestIntervalModel:
         m = IntervalModel(lefts=(1, 2, 5), rights=(3, 4, 6))
         g = m.derive_graph()
         assert g.has_edge(0, 1) and not g.has_edge(0, 2) and not g.has_edge(1, 2)
+
+    @given(_spans)
+    def test_sweep_matches_the_pairwise_rule(self, spans):
+        m = _model(spans)
+        pairs = [
+            (u, v)
+            for u in range(m.n)
+            for v in range(u + 1, m.n)
+            if max(m.lefts[u], m.lefts[v]) <= min(m.rights[u], m.rights[v])
+        ]
+        assert m.derive_graph()._adj == Graph(m.n, pairs)._adj
 
 
 def check_path_decomposition(g, bags):
@@ -89,6 +111,16 @@ class TestIntervalDecomposition:
             assert connected
         if m.n >= 2:
             assert (interval_connectivity(m) == 0) == (not connected)
+
+    @given(_spans)
+    def test_sweep_matches_a_rescan_per_right_endpoint(self, spans):
+        m = _model(spans)
+        bags = []
+        for r in sorted(set(m.rights)):
+            bag = frozenset(v for v in range(m.n) if m.lefts[v] <= r <= m.rights[v])
+            if not (bags and bag <= bags[-1]):
+                bags.append(bag)
+        assert _clique_path(m) == bags
 
     @pytest.mark.parametrize("seed", range(30))
     def test_axioms_on_random_models(self, seed):
