@@ -61,10 +61,11 @@ def cds_interval(m: IntervalModel, k: int) -> CdsFamily:
     g = m.graph
     bags = interval_path_decomposition(m)
     s, t = m.n, m.n + 1
-    edges = list(g.edges())
-    edges += [(v, s) for v in sorted(bags[0])]
-    edges += [(v, t) for v in sorted(bags[-1])]
-    aug = Graph(m.n + 2, edges)
+    adj = [list(g.neighbors(v)) for v in range(m.n)] + [list(bags[0]), list(bags[-1])]
+    for end, bag in ((s, bags[0]), (t, bags[-1])):
+        for v in bag:
+            adj[v].append(end)
+    aug = Graph.from_lists(adj)
     family = vertex_disjoint_paths(aug, s, t, want=k)
     if len(family.paths) < k:
         raise InsufficientConnectivity(k, len(family.paths))

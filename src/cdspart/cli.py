@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import builders, engine, formats, generators, verify
 from .graphs import GraphError, vertex_connectivity
-from .models import BiconvexModel, ConvexModel, IntervalModel
+from .models import BiconvexModel, ConvexModel, IntervalModel, interval_connectivity
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,9 +112,7 @@ def _cmd_gen(args) -> int:
         comments.append(
             f"planted instance: n={n} k={args.k} extra={extra} seed={args.seed} prng=splitmix64"
         )
-        bundle = formats.InstanceBundle(
-            model=g, graph=g, terminals=terminals, demands=demands
-        )
+        bundle = formats.InstanceBundle(model=g, terminals=terminals, demands=demands)
         Path(args.output).write_text(formats.write_bundle(bundle, comments), encoding="utf-8")
         cds_path = Path(args.output).with_suffix(".cds")
         cds_text = formats.write_cds([t.vertices for t in trees])
@@ -134,9 +132,7 @@ def _cmd_gen(args) -> int:
         )
     # write_bundle reads the model alone, so no graph is derived here
     terminals, demands = generators.gen_gl_extension(model.n, args.k, seed=args.seed ^ 0x5EED)
-    bundle = formats.InstanceBundle(
-        model=model, graph=None, terminals=terminals, demands=demands
-    )
+    bundle = formats.InstanceBundle(model=model, terminals=terminals, demands=demands)
     Path(args.output).write_text(formats.write_bundle(bundle, comments), encoding="utf-8")
     print(f"wrote {args.output}")
     return 0
@@ -217,8 +213,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_connectivity(args) -> int:
-    bundle = formats.parse_bundle(_read(args.input))
-    print(vertex_connectivity(bundle.graph))
+    model = formats.parse_bundle(_read(args.input)).model
+    interval = isinstance(model, IntervalModel)  # exact from the clique path, no flows
+    print(interval_connectivity(model) if interval else vertex_connectivity(model.graph))
     return 0
 
 

@@ -25,7 +25,7 @@ are reproducible.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,6 +36,7 @@ from .graphs import (
     VertexSet,
     first_non_dominating,
     is_connected_subset,
+    spanning_tree,
 )
 
 CdsInput = tuple[DominatingTree, ...]
@@ -257,7 +258,7 @@ class PartitionState:
                     self.trace.append(("emit", self.set_labels[i], self.trees[only].label))
                 raise _Emit(i, only)
 
-    def remove(self, v: int, i: int, *, _quiet: bool = False) -> None:
+    def remove(self, v: int, i: int) -> None:
         if self.placed.get(v) != i:
             raise EngineError("state-invariant", f"remove: {v} is not in set {i}")
         if v == self.terminals[i]:
@@ -286,7 +287,7 @@ class PartitionState:
     def steal(self, v: int, frm: int, to: int, parent: int) -> None:
         if self.trace is not None:
             self.trace.append(("steal", v, self.set_labels[frm], self.set_labels[to]))
-        self.remove(v, frm, _quiet=True)
+        self.remove(v, frm)
         self.add(v, to, parent, _quiet=True)
 
     def assign_vlabel(self, v: int, i: int) -> None:
@@ -649,22 +650,14 @@ def _trim_block(g: Graph, block: VertexSet, terminal: int, target: int) -> Verte
     """
     if terminal not in block or not 1 <= target <= len(block):
         raise EngineError("state-invariant", f"trim: no block of {target} around {terminal}")
+    try:
+        tree = spanning_tree(g, block, root=terminal)
+    except GraphError:
+        raise EngineError("state-invariant", "trim: block is not connected") from None
     kept = set(block)
-    parent: dict[int, int] = {}
-    child_count: dict[int, int] = {v: 0 for v in kept}
-    seen = {terminal}
-    queue = deque([terminal])
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y in kept and y not in seen:
-                seen.add(y)
-                parent[y] = x
-                child_count[x] += 1
-                queue.append(y)
-    if len(seen) != len(kept):
-        raise EngineError("state-invariant", "trim: block is not connected")
-    leaves = [v for v in kept if child_count[v] == 0 and v != terminal]
+    parent = {y: x for x, y in tree}
+    child_count = Counter(parent.values())
+    leaves = [v for v in kept if not child_count[v] and v != terminal]
     heapq.heapify(leaves)
     while len(kept) > target:
         v = heapq.heappop(leaves)

@@ -195,22 +195,18 @@ def vertex_disjoint_paths(g: Graph, s: int, t: int, want: int | None = None) -> 
 def make_induced(g: Graph, p: Path) -> Path:
     """Shorten p to an induced path with the same endpoints.
 
-    Repeatedly finds the chord (i, j) minimizing i then maximizing j along
-    the current path and splices the subpath between its endpoints out.
-    Terminates because the path strictly shortens.
+    One forward pass: from p[0], jump each time to the furthest later
+    vertex of p adjacent to the current one.  That is where splicing out
+    the chord (i, j) with the least i, then the greatest j, again and
+    again ends, since a splice keeps the suffix after j as it was.
+    O(len(p) + the degrees of the kept vertices).
     """
     check_path(g, p)
-    cur = list(p)
-    while True:
-        chord = None
-        for i in range(len(cur) - 2):
-            for j in range(len(cur) - 1, i + 1, -1):
-                if j - i >= 2 and g.has_edge(cur[i], cur[j]):
-                    chord = (i, j)
-                    break
-            if chord:
-                break
-        if chord is None:
-            return tuple(cur)
-        i, j = chord
-        cur = cur[: i + 1] + cur[j:]
+    pos = {v: i for i, v in enumerate(p)}
+    out = [p[0]]
+    i = 0
+    while i < len(p) - 1:
+        # p[i + 1] is a neighbour, so the jump moves forward
+        i = max(pos.get(w, -1) for w in g.neighbors(p[i]))
+        out.append(p[i])
+    return tuple(out)

@@ -42,16 +42,16 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class InstanceBundle:
-    """A parsed model plus its derived graph and optional GL extension.
-
-    `graph` is None only in a bundle built to be written: `write_bundle`
-    reads the model alone.
-    """
+    """A parsed model plus its optional GL extension."""
 
     model: Model
-    graph: Graph | None
     terminals: tuple[int, ...] | None = None
     demands: tuple[int, ...] | None = None
+
+    @property
+    def graph(self) -> Graph:
+        """The model's graph, derived on first use."""
+        return self.model.graph
 
     def gl_instance(self) -> GLInstance:
         if self.terminals is None or self.demands is None:
@@ -132,33 +132,31 @@ def parse_bundle(text: str) -> InstanceBundle:
         raise FormatError("syntax", f"expected 'p <kind> ...' header, got {' '.join(toks)}", lineno)
     kind = toks[1]
     if kind == "gl":
-        model, g = _parse_graph(rows, lineno, toks, text)
+        model = _parse_graph(rows, lineno, toks, text)
     elif kind == "interval":
-        model, g = _parse_interval(rows, lineno, toks)
+        model = _parse_interval(rows, lineno, toks)
     elif kind in ("convex", "biconvex"):
-        model, g = _parse_convex(rows, lineno, toks, biconvex=(kind == "biconvex"))
+        model = _parse_convex(rows, lineno, toks, biconvex=(kind == "biconvex"))
     else:
         raise FormatError("syntax", f"unknown model kind '{kind}'", lineno)
     terminals = demands = None
     row = next(rows, None)
     if row is not None:
-        terminals, demands = _parse_gl_extension(rows, row, g.n)
+        terminals, demands = _parse_gl_extension(rows, row, model.n)
         row = next(rows, None)
     if row is not None:
         raise FormatError("syntax", "unexpected trailing content", row[0])
-    return InstanceBundle(model=model, graph=g, terminals=terminals, demands=demands)
+    return InstanceBundle(model=model, terminals=terminals, demands=demands)
 
 
-# Each section parser takes the header row's number and tokens and reads
-# its records from `rows`.  After a record loop `lineno` is the last line
-# read (the header when none was), which is where a short section is
-# reported.  `_parse_graph` also takes the whole text, which it reads a
+# Each section parser takes the header row's number and tokens, reads its
+# records from `rows` and returns the model.  After a record loop `lineno`
+# is the last line read (the header when none was), which is where a short
+# section is reported.  `_parse_graph` also takes the whole text, which it reads a
 # second time only to name the fault of a graph it rejects.
 
 
-def _parse_graph(
-    rows: Iterator[_Row], lineno: int, toks: list[str], text: str
-) -> tuple[Model, Graph]:
+def _parse_graph(rows: Iterator[_Row], lineno: int, toks: list[str], text: str) -> Graph:
     if len(toks) != 4:
         raise FormatError("syntax", "expected 'p gl <n> <m>'", lineno)
     n, m = _ints(toks[2:], lineno)
@@ -181,10 +179,12 @@ def _parse_graph(
     # every edge line adds two entries, a self-loop's both to one list
     if sum(map(len, adj)) < 2 * m:
         raise FormatError("syntax", f"expected {m} edge lines", lineno)
-    g = Graph.__new__(Graph)
-    if n < 0 or not g._fill(adj):
-        raise _graph_fault(text, n, m)
-    return g, g
+    if n >= 0:
+        try:
+            return Graph.from_lists(adj)
+        except GraphError:
+            pass
+    raise _graph_fault(text, n, m)
 
 
 def _edge_ids(toks: list[str], lineno: int, n: int) -> tuple[int, int]:
@@ -215,7 +215,7 @@ def _graph_fault(text: str, n: int, m: int) -> FormatError:
     raise AssertionError("no faulty edge")
 
 
-def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> tuple[Model, Graph]:
+def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> IntervalModel:
     if len(toks) != 3:
         raise FormatError("syntax", "expected 'p interval <n>'", lineno)
     (n,) = _ints(toks[2:], lineno)
@@ -241,15 +241,14 @@ def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> tuple
     if len(spans) < n:
         raise FormatError("syntax", f"expected {n} interval lines", lineno)
     ids = range(1, n + 1)
-    model = IntervalModel(
+    return IntervalModel(
         lefts=tuple(spans[v][0] for v in ids), rights=tuple(spans[v][1] for v in ids)
     )
-    return model, model.graph
 
 
 def _parse_convex(
     rows: Iterator[_Row], lineno: int, toks: list[str], biconvex: bool
-) -> tuple[Model, Graph]:
+) -> ConvexModel:
     if len(toks) != 5:
         raise FormatError("syntax", f"expected 'p {'biconvex' if biconvex else 'convex'} <nA> <nB> <m>'", lineno)
     header = lineno
@@ -286,10 +285,9 @@ def _parse_convex(
         raise FormatError("invariant", f"vertex count {na + nb} exceeds {MAX_VERTICES}", header)
     try:
         cls = BiconvexModel if biconvex else ConvexModel
-        model = cls(na=na, nb=nb, windows=tuple(windows))
+        return cls(na=na, nb=nb, windows=tuple(windows))
     except GraphError as exc:
         raise FormatError("invariant", str(exc)) from exc
-    return model, model.graph
 
 
 def parse_vertex_sets(text: str, prefix: str, n: int) -> tuple[VertexSet, ...]:

@@ -191,31 +191,32 @@ def gen_planted_cds(
         size = rng.randint(2, max_len)
         backbones.append(perm[start : start + size])
         start += size
-    edges: set[tuple[int, int]] = set()
-
-    def put(u: int, v: int) -> None:
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-
+    nbrs: list[set[int]] = [set() for _ in range(n)]
     for chain in backbones:
         for a, b in zip(chain, chain[1:]):
-            put(a, b)
+            nbrs[a].add(b)
+            nbrs[b].add(a)
     members = [set(chain) for chain in backbones]
     for v in range(n):
         for i, chain in enumerate(backbones):
             if v not in members[i]:
-                put(v, chain[rng.randint(0, len(chain) - 1)])
-    free = n * (n - 1) // 2 - len(edges)
+                w = chain[rng.randint(0, len(chain) - 1)]
+                nbrs[v].add(w)
+                nbrs[w].add(v)
+    free = n * (n - 1) // 2 - sum(map(len, nbrs)) // 2
     if not 0 <= extra_edges <= free:
         raise GraphError("generation-failed", f"{extra_edges} extra edges, {free} free vertex pairs")
     added = 0
     while added < extra_edges:
         u = rng.randint(0, n - 1)
         v = rng.randint(0, n - 1)
-        if u != v and (min(u, v), max(u, v)) not in edges:
-            put(u, v)
+        if u != v and v not in nbrs[u]:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
             added += 1
-    g = Graph(n, sorted(edges))
+    adj = list(map(list, nbrs))
+    del nbrs  # the sets go before the graph builds its own copies
+    g = Graph.from_lists(adj)
     trees = tuple(
         DominatingTree(
             vertices=frozenset(chain),

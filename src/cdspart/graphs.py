@@ -43,14 +43,26 @@ class Graph:
         if not self._fill(adj):
             raise _first_fault(n, edges)
 
+    @classmethod
+    def from_lists(cls, adj: list[list[int]]) -> Graph:
+        """The graph in which vertex v has the neighbours adj[v].
+
+        The lists must be symmetric and hold one entry per incident edge,
+        in any order; they are sorted in place.  A repeated entry or a
+        self-loop raises `GraphError("bad-adjacency")`.
+        """
+        g = cls.__new__(cls)
+        if not g._fill(adj):
+            raise GraphError("bad-adjacency", "a repeated neighbour or a self-loop")
+        return g
+
     def _fill(self, adj: list[list[int]]) -> bool:
-        """Take the graph from per-vertex lists that hold one entry per
-        incident edge, in any order; the lists are sorted in place first,
-        so the sets do not depend on the order the edges came in.
+        """Take the graph from adjacency lists, sorted in place first, so
+        the sets do not depend on the order the edges came in.
 
         A repeated edge or a self-loop leaves a set shorter than its list,
         and then nothing is set and False is returned: the caller names
-        the fault, which only the edges in input order can tell.
+        the fault.
         """
         for a in adj:
             a.sort()
@@ -63,6 +75,11 @@ class Graph:
         self._adjsets: tuple[frozenset[int], ...] = adjsets
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         return True
+
+    @property
+    def graph(self) -> Graph:
+        """Read as a model, a graph is its own derived graph."""
+        return self
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -178,13 +195,7 @@ def dominates(g: Graph, s: Iterable[int]) -> bool:
     Members of s count as covered (closed-neighborhood reading), which
     makes the predicate monotone under set growth.
     """
-    members = set(s)
-    for v in range(g.n):
-        if v in members:
-            continue
-        if not (g.neighbor_set(v) & members):
-            return False
-    return True
+    return first_non_dominating(g, [s]) is None
 
 
 def first_non_dominating(g: Graph, sets: Iterable[Iterable[int]]) -> int | None:
@@ -202,8 +213,9 @@ def first_non_dominating(g: Graph, sets: Iterable[Iterable[int]]) -> int | None:
     return None
 
 
-def spanning_tree(g: Graph, s: Iterable[int]) -> tuple[Edge, ...]:
-    """BFS spanning tree of the induced subgraph on s, rooted at min(s).
+def spanning_tree(g: Graph, s: Iterable[int], root: int | None = None) -> tuple[Edge, ...]:
+    """BFS spanning tree of the induced subgraph on s, rooted at `root`, a
+    member of s (default min(s)).
 
     Edges are returned in discovery order as (parent, child); neighbors are
     scanned in ascending id, so the result is deterministic.
@@ -211,7 +223,7 @@ def spanning_tree(g: Graph, s: Iterable[int]) -> tuple[Edge, ...]:
     members = set(s)
     if not members:
         raise GraphError("empty-subset")
-    root = min(members)
+    root = min(members) if root is None else root
     seen = {root}
     queue = deque([root])
     edges: list[Edge] = []
@@ -222,7 +234,7 @@ def spanning_tree(g: Graph, s: Iterable[int]) -> tuple[Edge, ...]:
                 seen.add(y)
                 edges.append((x, y))
                 queue.append(y)
-    if len(seen) != len(members):
+    if seen != members:  # also when root lies outside s
         raise GraphError("not-connected")
     return tuple(edges)
 

@@ -60,12 +60,13 @@ class IntervalModel(_Model):
         lefts, rights = self.lefts, self.rights
         order = sorted(range(self.n), key=lefts.__getitem__)
         starts = [lefts[v] for v in order]
-        edges = [
-            (u, v)
-            for i, u in enumerate(order)
-            for v in order[i + 1 : bisect_right(starts, rights[u])]
-        ]
-        return Graph(self.n, edges)
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for i, u in enumerate(order):
+            later = order[i + 1 : bisect_right(starts, rights[u])]
+            adj[u] += later
+            for v in later:
+                adj[v].append(u)
+        return Graph.from_lists(adj)
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,15 @@ class ConvexModel(_Model):
         return self.na + j
 
     def derive_graph(self) -> Graph:
-        edges = [
-            (i, self.na + j)
-            for j, (lo, hi) in enumerate(self.windows)
-            for i in range(lo, hi + 1)
-        ]
-        return Graph(self.n, edges)
+        """Each window fills its B-vertex's list and adds that B-vertex to
+        the lists of the A-vertices it covers: O(n + m)."""
+        adj: list[list[int]] = [[] for _ in range(self.na)]
+        for j, (lo, hi) in enumerate(self.windows):
+            b = self.na + j
+            for i in range(lo, hi + 1):
+                adj[i].append(b)
+            adj.append(list(range(lo, hi + 1)))
+        return Graph.from_lists(adj)
 
 
 @dataclass(frozen=True)
@@ -186,8 +190,8 @@ def interval_connectivity(m: IntervalModel) -> int:
     Minimal separators of an interval graph are the intersections of
     consecutive maximal cliques of its clique path, so the connectivity is
     the smallest such intersection (0 if disconnected, n - 1 for a single
-    clique).  Used by the generators; cross-checked against flow-based
-    connectivity in tests.
+    clique).  `cdspart connectivity` answers interval models with it;
+    cross-checked against flow-based connectivity in tests.
     """
     if m.n < 2:
         raise GraphError("degenerate-graph", f"n={m.n}")

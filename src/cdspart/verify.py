@@ -113,15 +113,20 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _connected_mask(adj: list[int], mask: int) -> bool:
+def _component(adj: list[int], mask: int, within: int) -> int:
+    """The component of `within` that holds the lowest vertex of mask."""
     comp = mask & -mask
     while True:
         grow = comp
         for v in _bits(comp):
-            grow |= adj[v] & mask
+            grow |= adj[v] & within
         if grow == comp:
-            return comp == mask
+            return comp
         comp = grow
+
+
+def _connected_mask(adj: list[int], mask: int) -> bool:
+    return _component(adj, mask, mask) == mask
 
 
 # -- oracles -----------------------------------------------------------------
@@ -153,16 +158,7 @@ def brute_gl(instance: GLInstance, max_n: int = 14) -> GlPartition | None:
         for i in range(k):
             if counts[i] == instance.demands[i]:
                 continue
-            hull = block_mask[i] | future
-            comp = block_mask[i] & -block_mask[i]
-            while True:
-                grow = comp
-                for v in _bits(comp):
-                    grow |= adj[v] & hull
-                if grow == comp:
-                    break
-                comp = grow
-            if block_mask[i] & ~comp:
+            if block_mask[i] & ~_component(adj, block_mask[i], block_mask[i] | future):
                 return False
         return True
 

@@ -122,3 +122,24 @@ def connectivity_capped(g: Graph, cap: int) -> int:
             break
         best = local_connectivity(g, s, t, cap=best)
     return best
+
+
+def make_induced_splice(g: Graph, p: tuple[int, ...]) -> tuple[int, ...]:
+    """The chord-splice loop `cdspart.flows.make_induced` used before its
+    one forward pass: repeatedly find the chord (i, j) minimizing i then
+    maximizing j along the current path and splice out the subpath
+    between its endpoints.  O(L^2) pairs per chord."""
+    cur = list(p)
+    while True:
+        chord = None
+        for i in range(len(cur) - 2):
+            for j in range(len(cur) - 1, i + 1, -1):
+                if j - i >= 2 and g.has_edge(cur[i], cur[j]):
+                    chord = (i, j)
+                    break
+            if chord:
+                break
+        if chord is None:
+            return tuple(cur)
+        i, j = chord
+        cur = cur[: i + 1] + cur[j:]

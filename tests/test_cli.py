@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from cdspart import cli
 from cdspart.cli import main
+from cdspart.formats import parse_bundle
+from cdspart.graphs import vertex_connectivity
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -71,6 +74,54 @@ class TestFixtures:
                         str(FIXTURES / name))
         assert code == 1
         assert out.splitlines()[0] == "INFEASIBLE"
+
+
+class TestConnectivity:
+    """`connectivity` answers interval models from the clique path and the
+    other models with flows; on interval models both agree."""
+
+    @staticmethod
+    def interval_file(tmp_path, spans):
+        path = tmp_path / "m.interval"
+        lines = [f"p interval {len(spans)}"]
+        lines += [f"i {v} {a} {b}" for v, (a, b) in enumerate(spans, 1)]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def check(self, capsys, monkeypatch, path):
+        code, out = run(capsys, "connectivity", str(path))
+        g = parse_bundle(path.read_text()).graph
+        assert code == 0 and out == f"{vertex_connectivity(g)}\n"
+        # the flow routine is not called on an interval model
+        monkeypatch.setattr(cli, "vertex_connectivity", None)
+        assert run(capsys, "connectivity", str(path)) == (code, out)
+        monkeypatch.undo()
+        return int(out)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generated_models(self, tmp_path, capsys, monkeypatch, seed):
+        path = tmp_path / "m.interval"
+        k = 1 + seed % 4
+        assert main(["gen", "--class", "interval", "--n", str(12 + 5 * seed), "--k", str(k),
+                     "--seed", str(seed), "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert self.check(capsys, monkeypatch, path) >= k
+
+    def test_disconnected_model(self, tmp_path, capsys, monkeypatch):
+        path = self.interval_file(tmp_path, [(1, 3), (2, 4), (6, 8), (7, 9)])
+        assert self.check(capsys, monkeypatch, path) == 0
+
+    def test_single_clique(self, tmp_path, capsys, monkeypatch):
+        path = self.interval_file(tmp_path, [(1, 5), (2, 6), (3, 4), (1, 3)])
+        assert self.check(capsys, monkeypatch, path) == 3
+
+    def test_one_vertex(self, tmp_path, capsys):
+        path = self.interval_file(tmp_path, [(1, 2)])
+        expected = (2, "ERROR degenerate-graph degenerate-graph: n=1\n")
+        assert run(capsys, "connectivity", str(path)) == expected
+        gl = tmp_path / "one.gl"
+        gl.write_text("p gl 1 0\n")
+        assert run(capsys, "connectivity", str(gl)) == expected
 
 
 class TestErrorPaths:

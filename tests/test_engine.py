@@ -1,3 +1,4 @@
+import heapq
 import importlib
 import os
 import random
@@ -430,6 +431,36 @@ class TestChooseGroup:
         assert len(rounds) > 300 and groups[0] >= 15, (len(rounds), groups[0])
 
 
+def peel_own_bfs(g, block, terminal, target):
+    """`_trim_block` as it was before it took its tree from `spanning_tree`:
+    its own BFS from the terminal, then the lowest-id leaf peel."""
+    kept = set(block)
+    parent = {}
+    child_count = {v: 0 for v in kept}
+    seen = {terminal}
+    queue = deque([terminal])
+    while queue:
+        x = queue.popleft()
+        for y in g.neighbors(x):
+            if y in kept and y not in seen:
+                seen.add(y)
+                parent[y] = x
+                child_count[x] += 1
+                queue.append(y)
+    if len(seen) != len(kept):
+        return None
+    leaves = [v for v in kept if child_count[v] == 0 and v != terminal]
+    heapq.heapify(leaves)
+    while len(kept) > target:
+        v = heapq.heappop(leaves)
+        kept.discard(v)
+        p = parent[v]
+        child_count[p] -= 1
+        if child_count[p] == 0 and p != terminal:
+            heapq.heappush(leaves, p)
+    return frozenset(kept)
+
+
 class TestTrim:
     def test_trim_keeps_terminal_and_connectivity(self):
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
@@ -437,6 +468,24 @@ class TestTrim:
         out = _trim_block(g, block, terminal=2, target=3)
         assert len(out) == 3 and 2 in out
         assert is_connected_subset(g, out)
+
+    def test_equals_the_peel_of_its_own_bfs(self):
+        outcomes = Counter()
+        for seed in range(400):
+            rng = random.Random(seed)
+            n = rng.randint(1, 30)
+            g = random_graph(seed, n, rng.randint(n - 1, 3 * n), connected=seed % 5 != 0)
+            block = frozenset(rng.sample(range(n), rng.randint(1, n)))
+            terminal = rng.choice(sorted(block))
+            target = rng.randint(1, len(block))
+            expected = peel_own_bfs(g, block, terminal, target)
+            if expected is None:
+                with pytest.raises(EngineError, match="state-invariant: trim: block is not connected"):
+                    _trim_block(g, block, terminal, target)
+            else:
+                assert _trim_block(g, block, terminal, target) == expected, seed
+            outcomes[expected is None] += 1
+        assert outcomes[False] > 100 and outcomes[True] > 20, outcomes
 
 
 class TestSolve:

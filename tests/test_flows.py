@@ -110,6 +110,49 @@ class TestMakeInduced:
         PathFamily(s=0, t=n - 1, paths=shortened).validate(g)
 
 
+class TestMakeInducedAgainstTheSpliceLoop:
+    """The forward pass equals the chord-splice loop it replaced."""
+
+    def test_random_graphs_and_paths(self):
+        shortened = 0
+        for seed in range(3000):
+            rng = SplitMix64(seed)
+            n = 2 + seed % 23
+            order = list(range(n))
+            rng.shuffle(order)
+            p = tuple(order[: rng.randint(1, n)])
+            edges = {(min(a, b), max(a, b)) for a, b in zip(p, p[1:])}
+            for _ in range(rng.randint(0, 2 * n)):
+                u, v = rng.randint(0, n - 1), rng.randint(0, n - 1)
+                if u != v:
+                    edges.add((min(u, v), max(u, v)))
+            g = Graph(n, sorted(edges))
+            q = make_induced(g, p)
+            assert q == ref.make_induced_splice(g, p), seed
+            shortened += len(q) < len(p)
+        assert 1000 < shortened < 2900
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_biconvex_backbones(self, seed):
+        m = gen_biconvex(300, 330, 4, seed)
+        g = m.graph
+        fam = vertex_disjoint_paths(g, m.a_id(0), m.a_id(m.na - 1), want=4)
+        assert len(fam.paths) == 4
+        for p in fam.paths:
+            assert make_induced(g, p) == ref.make_induced_splice(g, p)
+        # flow paths are shortest, so chordless; a walk that steps through
+        # A one vertex at a time over unused B-vertices has many chords
+        walk, used = [m.a_id(0)], set()
+        for i in range(m.na - 1):
+            b = min(m.b_id(j) for j, (lo, hi) in enumerate(m.windows)
+                    if lo <= i < hi and m.b_id(j) not in used)
+            used.add(b)
+            walk += [b, m.a_id(i + 1)]
+        q = make_induced(g, tuple(walk))
+        assert q == ref.make_induced_splice(g, tuple(walk))
+        assert len(q) < len(walk) // 4
+
+
 def test_family_validate_rejects_overlap():
     g = k_complete(4)
     bad = PathFamily(s=0, t=3, paths=((0, 1, 3), (0, 1, 3)))

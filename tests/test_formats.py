@@ -99,14 +99,14 @@ def bundle_samples(count):
     for seed in range(count):
         m = gen_interval(10 + seed % 20, 2, seed)
         t, d = gen_gl_extension(m.n, 2, seed)
-        out.append(InstanceBundle(model=m, graph=m.derive_graph(), terminals=t, demands=d))
+        out.append(InstanceBundle(model=m, terminals=t, demands=d))
         g, _ = gen_planted_cds(12 + seed % 25, 2, 3, seed)
         t, d = gen_gl_extension(g.n, 3, seed)
-        out.append(InstanceBundle(model=g, graph=g, terminals=t, demands=d))
+        out.append(InstanceBundle(model=g, terminals=t, demands=d))
         mb = gen_biconvex(10 + seed % 6, 12 + seed % 8, 2, seed)
-        out.append(InstanceBundle(model=mb, graph=mb.derive_graph()))
+        out.append(InstanceBundle(model=mb))
         mc = gen_convex(8 + seed % 5, 14 + seed % 9, 4, seed)
-        out.append(InstanceBundle(model=mc, graph=mc.derive_graph()))
+        out.append(InstanceBundle(model=mc))
     return out
 
 
@@ -256,9 +256,7 @@ class TestParserRobustness:
     def test_mutated_valid_files(self, seed, pos):
         m = gen_interval(8 + seed % 6, 2, seed % 4)
         t, d = gen_gl_extension(m.n, 2, seed)
-        text = write_bundle(
-            InstanceBundle(model=m, graph=m.derive_graph(), terminals=t, demands=d)
-        )
+        text = write_bundle(InstanceBundle(model=m, terminals=t, demands=d))
         assert_same_bundle_outcome(_mutate(text, seed, pos))
 
 
@@ -286,7 +284,7 @@ def _sample_texts():
         yield write_bundle(bundle, comments=["sample"])
     g, trees = gen_planted_cds(40, 4, 10, 3)
     t, d = gen_gl_extension(g.n, 4, 3)
-    yield write_bundle(InstanceBundle(model=g, graph=g, terminals=t, demands=d))
+    yield write_bundle(InstanceBundle(model=g, terminals=t, demands=d))
 
 
 class TestReferenceParser:
@@ -422,7 +420,7 @@ def test_parse_peak_memory_is_linear_in_file_size():
     hold a token table of the whole file."""
     g, _ = gen_planted_cds(600, 150, 150, 1)
     t, d = gen_gl_extension(g.n, 150, 1)
-    text = write_bundle(InstanceBundle(model=g, graph=g, terminals=t, demands=d))
+    text = write_bundle(InstanceBundle(model=g, terminals=t, demands=d))
     tracemalloc.start()
     try:
         parse_bundle(text)
@@ -437,7 +435,7 @@ def test_parsed_graph_is_compact_and_interned():
     per edge, and its adjacency holds each vertex id as one int object."""
     g, _ = gen_planted_cds(600, 150, 150, 1)
     t, d = gen_gl_extension(g.n, 150, 1)
-    text = write_bundle(InstanceBundle(model=g, graph=g, terminals=t, demands=d))
+    text = write_bundle(InstanceBundle(model=g, terminals=t, demands=d))
     tracemalloc.start()
     try:
         g = parse_bundle(text).graph

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -203,10 +204,39 @@ class TestGenPlanted:
         for _ in range(2):
             g, _ = gen_planted_cds(30, 3, 7, seed=11)
             t, d = gen_gl_extension(g.n, 3, seed=11)
-            outs.append(
-                write_bundle(InstanceBundle(model=g, graph=g, terminals=t, demands=d))
-            )
+            outs.append(write_bundle(InstanceBundle(model=g, terminals=t, demands=d)))
         assert outs[0] == outs[1]
+
+    # (n, k, extra_edges) -> digest of the graphs and trees over seeds 0..3;
+    # extra_edges None means every vertex pair left free by the backbones
+    PINNED = {
+        (4, 2, None): "4d7c14d0133d1520",
+        (6, 3, None): "81455a57ebb87d0e",
+        (10, 5, 0): "d7346d63741778c8",
+        (10, 5, None): "1509f22b8557ece4",
+        (12, 3, 5): "8fbae107b2d883a3",
+        (30, 3, 7): "80363727acc4430b",
+        (40, 4, None): "652ac81b9b4fae14",
+        (200, 8, 50): "db17f467a46ada34",
+        (600, 150, 0): "749e22345423caa8",
+    }
+
+    @staticmethod
+    def planted_digest(n, k, extra):
+        h = hashlib.sha256()
+        for seed in range(4):
+            if extra is None:
+                base, _ = gen_planted_cds(n, k, 0, seed)
+                free = n * (n - 1) // 2 - base.m
+            g, trees = gen_planted_cds(n, k, free if extra is None else extra, seed)
+            if extra is None:
+                assert g.m == n * (n - 1) // 2
+            h.update(repr((g.n, list(g.edges()), [t.edges for t in trees])).encode())
+        return h.hexdigest()[:16]
+
+    @pytest.mark.parametrize("case", sorted(PINNED, key=str))
+    def test_pinned_graphs_and_trees(self, case):
+        assert self.planted_digest(*case) == self.PINNED[case]
 
 
 class TestGenGlExtension:

@@ -116,6 +116,24 @@ class TestGraphConstruction:
         assert g.neighbor_set(1) == {0, 2}
 
 
+class TestFromLists:
+    def test_equals_the_edge_list_constructor(self):
+        for seed in range(40):
+            g = random_graph(seed, 1 + seed % 12, 3 * (seed % 7))
+            lists = [list(reversed(g.neighbors(v))) for v in range(g.n)]
+            h = Graph.from_lists(lists)
+            assert (h.n, h.m, h._adj, h._adjsets) == (g.n, g.m, g._adj, g._adjsets)
+
+    def test_empty(self):
+        g = Graph.from_lists([])
+        assert (g.n, g.m) == (0, 0)
+
+    @pytest.mark.parametrize("lists", [[[1, 1], [0, 0]], [[0, 0]], [[1, 0], [0, 0]]])
+    def test_rejects_a_repeated_entry_or_a_self_loop(self, lists):
+        with pytest.raises(GraphError, match="bad-adjacency"):
+            Graph.from_lists(lists)
+
+
 class TestConnectedSubset:
     def test_triangle(self):
         assert is_connected_subset(k_complete(3), {0, 1, 2})
@@ -185,6 +203,20 @@ class TestDominates:
         expected = all(v in s or bool(g.neighbor_set(v) & s) for v in range(6))
         assert expected
         assert dominates(g, s)
+
+    def test_matches_the_per_vertex_definition(self):
+        outcomes = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 14)
+            g = random_graph(seed, n, rng.randint(0, n * (n - 1) // 2))
+            # members outside 0..n-1 cover nothing
+            s = set(rng.sample(range(-2, n + 2), rng.randint(0, n + 4)))
+            expected = all(v in s or g.neighbor_set(v) & s for v in range(n))
+            assert dominates(g, s) == expected, seed
+            assert dominates(g, iter(s)) == expected, seed
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
     @given(st.integers(0, 200))
     def test_monotone_under_growth(self, seed):
@@ -277,6 +309,14 @@ class TestSpanningTree:
     def test_disconnected_error(self):
         with pytest.raises(GraphError, match="not-connected"):
             spanning_tree(path_graph(4), {0, 3})
+
+    def test_root(self):
+        g = path_graph(4)
+        assert spanning_tree(g, {0, 1, 2, 3}, root=2) == ((2, 1), (2, 3), (1, 0))
+        assert spanning_tree(g, {1, 2, 3}) == spanning_tree(g, {1, 2, 3}, root=1)
+        # a root outside s spans nothing of s: {1, 3} would match in size
+        with pytest.raises(GraphError, match="not-connected"):
+            spanning_tree(Graph(4, [(0, 1), (2, 3)]), {1, 3}, root=0)
 
 
 class TestVertexConnectivity:

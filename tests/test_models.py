@@ -12,7 +12,7 @@ from cdspart.models import (
     interval_path_decomposition,
 )
 from cdspart.builders import cds_interval
-from cdspart.generators import SplitMix64, gen_interval
+from cdspart.generators import SplitMix64, gen_biconvex, gen_interval
 
 
 def random_interval_model(seed, n, span=None, lo_len=1, hi_len=6):
@@ -236,3 +236,59 @@ class TestPathDecompositionChecker:
         bags = (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1}))
         with pytest.raises(GraphError, match="bad-decomposition"):
             check_path_decomposition(g, bags)
+
+
+class TestDerivedGraphsFromEnumeratedPairs:
+    """Each model's derived graph equals `Graph(n, pairs)` built from its
+    edges listed one pair at a time by the class's definition."""
+
+    @staticmethod
+    def same(g, n, pairs):
+        want = Graph(n, pairs)
+        assert (g.n, g.m, g._adj, g._adjsets) == (want.n, want.m, want._adj, want._adjsets)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_interval(self, seed):
+        rng = SplitMix64(seed)
+        n = 1 + seed % 17
+        # a span of about n/2 makes touching ends and identical intervals common
+        spans = []
+        for _ in range(n):
+            a = rng.randint(0, 1 + n // 2)
+            spans.append((a, a + rng.randint(0, 3)))
+        if n >= 3:
+            spans[1] = spans[0]  # identical
+            spans[2] = (spans[0][1], spans[0][1] + 2)  # touches the first at one point
+        m = _model([(a, b - a) for a, b in spans])
+        pairs = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if max(m.lefts[u], m.lefts[v]) <= min(m.rights[u], m.rights[v])
+        ]
+        self.same(m.derive_graph(), n, pairs)
+
+    @staticmethod
+    def window_pairs(m):
+        return [
+            (a, m.b_id(j)) for j, (lo, hi) in enumerate(m.windows)
+            for a in range(m.na) if lo <= a <= hi
+        ]
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_convex(self, seed):
+        rng = SplitMix64(seed)
+        na, nb = 1 + seed % 9, 1 + seed % 7
+        windows = [(0, na - 1)]  # a full window
+        for _ in range(nb - 1):
+            lo = rng.randint(0, na - 1)
+            # one window in three is a single A-vertex
+            hi = lo if rng.randint(0, 2) == 0 else rng.randint(lo, na - 1)
+            windows.append((lo, hi))
+        m = ConvexModel(na=na, nb=nb, windows=tuple(windows))
+        self.same(m.derive_graph(), m.n, self.window_pairs(m))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_biconvex_staircases(self, seed):
+        k = 1 + seed % 4
+        na = max(2, k) + seed % 11
+        m = gen_biconvex(na, na + 2 * k + seed % 5, k, seed)
+        self.same(m.derive_graph(), m.n, self.window_pairs(m))
