@@ -61,7 +61,7 @@ def cds_interval(m: IntervalModel, k: int) -> CdsFamily:
     g = m.graph
     bags = interval_path_decomposition(m)
     s, t = m.n, m.n + 1
-    adj = [list(g.neighbors(v)) for v in range(m.n)] + [list(bags[0]), list(bags[-1])]
+    adj = [list(g.neighbor_set(v)) for v in range(m.n)] + [list(bags[0]), list(bags[-1])]
     for end, bag in ((s, bags[0]), (t, bags[-1])):
         for v in bag:
             adj[v].append(end)

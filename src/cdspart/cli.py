@@ -172,7 +172,7 @@ def _cmd_partition(args) -> int:
     # the partition file is written last, so a failed run leaves none
     if args.trace:
         Path(args.trace).write_text(formats.write_trace(trace), encoding="utf-8")
-    Path(args.output).write_text(formats.write_partition(partition.blocks), encoding="utf-8")
+    Path(args.output).write_text(formats.write_partition(partition), encoding="utf-8")
     print(f"wrote {args.output}")
     print(f"solve time: {elapsed:.3f}s", file=sys.stderr)
     return 0
@@ -208,7 +208,7 @@ def _cmd_oracle(args) -> int:
     if partition is None:
         print("INFEASIBLE")
         return 1
-    print(formats.write_partition(partition.blocks), end="")
+    print(formats.write_partition(partition), end="")
     return 0
 
 

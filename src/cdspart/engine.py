@@ -85,11 +85,6 @@ class GLInstance:
         return len(self.terminals)
 
 
-@dataclass(frozen=True)
-class GlPartition:
-    blocks: tuple[VertexSet, ...]
-
-
 def validate_cds_input(g: Graph, trees: Sequence[DominatingTree]) -> None:
     """Check the trees in index order; the first failing tree is reported.
 
@@ -681,8 +676,9 @@ def solve(
     trees: Sequence[DominatingTree],
     *,
     trace: list[TraceEvent] | None = None,
-) -> GlPartition:
-    """Full pipeline: k disjoint dominating trees to a complete partition.
+) -> tuple[VertexSet, ...]:
+    """Full pipeline: k disjoint dominating trees to a complete partition,
+    returned as its k blocks, block i holding terminal i.
 
     This is the only solve entry point.  Each round normalizes terminals
     onto trees, then places them and spreads the terminal-bearing trees
@@ -792,4 +788,4 @@ def solve(
         )
     if members:
         raise EngineError("state-invariant", f"{len(members)} vertices left unassigned")
-    return GlPartition(tuple(blocks_out[i] for i in range(instance.k)))
+    return tuple(blocks_out[i] for i in range(instance.k))

@@ -74,7 +74,7 @@ class _SplitNetwork:
 
     def __init__(self, g: Graph):
         n = g.n
-        adj = [g.neighbors(u) for u in range(n)]
+        adj = [sorted(g.neighbor_set(u)) for u in range(n)]
         self.base = base = 2 * n  # index of the first edge arc
         first = [base]  # first[u]: the forward arc of u's first edge
         for nbrs in adj:
@@ -207,6 +207,6 @@ def make_induced(g: Graph, p: Path) -> Path:
     i = 0
     while i < len(p) - 1:
         # p[i + 1] is a neighbour, so the jump moves forward
-        i = max(pos.get(w, -1) for w in g.neighbors(p[i]))
+        i = max(pos.get(w, -1) for w in g.neighbor_set(p[i]))
         out.append(p[i])
     return tuple(out)

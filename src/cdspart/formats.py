@@ -160,11 +160,16 @@ def _parse_graph(rows: Iterator[_Row], lineno: int, toks: list[str], text: str) 
     if len(toks) != 4:
         raise FormatError("syntax", "expected 'p gl <n> <m>'", lineno)
     n, m = _ints(toks[2:], lineno)
+    if n < 0:  # the message `Graph` gives
+        raise FormatError("invariant", f"bad-order: negative vertex count {n}")
+    if m < 0:
+        raise FormatError("invariant", f"negative edge count {m}", lineno)
     if n > MAX_VERTICES:
         raise FormatError("invariant", f"vertex count {n} exceeds {MAX_VERTICES}", lineno)
     # One lookup range-checks a canonical id token and makes it 0-based; it
-    # also interns the ids, so every adjacency entry is one of n ints.
-    ids = dict(zip(map(str, range(1, n + 1)), range(n)))
+    # also interns the ids.  m records name at most 2m ids, so the table
+    # holds the lowest min(n, 2m); any other id takes `_edge_ids`.
+    ids = dict(zip(map(str, range(1, min(n, 2 * m) + 1)), range(n)))
     adj: list[list[int]] = [[] for _ in range(n)]
     for _, (lineno, toks) in zip(range(m), rows):
         if toks[0] != "e" or len(toks) != 3:
@@ -179,12 +184,10 @@ def _parse_graph(rows: Iterator[_Row], lineno: int, toks: list[str], text: str) 
     # every edge line adds two entries, a self-loop's both to one list
     if sum(map(len, adj)) < 2 * m:
         raise FormatError("syntax", f"expected {m} edge lines", lineno)
-    if n >= 0:
-        try:
-            return Graph.from_lists(adj)
-        except GraphError:
-            pass
-    raise _graph_fault(text, n, m)
+    try:
+        return Graph.from_lists(adj)
+    except GraphError:
+        raise _graph_fault(text, n, m) from None
 
 
 def _edge_ids(toks: list[str], lineno: int, n: int) -> tuple[int, int]:
@@ -202,7 +205,7 @@ def _edge_ids(toks: list[str], lineno: int, n: int) -> tuple[int, int]:
 
 def _graph_fault(text: str, n: int, m: int) -> FormatError:
     """The error for a `gl` section whose lines all parse but whose graph
-    does not: a negative vertex count, a repeated edge or a self-loop.
+    does not: a repeated edge or a self-loop.
     The section is read again as an edge list, so that `Graph` names the
     first fault in input order."""
     rows = _rows(text)
@@ -219,6 +222,8 @@ def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> Inter
     if len(toks) != 3:
         raise FormatError("syntax", "expected 'p interval <n>'", lineno)
     (n,) = _ints(toks[2:], lineno)
+    if n < 0:
+        raise FormatError("invariant", f"negative interval count {n}", lineno)
     # keyed by id: the header count sizes nothing before the records are read
     spans: dict[int, tuple[int, int]] = {}
     for _, (lineno, toks) in zip(range(n), rows):
@@ -253,6 +258,8 @@ def _parse_convex(
         raise FormatError("syntax", f"expected 'p {'biconvex' if biconvex else 'convex'} <nA> <nB> <m>'", lineno)
     header = lineno
     na, nb, m = _ints(toks[2:], lineno)
+    if min(na, nb, m) < 0:
+        raise FormatError("invariant", f"negative count in '{' '.join(toks)}'", lineno)
     # keyed by B-vertex: the header count sizes nothing before the records
     # are read, and a B-vertex with no record stops the window loop below
     nbrs: defaultdict[int, set[int]] = defaultdict(set)

@@ -7,6 +7,7 @@ in ascending vertex id so results are reproducible for a given input.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -27,7 +28,7 @@ class GraphError(ValueError):
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "m", "_adj", "_adjsets")
+    __slots__ = ("n", "m", "_adjsets")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -48,8 +49,8 @@ class Graph:
         """The graph in which vertex v has the neighbours adj[v].
 
         The lists must be symmetric and hold one entry per incident edge,
-        in any order; they are sorted in place.  A repeated entry or a
-        self-loop raises `GraphError("bad-adjacency")`.
+        in any order, and are only read.  A repeated entry or a self-loop
+        raises `GraphError("bad-adjacency")`.
         """
         g = cls.__new__(cls)
         if not g._fill(adj):
@@ -57,15 +58,12 @@ class Graph:
         return g
 
     def _fill(self, adj: list[list[int]]) -> bool:
-        """Take the graph from adjacency lists, sorted in place first, so
-        the sets do not depend on the order the edges came in.
+        """Take the graph's neighbour sets from adjacency lists.
 
         A repeated edge or a self-loop leaves a set shorter than its list,
         and then nothing is set and False is returned: the caller names
         the fault.
         """
-        for a in adj:
-            a.sort()
         adjsets = tuple(map(frozenset, adj))
         twice_m = sum(map(len, adj))
         if sum(map(len, adjsets)) != twice_m:
@@ -73,16 +71,12 @@ class Graph:
         self.n = len(adj)
         self.m = twice_m // 2
         self._adjsets: tuple[frozenset[int], ...] = adjsets
-        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         return True
 
     @property
     def graph(self) -> Graph:
         """Read as a model, a graph is its own derived graph."""
         return self
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         return self._adjsets[v]
@@ -91,17 +85,17 @@ class Graph:
         return v in self._adjsets[u]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._adjsets[v])
 
     def edges(self) -> Iterator[Edge]:
         """All edges as (u, v) with u < v, ascending."""
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if u < v:
-                    yield (u, v)
+        for u, a in enumerate(self._adjsets):
+            row = sorted(a)
+            for v in row[bisect(row, u) :]:
+                yield (u, v)
 
     def is_complete(self) -> bool:
-        return all(len(a) == self.n - 1 for a in self._adj)
+        return all(len(a) == self.n - 1 for a in self._adjsets)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.m})"
@@ -217,24 +211,27 @@ def spanning_tree(g: Graph, s: Iterable[int], root: int | None = None) -> tuple[
     """BFS spanning tree of the induced subgraph on s, rooted at `root`, a
     member of s (default min(s)).
 
-    Edges are returned in discovery order as (parent, child); neighbors are
-    scanned in ascending id, so the result is deterministic.
+    Edges are returned in discovery order as (parent, child); each vertex
+    takes its undiscovered neighbours in s in ascending id, so the result
+    is deterministic.
     """
-    members = set(s)
-    if not members:
+    unseen = set(s)
+    if not unseen:
         raise GraphError("empty-subset")
-    root = min(members) if root is None else root
-    seen = {root}
+    if root is None:
+        root = min(unseen)
+    elif root not in unseen:
+        raise GraphError("not-connected")
+    unseen.remove(root)
     queue = deque([root])
     edges: list[Edge] = []
     while queue:
         x = queue.popleft()
-        for y in g.neighbors(x):
-            if y in members and y not in seen:
-                seen.add(y)
-                edges.append((x, y))
-                queue.append(y)
-    if seen != members:  # also when root lies outside s
+        found = sorted(g.neighbor_set(x) & unseen)
+        unseen.difference_update(found)
+        edges += [(x, y) for y in found]
+        queue += found
+    if unseen:
         raise GraphError("not-connected")
     return tuple(edges)
 
@@ -269,8 +266,8 @@ def _connectivity_capped(g: Graph, cap: int) -> int:
     best = min(cap, g.degree(v0))
     if best == 0:
         return 0
-    nbrs = g.neighbors(v0)
     nbr_set = g.neighbor_set(v0)
+    nbrs = sorted(nbr_set)
     settled: set[int] = set()
     flowed: list[int] = []
     for u in range(g.n):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .engine import GLInstance, GlPartition
+from .engine import GLInstance
 from .graphs import Graph, GraphError, VertexSet, dominates, is_connected_subset
 
 
@@ -28,12 +28,6 @@ class VerificationReport:
         if self.ok:
             return "OK"
         return "\n".join(f"FAIL {rule} {detail}" for rule, detail in self.violations)
-
-
-def _as_blocks(p: GlPartition | Sequence[Iterable[int]]) -> list[frozenset[int]]:
-    if isinstance(p, GlPartition):
-        return [frozenset(b) for b in p.blocks]
-    return [frozenset(b) for b in p]
 
 
 # Most uncovered vertices one report line lists; past it the line gives the
@@ -62,10 +56,10 @@ def _partition_violations(g: Graph, blocks: list[frozenset[int]]) -> list[tuple[
     return out
 
 
-def verify_gl(instance: GLInstance, p: GlPartition | Sequence[Iterable[int]]) -> VerificationReport:
+def verify_gl(instance: GLInstance, p: Sequence[Iterable[int]]) -> VerificationReport:
     """Check the four partition conditions: cover, sizes, terminals, connectivity."""
     g = instance.graph
-    blocks = _as_blocks(p)
+    blocks = [frozenset(b) for b in p]
     v: list[tuple[str, str]] = []
     if len(blocks) != instance.k:
         v.append(("partition", f"{len(blocks)} blocks for k={instance.k}"))
@@ -82,7 +76,7 @@ def verify_gl(instance: GLInstance, p: GlPartition | Sequence[Iterable[int]]) ->
 
 def verify_cds_partition(g: Graph, p: Sequence[Iterable[int]]) -> VerificationReport:
     """Check partition-of-V plus per-block connectivity and domination."""
-    blocks = _as_blocks(p)
+    blocks = [frozenset(b) for b in p]
     v = _partition_violations(g, blocks)
     for i, b in enumerate(blocks):
         if not b or not is_connected_subset(g, b):
@@ -101,7 +95,7 @@ def verify_cds_partition(g: Graph, p: Sequence[Iterable[int]]) -> VerificationRe
 def _adj_masks(g: Graph) -> list[int]:
     masks = [0] * g.n
     for v in range(g.n):
-        for w in g.neighbors(v):
+        for w in g.neighbor_set(v):
             masks[v] |= 1 << w
     return masks
 
@@ -132,7 +126,7 @@ def _connected_mask(adj: list[int], mask: int) -> bool:
 # -- oracles -----------------------------------------------------------------
 
 
-def brute_gl(instance: GLInstance, max_n: int = 14) -> GlPartition | None:
+def brute_gl(instance: GLInstance, max_n: int = 14) -> tuple[VertexSet, ...] | None:
     """Exhaustive search for a valid partition; lexicographically smallest.
 
     Vertices are assigned in ascending id to the lowest feasible block;
@@ -187,7 +181,7 @@ def brute_gl(instance: GLInstance, max_n: int = 14) -> GlPartition | None:
     masks = search(0)
     if masks is None:
         return None
-    return GlPartition(tuple(frozenset(_bits(m)) for m in masks))
+    return tuple(frozenset(_bits(m)) for m in masks)
 
 
 def brute_cds(g: Graph, k: int, max_n: int = 14) -> tuple[VertexSet, ...] | None:

@@ -32,7 +32,7 @@ class SplitNetwork:
             if v != s and v != t:
                 self._arc(2 * v, 2 * v + 1)
         for u in range(g.n):
-            for v in g.neighbors(u):
+            for v in sorted(g.neighbor_set(u)):
                 self._arc(2 * u + 1, 2 * v)
 
     def _arc(self, a: int, b: int) -> None:
@@ -112,7 +112,7 @@ def connectivity_capped(g: Graph, cap: int) -> int:
         return min(g.n - 1, cap)
     v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
     best = min(cap, g.degree(v0))
-    nbrs = g.neighbors(v0)
+    nbrs = sorted(g.neighbor_set(v0))
     pairs = chain(
         ((v0, u) for u in range(g.n) if u != v0 and not g.has_edge(v0, u)),
         ((x, y) for i, x in enumerate(nbrs) for y in nbrs[i + 1 :] if not g.has_edge(x, y)),

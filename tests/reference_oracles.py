@@ -14,12 +14,12 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from cdspart.graphs import Graph, GraphError, dominates, is_connected_subset
-from cdspart.verify import VerificationReport, _adj_masks, _as_blocks, _bits, _connected_mask
+from cdspart.verify import VerificationReport, _adj_masks, _bits, _connected_mask
 
 
 def verify_cds_family(g: Graph, sets: Sequence[Iterable[int]]) -> VerificationReport:
     """Like verify_cds_partition but the sets need not cover V."""
-    blocks = _as_blocks(sets)
+    blocks = [frozenset(b) for b in sets]
     v: list[tuple[str, str]] = []
     seen: set[int] = set()
     for i, b in enumerate(blocks):

@@ -33,8 +33,6 @@ def _ints(tokens, lineno):
 
 def _graph_sets(n, edges):
     """Adjacency sets, checking each edge in input order."""
-    if n < 0:
-        raise GraphError("bad-order", f"negative vertex count {n}")
     adj = [set() for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -114,6 +112,10 @@ def _parse_graph(rows):
     if len(toks) != 4:
         raise FormatError("syntax", "expected 'p gl <n> <m>'", lineno)
     n, m = _ints(toks[2:], lineno)
+    if n < 0:
+        raise FormatError("invariant", f"bad-order: negative vertex count {n}")
+    if m < 0:
+        raise FormatError("invariant", f"negative edge count {m}", lineno)
     edges = []
     pos = 1
     for _ in range(m):
@@ -139,6 +141,8 @@ def _parse_interval(rows):
     if len(toks) != 3:
         raise FormatError("syntax", "expected 'p interval <n>'", lineno)
     (n,) = _ints(toks[2:], lineno)
+    if n < 0:
+        raise FormatError("invariant", f"negative interval count {n}", lineno)
     lefts = [None] * n
     rights = [None] * n
     pos = 1
@@ -169,6 +173,8 @@ def _parse_convex(rows, biconvex):
     if len(toks) != 5:
         raise FormatError("syntax", f"expected 'p {'biconvex' if biconvex else 'convex'} <nA> <nB> <m>'", lineno)
     na, nb, m = _ints(toks[2:], lineno)
+    if min(na, nb, m) < 0:
+        raise FormatError("invariant", f"negative count in '{' '.join(toks)}'", lineno)
     nbrs = [set() for _ in range(nb)]
     pos = 1
     for _ in range(m):

@@ -238,6 +238,20 @@ class TestErrorPaths:
             "expected 99999999999999999999 interval lines\n"
         )
 
+    @pytest.mark.parametrize("text,message", [
+        ("p gl 3 -1\n", "negative edge count -1 (line 1)"),
+        ("p gl 3 -1\ne 1 2\n", "negative edge count -1 (line 1)"),
+        ("# c\np gl -1 0\n", "bad-order: negative vertex count -1"),
+        ("p interval -1\n", "negative interval count -1 (line 1)"),
+        ("p convex 2 2 -1\ne 1 1\n", "negative count in 'p convex 2 2 -1' (line 1)"),
+        ("p biconvex -2 1 0\n", "negative count in 'p biconvex -2 1 0' (line 1)"),
+    ])
+    def test_negative_header_count_exit_2(self, tmp_path, capsys, text, message):
+        model = tmp_path / "m.txt"
+        model.write_text(text)
+        code, out = run(capsys, "connectivity", str(model))
+        assert (code, out) == (2, f"ERROR invariant invariant violated: {message}\n")
+
     def test_convex_b_count_sizes_nothing_exit_2(self, tmp_path):
         # under an address-space cap, so a parser that sized a container by
         # the header count fails with MemoryError instead of eating memory

@@ -319,7 +319,7 @@ class TestSettledNonNeighbours:
         for u in non_nbrs:
             if not g.neighbor_set(u) & settled:
                 settled.add(u)
-        nbrs = g.neighbors(v0)
+        nbrs = sorted(g.neighbor_set(v0))
         nbr_pairs = [(x, y) for x in nbrs for y in nbrs if x < y and not g.has_edge(x, y)]
         assert settled
         assert len(flows) == len(non_nbrs) - len(settled) + len(nbr_pairs)

@@ -224,7 +224,6 @@ def _streamed_bundle(text):
     """parse_bundle's result in the reference parser's shape."""
     b = parse_bundle(text)
     g = b.graph
-    assert g._adj == tuple(tuple(sorted(s)) for s in g._adjsets)
     assert 2 * g.m == sum(map(len, g._adjsets))
     return (None if b.model is g else b.model), g._adjsets, b.terminals, b.demands
 
@@ -352,6 +351,14 @@ class TestReferenceParser:
             "p interval 2\ni 1 a 2\n",
             "p interval 2\ni 1 1 2\ni 2 2 3\nk 1\nt 2 2\n",
             "p interval -2\n",
+            "p interval -1\ni 1 1 2\n",
+            "p gl 5 -1\n",
+            "p gl -1 -1\n",
+            "p gl 4 1\ne 3 4\n",
+            "p gl 9 2\ne 8 9\ne 1 2\n",
+            "p convex 2 2 -1\n",
+            "p convex -1 2 0\n",
+            "p biconvex 2 -1 0\n",
             "p convex 2 1 2\ne 1 1\n",
             "p convex 2 1 2\ne 1 1\ne 1 1\n",
             "p convex 2 1 1\ne 3 1\n",
@@ -431,7 +438,7 @@ def test_parse_peak_memory_is_linear_in_file_size():
 
 
 def test_parsed_graph_is_compact_and_interned():
-    """A planted n=600, k=150 bundle: the parsed graph keeps at most 160 B
+    """A planted n=600, k=150 bundle: the parsed graph keeps at most 135 B
     per edge, and its adjacency holds each vertex id as one int object."""
     g, _ = gen_planted_cds(600, 150, 150, 1)
     t, d = gen_gl_extension(g.n, 150, 1)
@@ -442,5 +449,20 @@ def test_parsed_graph_is_compact_and_interned():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert retained <= 160 * g.m, retained / g.m
-    assert len({id(v) for a in g._adj for v in a}) <= g.n
+    assert retained <= 135 * g.m, retained / g.m
+    assert len({id(v) for a in g._adjsets for v in a}) <= g.n
+
+
+def test_id_table_is_sized_by_the_records():
+    """`p gl 2^18 0` declares many vertices but no record can name one, so
+    the parse holds no id table: peak minus retained memory stays under
+    100 B per declared vertex (about 181 with a table of all n ids)."""
+    n = 1 << 18
+    tracemalloc.start()
+    try:
+        g = parse_bundle(f"p gl {n} 0\n").graph
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.m) == (n, 0)
+    assert peak - retained <= 100 * n, (peak - retained) / n

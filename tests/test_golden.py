@@ -63,7 +63,7 @@ def solve_digest(n, k, extra, seed):
     terminals, demands = gen_gl_extension(n, k, seed=seed ^ 0xF00D)
     trace = []
     p = solve(GLInstance(graph=g, terminals=terminals, demands=demands), trees, trace=trace)
-    text = write_partition(p.blocks) + write_trace(trace)
+    text = write_partition(p) + write_trace(trace)
     return hashlib.sha256(text.encode()).hexdigest()
 
 

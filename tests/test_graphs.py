@@ -15,7 +15,9 @@ from cdspart.graphs import (
     spanning_tree,
     vertex_connectivity,
 )
-from cdspart.generators import gen_planted_cds
+from cdspart.engine import GLInstance, solve
+from cdspart.flows import vertex_disjoint_paths
+from cdspart.generators import gen_gl_extension, gen_planted_cds
 
 from conftest import fixture_graph, random_graph
 from reference_oracles import brute_vertex_connectivity
@@ -37,7 +39,7 @@ class TestGraphConstruction:
     def test_counts(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert g.n == 4 and g.m == 2
-        assert g.neighbors(0) == (1,)
+        assert g.neighbor_set(0) == {1}
 
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError, match="self-loop"):
@@ -55,8 +57,8 @@ class TestGraphConstruction:
     def test_adjacency_symmetry(self, seed):
         g = random_graph(seed, 10, 14)
         for u in range(g.n):
-            for v in g.neighbors(u):
-                assert u in g.neighbors(v)
+            for v in g.neighbor_set(u):
+                assert u in g.neighbor_set(v)
 
     def test_degree_sum_is_twice_edges(self):
         g = random_graph(7, 12, 20)
@@ -96,7 +98,7 @@ class TestGraphConstruction:
                     return f"duplicate-edge: ({u}, {v})"
                 adj[u].add(v)
                 adj[v].add(u)
-            return tuple(tuple(sorted(s)) for s in adj)
+            return tuple(map(frozenset, adj))
 
         rng = random.Random(seed)
         n = rng.randint(1, 8)
@@ -104,15 +106,22 @@ class TestGraphConstruction:
             (rng.randint(-1, n), rng.randint(-1, n)) for _ in range(rng.randint(0, 12))
         ]
         try:
-            got = Graph(n, edges)._adj
+            got = Graph(n, edges)._adjsets
         except GraphError as exc:
             got = str(exc)
         assert got == per_edge(n, edges)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_edges_are_the_sorted_pairs(self, seed):
+        g = random_graph(seed, 1 + 9 * seed, 4 * seed * (1 + seed % 3))
+        pairs = sorted((u, v) for u in range(g.n) for v in g.neighbor_set(u) if u < v)
+        assert list(g.edges()) == pairs
+        assert len(pairs) == g.m
+
     def test_one_shot_edge_generator(self):
         g = Graph(4, ((i, i + 1) for i in range(3)))
         assert g.m == 3
-        assert [g.neighbors(v) for v in range(4)] == [(1,), (0, 2), (1, 3), (2,)]
+        assert [g.neighbor_set(v) for v in range(4)] == [{1}, {0, 2}, {1, 3}, {2}]
         assert g.neighbor_set(1) == {0, 2}
 
 
@@ -120,9 +129,9 @@ class TestFromLists:
     def test_equals_the_edge_list_constructor(self):
         for seed in range(40):
             g = random_graph(seed, 1 + seed % 12, 3 * (seed % 7))
-            lists = [list(reversed(g.neighbors(v))) for v in range(g.n)]
+            lists = [sorted(g.neighbor_set(v), reverse=True) for v in range(g.n)]
             h = Graph.from_lists(lists)
-            assert (h.n, h.m, h._adj, h._adjsets) == (g.n, g.m, g._adj, g._adjsets)
+            assert (h.n, h.m, h._adjsets) == (g.n, g.m, g._adjsets)
 
     def test_empty(self):
         g = Graph.from_lists([])
@@ -132,6 +141,55 @@ class TestFromLists:
     def test_rejects_a_repeated_entry_or_a_self_loop(self, lists):
         with pytest.raises(GraphError, match="bad-adjacency"):
             Graph.from_lists(lists)
+
+
+def shuffled_lists(g, seed):
+    rng = random.Random(seed)
+    return [rng.sample(sorted(a), len(a)) for a in g._adjsets]
+
+
+class TestOrderIndependence:
+    """A graph built from its lists in any order is the same graph to every
+    reader: no result may depend on the sets' iteration order, which does
+    depend on the order the lists came in."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_walks_and_flows(self, seed):
+        g = random_graph(seed, 40 + 20 * seed, 150 + 60 * seed, connected=True)
+        h = Graph.from_lists(shuffled_lists(g, seed))
+        # the test has teeth: some set iterates in another order
+        assert any(list(a) != list(b) for a, b in zip(g._adjsets, h._adjsets))
+        assert (h.n, h.m, h._adjsets) == (g.n, g.m, g._adjsets)
+        assert list(h.edges()) == list(g.edges())
+        rng = random.Random(seed)
+        for _ in range(20):
+            s = set(rng.sample(range(g.n), rng.randint(1, g.n)))
+            root = rng.choice(sorted(s))
+            assert _tree_outcome(h, s, root) == _tree_outcome(g, s, root)
+            u, v = rng.sample(range(g.n), 2)
+            assert vertex_disjoint_paths(h, u, v).paths == vertex_disjoint_paths(g, u, v).paths
+        assert vertex_connectivity(h) == vertex_connectivity(g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_solve(self, seed):
+        n, k = 150, 5 + seed
+        g, trees = gen_planted_cds(n, k, 300, seed)
+        t, d = gen_gl_extension(n, k, seed)
+        h = Graph.from_lists(shuffled_lists(g, seed))
+        assert any(list(a) != list(b) for a, b in zip(g._adjsets, h._adjsets))
+        outs = []
+        for graph in (g, h):
+            trace = []
+            blocks = solve(GLInstance(graph, t, d), trees, trace=trace)
+            outs.append((blocks, trace))
+        assert outs[0] == outs[1]
+
+
+def _tree_outcome(g, s, root=None):
+    try:
+        return spanning_tree(g, s, root)
+    except GraphError as exc:
+        return exc.code
 
 
 class TestConnectedSubset:
@@ -176,7 +234,7 @@ class TestConnectedSubset:
                     frontier = sorted(s)
                     while frontier and len(s) < size:
                         x = frontier.pop(rng.randrange(len(frontier)))
-                        for y in g.neighbors(x):
+                        for y in sorted(g.neighbor_set(x)):
                             if y not in s and len(s) < size:
                                 s.add(y)
                                 frontier.append(y)
@@ -310,6 +368,31 @@ class TestSpanningTree:
         with pytest.raises(GraphError, match="not-connected"):
             spanning_tree(path_graph(4), {0, 3})
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_ascending_scan(self, seed):
+        rng = random.Random(seed)
+        n = 5 + 6 * seed
+        g = random_graph(seed, n, n * (1 + seed % 4) // 2, connected=seed % 2 == 0)
+        outcomes = set()
+        for trial in range(30):
+            size = rng.randint(1, n)
+            if trial % 2:
+                s = set(rng.sample(range(n), size))
+            else:  # a connected piece, unless its component is smaller
+                s = {rng.randrange(n)}
+                frontier = sorted(s)
+                while frontier and len(s) < size:
+                    x = frontier.pop(rng.randrange(len(frontier)))
+                    grow = sorted(g.neighbor_set(x) - s)[: size - len(s)]
+                    s.update(grow)
+                    frontier += grow
+            # in s, the default, or any vertex (perhaps outside s)
+            root = (rng.choice(sorted(s)), None, rng.randrange(n))[trial % 3]
+            want = _tree_outcome_by_scan(g, s, root)
+            assert _tree_outcome(g, s, root) == want, (seed, trial)
+            outcomes.add(isinstance(want, str))
+        assert outcomes == {True, False}
+
     def test_root(self):
         g = path_graph(4)
         assert spanning_tree(g, {0, 1, 2, 3}, root=2) == ((2, 1), (2, 3), (1, 0))
@@ -317,6 +400,24 @@ class TestSpanningTree:
         # a root outside s spans nothing of s: {1, 3} would match in size
         with pytest.raises(GraphError, match="not-connected"):
             spanning_tree(Graph(4, [(0, 1), (2, 3)]), {1, 3}, root=0)
+
+
+def _tree_outcome_by_scan(g, s, root=None):
+    """`spanning_tree`'s outcome by its former routine: each vertex scans
+    all its neighbours in ascending id and skips seen vertices and
+    non-members."""
+    members = set(s)
+    root = min(members) if root is None else root
+    seen = {root}
+    queue = [root]
+    edges = []
+    for x in queue:
+        for y in sorted(g.neighbor_set(x)):
+            if y in members and y not in seen:
+                seen.add(y)
+                edges.append((x, y))
+                queue.append(y)
+    return tuple(edges) if seen == members else "not-connected"
 
 
 class TestVertexConnectivity:

@@ -55,7 +55,7 @@ class TestIntervalModel:
             for v in range(u + 1, m.n)
             if max(m.lefts[u], m.lefts[v]) <= min(m.rights[u], m.rights[v])
         ]
-        assert m.derive_graph()._adj == Graph(m.n, pairs)._adj
+        assert m.derive_graph()._adjsets == Graph(m.n, pairs)._adjsets
 
 
 def check_path_decomposition(g, bags):
@@ -245,7 +245,7 @@ class TestDerivedGraphsFromEnumeratedPairs:
     @staticmethod
     def same(g, n, pairs):
         want = Graph(n, pairs)
-        assert (g.n, g.m, g._adj, g._adjsets) == (want.n, want.m, want._adj, want._adjsets)
+        assert (g.n, g.m, g._adjsets) == (want.n, want.m, want._adjsets)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_interval(self, seed):

@@ -98,7 +98,7 @@ class TestBruteGl:
     def test_k4_lexicographic_golden(self):
         inst = GLInstance(graph=k4(), terminals=(0, 1), demands=(2, 2))
         p = brute_gl(inst)
-        assert p.blocks == (frozenset({0, 2}), frozenset({1, 3}))
+        assert p == (frozenset({0, 2}), frozenset({1, 3}))
 
     def test_star_feasibility_depends_on_center(self):
         star = Graph(5, [(0, i) for i in range(1, 5)])
@@ -134,7 +134,7 @@ class TestBruteGl:
         g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)])
         inst = GLInstance(graph=g, terminals=(0, 3), demands=(3, 3))
         p = brute_gl(inst)
-        assert p.blocks == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+        assert p == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
 
 
 class TestBruteCds:
