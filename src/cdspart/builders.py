@@ -66,10 +66,10 @@ def cds_interval(m: IntervalModel, k: int) -> CdsFamily:
         for v in bag:
             adj[v].append(end)
     aug = Graph.from_lists(adj)
-    family = vertex_disjoint_paths(aug, s, t, want=k)
-    if len(family.paths) < k:
-        raise InsufficientConnectivity(k, len(family.paths))
-    sets = tuple(frozenset(p[1:-1]) for p in family.paths)
+    paths = vertex_disjoint_paths(aug, s, t, want=k)
+    if len(paths) < k:
+        raise InsufficientConnectivity(k, len(paths))
+    sets = tuple(frozenset(p[1:-1]) for p in paths)
     validate_family(g, sets)
     return sets
 
@@ -81,10 +81,10 @@ def backbones(m: ConvexModel, g: Graph, k: int) -> tuple[Path, ...]:
         raise BuilderError("bad-k", f"k={k}")
     if m.na < 2:
         raise BuilderError("bad-model", "need at least two A-vertices")
-    family = vertex_disjoint_paths(g, m.a_id(0), m.a_id(m.na - 1), want=k)
-    if len(family.paths) < k:
-        raise InsufficientConnectivity(k, len(family.paths))
-    return tuple(make_induced(g, p) for p in family.paths)
+    paths = vertex_disjoint_paths(g, m.a_id(0), m.a_id(m.na - 1), want=k)
+    if len(paths) < k:
+        raise InsufficientConnectivity(k, len(paths))
+    return tuple(make_induced(g, p) for p in paths)
 
 
 def cds_biconvex(m: BiconvexModel, k: int) -> CdsFamily:

@@ -84,6 +84,13 @@ def _read(path: str) -> str:
         raise formats.FormatError("io", f"cannot read {path}: {exc}") from exc
 
 
+def _distinct_outputs(*paths: Path) -> None:
+    """Refuse outputs that resolve to one file: a later write would replace
+    an earlier one."""
+    if len({p.resolve() for p in paths}) < len(paths):
+        raise formats.FormatError("usage", f"{' and '.join(map(str, paths))} name one file")
+
+
 # the size flags each `gen` class needs; --extra-edges is planted's alone
 _GEN_SIZES = {"interval": ("n",), "planted": ("n",), "convex": ("na", "nb"), "biconvex": ("na", "nb")}
 
@@ -104,6 +111,8 @@ def _cmd_gen(args) -> int:
         raise formats.FormatError("invariant", f"vertex count {n} exceeds {formats.MAX_VERTICES}")
     comments = []
     if klass == "planted":
+        cds_path = Path(args.output).with_suffix(".cds")
+        _distinct_outputs(Path(args.output), cds_path)
         extra = args.extra_edges if args.extra_edges is not None else n // 4
         g, trees = generators.gen_planted_cds(n, args.k, extra, args.seed)
         terminals, demands = generators.gen_gl_extension(
@@ -114,7 +123,6 @@ def _cmd_gen(args) -> int:
         )
         bundle = formats.InstanceBundle(model=g, terminals=terminals, demands=demands)
         Path(args.output).write_text(formats.write_bundle(bundle, comments), encoding="utf-8")
-        cds_path = Path(args.output).with_suffix(".cds")
         cds_text = formats.write_cds([t.vertices for t in trees])
         cds_path.write_text(cds_text, encoding="utf-8")
         print(f"wrote {args.output} and {cds_path}")
@@ -161,6 +169,8 @@ def _cmd_cds(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    if args.trace:
+        _distinct_outputs(Path(args.output), Path(args.trace))
     bundle = formats.parse_bundle(_read(args.input))
     instance = bundle.gl_instance()
     sets = formats.parse_cds_sets(_read(args.cds), bundle.graph.n)

@@ -108,51 +108,16 @@ def validate_cds_input(g: Graph, trees: Sequence[DominatingTree]) -> None:
         seen |= t.vertices
 
 
-def categorize_trees(
-    g: Graph, trees: Sequence[DominatingTree], terminals: Sequence[int]
-) -> tuple[CdsInput, list[list[int]]]:
-    """Put every terminal on a tree, then index terminals by tree.
-
-    Stray terminals are appended to tree 0 (the lowest index; every tree
-    dominates every vertex, so an attachment edge always exists), keeping
-    it a dominating tree.  Returns (updated trees, by_tree), where
-    by_tree[ti] lists the indices of the terminals on tree ti, ascending.
-    """
-    out = list(trees)
-    wanted = set(terminals)
-    on_tree: dict[int, int] = {}  # terminal -> tree, O(min(|T|, k)) per tree
-    for i, t in enumerate(out):
-        for c in t.vertices & wanted:
-            on_tree[c] = i
-    for c in terminals:
-        if c in on_tree:
-            continue
-        host = out[0]
-        witness_pool = g.neighbor_set(c) & host.vertices
-        if not witness_pool:
-            raise EngineError("invalid-cds-input", f"tree 0 does not dominate {c}")
-        w = min(witness_pool)
-        out[0] = DominatingTree(
-            vertices=host.vertices | {c}, edges=host.edges + ((w, c),)
-        )
-        on_tree[c] = 0
-    by_tree: list[list[int]] = [[] for _ in out]
-    for i, c in enumerate(terminals):
-        by_tree[on_tree[c]].append(i)
-    return tuple(out), by_tree
-
-
 class _TreeView:
-    """Per-solve view of one dominating tree: the tree, its vertex set and
-    tree adjacency, and its index in the input."""
+    """Per-solve view of one dominating tree: its vertex set and sorted tree
+    adjacency, which stray terminals extend in place, and its index in the
+    input."""
 
-    __slots__ = ("tree", "vertices", "adj", "size", "label")
+    __slots__ = ("vertices", "adj", "label")
 
     def __init__(self, tree: DominatingTree, label: int):
-        self.tree = tree
-        self.vertices = tree.vertices
+        self.vertices = set(tree.vertices)
         self.adj = tree.adjacency()
-        self.size = len(tree.vertices)
         self.label = label
 
 
@@ -341,7 +306,7 @@ class PartitionState:
 
     def contains_whole_tree(self, i: int) -> bool:
         return any(
-            self.hit_count[i].get(ti, 0) == self.trees[ti].size
+            self.hit_count[i].get(ti, 0) == len(self.trees[ti].vertices)
             for ti in range(1, len(self.trees))
         )
 
@@ -392,6 +357,33 @@ class PartitionState:
     def checkpoint(self, where: str) -> None:
         PartitionState.checkpoints_run += 1
         self.check_invariants(where)
+
+
+def categorize_trees(state: PartitionState) -> list[list[int]]:
+    """Put every terminal of a fresh round state on a tree, then index
+    terminals by tree.
+
+    A stray terminal joins tree 0 (the lowest index; every tree dominates
+    every vertex, so an attachment edge always exists) in place, under its
+    lowest neighbour there, keeping it a dominating tree; strays join in
+    terminal order.  Returns by_tree, where by_tree[ti] lists the indices of
+    the terminals on tree ti, ascending.
+    """
+    host = state.trees[0]
+    by_tree: list[list[int]] = [[] for _ in state.trees]
+    for i, c in enumerate(state.terminals):
+        ti = state.tree_of.get(c)
+        if ti is None:
+            witness_pool = state.graph.neighbor_set(c) & host.vertices
+            if not witness_pool:
+                raise EngineError("invalid-cds-input", f"tree 0 does not dominate {c}")
+            w = min(witness_pool)
+            host.vertices.add(c)
+            host.adj[c] = (w,)
+            host.adj[w] = tuple(sorted((*host.adj[w], c)))
+            state.tree_of[c] = ti = 0
+        by_tree[ti].append(i)
+    return by_tree
 
 
 # -- single-tree case ------------------------------------------------------
@@ -563,7 +555,7 @@ def add_vertices(state: PartitionState) -> None:
         if j is None:
             break
         ti = state.tlabel[j]
-        while not state.full[j] and state.hit_count[j].get(ti, 0) < state.trees[ti].size:
+        while not state.full[j] and state.hit_count[j].get(ti, 0) < len(state.trees[ti].vertices):
             guard -= 1
             if guard < 0:
                 raise EngineError("no-progress", "tree absorption failed to advance")
@@ -664,13 +656,6 @@ def _trim_block(g: Graph, block: VertexSet, terminal: int, target: int) -> Verte
     return frozenset(kept)
 
 
-@dataclass
-class _WorkItem:
-    orig: int
-    terminal: int
-    demand: int
-
-
 def solve(
     instance: GLInstance,
     trees: Sequence[DominatingTree],
@@ -703,13 +688,9 @@ def solve(
     # dominates all of V.  Rounds only ever add vertices to a tree, and a
     # superset of it dominates whatever is left, so retire checks inclusion.
     validated = [t.vertices for t in trees[: instance.k]]
-    # The one tree list, built once: a view is rebuilt only for a tree that
-    # categorize_trees replaces (tree 0 when it grows).
+    # The one copy of each tree: stray terminals grow tree 0's view in place.
     views = [_TreeView(t, label) for label, t in enumerate(trees[: instance.k])]
-    work = [
-        _WorkItem(i, instance.terminals[i], instance.demands[i])
-        for i in range(instance.k)
-    ]
+    work = list(range(instance.k))  # input indices of the unfinished blocks
     blocks_out: dict[int, VertexSet] = {}
 
     def retire(item_positions: list[int], finished: list[VertexSet], tree_positions: list[int]) -> None:
@@ -717,7 +698,7 @@ def solve(
         if not item_positions:
             raise EngineError("no-progress", "a round finished no block")
         for pos, block in zip(item_positions, finished):
-            blocks_out[work[pos].orig] = block
+            blocks_out[work[pos]] = block
             members = members - block
         done = set(item_positions)
         work = [r for i, r in enumerate(work) if i not in done]
@@ -736,21 +717,12 @@ def solve(
             seen |= tv.vertices
 
     while work:
-        terminals = [r.terminal for r in work]
-        demands = [r.demand for r in work]
-        current, by_tree = categorize_trees(g, [tv.tree for tv in views], terminals)
-        for i, t in enumerate(current):
-            if t is not views[i].tree:
-                views[i] = _TreeView(t, views[i].label)
+        terminals = [instance.terminals[r] for r in work]
+        demands = [instance.demands[r] for r in work]
         state = PartitionState(
-            g,
-            members,
-            terminals,
-            demands,
-            views,
-            set_labels=[r.orig for r in work],
-            trace=trace,
+            g, members, terminals, demands, views, set_labels=work, trace=trace
         )
+        by_tree = categorize_trees(state)
         try:
             _place(state)
         except _Emit as e:
@@ -770,7 +742,7 @@ def solve(
                 [terminals[i] for i in member_idxs],
                 sub_demands,
                 [views[p] for p in sub_tree_positions],
-                set_labels=[work[i].orig for i in member_idxs],
+                set_labels=[work[i] for i in member_idxs],
                 trace=trace,
             )
         )

@@ -15,34 +15,11 @@ produced family deterministic.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .graphs import Graph, GraphError
 
 Path = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PathFamily:
-    """Internally vertex-disjoint s-t paths, canonically ordered."""
-
-    s: int
-    t: int
-    paths: tuple[Path, ...]
-
-    def validate(self, g: Graph) -> None:
-        seen_internal: set[int] = set()
-        for p in self.paths:
-            check_path(g, p)
-            if p[0] != self.s or p[-1] != self.t:
-                raise GraphError("bad-endpoints", f"path {p}")
-            internal = set(p[1:-1])
-            if internal & seen_internal:
-                raise GraphError(
-                    "not-disjoint", f"shared internal vertices {internal & seen_internal}"
-                )
-            seen_internal |= internal
 
 
 def check_path(g: Graph, p: Path) -> None:
@@ -175,7 +152,23 @@ class _SplitNetwork:
         return paths
 
 
-def vertex_disjoint_paths(g: Graph, s: int, t: int, want: int | None = None) -> PathFamily:
+def _check_paths(g: Graph, s: int, t: int, paths: tuple[Path, ...]) -> None:
+    """Raise unless every path runs from s to t in g and no two paths share
+    an internal vertex."""
+    seen_internal: set[int] = set()
+    for p in paths:
+        check_path(g, p)
+        if p[0] != s or p[-1] != t:
+            raise GraphError("bad-endpoints", f"path {p}")
+        internal = set(p[1:-1])
+        if internal & seen_internal:
+            raise GraphError(
+                "not-disjoint", f"shared internal vertices {internal & seen_internal}"
+            )
+        seen_internal |= internal
+
+
+def vertex_disjoint_paths(g: Graph, s: int, t: int, want: int | None = None) -> tuple[Path, ...]:
     """min(want, lambda(s,t)) internally vertex-disjoint s-t paths.
 
     Paths are sorted by (length, vertex sequence) for reproducibility.
@@ -186,10 +179,9 @@ def vertex_disjoint_paths(g: Graph, s: int, t: int, want: int | None = None) -> 
         raise GraphError("bad-want", f"want={want}")
     net = _SplitNetwork(g)
     net.max_flow(s, t, want)
-    paths = sorted(net.extract_paths(), key=lambda p: (len(p), p))
-    family = PathFamily(s=s, t=t, paths=tuple(paths))
-    family.validate(g)
-    return family
+    paths = tuple(sorted(net.extract_paths(), key=lambda p: (len(p), p)))
+    _check_paths(g, s, t, paths)
+    return paths
 
 
 def make_induced(g: Graph, p: Path) -> Path:

@@ -2,7 +2,8 @@
 
 A frozen copy of the per-pair `_SplitNetwork` that `cdspart.flows` used
 before one network per graph answered every query, together with the
-minimum-degree pair schedule over it.  Tests compare the production
+minimum-degree pair schedule over it, and `check_family`, an assert-based
+check of a path family.  Tests compare the production
 results (values and path families) against these functions; nothing in
 `src/` imports this module.
 """
@@ -104,6 +105,17 @@ def disjoint_paths(g: Graph, s: int, t: int, want: int | None = None) -> tuple:
     net = SplitNetwork(g, s, t)
     net.max_flow(want)
     return tuple(sorted(net.extract_paths(), key=lambda p: (len(p), p)))
+
+
+def check_family(g: Graph, s: int, t: int, paths: tuple) -> None:
+    """Assert that `paths` are s-t paths of g, none repeating a vertex, and
+    that no two share an internal vertex."""
+    seen: set[int] = set()
+    for p in paths:
+        assert p[0] == s and p[-1] == t and len(set(p)) == len(p), p
+        assert all(g.has_edge(a, b) for a, b in zip(p, p[1:])), p
+        assert seen.isdisjoint(p[1:-1]), p
+        seen.update(p[1:-1])
 
 
 def connectivity_capped(g: Graph, cap: int) -> int:

@@ -31,6 +31,7 @@ from cdspart.models import interval_connectivity
 from cdspart.verify import brute_cds, brute_gl, verify_cds_partition, verify_gl
 
 from conftest import random_graph
+from reference_flows import check_family
 from reference_oracles import brute_min_vertex_cut
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -231,9 +232,9 @@ def test_07_menger_correctness():
             t = rng.randint(0, n - 1)
             if s == t:
                 continue
-            fam = vertex_disjoint_paths(g, s, t)
-            fam.validate(g)
-            assert len(fam.paths) == brute_min_vertex_cut(g, s, t), (i, s, t)
+            paths = vertex_disjoint_paths(g, s, t)
+            check_family(g, s, t, paths)
+            assert len(paths) == brute_min_vertex_cut(g, s, t), (i, s, t)
             pairs_checked += 1
     report(7, "Menger correctness", f"{pairs_checked} (s,t) pairs match the brute-force cut")
 

@@ -200,6 +200,34 @@ class TestErrorPaths:
         assert out.startswith("ERROR io")
         assert not part.exists()
 
+    def test_gen_planted_output_naming_its_cds_file_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the CDS file beside `-o x.cds` is x.cds itself; refused before the
+        # generator runs, so no file is written
+        import cdspart.generators as generators
+
+        monkeypatch.setattr(generators, "gen_planted_cds", None)
+        out_file = tmp_path / "x.cds"
+        code, out = run(capsys, "gen", "--class", "planted", "--n", "20", "--k", "3",
+                        "--seed", "1", "-o", str(out_file))
+        assert (code, out) == (2, f"ERROR usage {out_file} and {out_file} name one file\n")
+        assert not out_file.exists()
+
+    def test_partition_output_naming_the_trace_exit_2(self, tmp_path, capsys, monkeypatch):
+        # paths are compared resolved: a relative and an absolute name of
+        # one file collide; refused before the solve, so no file is written
+        import cdspart.engine as engine
+
+        gl = tmp_path / "p.gl"
+        assert main(["gen", "--class", "planted", "--n", "40", "--k", "3",
+                     "--seed", "9", "-o", str(gl)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(engine, "solve", None)
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, "partition", str(gl), "--cds", str(tmp_path / "p.cds"),
+                        "-o", "p.part", "--trace", str(tmp_path / "p.part"))
+        assert code == 2 and out.startswith("ERROR usage p.part and ")
+        assert not (tmp_path / "p.part").exists()
+
     def test_partition_takes_no_emission_switch(self, capsys):
         # one emission rule: partition's options are its files and the trace
         assert main(["partition", "--help"]) == 0
@@ -520,7 +548,8 @@ class TestDeterminism:
         for hashseed in ("1", "424242"):
             d = tmp_path / hashseed
             d.mkdir()
-            env = dict(os.environ, PYTHONHASHSEED=hashseed)
+            env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                       PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
             for argv in (
                 ["gen", "--class", "planted", "--n", "40", "--k", "4",
                  "--seed", "3", "-o", str(d / "p.gl")],

@@ -181,22 +181,40 @@ class TestCheckPrecedence:
             validate_cds_input(g, trees)
 
 
+def round_state(g, trees, terminals):
+    """A fresh round state over all of g (demands are not read here)."""
+    views = [_TreeView(t, i) for i, t in enumerate(trees)]
+    return PartitionState(g, frozenset(range(g.n)), terminals, [1] * len(terminals), views)
+
+
 class TestCategorizeTrees:
     def test_all_terminals_on_first_tree(self):
-        trees, by_tree = categorize_trees(k4(), k4_trees(), [0, 1])
-        assert by_tree == [[0, 1], []]
+        assert categorize_trees(round_state(k4(), k4_trees(), [0, 1])) == [[0, 1], []]
 
     def test_one_terminal_per_tree(self):
-        trees, by_tree = categorize_trees(k4(), k4_trees(), [0, 2])
-        assert by_tree == [[0], [1]]
+        assert categorize_trees(round_state(k4(), k4_trees(), [0, 2])) == [[0], [1]]
 
     def test_stray_terminal_attached(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4)])
         tree = DominatingTree(frozenset({0, 1}), ((0, 1),))
-        trees, by_tree = categorize_trees(g, (tree,), [4])
-        assert 4 in trees[0].vertices
-        trees[0].validate(g)
-        assert by_tree == [[0]]
+        state = round_state(g, (tree,), [4])
+        view = state.trees[0]
+        assert categorize_trees(state) == [[0]]
+        grown = DominatingTree(frozenset({0, 1, 4}), ((0, 1), (0, 4)))
+        grown.validate(g)
+        assert view.vertices == grown.vertices and view.adj == grown.adjacency()
+        assert state.tree_of[4] == 0
+
+    # the later stray hangs under the earlier one, its lowest tree neighbour
+    @pytest.mark.parametrize("terminals,edges", [
+        ([0, 1], ((2, 3), (2, 0), (0, 1))),
+        ([1, 0], ((2, 3), (3, 1), (1, 0))),
+    ])
+    def test_strays_join_in_terminal_order(self, terminals, edges):
+        g = Graph(4, [(0, 2), (0, 3), (0, 1), (1, 3), (2, 3)])
+        state = round_state(g, (DominatingTree(frozenset({2, 3}), ((2, 3),)),), terminals)
+        assert categorize_trees(state) == [[0, 1]]
+        assert state.trees[0].adj == DominatingTree(frozenset(range(4)), edges).adjacency()
 
 
 class TestSingleTreePhases:
@@ -342,11 +360,10 @@ class TestSolveSingleTree:
 
 class TestChooseGroup:
     def test_single_lead_takes_everything(self):
-        g = k4()
-        trees, by_tree = categorize_trees(g, k4_trees(), [0, 1])
-        views = [_TreeView(t, i) for i, t in enumerate(trees)]
+        state = round_state(k4(), k4_trees(), [0, 1])
+        by_tree = categorize_trees(state)
         sets = [{0}, {1}]
-        lead, members, extras, union = _choose_group(views, by_tree, [2, 2], sets)
+        lead, members, extras, union = _choose_group(state.trees, by_tree, [2, 2], sets)
         assert lead == 0 and members == [0, 1] and extras == [1]
         assert union == {0, 1, 2, 3}
 
@@ -405,13 +422,14 @@ class TestChooseGroup:
         rounds = []
         groups = [0]
 
-        def checked_categorize(g, trees, terminals):
-            out, by_tree = categorize(g, trees, terminals)
+        def checked_categorize(state):
+            by_tree = categorize(state)
             assert by_tree == [
-                [i for i, c in enumerate(terminals) if c in t.vertices] for t in out
+                [i for i, c in enumerate(state.terminals) if c in tv.vertices]
+                for tv in state.trees
             ]
-            rounds.append(list(terminals))
-            return out, by_tree
+            rounds.append(list(state.terminals))
+            return by_tree
 
         def checked_choose(views, by_tree, demands, sets):
             got = choose(views, by_tree, demands, sets)
@@ -680,20 +698,25 @@ class TestStateInvariants:
             solve(inst, k4_trees())
 
     def test_retire_certificate_catches_dropped_vertex(self, monkeypatch):
-        # categorize_trees hands back a terminal-free tree that lost a
-        # validated leaf; the round may still succeed, but retire refuses
+        # a terminal-free view loses its lowest validated leaf in place, and
+        # the round's tree index forgets it; the round may still succeed,
+        # but retire refuses
         inst, trees = planted(3, 80, 8)
         original = eng_module.categorize_trees
         shrunk = []
 
-        def shrinking(g, trees, terminals):
-            out, by_tree = original(g, trees, terminals)
+        def shrinking(state):
+            by_tree = original(state)
             t0 = [ti for ti, on in enumerate(by_tree) if not on]
             if not shrunk and t0:
-                victim = max(t0)
-                shrunk.append(victim)
-                out = out[:victim] + (drop_leaf(out[victim]),) + out[victim + 1 :]
-            return out, by_tree
+                tv = state.trees[max(t0)]
+                leaf = min(v for v in tv.vertices if len(tv.adj[v]) == 1)
+                (parent,) = tv.adj.pop(leaf)
+                tv.adj[parent] = tuple(w for w in tv.adj[parent] if w != leaf)
+                tv.vertices.discard(leaf)
+                del state.tree_of[leaf]
+                shrunk.append(leaf)
+            return by_tree
 
         monkeypatch.setattr(eng_module, "categorize_trees", shrinking)
         with pytest.raises(EngineError, match="state-invariant: retire: .* validated vertex"):
@@ -774,8 +797,9 @@ class TestStateInvariants:
 
 class TestSolveCost:
     def test_tree_views_built_once_and_no_domination_rescan(self, monkeypatch):
-        # counts, not time: the per-round view rebuild made ~k adjacency
-        # builds per round, and retire re-checked domination every round
+        # counts, not time: each used tree's adjacency is built once, stray
+        # terminals grow tree 0's view in place without building a tree, and
+        # retire never re-checks domination
         n, k = 600, 150
         g, trees = gen_planted_cds(n, k, n // 4, seed=11)
         terminals, demands = gen_gl_extension(n, k, seed=11 ^ 0xF00D)
@@ -784,6 +808,11 @@ class TestSolveCost:
         adjacency = DominatingTree.adjacency
         dominates = importlib.import_module("cdspart.graphs").dominates
         categorize = eng_module.categorize_trees
+        init = DominatingTree.__init__
+
+        def counted_init(self, *args, **kwargs):
+            counts["trees built"] += 1
+            init(self, *args, **kwargs)
 
         def counted_adjacency(self):
             counts["adjacency"] += 1
@@ -793,22 +822,22 @@ class TestSolveCost:
             counts["dominates"] += 1
             return dominates(*args)
 
-        def counted_categorize(g, pool, terminals):
-            out = categorize(g, pool, terminals)
+        def counted_categorize(state):
             counts["rounds"] += 1
-            counts["tree 0 grew"] += out[0][0] is not pool[0]
-            return out
+            counts["strays"] += sum(c not in state.tree_of for c in state.terminals)
+            return categorize(state)
 
         monkeypatch.setattr(DominatingTree, "adjacency", counted_adjacency)
+        monkeypatch.setattr(DominatingTree, "__init__", counted_init)
         for name in ("graphs", "engine", "formats", "builders", "verify"):
             module = importlib.import_module(f"cdspart.{name}")
             if hasattr(module, "dominates"):
                 monkeypatch.setattr(module, "dominates", counted_dominates)
         monkeypatch.setattr(eng_module, "categorize_trees", counted_categorize)
         p = solve(inst, trees)
-        assert counts["rounds"] > k // 2
-        assert counts["dominates"] == 0
-        assert counts["adjacency"] <= k + counts["tree 0 grew"], counts
+        assert counts["rounds"] > k // 2 and counts["strays"] > 0, counts
+        assert counts["dominates"] == 0 and counts["trees built"] == 0, counts
+        assert counts["adjacency"] == k, counts
         monkeypatch.undo()
         assert verify_gl(inst, p).ok
 

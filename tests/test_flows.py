@@ -3,7 +3,7 @@ import pytest
 import cdspart.flows as flows_module
 import reference_flows as ref
 from cdspart.flows import (
-    PathFamily,
+    _check_paths,
     _SplitNetwork,
     check_path,
     make_induced,
@@ -28,21 +28,20 @@ def k_complete(n):
 
 class TestVertexDisjointPaths:
     def test_k4_three_paths(self):
-        fam = vertex_disjoint_paths(k_complete(4), 0, 3, want=3)
-        assert fam.paths == ((0, 3), (0, 1, 3), (0, 2, 3))
+        paths = vertex_disjoint_paths(k_complete(4), 0, 3, want=3)
+        assert paths == ((0, 3), (0, 1, 3), (0, 2, 3))
 
     def test_cut_vertex_limits(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        fam = vertex_disjoint_paths(g, 0, 2, want=2)
-        assert fam.paths == ((0, 1, 2),)
+        assert vertex_disjoint_paths(g, 0, 2, want=2) == ((0, 1, 2),)
 
     def test_convex_fixture_two_paths(self):
         g = fixture_graph("fig1-convex.gl")
         cut = brute_min_vertex_cut(g, 0, 4)
         assert cut == 2
-        fam = vertex_disjoint_paths(g, 0, 4, want=2)
-        assert len(fam.paths) == 2
-        fam.validate(g)
+        paths = vertex_disjoint_paths(g, 0, 4, want=2)
+        assert len(paths) == 2
+        ref.check_family(g, 0, 4, paths)
 
     def test_identical_endpoints(self):
         with pytest.raises(GraphError, match="identical-endpoints"):
@@ -53,10 +52,10 @@ class TestVertexDisjointPaths:
         n = 6 + seed % 7
         g = random_graph(seed, n, n + 4 + seed % 6, connected=True)
         s, t = 0, n - 1
-        fam = vertex_disjoint_paths(g, s, t)
-        fam.validate(g)
-        assert len(fam.paths) == _SplitNetwork(g).max_flow(s, t, None)
-        assert len(fam.paths) == brute_min_vertex_cut(g, s, t)
+        paths = vertex_disjoint_paths(g, s, t)
+        ref.check_family(g, s, t, paths)
+        assert len(paths) == _SplitNetwork(g).max_flow(s, t, None)
+        assert len(paths) == brute_min_vertex_cut(g, s, t)
 
 
 class TestLocalConnectivity:
@@ -91,8 +90,7 @@ class TestMakeInduced:
     def test_output_is_induced(self, seed):
         n = 7 + seed % 6
         g = random_graph(seed, n, 2 * n, connected=True)
-        fam = vertex_disjoint_paths(g, 0, n - 1, want=1)
-        p = fam.paths[0]
+        (p,) = vertex_disjoint_paths(g, 0, n - 1, want=1)
         q = make_induced(g, p)
         check_path(g, q)
         assert q[0] == p[0] and q[-1] == p[-1]
@@ -105,9 +103,8 @@ class TestMakeInduced:
     def test_shortening_preserves_family_disjointness(self, seed):
         n = 8 + seed % 6
         g = random_graph(seed, n, 3 * n, connected=True)
-        fam = vertex_disjoint_paths(g, 0, n - 1)
-        shortened = tuple(make_induced(g, p) for p in fam.paths)
-        PathFamily(s=0, t=n - 1, paths=shortened).validate(g)
+        shortened = tuple(make_induced(g, p) for p in vertex_disjoint_paths(g, 0, n - 1))
+        ref.check_family(g, 0, n - 1, shortened)
 
 
 class TestMakeInducedAgainstTheSpliceLoop:
@@ -136,9 +133,9 @@ class TestMakeInducedAgainstTheSpliceLoop:
     def test_biconvex_backbones(self, seed):
         m = gen_biconvex(300, 330, 4, seed)
         g = m.graph
-        fam = vertex_disjoint_paths(g, m.a_id(0), m.a_id(m.na - 1), want=4)
-        assert len(fam.paths) == 4
-        for p in fam.paths:
+        paths = vertex_disjoint_paths(g, m.a_id(0), m.a_id(m.na - 1), want=4)
+        assert len(paths) == 4
+        for p in paths:
             assert make_induced(g, p) == ref.make_induced_splice(g, p)
         # flow paths are shortest, so chordless; a walk that steps through
         # A one vertex at a time over unused B-vertices has many chords
@@ -154,10 +151,10 @@ class TestMakeInducedAgainstTheSpliceLoop:
 
 
 def test_family_validate_rejects_overlap():
-    g = k_complete(4)
-    bad = PathFamily(s=0, t=3, paths=((0, 1, 3), (0, 1, 3)))
+    # the self-check `vertex_disjoint_paths` runs on its family, fed two
+    # copies of one path
     with pytest.raises(GraphError, match="not-disjoint"):
-        bad.validate(g)
+        _check_paths(k_complete(4), 0, 3, ((0, 1, 3), (0, 1, 3)))
 
 
 def oracle_graphs():
@@ -197,8 +194,8 @@ class TestAgainstReferenceFlows:
             for cap in (1, 2, 3):
                 want = ref.local_connectivity(g, s, t, cap)
                 assert _SplitNetwork(g).max_flow(s, t, cap) == want
-            assert vertex_disjoint_paths(g, s, t).paths == ref.disjoint_paths(g, s, t)
-            assert vertex_disjoint_paths(g, s, t, want=2).paths == ref.disjoint_paths(g, s, t, 2)
+            assert vertex_disjoint_paths(g, s, t) == ref.disjoint_paths(g, s, t)
+            assert vertex_disjoint_paths(g, s, t, want=2) == ref.disjoint_paths(g, s, t, 2)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_reused_network_answers_as_fresh_ones(self, seed):

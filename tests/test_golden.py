@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import cdspart.engine as eng_module
 from cdspart.cli import main
 from cdspart.engine import GLInstance, solve
 from cdspart.formats import write_partition, write_trace
@@ -31,6 +32,12 @@ SOLVE_DIGESTS = {
     (60, 29, 4, 110): "a1e08017b83309dfd8e63085a0ece29d99e5135742e7c2627491b02e5b0a791d",
     (142, 19, 18, 18): "7c834615c49f37ce3b27cbbfc8cddd8b1e76b8fc7e5e8a3db40c384a3d1be20e",
 }
+
+# The stray-churn corpus, built like PINNED: at k = n/4 most rounds retire
+# tree 0, and the stray terminals of each retired tree join the next tree 0
+# in place.  One digest covers every solve's partition and trace in order.
+CHURN = [(n, n // 4, n // 4, seed) for n in (40, 80, 120, 200) for seed in range(10)]
+CHURN_DIGEST = "c56436317634891c995af789b01d59482a6df5f51443fb4ac6c6703f902e7731"
 
 # gen arguments and `cds -k` (None: the planted trees)
 CHAINS = {
@@ -58,18 +65,37 @@ CDS_DIGESTS = {
 }
 
 
-def solve_digest(n, k, extra, seed):
+def solve_bytes(n, k, extra, seed):
     g, trees = gen_planted_cds(n, k, extra, seed)
     terminals, demands = gen_gl_extension(n, k, seed=seed ^ 0xF00D)
     trace = []
     p = solve(GLInstance(graph=g, terminals=terminals, demands=demands), trees, trace=trace)
-    text = write_partition(p) + write_trace(trace)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return (write_partition(p) + write_trace(trace)).encode()
+
+
+def solve_digest(n, k, extra, seed):
+    return hashlib.sha256(solve_bytes(n, k, extra, seed)).hexdigest()
 
 
 @pytest.mark.parametrize("params", PINNED)
 def test_pinned_solve_digest(params):
     assert solve_digest(*params) == SOLVE_DIGESTS[params]
+
+
+def test_stray_churn_corpus_digest(monkeypatch):
+    categorize = eng_module.categorize_trees
+    strays = [0]
+
+    def counted(state):
+        strays[0] += sum(c not in state.tree_of for c in state.terminals)
+        return categorize(state)
+
+    monkeypatch.setattr(eng_module, "categorize_trees", counted)
+    h = hashlib.sha256()
+    for params in CHURN:
+        h.update(solve_bytes(*params))
+    assert h.hexdigest() == CHURN_DIGEST
+    assert strays[0] >= 5000, strays[0]
 
 
 @pytest.mark.parametrize("name", list(CHAINS))
