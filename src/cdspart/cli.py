@@ -84,11 +84,15 @@ def _read(path: str) -> str:
         raise formats.FormatError("io", f"cannot read {path}: {exc}") from exc
 
 
-def _distinct_outputs(*paths: Path) -> None:
-    """Refuse outputs that resolve to one file: a later write would replace
-    an earlier one."""
-    if len({p.resolve() for p in paths}) < len(paths):
-        raise formats.FormatError("usage", f"{' and '.join(map(str, paths))} name one file")
+def _distinct_files(*paths: str | Path | None) -> None:
+    """Refuse two of a command's files, read or written, that resolve to
+    one: a write would replace the file read or written before it.  An
+    unset optional path (None or empty) is skipped."""
+    seen: dict[Path, Path] = {}
+    for path in map(Path, filter(None, paths)):
+        first = seen.setdefault(path.resolve(), path)
+        if first is not path:
+            raise formats.FormatError("usage", f"{first} and {path} name one file")
 
 
 # the size flags each `gen` class needs; --extra-edges is planted's alone
@@ -112,7 +116,7 @@ def _cmd_gen(args) -> int:
     comments = []
     if klass == "planted":
         cds_path = Path(args.output).with_suffix(".cds")
-        _distinct_outputs(Path(args.output), cds_path)
+        _distinct_files(args.output, cds_path)
         extra = args.extra_edges if args.extra_edges is not None else n // 4
         g, trees = generators.gen_planted_cds(n, args.k, extra, args.seed)
         terminals, demands = generators.gen_gl_extension(
@@ -147,6 +151,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_cds(args) -> int:
+    _distinct_files(args.input, args.output)
     bundle = formats.parse_bundle(_read(args.input))
     model = bundle.model
     want = args.klass
@@ -169,8 +174,7 @@ def _cmd_cds(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    if args.trace:
-        _distinct_outputs(Path(args.output), Path(args.trace))
+    _distinct_files(args.input, args.cds, args.output, args.trace)
     bundle = formats.parse_bundle(_read(args.input))
     instance = bundle.gl_instance()
     sets = formats.parse_cds_sets(_read(args.cds), bundle.graph.n)

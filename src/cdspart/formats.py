@@ -9,13 +9,14 @@ so parse/write round-trips are byte-stable.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from .engine import CdsInput, GLInstance, TraceEvent
-from .graphs import DominatingTree, Graph, GraphError, VertexSet, spanning_tree
+from .graphs import DominatingTree, Graph, GraphError, VertexSet, collector_paused, spanning_tree
 from .models import BiconvexModel, ConvexModel, IntervalModel
 
 Model = Graph | IntervalModel | ConvexModel | BiconvexModel
@@ -23,6 +24,10 @@ Model = Graph | IntervalModel | ConvexModel | BiconvexModel
 # Largest vertex count a header may declare, checked before anything is sized
 # by it; about 100 times the largest instance the benchmark writes.
 MAX_VERTICES = 1 << 20
+
+# Edge lines tokenized per split by the bulk reader: enough to amortise the
+# calls, few enough that the block's tokens never all exist at once.
+_BLOCK_LINES = 1 << 12
 
 
 class FormatError(ValueError):
@@ -64,14 +69,16 @@ class InstanceBundle:
 _Row = tuple[int, list[str]]
 
 
-def _rows(text: str) -> Iterator[_Row]:
+def _rows(numbered: Iterator[tuple[int, str]]) -> Iterator[_Row]:
     """Numbered lines' tokens with `#` comments cut off; lines without
     tokens are skipped.
 
-    Lazy, so parsing holds one line's tokens at a time, never a table of
-    every line's tokens.
+    The caller holds every line of the file (`str.splitlines`), numbered
+    from 1.  Rows are tokenized lazily, one line at a time, and read
+    `numbered` as they go, so a section that advances `numbered` itself
+    skips those lines for the rows too.
     """
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in numbered:
         if "#" in line:
             line = line.split("#", 1)[0]
         toks = line.split()
@@ -123,40 +130,52 @@ def _parse_gl_extension(
 def parse_bundle(text: str) -> InstanceBundle:
     """Parse a graph / interval / convex / biconvex file with optional
     terminal-demand extension."""
-    rows = _rows(text)
-    row = next(rows, None)
-    if row is None:
-        raise FormatError("syntax", "empty file", 1)
-    lineno, toks = row
-    if toks[0] != "p" or len(toks) < 2:
-        raise FormatError("syntax", f"expected 'p <kind> ...' header, got {' '.join(toks)}", lineno)
-    kind = toks[1]
-    if kind == "gl":
-        model = _parse_graph(rows, lineno, toks, text)
-    elif kind == "interval":
-        model = _parse_interval(rows, lineno, toks)
-    elif kind in ("convex", "biconvex"):
-        model = _parse_convex(rows, lineno, toks, biconvex=(kind == "biconvex"))
-    else:
-        raise FormatError("syntax", f"unknown model kind '{kind}'", lineno)
-    terminals = demands = None
-    row = next(rows, None)
-    if row is not None:
-        terminals, demands = _parse_gl_extension(rows, row, model.n)
+    lines = text.splitlines()
+    numbered = enumerate(lines, 1)
+    rows = _rows(numbered)
+    # A graph's neighbour containers outlive the parse; the collector
+    # would only scan them over and over while they are built.
+    with collector_paused():
         row = next(rows, None)
-    if row is not None:
-        raise FormatError("syntax", "unexpected trailing content", row[0])
-    return InstanceBundle(model=model, terminals=terminals, demands=demands)
+        if row is None:
+            raise FormatError("syntax", "empty file", 1)
+        lineno, toks = row
+        if toks[0] != "p" or len(toks) < 2:
+            raise FormatError("syntax", f"expected 'p <kind> ...' header, got {' '.join(toks)}", lineno)
+        kind = toks[1]
+        if kind == "gl":
+            model = _parse_graph(rows, lineno, toks, lines, numbered)
+        elif kind == "interval":
+            model = _parse_interval(rows, lineno, toks)
+        elif kind in ("convex", "biconvex"):
+            model = _parse_convex(rows, lineno, toks, biconvex=(kind == "biconvex"))
+        else:
+            raise FormatError("syntax", f"unknown model kind '{kind}'", lineno)
+        terminals = demands = None
+        row = next(rows, None)
+        if row is not None:
+            terminals, demands = _parse_gl_extension(rows, row, model.n)
+            row = next(rows, None)
+        if row is not None:
+            raise FormatError("syntax", "unexpected trailing content", row[0])
+        return InstanceBundle(model=model, terminals=terminals, demands=demands)
 
 
 # Each section parser takes the header row's number and tokens, reads its
 # records from `rows` and returns the model.  After a record loop `lineno`
 # is the last line read (the header when none was), which is where a short
-# section is reported.  `_parse_graph` also takes the whole text, which it reads a
-# second time only to name the fault of a graph it rejects.
+# section is reported.  `_parse_graph` also takes the file's lines and the
+# numbered iterator that `rows` reads, to read a canonical edge block in
+# bulk and step `rows` past it.
 
 
-def _parse_graph(rows: Iterator[_Row], lineno: int, toks: list[str], text: str) -> Graph:
+def _parse_graph(
+    rows: Iterator[_Row],
+    lineno: int,
+    toks: list[str],
+    lines: list[str],
+    numbered: Iterator[tuple[int, str]],
+) -> Graph:
     if len(toks) != 4:
         raise FormatError("syntax", "expected 'p gl <n> <m>'", lineno)
     n, m = _ints(toks[2:], lineno)
@@ -170,7 +189,62 @@ def _parse_graph(rows: Iterator[_Row], lineno: int, toks: list[str], text: str) 
     # also interns the ids.  m records name at most 2m ids, so the table
     # holds the lowest min(n, 2m); any other id takes `_edge_ids`.
     ids = dict(zip(map(str, range(1, min(n, 2 * m) + 1)), range(n)))
+    ends = _edge_block(lines[lineno : lineno + m], m, ids)
+    if ends is None:
+        ends = _edge_lines(rows, lineno, m, n, ids)
+    else:
+        next(islice(numbered, m, m), None)  # steps `rows` past the block
+    us, vs = ends
     adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(us, vs):
+        adj[u].append(v)
+        adj[v].append(u)
+    try:
+        return Graph.from_lists(adj)
+    except GraphError:
+        raise _graph_fault(n, us, vs) from None
+
+
+def _edge_block(
+    block: list[str], m: int, ids: dict[str, int]
+) -> tuple[list[int], list[int]] | None:
+    """The 0-based endpoints of m edge lines that are all canonical,
+    `e <u> <v>` with single spaces and ids in `ids`, read a few thousand
+    lines per split; None for any other block, which the per-line reader
+    then reads.
+
+    Joined with " \\n", k lines split on single spaces into 3k tokens
+    exactly when every line holds three: the token that starts each line
+    after the first then begins with the newline, so it must sit at a
+    multiple of 3 and read "\\ne".  A record split across lines, or a
+    line with a comment, a tab or a blank, fails this or the id lookups.
+    """
+    if len(block) != m:
+        return None
+    us: list[int] = []
+    vs: list[int] = []
+    for start in range(0, m, _BLOCK_LINES):
+        part = block[start : start + _BLOCK_LINES]
+        toks = " \n".join(part).split(" ")
+        k = len(part)
+        if len(toks) != 3 * k or toks[0] != "e" or toks[3::3].count("\ne") != k - 1:
+            return None
+        try:
+            us += map(ids.__getitem__, toks[1::3])
+            vs += map(ids.__getitem__, toks[2::3])
+        except KeyError:
+            return None
+    return us, vs
+
+
+def _edge_lines(
+    rows: Iterator[_Row], lineno: int, m: int, n: int, ids: dict[str, int]
+) -> tuple[list[int], list[int]]:
+    """The 0-based endpoints of the next m edge records, read line by line:
+    comments, blank lines, tabs and ids such as `01` or `+2` parse here,
+    and every fault is named with its line."""
+    us: list[int] = []
+    vs: list[int] = []
     for _, (lineno, toks) in zip(range(m), rows):
         if toks[0] != "e" or len(toks) != 3:
             raise FormatError("syntax", f"expected 'e <u> <v>', got {' '.join(toks)}", lineno)
@@ -179,15 +253,11 @@ def _parse_graph(rows: Iterator[_Row], lineno: int, toks: list[str], text: str) 
             v = ids[toks[2]]
         except KeyError:
             u, v = _edge_ids(toks, lineno, n)
-        adj[u].append(v)
-        adj[v].append(u)
-    # every edge line adds two entries, a self-loop's both to one list
-    if sum(map(len, adj)) < 2 * m:
+        us.append(u)
+        vs.append(v)
+    if len(us) < m:
         raise FormatError("syntax", f"expected {m} edge lines", lineno)
-    try:
-        return Graph.from_lists(adj)
-    except GraphError:
-        raise _graph_fault(text, n, m) from None
+    return us, vs
 
 
 def _edge_ids(toks: list[str], lineno: int, n: int) -> tuple[int, int]:
@@ -203,16 +273,12 @@ def _edge_ids(toks: list[str], lineno: int, n: int) -> tuple[int, int]:
     return u - 1, v - 1
 
 
-def _graph_fault(text: str, n: int, m: int) -> FormatError:
+def _graph_fault(n: int, us: list[int], vs: list[int]) -> FormatError:
     """The error for a `gl` section whose lines all parse but whose graph
-    does not: a repeated edge or a self-loop.
-    The section is read again as an edge list, so that `Graph` names the
-    first fault in input order."""
-    rows = _rows(text)
-    next(rows)  # the header
-    edges = [(int(u) - 1, int(v) - 1) for _, (_, (_, u, v)) in zip(range(m), rows)]
+    does not: a repeated edge or a self-loop, the first one in input
+    order, as `Graph` names it."""
     try:
-        Graph(n, edges)
+        Graph(n, list(zip(us, vs)))
     except GraphError as exc:
         return FormatError("invariant", str(exc))
     raise AssertionError("no faulty edge")
@@ -299,7 +365,7 @@ def _parse_convex(
 
 def parse_vertex_sets(text: str, prefix: str, n: int) -> tuple[VertexSet, ...]:
     """Shared reader for `c`/`v` style indexed vertex-set files."""
-    rows = _rows(text)
+    rows = _rows(enumerate(text.splitlines(), 1))
     row = next(rows, None)
     if row is None:
         raise FormatError("syntax", "empty file", 1)
@@ -374,7 +440,11 @@ def write_bundle(bundle: InstanceBundle, comments: Iterable[str] = ()) -> str:
     model = bundle.model
     if isinstance(model, Graph):
         lines.append(f"p gl {model.n} {model.m}")
-        lines += [f"e {u + 1} {v + 1}" for u, v in model.edges()]
+        names = list(map(str, range(1, model.n + 1)))
+        for u, name in enumerate(names):
+            row = sorted(model.neighbor_set(u))
+            head = f"e {name} "
+            lines += [head + names[v] for v in row[bisect(row, u) :]]
     elif isinstance(model, IntervalModel):
         lines.append(f"p interval {model.n}")
         lines += [

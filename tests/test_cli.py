@@ -228,6 +228,37 @@ class TestErrorPaths:
         assert code == 2 and out.startswith("ERROR usage p.part and ")
         assert not (tmp_path / "p.part").exists()
 
+    @pytest.mark.parametrize("named", ["x.gl", "x.cds"])
+    def test_partition_output_naming_an_input_exit_2(self, tmp_path, capsys, monkeypatch, named):
+        # refused before any parse, so the input file is left as it was
+        import cdspart.formats as formats
+
+        gl = tmp_path / "x.gl"
+        assert main(["gen", "--class", "planted", "--n", "40", "--k", "3",
+                     "--seed", "9", "-o", str(gl)]) == 0
+        capsys.readouterr()
+        target = tmp_path / named
+        before = target.read_bytes()
+        monkeypatch.setattr(formats, "parse_bundle", None)
+        code, out = run(capsys, "partition", str(gl), "--cds", str(tmp_path / "x.cds"),
+                        "-o", str(target))
+        assert (code, out) == (2, f"ERROR usage {target} and {target} name one file\n")
+        assert target.read_bytes() == before
+
+    def test_cds_output_naming_its_input_exit_2(self, tmp_path, capsys, monkeypatch):
+        import cdspart.formats as formats
+
+        model = tmp_path / "m.interval"
+        assert main(["gen", "--class", "interval", "--n", "12", "--k", "2",
+                     "--seed", "1", "-o", str(model)]) == 0
+        capsys.readouterr()
+        before = model.read_bytes()
+        monkeypatch.setattr(formats, "parse_bundle", None)
+        code, out = run(capsys, "cds", "--class", "interval", "-k", "2", str(model),
+                        "-o", str(model))
+        assert (code, out) == (2, f"ERROR usage {model} and {model} name one file\n")
+        assert model.read_bytes() == before
+
     def test_partition_takes_no_emission_switch(self, capsys):
         # one emission rule: partition's options are its files and the trace
         assert main(["partition", "--help"]) == 0

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cdspart import formats
 from cdspart.engine import GLInstance
 from cdspart.formats import (
     MAX_VERTICES,
@@ -374,10 +376,78 @@ class TestReferenceParser:
             "p\n",
             "q gl 3 2\n",
             "p foo 1\n",
+            # canonical edge blocks, read in bulk, and near misses that the
+            # per-line reader must read instead
+            "p gl 4 2\ne 1\n2 e 3 4\n",
+            "p gl 4 2\ne 1 2 e\n3 4\n",
+            "p gl 4 2\ne 1 2 e\ne 3\n",
+            "p gl 4 2\ne 1 2 e 3 4\n",
+            "p gl 3 2\nf 1 2\ne 2 3\n",
+            "p gl 3 2\ne 1 2\nf 2 3\n",
+            "p gl 3 2\ne 1 2 \ne 2 3\n",
+            "p gl 3 2\ne 1 2\ne 2 3 \n",
+            "p gl 3 2\ne 1  2\ne 2 3\n",
+            "p gl 3 2\n e 1 2\ne 2 3\n",
+            "p gl 3 2\ne 1 2\n e 2 3\n",
+            "p gl 3 2\ne 1 2\n# c\ne 2 3\n",
+            "p gl 3 2\ne 1 2\n\ne 2 3\n",
+            "p gl 3 2\ne 1 2\x0ce 2 3\n",
+            "p gl 3 2\ne 1 2 e 2 3\n",
+            "p gl 3 2\ne e 2\ne 2 3\n",
+            "p gl 3 2\ne 1 2\ne 2 e\n",
+            "p gl 3 0\n",
+            "p gl 3 0\nk 1\nt 2 3\n",
+            "p gl 3 1\ne 1 3\n",
+            "p gl 3 1\ne 2 2\n",
+            "# a\n\n# b\np gl 3 2\ne 1 2\ne 2 3\n",
+            "# a\np gl 3 2 # h\ne 1 2\ne 2 3\nk 1\nt 1 3\n",
+            "p gl 9 2\ne 1 4\ne 2 3\n",
+            "p gl 9 2\ne 1 5\ne 2 3\n",
+            "p gl 3 2\ne 1 3\ne 2 3\n",
+            "p gl 3 2\ne 1 4\ne 2 3\n",
+            "p gl 3 2\ne 1 2\ne 2 1\n",
+            "p gl 3 2\ne 1 2\ne 2 3\nk 1\nt 2 3\n",
+            "p gl 3 2\ne 1 2\ne 2 3\nk 2\nt 2 1\nt 3 2\n",
+            "p gl 3 2\ne 1 2\ne 2 3\nk 1\nt 2 3\ne 1 3\n",
         ],
     )
     def test_hand_cases(self, text):
         assert_same_bundle_outcome(text)
+
+    def test_written_gl_files_take_the_bulk_path(self, monkeypatch):
+        """A `gl` file as `write_bundle` writes it never reaches the
+        per-line edge reader, so a bulk reader that always handed its
+        block on fails here."""
+        texts = [_planted_text(n, k, extra, seed)
+                 for n, k, extra, seed in [(12, 2, 3, 1), (40, 4, 10, 3), (300, 30, 60, 5)]]
+        texts += [write_bundle(InstanceBundle(model=Graph(3, [])), comments=["no edges"])]
+        texts += [write_bundle(InstanceBundle(model=b.model), comments=["c"])
+                  for b in bundle_samples(4) if isinstance(b.model, Graph)]
+        expected = [_outcome(reference_parser.parse_bundle, text) for text in texts]
+
+        def per_line(*args):
+            raise AssertionError("per-line edge reader called")
+
+        monkeypatch.setattr(formats, "_edge_lines", per_line)
+        assert [_outcome(_streamed_bundle, text) for text in texts] == expected
+
+    def test_blocks_of_several_splits(self):
+        """Faults and non-canonical lines past the bulk reader's first split."""
+        text = _planted_text(300, 30, 60, 5)
+        lines = text.split("\n")
+        m = int(lines[0].split()[3])
+        assert m > 2 * formats._BLOCK_LINES
+        mid = formats._BLOCK_LINES + 7
+        cases = [
+            (mid, lines[mid] + " # x"),
+            (mid, lines[mid].replace(" ", "\t")),
+            (mid, ""),
+            (m, lines[1]),  # a repeated edge, last in the block
+            (m - 1, "e 1"),
+        ]
+        assert_same_bundle_outcome(text)
+        for i, line in cases:
+            assert_same_bundle_outcome("\n".join(lines[:i] + [line] + lines[i + 1 :]))
 
     @given(_soup)
     def test_token_soup(self, text):
@@ -422,9 +492,16 @@ class TestReferenceParser:
         assert_same_sets_outcome(text, prefix, n)
 
 
+def _planted_text(n, k, extra, seed):
+    g, _ = gen_planted_cds(n, k, extra, seed)
+    t, d = gen_gl_extension(g.n, k, seed)
+    return write_bundle(InstanceBundle(model=g, terminals=t, demands=d))
+
+
 def test_parse_peak_memory_is_linear_in_file_size():
-    """A planted n=600, k=150 bundle (m ~ 79k, ~0.76 MB): parsing must not
-    hold a token table of the whole file."""
+    """A planted n=600, k=150 bundle (m ~ 79k, ~0.76 MB): the parse holds
+    every line of the file, but of an edge block's tokens only one split's
+    (a few thousand lines), never a token table of the whole file."""
     g, _ = gen_planted_cds(600, 150, 150, 1)
     t, d = gen_gl_extension(g.n, 150, 1)
     text = write_bundle(InstanceBundle(model=g, terminals=t, demands=d))
@@ -466,3 +543,44 @@ def test_id_table_is_sized_by_the_records():
         tracemalloc.stop()
     assert (g.n, g.m) == (n, 0)
     assert peak - retained <= 100 * n, (peak - retained) / n
+
+
+class TestCollectorPause:
+    def test_no_collection_while_a_planted_bundle_parses(self):
+        """A planted n = 10^4, k = 8 bundle: the parse builds about 2n
+        long-lived containers, and the collector runs over none of them."""
+        text = _planted_text(10**4, 8, 2500, 101)
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            parse_bundle(text)
+        finally:
+            gc.callbacks.remove(hook)
+        assert starts == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ("p gl 3 2\ne 1 2\ne 2 3\n", None),
+            ("p gl 3 2\ne 1 2\ne 2 x\n", "syntax"),  # inside the edge block
+            ("p gl 3 2\ne 1 2\ne 2 1\n", "invariant"),  # a repeated edge
+        ],
+    )
+    def test_collector_state_is_restored(self, text, code, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            outcome = _outcome(parse_bundle, text)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert after is enabled
+        assert (outcome[0] if isinstance(outcome, tuple) else None) == code
