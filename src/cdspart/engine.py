@@ -4,7 +4,7 @@ k connected blocks of prescribed sizes, each containing its terminal.
 The solver keeps a `PartitionState` (one growing vertex set per terminal)
 and works in two layers:
 
-* the single-tree case: all terminals lie on the first tree; the tree is
+* the single-tree case: all terminals lie on the lead tree; the tree is
   spread over the sets, every other vertex is either placed or assigned
   (`vlabel`), sets are classified Over/Under by whether their assignment
   covers their remaining demand, each Under set privately consumes one of
@@ -17,9 +17,10 @@ and works in two layers:
 Emission has one rule: whenever a set reaches its demand while
 intersecting exactly one tree, the block is emitted, its tree retired, and
 the remainder is a strictly smaller instance of the same problem.  A set
-that fills while touching several trees is not emitted then.  All
-arbitrary choices resolve to the lowest vertex id / lowest index, so runs
-are reproducible.
+that fills while touching several trees is not emitted then.  Every set
+and tree is keyed by its index in the input throughout, so the smaller
+instance needs no relabelling.  All arbitrary choices resolve to the
+lowest vertex id / lowest index, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import (
     DominatingTree,
@@ -110,15 +111,13 @@ def validate_cds_input(g: Graph, trees: Sequence[DominatingTree]) -> None:
 
 class _TreeView:
     """Per-solve view of one dominating tree: its vertex set and sorted tree
-    adjacency, which stray terminals extend in place, and its index in the
-    input."""
+    adjacency, which stray terminals extend in place."""
 
-    __slots__ = ("vertices", "adj", "label")
+    __slots__ = ("vertices", "adj")
 
-    def __init__(self, tree: DominatingTree, label: int):
+    def __init__(self, tree: DominatingTree):
         self.vertices = set(tree.vertices)
         self.adj = tree.adjacency()
-        self.label = label
 
 
 class _Emit(Exception):
@@ -136,41 +135,42 @@ class PartitionState:
     Tracks the sets, placement and assignment maps, Over/Under status,
     per-set tree intersections and the attachment forest that certifies
     leaf removals are connectivity-safe.
+
+    Sets and trees keep their input index: `terminals` maps set index to
+    terminal in ascending order, `trees` maps tree index to view with the
+    lead first and the spare trees ascending, `demands` is indexed by set
+    index, and `tree_of` (vertex to tree index) is the solve's one copy.
     """
 
     def __init__(
         self,
         graph: Graph,
         members: frozenset[int],
-        terminals: Sequence[int],
-        demands: Sequence[int],
-        trees: Sequence[_TreeView],
+        terminals: Mapping[int, int],
+        demands: Mapping[int, int] | Sequence[int],
+        trees: Mapping[int, _TreeView],
+        tree_of: dict[int, int],
         *,
-        set_labels: Sequence[int] | None = None,
         trace: list[TraceEvent] | None = None,
     ):
         self.graph = graph
         self.members = members
-        self.terminals = list(terminals)
-        self.demands = list(demands)
-        self.trees = list(trees)
-        self.k = len(self.terminals)
-        self.set_labels = list(set_labels) if set_labels is not None else list(range(self.k))
+        self.terminals = terminals
+        self.demands = demands
+        self.trees = trees
+        self.lead, *self.spares = trees
+        self.tree_of = tree_of
         self.trace = trace
-        self.tree_of: dict[int, int] = {}
-        for ti, tv in enumerate(self.trees):
-            for v in tv.vertices:
-                self.tree_of[v] = ti
-        self.sets: list[set[int]] = [set() for _ in range(self.k)]
-        self.t1_part: list[set[int]] = [set() for _ in range(self.k)]
+        self.sets: dict[int, set[int]] = {i: set() for i in terminals}
+        self.t1_part: dict[int, set[int]] = {i: set() for i in terminals}
         self.placed: dict[int, int] = {}
-        self.full: list[bool] = [False] * self.k
-        self.status: list[str | None] = [None] * self.k
+        self.full: dict[int, bool] = dict.fromkeys(terminals, False)
+        self.status: dict[int, str | None] = dict.fromkeys(terminals)
         self.vlabel_of: dict[int, int] = {}
-        self.vlabel_sets: list[set[int]] = [set() for _ in range(self.k)]
-        self.tlabel: list[int | None] = [None] * self.k
+        self.vlabel_sets: dict[int, set[int]] = {i: set() for i in terminals}
+        self.tlabel: dict[int, int | None] = dict.fromkeys(terminals)
         self.tlabel_owner: dict[int, int] = {}
-        self.hit_count: list[dict[int, int]] = [dict() for _ in range(self.k)]
+        self.hit_count: dict[int, dict[int, int]] = {i: {} for i in terminals}
         self.attach_parent: dict[int, int | None] = {}
         self.children: dict[int, int] = {}
         # set j -> (ti, heap, anchor), see `_growth_choice`
@@ -179,7 +179,7 @@ class PartitionState:
     # -- mutations --------------------------------------------------------
 
     def place_terminals(self) -> None:
-        for i, c in enumerate(self.terminals):
+        for i, c in self.terminals.items():
             self.add(c, i, parent=None)
 
     def add(self, v: int, i: int, parent: int | None, *, _quiet: bool = False) -> None:
@@ -200,22 +200,22 @@ class PartitionState:
         ti = self.tree_of.get(v)
         if ti is not None:
             self.hit_count[i][ti] = self.hit_count[i].get(ti, 0) + 1
-            if ti == 0:
+            if ti == self.lead:
                 self.t1_part[i].add(v)
             frontier = self._frontiers.get(i)
-            if frontier is not None and ti in (0, frontier[0]):
+            if frontier is not None and ti in (self.lead, frontier[0]):
                 grow_ti, heap, anchor = frontier
                 anchor.add(v)
                 for w in self.graph.neighbor_set(v) & self.trees[grow_ti].vertices:
                     heapq.heappush(heap, w)
         if not _quiet and self.trace is not None:
-            self.trace.append(("place", v, self.set_labels[i]))
+            self.trace.append(("place", v, i))
         if len(self.sets[i]) == self.demands[i]:
             self.full[i] = True
             if len(self.hit_count[i]) == 1:
                 (only,) = self.hit_count[i]
                 if self.trace is not None:
-                    self.trace.append(("emit", self.set_labels[i], self.trees[only].label))
+                    self.trace.append(("emit", i, only))
                 raise _Emit(i, only)
 
     def remove(self, v: int, i: int) -> None:
@@ -235,10 +235,10 @@ class PartitionState:
             self.hit_count[i][ti] -= 1
             if self.hit_count[i][ti] == 0:
                 del self.hit_count[i][ti]
-            if ti == 0:
+            if ti == self.lead:
                 self.t1_part[i].discard(v)
             frontier = self._frontiers.get(i)
-            if frontier is not None and ti in (0, frontier[0]):
+            if frontier is not None and ti in (self.lead, frontier[0]):
                 frontier[2].discard(v)
                 if ti == frontier[0]:
                     heapq.heappush(frontier[1], v)
@@ -246,7 +246,7 @@ class PartitionState:
 
     def steal(self, v: int, frm: int, to: int, parent: int) -> None:
         if self.trace is not None:
-            self.trace.append(("steal", v, self.set_labels[frm], self.set_labels[to]))
+            self.trace.append(("steal", v, frm, to))
         self.remove(v, frm)
         self.add(v, to, parent, _quiet=True)
 
@@ -306,8 +306,7 @@ class PartitionState:
 
     def contains_whole_tree(self, i: int) -> bool:
         return any(
-            self.hit_count[i].get(ti, 0) == len(self.trees[ti].vertices)
-            for ti in range(1, len(self.trees))
+            self.hit_count[i].get(ti, 0) == len(self.trees[ti].vertices) for ti in self.spares
         )
 
     # -- invariant suite ---------------------------------------------------
@@ -315,7 +314,7 @@ class PartitionState:
     def check_invariants(self, where: str = "") -> None:
         """Full state-invariant suite; raises EngineError on any violation."""
         seen: set[int] = set()
-        for i, s in enumerate(self.sets):
+        for i, s in self.sets.items():
             if s & seen:
                 raise EngineError("state-invariant", f"{where}: sets overlap at {i}")
             seen |= s
@@ -338,7 +337,7 @@ class PartitionState:
                 self.placed.get(parent) != i or not self.graph.has_edge(parent, v)
             ):
                 raise EngineError("state-invariant", f"{where}: bad attachment of {v}")
-        owners = [i for i in self.tlabel if i is not None]
+        owners = [ti for ti in self.tlabel.values() if ti is not None]
         if len(owners) != len(set(owners)):
             raise EngineError("state-invariant", f"{where}: tlabel not injective")
         for v, i in self.vlabel_of.items():
@@ -348,8 +347,8 @@ class PartitionState:
                 raise EngineError(
                     "state-invariant", f"{where}: vlabel {v} not adjacent to set {i}"
                 )
-        if any(st is not None for st in self.status):
-            if not any(st == "over" for st in self.status):
+        if any(st is not None for st in self.status.values()):
+            if "over" not in self.status.values():
                 raise EngineError("state-invariant", f"{where}: no set is Over")
 
     checkpoints_run = 0  # class-wide tally, used by test instrumentation
@@ -359,29 +358,31 @@ class PartitionState:
         self.check_invariants(where)
 
 
-def categorize_trees(state: PartitionState) -> list[list[int]]:
+def categorize_trees(state: PartitionState) -> dict[int, list[int]]:
     """Put every terminal of a fresh round state on a tree, then index
     terminals by tree.
 
-    A stray terminal joins tree 0 (the lowest index; every tree dominates
-    every vertex, so an attachment edge always exists) in place, under its
-    lowest neighbour there, keeping it a dominating tree; strays join in
-    terminal order.  Returns by_tree, where by_tree[ti] lists the indices of
-    the terminals on tree ti, ascending.
+    A stray terminal joins the lead tree (the lowest remaining index; every
+    tree dominates every vertex, so an attachment edge always exists) in
+    place, under its lowest neighbour there, keeping it a dominating tree,
+    and is entered in the shared `tree_of`; strays join in terminal order.
+    Returns by_tree, mapping each tree index, in the order of
+    `state.trees`, to the indices of the terminals on that tree, ascending.
     """
-    host = state.trees[0]
-    by_tree: list[list[int]] = [[] for _ in state.trees]
-    for i, c in enumerate(state.terminals):
+    lead = state.lead
+    host = state.trees[lead]
+    by_tree: dict[int, list[int]] = {ti: [] for ti in state.trees}
+    for i, c in state.terminals.items():
         ti = state.tree_of.get(c)
         if ti is None:
             witness_pool = state.graph.neighbor_set(c) & host.vertices
             if not witness_pool:
-                raise EngineError("invalid-cds-input", f"tree 0 does not dominate {c}")
+                raise EngineError("invalid-cds-input", f"tree {lead} does not dominate {c}")
             w = min(witness_pool)
             host.vertices.add(c)
             host.adj[c] = (w,)
             host.adj[w] = tuple(sorted((*host.adj[w], c)))
-            state.tree_of[c] = ti = 0
+            state.tree_of[c] = ti = lead
         by_tree[ti].append(i)
     return by_tree
 
@@ -407,7 +408,7 @@ def _attach(state: PartitionState, v: int, what: str) -> None:
     lowest neighbour there; `what` names v in the error."""
     nbrs = state.graph.neighbor_set(v)
     target = next(
-        (i for i in range(state.k) if not state.full[i] and nbrs & state.sets[i]),
+        (i for i, s in state.sets.items() if not state.full[i] and nbrs & s),
         None,
     )
     if target is None:
@@ -430,7 +431,7 @@ def add_trees(state: PartitionState) -> None:
     bears terminals.
     """
     roots: dict[int, list[int]] = {}
-    for c in sorted(state.terminals):
+    for c in sorted(state.terminals.values()):
         roots.setdefault(state.tree_of[c], []).append(c)
     for ti in sorted(roots):
         _bfs_place_tree(state, ti, roots[ti])
@@ -452,7 +453,7 @@ def _absorb_and_label(state: PartitionState, idxs: Iterable[int]) -> None:
             state.add(v, i, parent=min(state.graph.neighbor_set(v) & state.t1_part[i]))
         if state.tlabel[i] is None:
             free = next(
-                (ti for ti in range(1, len(state.trees)) if ti not in state.tlabel_owner),
+                (ti for ti in state.spares if ti not in state.tlabel_owner),
                 None,
             )
             if free is None:
@@ -511,22 +512,22 @@ def labeling(state: PartitionState) -> None:
     set is guaranteed one vertex of that tree.
     """
     g = state.graph
-    for ti in range(1, len(state.trees)):
+    for ti in state.spares:
         for v in sorted(state.trees[ti].vertices):
             target = next(
-                (i for i in range(state.k) if g.neighbor_set(v) & state.t1_part[i]),
+                (i for i, part in state.t1_part.items() if g.neighbor_set(v) & part),
                 None,
             )
             if target is None:
                 raise EngineError("state-invariant", f"lead tree does not dominate {v}")
             state.assign_vlabel(v, target)
-    for i in range(state.k):
+    for i in state.terminals:
         state.classify(
             i, "over" if state.deficit(i) <= len(state.vlabel_sets[i]) else "under"
         )
-    if not any(st == "over" for st in state.status):
+    if "over" not in state.status.values():
         raise EngineError("state-invariant", "no set is Over after classification")
-    _absorb_and_label(state, [i for i in range(state.k) if state.status[i] == "under"])
+    _absorb_and_label(state, [i for i, st in state.status.items() if st == "under"])
     _ensure_tree_adjacency(state)
 
 
@@ -540,13 +541,13 @@ def add_vertices(state: PartitionState) -> None:
     any adjacent non-full set (each now contains a whole dominating tree).
     """
     g = state.graph
-    guard = 4 * (len(state.members) + 1) * (state.k + 1) * (len(state.trees) + 1)
+    guard = 4 * (len(state.members) + 1) * (len(state.terminals) + 1) * (len(state.trees) + 1)
     while True:
         j = next(
             (
                 i
-                for i in range(state.k)
-                if state.status[i] == "under"
+                for i, st in state.status.items()
+                if st == "under"
                 and not state.full[i]
                 and not state.contains_whole_tree(i)
             ),
@@ -561,8 +562,8 @@ def add_vertices(state: PartitionState) -> None:
                 raise EngineError("no-progress", "tree absorption failed to advance")
             if _grow_from_tree(state, j, ti):
                 _ensure_tree_adjacency(state)
-    for i in range(state.k):
-        if state.status[i] == "over" and not state.full[i]:
+    for i, st in state.status.items():
+        if st == "over" and not state.full[i]:
             while not state.full[i]:
                 u = min(state.vlabel_sets[i])
                 state.add(u, i, parent=min(g.neighbor_set(u) & state.t1_part[i]))
@@ -572,13 +573,13 @@ def add_vertices(state: PartitionState) -> None:
         _attach(state, v, "leftover vertex")
 
 
-def _run_single_tree(state: PartitionState) -> tuple[list[tuple[int, VertexSet]], list[int]]:
+def _run_single_tree(state: PartitionState) -> tuple[dict[int, VertexSet], list[int]]:
     """Run the single-tree case on a fresh state whose terminals all lie on
-    its tree 0.
+    its lead tree.
 
-    Returns the finished (set index, block) pairs and the indices of the
-    trees they use up: every set and tree when the run completes, else the
-    one block and tree of the first emission.
+    Returns the finished blocks by set index and the indices of the trees
+    they use up: every set and tree when the run completes, else the one
+    block and tree of the first emission.
     """
     try:
         _place(state)
@@ -587,20 +588,17 @@ def _run_single_tree(state: PartitionState) -> tuple[list[tuple[int, VertexSet]]
         add_vertices(state)
         state.checkpoint("add-vertices")
     except _Emit as e:
-        return [(e.set_index, frozenset(state.sets[e.set_index]))], [e.tree_index]
-    if not all(state.full):
+        return {e.set_index: frozenset(state.sets[e.set_index])}, [e.tree_index]
+    if not all(state.full.values()):
         raise EngineError("state-invariant", "a set is short of its demand after add-vertices")
-    return [(i, frozenset(s)) for i, s in enumerate(state.sets)], list(range(len(state.trees)))
+    return {i: frozenset(s) for i, s in state.sets.items()}, list(state.trees)
 
 
 # -- general driver ----------------------------------------------------------
 
 
 def _choose_group(
-    views: Sequence[_TreeView],
-    by_tree: Sequence[list[int]],
-    demands: Sequence[int],
-    sets: Sequence[set[int]],
+    state: PartitionState, by_tree: Mapping[int, list[int]]
 ) -> tuple[int, list[int], list[int], set[int]]:
     """Pick a lead tree plus terminal-free trees able to cover its demands.
 
@@ -611,19 +609,19 @@ def _choose_group(
     qualifying group always exists: summed over all groups, the unplaced
     tree vertices equal the total remaining demand exactly.
     """
-    free = deque(ti for ti, on in enumerate(by_tree) if not on)
-    many = [ti for ti, on in enumerate(by_tree) if len(on) > 1]
-    single = [ti for ti, on in enumerate(by_tree) if len(on) == 1]
+    free = deque(ti for ti, on in by_tree.items() if not on)
+    many = [ti for ti, on in by_tree.items() if len(on) > 1]
+    single = [ti for ti, on in by_tree.items() if len(on) == 1]
     for lead in many + single:
         members = by_tree[lead]
         # a single-terminal lead takes no extras
         extras = [free.popleft() for _ in members[1:]]
-        union: set[int] = set(views[lead].vertices)
+        union: set[int] = set(state.trees[lead].vertices)
         for i in members:
-            union |= sets[i]
+            union |= state.sets[i]
         for e in extras:
-            union |= views[e].vertices
-        if len(union) >= sum(demands[i] for i in members):
+            union |= state.trees[e].vertices
+        if len(union) >= sum(state.demands[i] for i in members):
             return lead, members, extras, union
     raise EngineError("no-qualifying-group", "contradicts the counting argument")
 
@@ -688,76 +686,69 @@ def solve(
     # dominates all of V.  Rounds only ever add vertices to a tree, and a
     # superset of it dominates whatever is left, so retire checks inclusion.
     validated = [t.vertices for t in trees[: instance.k]]
-    # The one copy of each tree: stray terminals grow tree 0's view in place.
-    views = [_TreeView(t, label) for label, t in enumerate(trees[: instance.k])]
-    work = list(range(instance.k))  # input indices of the unfinished blocks
+    # The one copy of each tree, and the one tree index over them: stray
+    # terminals grow the lead tree's view and enter the index in place.
+    views = {ti: _TreeView(t) for ti, t in enumerate(trees[: instance.k])}
+    tree_of = {v: ti for ti, tv in views.items() for v in tv.vertices}
+    terminals = dict(enumerate(instance.terminals))  # the unfinished blocks
     blocks_out: dict[int, VertexSet] = {}
 
-    def retire(item_positions: list[int], finished: list[VertexSet], tree_positions: list[int]) -> None:
-        nonlocal members, views, work
-        if not item_positions:
+    def retire(finished: dict[int, VertexSet], used: list[int]) -> None:
+        nonlocal members
+        if not finished:
             raise EngineError("no-progress", "a round finished no block")
-        for pos, block in zip(item_positions, finished):
-            blocks_out[work[pos]] = block
+        for i, block in finished.items():
+            blocks_out[i] = block
             members = members - block
-        done = set(item_positions)
-        work = [r for i, r in enumerate(work) if i not in done]
-        drop = set(tree_positions)
-        views = [v for i, v in enumerate(views) if i not in drop]
+            del terminals[i]
+        for ti in used:
+            for v in views.pop(ti).vertices:
+                del tree_of[v]
         seen: set[int] = set()
-        for tv in views:
+        for ti, tv in views.items():
             if not tv.vertices <= members or tv.vertices & seen:
                 raise EngineError(
-                    "state-invariant", f"retire: tree {tv.label} lost a vertex or overlaps"
+                    "state-invariant", f"retire: tree {ti} lost a vertex or overlaps"
                 )
-            if not validated[tv.label] <= tv.vertices:
+            if not validated[ti] <= tv.vertices:
                 raise EngineError(
-                    "state-invariant", f"retire: tree {tv.label} lost a validated vertex"
+                    "state-invariant", f"retire: tree {ti} lost a validated vertex"
                 )
             seen |= tv.vertices
 
-    while work:
-        terminals = [instance.terminals[r] for r in work]
-        demands = [instance.demands[r] for r in work]
+    while terminals:
         state = PartitionState(
-            g, members, terminals, demands, views, set_labels=work, trace=trace
+            g, members, terminals, instance.demands, views, tree_of, trace=trace
         )
         by_tree = categorize_trees(state)
         try:
             _place(state)
         except _Emit as e:
-            retire([e.set_index], [frozenset(state.sets[e.set_index])], [e.tree_index])
+            retire({e.set_index: frozenset(state.sets[e.set_index])}, [e.tree_index])
             continue
-        lead, member_idxs, extras, gprime = _choose_group(views, by_tree, demands, state.sets)
-        sub_demands = [demands[i] for i in member_idxs]
-        delta = len(gprime) - sum(sub_demands)
+        lead, group, extras, gprime = _choose_group(state, by_tree)
+        first = group[0]
+        demands = {i: instance.demands[i] for i in group}
+        delta = len(gprime) - sum(demands.values())
         if delta < 0:
             raise EngineError("state-invariant", "chosen group is short of vertices")
-        sub_demands[0] += delta
-        sub_tree_positions = [lead, *extras]
-        blocks, used_local = _run_single_tree(
+        demands[first] += delta
+        finished, used = _run_single_tree(
             PartitionState(
                 g,
                 frozenset(gprime),
-                [terminals[i] for i in member_idxs],
-                sub_demands,
-                [views[p] for p in sub_tree_positions],
-                set_labels=[work[i] for i in member_idxs],
+                {i: terminals[i] for i in group},
+                demands,
+                {ti: views[ti] for ti in (lead, *extras)},
+                tree_of,
                 trace=trace,
             )
         )
-        finished: list[VertexSet] = []
-        finished_positions: list[int] = []
-        for local_i, block in blocks:
-            if local_i == 0 and delta > 0:
-                block = _trim_block(
-                    g, block, terminals[member_idxs[0]], demands[member_idxs[0]]
-                )
-            finished.append(block)
-            finished_positions.append(member_idxs[local_i])
-        retire(
-            finished_positions, finished, [sub_tree_positions[p] for p in used_local]
-        )
+        if delta > 0 and first in finished:
+            finished[first] = _trim_block(
+                g, finished[first], terminals[first], instance.demands[first]
+            )
+        retire(finished, used)
     if members:
         raise EngineError("state-invariant", f"{len(members)} vertices left unassigned")
     return tuple(blocks_out[i] for i in range(instance.k))

@@ -87,6 +87,15 @@ class TestGLInstanceValidation:
         with pytest.raises(EngineError, match="invalid-instance"):
             GLInstance(graph=k4(), terminals=(0, 1), demands=(2, 3))
 
+    def test_no_terminals(self):
+        with pytest.raises(EngineError, match="invalid-instance: k must be at least 1"):
+            GLInstance(graph=k4(), terminals=(), demands=())
+
+    def test_terminal_and_demand_counts_differ(self):
+        match = "invalid-instance: terminal and demand counts differ"
+        with pytest.raises(EngineError, match=match):
+            GLInstance(graph=k4(), terminals=(0, 1), demands=(4,))
+
 
 class TestCdsInputValidation:
     def test_overlapping_trees(self):
@@ -99,6 +108,10 @@ class TestCdsInputValidation:
         t = DominatingTree(frozenset({0, 1}), ((0, 1),))
         with pytest.raises(EngineError, match="invalid-cds-input"):
             validate_cds_input(g, (t,))
+
+    def test_no_trees(self):
+        with pytest.raises(EngineError, match="invalid-cds-input: no trees"):
+            validate_cds_input(k4(), ())
 
 
 def validate_tree_by_tree(g, trees):
@@ -181,25 +194,49 @@ class TestCheckPrecedence:
             validate_cds_input(g, trees)
 
 
-def round_state(g, trees, terminals):
-    """A fresh round state over all of g (demands are not read here)."""
-    views = [_TreeView(t, i) for i, t in enumerate(trees)]
-    return PartitionState(g, frozenset(range(g.n)), terminals, [1] * len(terminals), views)
+def as_keyed(items):
+    """A mapping stays as it is; a sequence is keyed by position."""
+    return dict(items) if isinstance(items, dict) else dict(enumerate(items))
+
+
+def make_state(g, trees, terminals, demands=None, *, trace=None):
+    """A fresh state over all of g, built as `solve` builds one.
+
+    `trees` and `terminals` are sequences keyed by position, or mappings
+    keyed by input index; the first tree is the lead.  `demands` follows the
+    terminals' keys and defaults to 1 each.
+    """
+    views = {ti: _TreeView(t) for ti, t in as_keyed(trees).items()}
+    terminals = as_keyed(terminals)
+    if demands is None:
+        demands = dict.fromkeys(terminals, 1)
+    elif not isinstance(demands, dict):
+        demands = dict(zip(terminals, demands))
+    tree_of = {v: ti for ti, tv in views.items() for v in tv.vertices}
+    members = frozenset(range(g.n))
+    return PartitionState(g, members, terminals, demands, views, tree_of, trace=trace)
+
+
+def k4_state(terminals=(0, 1), demands=(2, 2)):
+    """K4 with the two trees of `k4_trees` and its terminals placed."""
+    state = make_state(k4(), k4_trees(), terminals, demands)
+    state.place_terminals()
+    return state
 
 
 class TestCategorizeTrees:
     def test_all_terminals_on_first_tree(self):
-        assert categorize_trees(round_state(k4(), k4_trees(), [0, 1])) == [[0, 1], []]
+        assert categorize_trees(make_state(k4(), k4_trees(), [0, 1])) == {0: [0, 1], 1: []}
 
     def test_one_terminal_per_tree(self):
-        assert categorize_trees(round_state(k4(), k4_trees(), [0, 2])) == [[0], [1]]
+        assert categorize_trees(make_state(k4(), k4_trees(), [0, 2])) == {0: [0], 1: [1]}
 
     def test_stray_terminal_attached(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4)])
         tree = DominatingTree(frozenset({0, 1}), ((0, 1),))
-        state = round_state(g, (tree,), [4])
+        state = make_state(g, (tree,), [4])
         view = state.trees[0]
-        assert categorize_trees(state) == [[0]]
+        assert categorize_trees(state) == {0: [0]}
         grown = DominatingTree(frozenset({0, 1, 4}), ((0, 1), (0, 4)))
         grown.validate(g)
         assert view.vertices == grown.vertices and view.adj == grown.adjacency()
@@ -212,29 +249,28 @@ class TestCategorizeTrees:
     ])
     def test_strays_join_in_terminal_order(self, terminals, edges):
         g = Graph(4, [(0, 2), (0, 3), (0, 1), (1, 3), (2, 3)])
-        state = round_state(g, (DominatingTree(frozenset({2, 3}), ((2, 3),)),), terminals)
-        assert categorize_trees(state) == [[0, 1]]
+        state = make_state(g, (DominatingTree(frozenset({2, 3}), ((2, 3),)),), terminals)
+        assert categorize_trees(state) == {0: [0, 1]}
         assert state.trees[0].adj == DominatingTree(frozenset(range(4)), edges).adjacency()
+
+    def test_lead_missing_a_stray_raises(self):
+        # corrupt: lead tree 2 = {0, 1} of the path 0-1-2-3 misses terminal 3
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        state = make_state(g, {2: DominatingTree(frozenset({0, 1}), ((0, 1),))}, [3])
+        with pytest.raises(EngineError, match="invalid-cds-input: tree 2 does not dominate 3"):
+            categorize_trees(state)
 
 
 class TestSingleTreePhases:
-    def make_state(self, demands=(2, 2)):
-        views = [_TreeView(t, i) for i, t in enumerate(k4_trees())]
-        state = PartitionState(
-            k4(), frozenset(range(4)), [0, 1], list(demands), views
-        )
-        state.place_terminals()
-        return state
-
     def test_add_trees_places_lead_and_free_vertices(self):
-        state = self.make_state()
+        state = k4_state()
         add_trees(state)
         state.check_invariants("test")
         assert state.placed[0] == 0 and state.placed[1] == 1
         assert 2 not in state.placed and 3 not in state.placed
 
     def test_labeling_classifies_and_assigns(self):
-        state = self.make_state()
+        state = k4_state()
         add_trees(state)
         labeling(state)
         state.check_invariants("test")
@@ -246,13 +282,13 @@ class TestSingleTreePhases:
         assert state.hit_count[1].get(1, 0) >= 1
 
     def test_add_vertices_completes(self):
-        state = self.make_state()
+        state = k4_state()
         add_trees(state)
         labeling(state)
         add_vertices(state)
         state.check_invariants("test")
-        assert all(state.full)
-        assert sorted(map(sorted, state.sets)) == [[0, 3], [1, 2]]
+        assert all(state.full.values())
+        assert state.sets == {0: {0, 3}, 1: {1, 2}}
 
     def test_all_over_when_assignments_split(self):
         # C_4 with opposite trees: each spare vertex labels a different set,
@@ -262,22 +298,20 @@ class TestSingleTreePhases:
             DominatingTree(frozenset({0, 1}), ((0, 1),)),
             DominatingTree(frozenset({2, 3}), ((2, 3),)),
         )
-        views = [_TreeView(t, i) for i, t in enumerate(trees)]
-        state = PartitionState(g, frozenset(range(4)), [0, 1], [2, 2], views)
+        state = make_state(g, trees, [0, 1], [2, 2])
         state.place_terminals()
         add_trees(state)
         labeling(state)
-        assert state.status == ["over", "over"]
-        assert state.tlabel == [None, None]
+        assert state.status == {0: "over", 1: "over"}
+        assert state.tlabel == {0: None, 1: None}
         # the equality case: each Over set absorbs exactly its assignment
         add_vertices(state)
-        assert sorted(map(sorted, state.sets)) == [[0, 2], [1, 3]]
+        assert state.sets == {0: {0, 2}, 1: {1, 3}}
 
     def test_star_leaves_attach_to_center_set(self):
         star = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         tree = DominatingTree(frozenset({0}), ())
-        views = [_TreeView(tree, 0)]
-        state = PartitionState(star, frozenset(range(5)), [0], [5], views)
+        state = make_state(star, [tree], [0], [5])
         state.place_terminals()
         try:
             add_trees(state)
@@ -290,21 +324,16 @@ class TestSingleTreePhases:
 
 def run_single_tree(inst, trees):
     """The single-tree case on a whole instance whose terminals lie on trees[0]."""
-    views = [_TreeView(t, i) for i, t in enumerate(trees)]
-    return _run_single_tree(
-        PartitionState(
-            inst.graph, frozenset(range(inst.graph.n)), inst.terminals, inst.demands, views
-        )
-    )
+    return _run_single_tree(make_state(inst.graph, trees, inst.terminals, inst.demands))
 
 
 def assert_valid_remainder(inst, trees, blocks, used):
     """After an emission, the unused trees are disjoint dominating trees of
     the vertices left over, and the left-over demands add up to them."""
     rest = set(range(inst.graph.n))
-    for _, block in blocks:
+    for block in blocks.values():
         rest -= block
-    emitted = {i for i, _ in blocks}
+    emitted = set(blocks)
     assert sum(d for i, d in enumerate(inst.demands) if i not in emitted) == len(rest)
     seen = set()
     for ti, t in enumerate(trees):
@@ -321,8 +350,8 @@ class TestSolveSingleTree:
     def test_k4_two_blocks(self):
         inst = GLInstance(graph=k4(), terminals=(0, 1), demands=(2, 2))
         blocks, used = run_single_tree(inst, k4_trees())
-        assert used == [0, 1] and [i for i, _ in blocks] == [0, 1]
-        partition = [b for _, b in blocks]
+        assert used == [0, 1] and list(blocks) == [0, 1]
+        partition = list(blocks.values())
         assert verify_gl(inst, partition).ok
         assert solve(inst, k4_trees()) == tuple(partition)
         assert brute_gl(inst) is not None
@@ -331,13 +360,13 @@ class TestSolveSingleTree:
         inst = GLInstance(graph=k4(), terminals=(2,), demands=(4,))
         tree = (DominatingTree(frozenset({2, 3}), ((2, 3),)),)
         blocks, used = run_single_tree(inst, tree)
-        assert blocks == [(0, frozenset({0, 1, 2, 3}))] and used == [0]
+        assert blocks == {0: frozenset({0, 1, 2, 3})} and used == [0]
         assert solve(inst, tree) == (frozenset({0, 1, 2, 3}),)
 
     def test_emission_on_demand_one(self):
         inst = GLInstance(graph=k4(), terminals=(0, 1), demands=(1, 3))
         blocks, used = run_single_tree(inst, k4_trees())
-        assert blocks == [(0, frozenset({0}))] and used == [0]
+        assert blocks == {0: frozenset({0})} and used == [0]
         # the unused tree is a valid dominating tree of what is left
         assert_valid_remainder(inst, k4_trees(), blocks, used)
         assert solve(inst, k4_trees())[0] == frozenset({0})
@@ -349,9 +378,9 @@ class TestSolveSingleTree:
         inst, trees = planted(seed, n, k, on_trees=True)
         blocks, used = run_single_tree(inst, trees)
         if len(blocks) == k:
-            assert verify_gl(inst, [b for _, b in blocks]).ok
+            assert verify_gl(inst, list(blocks.values())).ok
         else:
-            for i, block in blocks:
+            for i, block in blocks.items():
                 assert inst.terminals[i] in block
                 assert len(block) == inst.demands[i]
                 assert is_connected_subset(inst.graph, block)
@@ -360,10 +389,9 @@ class TestSolveSingleTree:
 
 class TestChooseGroup:
     def test_single_lead_takes_everything(self):
-        state = round_state(k4(), k4_trees(), [0, 1])
+        state = k4_state()
         by_tree = categorize_trees(state)
-        sets = [{0}, {1}]
-        lead, members, extras, union = _choose_group(state.trees, by_tree, [2, 2], sets)
+        lead, members, extras, union = _choose_group(state, by_tree)
         assert lead == 0 and members == [0, 1] and extras == [1]
         assert union == {0, 1, 2, 3}
 
@@ -375,15 +403,15 @@ class TestChooseGroup:
         captured = []
         original = eng._choose_group
 
-        def wrapped(views, by_tree, demands, sets):
-            out = original(views, by_tree, demands, sets)
+        def wrapped(state, by_tree):
+            out = original(state, by_tree)
             lead, members, extras, _ = out
-            union = set(views[lead].vertices)
+            union = set(state.trees[lead].vertices)
             for i in members:
-                union |= sets[i]
+                union |= state.sets[i]
             for e in extras:
-                union |= views[e].vertices
-            captured.append((len(union), sum(demands[i] for i in members)))
+                union |= state.trees[e].vertices
+            captured.append((len(union), sum(state.demands[i] for i in members)))
             return out
 
         monkeypatch.setattr(eng, "_choose_group", wrapped)
@@ -399,13 +427,16 @@ class TestChooseGroup:
     @staticmethod
     def scan_group(views, terminals, demands, sets):
         """Reference group choice by terminal scans: each lead rescans every
-        terminal, and G' is built from the chosen trees and sets."""
-        counts = [sum(c in tv.vertices for c in terminals) for tv in views]
-        free = deque(ti for ti, c in enumerate(counts) if c == 0)
-        leads = [ti for ti, c in enumerate(counts) if c > 1]
-        leads += [ti for ti, c in enumerate(counts) if c == 1]
+        terminal, and G' is built from the chosen trees and sets.  All four
+        arguments are keyed by input index."""
+        counts = {
+            ti: sum(c in tv.vertices for c in terminals.values()) for ti, tv in views.items()
+        }
+        free = deque(ti for ti, c in counts.items() if c == 0)
+        leads = [ti for ti, c in counts.items() if c > 1]
+        leads += [ti for ti, c in counts.items() if c == 1]
         for lead in leads:
-            members = [i for i, c in enumerate(terminals) if c in views[lead].vertices]
+            members = [i for i, c in terminals.items() if c in views[lead].vertices]
             extras = [free.popleft() for _ in members[1:]]
             gprime = set(views[lead].vertices)
             for i in members:
@@ -424,16 +455,16 @@ class TestChooseGroup:
 
         def checked_categorize(state):
             by_tree = categorize(state)
-            assert by_tree == [
-                [i for i, c in enumerate(state.terminals) if c in tv.vertices]
-                for tv in state.trees
-            ]
-            rounds.append(list(state.terminals))
+            assert by_tree == {
+                ti: [i for i, c in state.terminals.items() if c in tv.vertices]
+                for ti, tv in state.trees.items()
+            }
+            rounds.append(dict(state.terminals))
             return by_tree
 
-        def checked_choose(views, by_tree, demands, sets):
-            got = choose(views, by_tree, demands, sets)
-            assert got == self.scan_group(views, rounds[-1], demands, sets)
+        def checked_choose(state, by_tree):
+            got = choose(state, by_tree)
+            assert got == self.scan_group(state.trees, rounds[-1], state.demands, state.sets)
             groups[0] += 1
             return got
 
@@ -577,7 +608,7 @@ class TestSolve:
             found = True
             p = solve(inst, trees)
             assert verify_gl(inst, p).ok
-            for i, block in blocks:
+            for i, block in blocks.items():
                 assert p[i] == block
         assert found, "no emission case arose in the sample"
 
@@ -643,35 +674,30 @@ class TestEmissionRule:
     """A set emits when it fills while touching exactly one tree, and only then."""
 
     def test_set_filling_on_one_tree_emits(self):
+        # sets and trees keep their input indices, in the signal and the trace
         trace = []
-        views = [_TreeView(t, i) for i, t in enumerate(k4_trees())]
-        state = PartitionState(
-            k4(), frozenset(range(4)), [0, 2], [2, 2], views, set_labels=[5, 7], trace=trace
-        )
+        trees = dict(zip((3, 4), k4_trees()))
+        state = make_state(k4(), trees, {5: 0, 7: 2}, {5: 2, 7: 2}, trace=trace)
         state.place_terminals()
         with pytest.raises(eng_module._Emit) as exc:
-            state.add(1, 0, parent=0)  # set 0 = {0, 1}: all of tree 0
-        assert (exc.value.set_index, exc.value.tree_index) == (0, 0)
-        assert trace[-1] == ("emit", 5, 0)
+            state.add(1, 5, parent=0)  # set 5 = {0, 1}: all of tree 3
+        assert (exc.value.set_index, exc.value.tree_index) == (5, 3)
+        assert trace[-3:] == [("place", 2, 7), ("place", 1, 5), ("emit", 5, 3)]
 
     def test_tight_family_does_not_emit(self):
         # two sets that each straddle both trees fill up: together they hit
         # exactly two trees, but neither touches a single tree
-        g = k4()
-        views = [_TreeView(t, i) for i, t in enumerate(k4_trees())]
-        state = PartitionState(g, frozenset(range(4)), [0, 1], [2, 2], views)
-        state.place_terminals()
+        state = k4_state()
         state.add(2, 0, parent=0)
         state.add(3, 1, parent=1)
-        assert all(state.full)
+        assert all(state.full.values())
 
 
 class TestStateInvariants:
     def test_checker_catches_disconnection(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         tree = DominatingTree(frozenset({1, 2}), ((1, 2),))
-        views = [_TreeView(tree, 0)]
-        state = PartitionState(g, frozenset(range(4)), [1], [4], views)
+        state = make_state(g, [tree], [1], [4])
         state.place_terminals()
         state.sets[0].add(3)  # corrupt: 3 is not adjacent to {1}
         state.placed[3] = 0
@@ -679,9 +705,7 @@ class TestStateInvariants:
             state.check_invariants("corrupt")
 
     def test_under_monotonicity_guard(self):
-        views = [_TreeView(t, i) for i, t in enumerate(k4_trees())]
-        state = PartitionState(k4(), frozenset(range(4)), [0, 1], [2, 2], views)
-        state.place_terminals()
+        state = k4_state()
         state.classify(0, "under")
         with pytest.raises(EngineError, match="under-monotonicity"):
             state.classify(0, "over")
@@ -699,7 +723,7 @@ class TestStateInvariants:
 
     def test_retire_certificate_catches_dropped_vertex(self, monkeypatch):
         # a terminal-free view loses its lowest validated leaf in place, and
-        # the round's tree index forgets it; the round may still succeed,
+        # the solve's tree index forgets it; the round may still succeed,
         # but retire refuses
         inst, trees = planted(3, 80, 8)
         original = eng_module.categorize_trees
@@ -707,7 +731,7 @@ class TestStateInvariants:
 
         def shrinking(state):
             by_tree = original(state)
-            t0 = [ti for ti, on in enumerate(by_tree) if not on]
+            t0 = [ti for ti, on in by_tree.items() if not on]
             if not shrunk and t0:
                 tv = state.trees[max(t0)]
                 leaf = min(v for v in tv.vertices if len(tv.adj[v]) == 1)
@@ -727,33 +751,26 @@ class TestStateInvariants:
         # tree {1, 2} does not dominate 0, whose only neighbour 3 is unplaced
         # when 0 is reached: no open set is adjacent to it
         g = Graph(4, [(0, 3), (1, 2), (2, 3)])
-        views = [_TreeView(DominatingTree(frozenset({1, 2}), ((1, 2),)), 0)]
+        tree = DominatingTree(frozenset({1, 2}), ((1, 2),))
         with pytest.raises(EngineError, match="state-invariant: non-tree vertex 0"):
-            _run_single_tree(PartitionState(g, frozenset(range(4)), [1], [4], views))
-
-    def k4_state(self):
-        """K4 with its two terminals placed and nothing else."""
-        views = [_TreeView(t, i) for i, t in enumerate(k4_trees())]
-        state = PartitionState(k4(), frozenset(range(4)), [0, 1], [2, 2], views)
-        state.place_terminals()
-        return state
+            _run_single_tree(make_state(g, [tree], [1], [4]))
 
     def test_growth_from_a_non_over_assignment_raises(self):
-        state = self.k4_state()
+        state = k4_state()
         state.assign_vlabel(2, 0)  # corrupt: 2 is assigned to an Under set
         state.classify(0, "under")
         with pytest.raises(EngineError, match="state-invariant: unplaced 2"):
             _grow_from_tree(state, 1, 1)
 
     def test_stealing_from_a_non_under_set_raises(self):
-        state = self.k4_state()
+        state = k4_state()
         state.add(2, 0, parent=0)
         state.classify(0, "over")  # corrupt: an Over set holds tree-1 vertex 2
         with pytest.raises(EngineError, match="state-invariant: 2 would be stolen"):
             _grow_from_tree(state, 1, 1)
 
     def test_under_set_without_a_free_tree_raises(self):
-        state = self.k4_state()
+        state = k4_state()
         state.set_tlabel(0, 1)  # corrupt: the only spare tree is taken
         with pytest.raises(EngineError, match="state-invariant: no free tree for Under set 1"):
             _absorb_and_label(state, [1])
@@ -824,7 +841,7 @@ class TestSolveCost:
 
         def counted_categorize(state):
             counts["rounds"] += 1
-            counts["strays"] += sum(c not in state.tree_of for c in state.terminals)
+            counts["strays"] += sum(c not in state.tree_of for c in state.terminals.values())
             return categorize(state)
 
         monkeypatch.setattr(DominatingTree, "adjacency", counted_adjacency)
@@ -835,9 +852,49 @@ class TestSolveCost:
                 monkeypatch.setattr(module, "dominates", counted_dominates)
         monkeypatch.setattr(eng_module, "categorize_trees", counted_categorize)
         p = solve(inst, trees)
-        assert counts["rounds"] > k // 2 and counts["strays"] > 0, counts
+        assert counts["rounds"] > k // 2 and counts["strays"] == 3682, counts
         assert counts["dominates"] == 0 and counts["trees built"] == 0, counts
         assert counts["adjacency"] == k, counts
+        monkeypatch.undo()
+        assert verify_gl(inst, p).ok
+
+    def test_one_tree_index_per_solve(self, monkeypatch):
+        # every state of a solve reads the one tree index `solve` built; a
+        # stray's entry persists into the next round while its tree remains,
+        # and leaves with the tree when the tree retires
+        n, k = 200, 50
+        g, trees = gen_planted_cds(n, k, n // 4, seed=3)
+        terminals, demands = gen_gl_extension(n, k, seed=3 ^ 0xF00D)
+        inst = GLInstance(graph=g, terminals=terminals, demands=demands)
+        indexes = []
+        joined = {}  # stray terminal -> the tree it joined last round
+        counts = Counter()
+        init = PartitionState.__init__
+        categorize = eng_module.categorize_trees
+
+        def recorded_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            indexes.append(self.tree_of)
+
+        def checked_categorize(state):
+            for c, ti in joined.items():
+                if ti in state.trees:
+                    assert state.tree_of[c] == ti
+                    counts["kept"] += 1
+                else:
+                    assert c not in state.tree_of
+                    counts["retired"] += 1
+            strays = [c for c in state.terminals.values() if c not in state.tree_of]
+            by_tree = categorize(state)
+            joined.clear()
+            joined.update(dict.fromkeys(strays, state.lead))
+            return by_tree
+
+        monkeypatch.setattr(PartitionState, "__init__", recorded_init)
+        monkeypatch.setattr(eng_module, "categorize_trees", checked_categorize)
+        p = solve(inst, trees)
+        assert len(indexes) > k // 2 and all(t is indexes[0] for t in indexes)
+        assert counts["kept"] > 0 and counts["retired"] > 0, counts
         monkeypatch.undo()
         assert verify_gl(inst, p).ok
 
@@ -936,8 +993,7 @@ class TestGrowthFrontier:
         g = random_graph(seed, n, 90, connected=True)
         tree0 = DominatingTree(frozenset(range(10)), ())
         tree1 = DominatingTree(frozenset(range(10, 25)), ())
-        views = [_TreeView(tree0, 0), _TreeView(tree1, 1)]
-        state = PartitionState(g, frozenset(range(n)), [0], [n], views)
+        state = make_state(g, [tree0, tree1], [0], [n])
         state.place_terminals()
         for _ in range(60):
             leaves = [v for v in state.sets[0] if v != 0 and not state.children.get(v)]
@@ -958,11 +1014,8 @@ class TestGrowthFrontier:
 
     def test_no_vertex_to_grow_into_raises(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        views = [
-            _TreeView(DominatingTree(frozenset({1}), ()), 0),
-            _TreeView(DominatingTree(frozenset({0, 2}), ()), 1),
-        ]
-        state = PartitionState(g, frozenset(range(3)), [1], [3], views)
+        trees = [DominatingTree(frozenset({1}), ()), DominatingTree(frozenset({0, 2}), ())]
+        state = make_state(g, trees, [1], [3])
         state.place_terminals()
         state.add(0, 0, parent=1)
         state.add(2, 0, parent=1)  # the set holds all of tree 1
@@ -982,14 +1035,6 @@ class TestGrowthFrontier:
             k = rng.randint(2, max(2, n // 8)) if i % 2 else rng.randint(2, 4)
             instances.append((n, k, rng.randint(0, n // 4), rng.randint(0, 10**6)))
         assert self.checked_solves(monkeypatch, instances) > 300
-
-
-def k4_state(terminals=(0, 1), demands=(2, 2)):
-    """K4 with the two trees of `k4_trees` and its terminals placed."""
-    views = [_TreeView(t, i) for i, t in enumerate(k4_trees())]
-    state = PartitionState(k4(), frozenset(range(4)), list(terminals), list(demands), views)
-    state.place_terminals()
-    return state
 
 
 class TestStateRaises:
@@ -1051,18 +1096,13 @@ class TestStateRaises:
     def test_raise_survives_python_O(self):
         script = textwrap.dedent(
             """
-            from cdspart.engine import EngineError, PartitionState, _TreeView
-            from cdspart.graphs import DominatingTree, Graph
+            from cdspart.engine import EngineError
+
+            from test_engine import k4_state
 
             if __debug__:
                 raise SystemExit("asserts are on: not running under -O")
-            g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-            views = [
-                _TreeView(DominatingTree(frozenset({0, 1}), ((0, 1),)), 0),
-                _TreeView(DominatingTree(frozenset({2, 3}), ((2, 3),)), 1),
-            ]
-            state = PartitionState(g, frozenset(range(4)), [0, 1], [2, 2], views)
-            state.place_terminals()
+            state = k4_state()
             state.add(2, 0, parent=0)
             try:
                 state.add(3, 0, parent=0)
@@ -1071,7 +1111,7 @@ class TestStateRaises:
             """
         )
         src = str(Path(eng_module.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]))
         out = subprocess.run(
             [sys.executable, "-O", "-c", script],
             env=env, capture_output=True, text=True, check=True,
@@ -1124,7 +1164,7 @@ class TestInvariantRules:
 
     def test_tlabel_not_injective(self):
         state = k4_state()
-        state.tlabel[:] = [1, 1]
+        state.tlabel.update({0: 1, 1: 1})
         self.fires(state, "tlabel not injective")
 
     def test_vlabel_holds_a_placed_vertex(self):

@@ -8,6 +8,7 @@ deliberate change of output updates them.
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -38,6 +39,22 @@ SOLVE_DIGESTS = {
 # in place.  One digest covers every solve's partition and trace in order.
 CHURN = [(n, n // 4, n // 4, seed) for n in (40, 80, 120, 200) for seed in range(10)]
 CHURN_DIGEST = "c56436317634891c995af789b01d59482a6df5f51443fb4ac6c6703f902e7731"
+CHURN_STRAYS = 6361  # terminals on no tree when their round begins
+
+# A seeded corpus of 600 planted solves with n <= 120, built like PINNED:
+# odd entries draw k up to n/4 (many rounds, stray churn), even ones at
+# most 4 trees (long single-tree runs).  One digest covers them all.
+def corpus(size=600):
+    rng = random.Random(600)
+    instances = []
+    for i in range(size):
+        n = rng.randint(8, 120)
+        k = rng.randint(1, n // 4) if i % 2 else rng.randint(1, 4)
+        instances.append((n, k, rng.randint(0, n), rng.randint(0, 10**6)))
+    return instances
+
+
+CORPUS_DIGEST = "ee7d5cbbbe108eebec89dfad3b2d6305adf9be7871a882afc4918b10b9677eda"
 
 # gen arguments and `cds -k` (None: the planted trees)
 CHAINS = {
@@ -87,7 +104,7 @@ def test_stray_churn_corpus_digest(monkeypatch):
     strays = [0]
 
     def counted(state):
-        strays[0] += sum(c not in state.tree_of for c in state.terminals)
+        strays[0] += sum(c not in state.tree_of for c in state.terminals.values())
         return categorize(state)
 
     monkeypatch.setattr(eng_module, "categorize_trees", counted)
@@ -95,7 +112,14 @@ def test_stray_churn_corpus_digest(monkeypatch):
     for params in CHURN:
         h.update(solve_bytes(*params))
     assert h.hexdigest() == CHURN_DIGEST
-    assert strays[0] >= 5000, strays[0]
+    assert strays[0] == CHURN_STRAYS, strays[0]
+
+
+def test_seeded_corpus_digest():
+    h = hashlib.sha256()
+    for params in corpus():
+        h.update(solve_bytes(*params))
+    assert h.hexdigest() == CORPUS_DIGEST
 
 
 @pytest.mark.parametrize("name", list(CHAINS))
