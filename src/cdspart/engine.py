@@ -89,21 +89,19 @@ class GLInstance:
 def validate_cds_input(g: Graph, trees: Sequence[DominatingTree]) -> None:
     """Check the trees in index order; the first failing tree is reported.
 
-    Domination is settled for all trees by one `first_non_dominating` call;
-    the failing tree reports it after its tree checks and before its overlap
-    check, so the reported tree and message match a tree-by-tree `validate`.
+    A tree is connected by construction.  Each tree must be built on `g`,
+    dominate it and miss the earlier trees, checked in that order;
+    domination is settled for all trees by one `first_non_dominating` call.
     """
     if not trees:
         raise EngineError("invalid-cds-input", "no trees")
     bad = first_non_dominating(g, [t.vertices for t in trees])
     seen: set[int] = set()
     for i, t in enumerate(trees):
-        try:
-            t.check_tree(g)
-            if i == bad:
-                raise GraphError("not-dominating")
-        except GraphError as exc:
-            raise EngineError("invalid-cds-input", f"tree {i}: {exc}") from exc
+        if t.graph is not g:
+            raise EngineError("invalid-cds-input", f"tree {i} is built on another graph")
+        if i == bad:
+            raise EngineError("invalid-cds-input", f"tree {i}: not-dominating")
         if t.vertices & seen:
             raise EngineError("invalid-cds-input", f"tree {i} overlaps an earlier tree")
         seen |= t.vertices
@@ -115,9 +113,9 @@ class _TreeView:
 
     __slots__ = ("vertices", "adj")
 
-    def __init__(self, tree: DominatingTree):
-        self.vertices = set(tree.vertices)
-        self.adj = tree.adjacency()
+    def __init__(self, vertices: Iterable[int], adj: dict[int, tuple[int, ...]]):
+        self.vertices = set(vertices)
+        self.adj = adj
 
 
 class _Emit(Exception):
@@ -164,7 +162,6 @@ class PartitionState:
         self.sets: dict[int, set[int]] = {i: set() for i in terminals}
         self.t1_part: dict[int, set[int]] = {i: set() for i in terminals}
         self.placed: dict[int, int] = {}
-        self.full: dict[int, bool] = dict.fromkeys(terminals, False)
         self.status: dict[int, str | None] = dict.fromkeys(terminals)
         self.vlabel_of: dict[int, int] = {}
         self.vlabel_sets: dict[int, set[int]] = {i: set() for i in terminals}
@@ -185,12 +182,13 @@ class PartitionState:
     def add(self, v: int, i: int, parent: int | None, *, _quiet: bool = False) -> None:
         if v not in self.members or v in self.placed:
             raise EngineError("state-invariant", f"add: {v} is not an unplaced member")
-        if self.full[i]:
+        s = self.sets[i]
+        if len(s) == self.demands[i]:  # full, inlined on the hottest path
             raise EngineError("state-invariant", f"add: set {i} is full")
         prev = self.vlabel_of.pop(v, None)
         if prev is not None:
             self.vlabel_sets[prev].discard(v)
-        self.sets[i].add(v)
+        s.add(v)
         self.placed[v] = i
         self.attach_parent[v] = parent
         if parent is not None:
@@ -210,13 +208,11 @@ class PartitionState:
                     heapq.heappush(heap, w)
         if not _quiet and self.trace is not None:
             self.trace.append(("place", v, i))
-        if len(self.sets[i]) == self.demands[i]:
-            self.full[i] = True
-            if len(self.hit_count[i]) == 1:
-                (only,) = self.hit_count[i]
-                if self.trace is not None:
-                    self.trace.append(("emit", i, only))
-                raise _Emit(i, only)
+        if len(s) == self.demands[i] and len(self.hit_count[i]) == 1:
+            (only,) = self.hit_count[i]
+            if self.trace is not None:
+                self.trace.append(("emit", i, only))
+            raise _Emit(i, only)
 
     def remove(self, v: int, i: int) -> None:
         if self.placed.get(v) != i:
@@ -242,7 +238,6 @@ class PartitionState:
                 frontier[2].discard(v)
                 if ti == frontier[0]:
                     heapq.heappush(frontier[1], v)
-        self.full[i] = False
 
     def steal(self, v: int, frm: int, to: int, parent: int) -> None:
         if self.trace is not None:
@@ -298,6 +293,9 @@ class PartitionState:
         v = heap[0]
         return v, min(nbrs(v) & anchor)
 
+    def full(self, i: int) -> bool:
+        return len(self.sets[i]) == self.demands[i]
+
     def deficit(self, i: int) -> int:
         return self.demands[i] - len(self.sets[i])
 
@@ -322,8 +320,6 @@ class PartitionState:
                 raise EngineError("state-invariant", f"{where}: terminal missing from {i}")
             if not is_connected_subset(self.graph, s):
                 raise EngineError("state-invariant", f"{where}: set {i} disconnected")
-            if self.full[i] != (len(s) == self.demands[i]):
-                raise EngineError("state-invariant", f"{where}: full flag wrong on {i}")
             if len(s) > self.demands[i]:
                 raise EngineError("state-invariant", f"{where}: set {i} over demand")
             for ti, cnt in self.hit_count[i].items():
@@ -408,7 +404,7 @@ def _attach(state: PartitionState, v: int, what: str) -> None:
     lowest neighbour there; `what` names v in the error."""
     nbrs = state.graph.neighbor_set(v)
     target = next(
-        (i for i, s in state.sets.items() if not state.full[i] and nbrs & s),
+        (i for i, s in state.sets.items() if not state.full(i) and nbrs & s),
         None,
     )
     if target is None:
@@ -548,7 +544,7 @@ def add_vertices(state: PartitionState) -> None:
                 i
                 for i, st in state.status.items()
                 if st == "under"
-                and not state.full[i]
+                and not state.full(i)
                 and not state.contains_whole_tree(i)
             ),
             None,
@@ -556,15 +552,15 @@ def add_vertices(state: PartitionState) -> None:
         if j is None:
             break
         ti = state.tlabel[j]
-        while not state.full[j] and state.hit_count[j].get(ti, 0) < len(state.trees[ti].vertices):
+        while not state.full(j) and state.hit_count[j].get(ti, 0) < len(state.trees[ti].vertices):
             guard -= 1
             if guard < 0:
                 raise EngineError("no-progress", "tree absorption failed to advance")
             if _grow_from_tree(state, j, ti):
                 _ensure_tree_adjacency(state)
     for i, st in state.status.items():
-        if st == "over" and not state.full[i]:
-            while not state.full[i]:
+        if st == "over" and not state.full(i):
+            while not state.full(i):
                 u = min(state.vlabel_sets[i])
                 state.add(u, i, parent=min(g.neighbor_set(u) & state.t1_part[i]))
     # each placement adds one vertex, so one ascending walk meets the
@@ -589,7 +585,7 @@ def _run_single_tree(state: PartitionState) -> tuple[dict[int, VertexSet], list[
         state.checkpoint("add-vertices")
     except _Emit as e:
         return {e.set_index: frozenset(state.sets[e.set_index])}, [e.tree_index]
-    if not all(state.full.values()):
+    if not all(map(state.full, state.sets)):
         raise EngineError("state-invariant", "a set is short of its demand after add-vertices")
     return {i: frozenset(s) for i, s in state.sets.items()}, list(state.trees)
 
@@ -688,7 +684,9 @@ def solve(
     validated = [t.vertices for t in trees[: instance.k]]
     # The one copy of each tree, and the one tree index over them: stray
     # terminals grow the lead tree's view and enter the index in place.
-    views = {ti: _TreeView(t) for ti, t in enumerate(trees[: instance.k])}
+    views = {
+        ti: _TreeView(t.vertices, t.adjacency()) for ti, t in enumerate(trees[: instance.k])
+    }
     tree_of = {v: ti for ti, tv in views.items() for v in tv.vertices}
     terminals = dict(enumerate(instance.terminals))  # the unfinished blocks
     blocks_out: dict[int, VertexSet] = {}

@@ -16,7 +16,7 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from .engine import CdsInput, GLInstance, TraceEvent
-from .graphs import DominatingTree, Graph, GraphError, VertexSet, collector_paused, spanning_tree
+from .graphs import DominatingTree, Graph, GraphError, VertexSet, collector_paused
 from .models import BiconvexModel, ConvexModel, IntervalModel
 
 Model = Graph | IntervalModel | ConvexModel | BiconvexModel
@@ -409,16 +409,16 @@ def parse_partition(text: str, n: int) -> tuple[VertexSet, ...]:
 
 
 def build_cds_input(g: Graph, sets: Sequence[VertexSet]) -> CdsInput:
-    """Turn vertex sets into trees via deterministic spanning trees.
+    """One `DominatingTree` per set.
 
-    A spanning tree is a tree of graph edges by construction, so a set
-    fails here only when it is empty or disconnected.  Domination is left
-    to `engine.validate_cds_input`, which `solve` runs on every input.
+    A set fails here only when it is empty or disconnected, since the
+    parser range-checks every id.  Domination is left to
+    `engine.validate_cds_input`, which `solve` runs on every input.
     """
     trees = []
     for i, s in enumerate(sets):
         try:
-            trees.append(DominatingTree(vertices=frozenset(s), edges=spanning_tree(g, s)))
+            trees.append(DominatingTree(g, s))
         except GraphError as exc:
             raise FormatError("invariant", f"set {i + 1}: {exc}") from exc
     return tuple(trees)

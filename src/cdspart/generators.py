@@ -175,7 +175,8 @@ def gen_planted_cds(
 
     A subset of vertices is split into k paths; every other vertex gets an
     edge to a random member of every backbone (making each one dominating),
-    then extra random edges are sprinkled on top.
+    then extra random edges are sprinkled on top.  Each backbone is
+    returned as the `DominatingTree` of its vertex set.
     """
     if k < 1:
         raise GraphError("generation-failed", f"need k >= 1, got k={k}")
@@ -217,13 +218,7 @@ def gen_planted_cds(
     adj = list(map(list, nbrs))
     del nbrs  # the sets go before the graph builds its own copies
     g = Graph.from_lists(adj)
-    trees = tuple(
-        DominatingTree(
-            vertices=frozenset(chain),
-            edges=tuple((a, b) for a, b in zip(chain, chain[1:])),
-        )
-        for chain in backbones
-    )
+    trees = tuple(DominatingTree(g, chain) for chain in backbones)
     validate_cds_input(g, trees)
     return g, trees
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import gc
 from bisect import bisect
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -141,47 +140,26 @@ def _first_fault(n: int, edges: Sequence[Edge]) -> GraphError:
     raise AssertionError("no faulty edge")
 
 
-@dataclass(frozen=True)
 class DominatingTree:
-    """A tree (vertex set + explicit tree edges) that dominates its host graph."""
+    """A connected vertex set of a graph with its BFS spanning tree rooted
+    at the set's lowest id: the one way the package builds a tree.
 
-    vertices: VertexSet
-    edges: tuple[Edge, ...]
+    Construction raises `GraphError` for an empty set, an id outside
+    0..n-1 or a disconnected set (see `spanning_tree`).  Domination is
+    checked by `validate`, or for a whole family by
+    `engine.validate_cds_input`.
+    """
 
-    def validate(self, g: Graph) -> None:
-        self.check_tree(g)
-        if not dominates(g, self.vertices):
+    __slots__ = ("graph", "vertices", "edges")
+
+    def __init__(self, g: Graph, vertices: Iterable[int]):
+        self.vertices: VertexSet = frozenset(vertices)
+        self.edges = spanning_tree(g, self.vertices)
+        self.graph = g
+
+    def validate(self) -> None:
+        if not dominates(self.graph, self.vertices):
             raise GraphError("not-dominating")
-
-    def check_tree(self, g: Graph) -> None:
-        """Every check of `validate` except domination: a nonempty vertex set
-        spanned by its edges, which form a tree of graph edges."""
-        vs = self.vertices
-        if not vs:
-            raise GraphError("empty-tree")
-        if len(self.edges) != len(vs) - 1:
-            raise GraphError(
-                "not-a-tree", f"{len(self.edges)} edges for {len(vs)} vertices"
-            )
-        adj: dict[int, list[int]] = {v: [] for v in vs}
-        for u, v in self.edges:
-            if u not in vs or v not in vs:
-                raise GraphError("not-a-tree", f"edge ({u}, {v}) leaves the vertex set")
-            if not g.has_edge(u, v):
-                raise GraphError("not-a-tree", f"({u}, {v}) is not a graph edge")
-            adj[u].append(v)
-            adj[v].append(u)
-        root = min(vs)
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if len(seen) != len(vs):
-            raise GraphError("not-a-tree", "tree edges do not connect the vertex set")
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """Tree adjacency (sorted), keyed by vertex."""
@@ -236,13 +214,17 @@ def spanning_tree(g: Graph, s: Iterable[int], root: int | None = None) -> tuple[
 
     Edges are returned in discovery order as (parent, child); each vertex
     takes its undiscovered neighbours in s in ascending id, so the result
-    is deterministic.
+    is deterministic.  An empty s, an id of s outside 0..n-1 and a
+    disconnected s raise `GraphError`.
     """
     unseen = set(s)
     if not unseen:
         raise GraphError("empty-subset")
+    lo, hi = min(unseen), max(unseen)
+    if lo < 0 or hi >= g.n:
+        raise GraphError("bad-vertex", f"{lo if lo < 0 else hi} is not in 0..{g.n - 1}")
     if root is None:
-        root = min(unseen)
+        root = lo
     elif root not in unseen:
         raise GraphError("not-connected")
     unseen.remove(root)

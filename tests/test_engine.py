@@ -37,22 +37,17 @@ from cdspart.graphs import (
     Graph,
     GraphError,
     is_connected_subset,
-    spanning_tree,
 )
 from cdspart.verify import brute_cds, brute_gl, verify_gl
 
 from conftest import random_graph
 
 
-def k4():
-    return Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 def k4_trees():
-    return (
-        DominatingTree(frozenset({0, 1}), ((0, 1),)),
-        DominatingTree(frozenset({2, 3}), ((2, 3),)),
-    )
+    return DominatingTree(K4, {0, 1}), DominatingTree(K4, {2, 3})
 
 
 def planted(seed, n, k, *, on_trees=False):
@@ -77,41 +72,58 @@ def planted(seed, n, k, *, on_trees=False):
 class TestGLInstanceValidation:
     def test_duplicate_terminals(self):
         with pytest.raises(EngineError, match="invalid-instance"):
-            GLInstance(graph=k4(), terminals=(0, 0), demands=(2, 2))
+            GLInstance(graph=K4, terminals=(0, 0), demands=(2, 2))
 
     def test_zero_demand(self):
         with pytest.raises(EngineError, match="invalid-instance"):
-            GLInstance(graph=k4(), terminals=(0, 1), demands=(0, 4))
+            GLInstance(graph=K4, terminals=(0, 1), demands=(0, 4))
 
     def test_sum_mismatch(self):
         with pytest.raises(EngineError, match="invalid-instance"):
-            GLInstance(graph=k4(), terminals=(0, 1), demands=(2, 3))
+            GLInstance(graph=K4, terminals=(0, 1), demands=(2, 3))
 
     def test_no_terminals(self):
         with pytest.raises(EngineError, match="invalid-instance: k must be at least 1"):
-            GLInstance(graph=k4(), terminals=(), demands=())
+            GLInstance(graph=K4, terminals=(), demands=())
 
     def test_terminal_and_demand_counts_differ(self):
         match = "invalid-instance: terminal and demand counts differ"
         with pytest.raises(EngineError, match=match):
-            GLInstance(graph=k4(), terminals=(0, 1), demands=(4,))
+            GLInstance(graph=K4, terminals=(0, 1), demands=(4,))
 
 
 class TestCdsInputValidation:
     def test_overlapping_trees(self):
-        t = DominatingTree(frozenset({0, 1}), ((0, 1),))
+        t = DominatingTree(K4, {0, 1})
         with pytest.raises(EngineError, match="invalid-cds-input"):
-            validate_cds_input(k4(), (t, t))
+            validate_cds_input(K4, (t, t))
 
     def test_non_dominating_tree(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        t = DominatingTree(frozenset({0, 1}), ((0, 1),))
+        t = DominatingTree(g, {0, 1})
         with pytest.raises(EngineError, match="invalid-cds-input"):
             validate_cds_input(g, (t,))
 
     def test_no_trees(self):
         with pytest.raises(EngineError, match="invalid-cds-input: no trees"):
-            validate_cds_input(k4(), ())
+            validate_cds_input(K4, ())
+
+    def test_tree_of_another_graph(self):
+        # an equal copy of the path 0-1-2 is still another graph
+        g = Graph(3, [(0, 1), (1, 2)])
+        t = DominatingTree(Graph(3, [(0, 1), (1, 2)]), {1})
+        inst = GLInstance(graph=g, terminals=(0,), demands=(3,))
+        with pytest.raises(EngineError, match="invalid-cds-input: tree 0 is built on another graph"):
+            solve(inst, (t,))
+
+    def test_id_n_of_the_solved_graph(self):
+        # vertex 3 of a larger graph is id n = 3 of the path 0-1-2, which
+        # cannot build it (tests/test_graphs.py); solve refuses the tree too
+        g = Graph(3, [(0, 1), (1, 2)])
+        t = DominatingTree(Graph(4, [(0, 1), (1, 2), (1, 3)]), {1, 3})
+        inst = GLInstance(graph=g, terminals=(0,), demands=(3,))
+        with pytest.raises(EngineError, match="invalid-cds-input: tree 0 is built on another graph"):
+            solve(inst, (t,))
 
 
 def validate_tree_by_tree(g, trees):
@@ -119,8 +131,10 @@ def validate_tree_by_tree(g, trees):
     `dominates`): the reference for the reported tree and message."""
     seen = set()
     for i, t in enumerate(trees):
+        if t.graph is not g:
+            raise EngineError("invalid-cds-input", f"tree {i} is built on another graph")
         try:
-            t.validate(g)
+            t.validate()
         except GraphError as exc:
             raise EngineError("invalid-cds-input", f"tree {i}: {exc}") from exc
         if t.vertices & seen:
@@ -132,9 +146,7 @@ def drop_leaf(tree):
     """The tree without its lowest-id leaf (a tree on >= 2 vertices)."""
     degree = Counter(v for e in tree.edges for v in e)
     leaf = min(v for v in tree.vertices if degree[v] == 1)
-    return DominatingTree(
-        tree.vertices - {leaf}, tuple(e for e in tree.edges if leaf not in e)
-    )
+    return DominatingTree(tree.graph, tree.vertices - {leaf})
 
 
 def outcome(fn, *args):
@@ -152,46 +164,49 @@ class TestOnePassValidation:
             rng = random.Random(seed)
             k = 2 + seed % 6
             g, trees = gen_planted_cds(4 * k + seed % 40, k, 10, seed)
+            copy = Graph.from_lists([list(g.neighbor_set(v)) for v in range(g.n)])
             trees = list(trees)
             for _ in range(rng.randint(0, 3)):
                 i = rng.randrange(k)
-                defect = rng.choice(["shrink", "shrink", "edge", "overlap", "alien"])
+                defect = rng.choice(["shrink", "shrink", "foreign", "overlap", "alien"])
                 t = trees[i]
                 if defect == "shrink" and len(t.vertices) > 1:
                     trees[i] = drop_leaf(t)
-                elif defect == "edge" and t.edges:
-                    trees[i] = DominatingTree(t.vertices, t.edges[1:])
+                elif defect == "foreign":
+                    trees[i] = DominatingTree(copy, t.vertices)
                 elif defect == "overlap":
                     trees[i] = trees[rng.randrange(k)]
                 elif defect == "alien":
                     s = set(rng.sample(range(g.n), rng.randint(1, g.n // 2)))
                     try:
-                        trees[i] = DominatingTree(frozenset(s), spanning_tree(g, s))
+                        trees[i] = DominatingTree(g, s)
                     except GraphError:
                         pass
             expected = outcome(validate_tree_by_tree, g, trees)
             assert outcome(validate_cds_input, g, trees) == expected, seed
             kinds.add(expected and next(
-                w for w in ("not-dominating", "not-a-tree", "overlaps") if w in expected[2]
+                w for w in ("not-dominating", "another graph", "overlaps") if w in expected[2]
             ))
-        assert kinds == {None, "not-dominating", "not-a-tree", "overlaps"}
+        assert kinds == {None, "not-dominating", "another graph", "overlaps"}
+
+
+P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
 
 class TestCheckPrecedence:
     """A tree with two faults reports the one a tree-by-tree check meets first."""
 
     @pytest.mark.parametrize("trees,message", [
-        # not a tree (no edges for two vertices) and not dominating
-        ([DominatingTree(frozenset({0, 1}), ())], "tree 0: not-a-tree"),
+        # built on another graph and not dominating
+        ([DominatingTree(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), {0, 1})],
+         "tree 0 is built on another graph"),
         # overlaps tree 0 and does not dominate
-        ([DominatingTree(frozenset({1, 2, 3}), ((1, 2), (2, 3))),
-          DominatingTree(frozenset({3}), ())], "tree 1: not-dominating"),
+        ([DominatingTree(P5, {1, 2, 3}), DominatingTree(P5, {3})], "tree 1: not-dominating"),
     ])
     def test_first_fault_of_a_tree_wins(self, trees, message):
-        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert outcome(validate_cds_input, g, trees) == outcome(validate_tree_by_tree, g, trees)
+        assert outcome(validate_cds_input, P5, trees) == outcome(validate_tree_by_tree, P5, trees)
         with pytest.raises(EngineError, match=message):
-            validate_cds_input(g, trees)
+            validate_cds_input(P5, trees)
 
 
 def as_keyed(items):
@@ -203,10 +218,14 @@ def make_state(g, trees, terminals, demands=None, *, trace=None):
     """A fresh state over all of g, built as `solve` builds one.
 
     `trees` and `terminals` are sequences keyed by position, or mappings
-    keyed by input index; the first tree is the lead.  `demands` follows the
+    keyed by input index; the first tree is the lead.  A tree is a
+    `DominatingTree` or a ready `_TreeView`.  `demands` follows the
     terminals' keys and defaults to 1 each.
     """
-    views = {ti: _TreeView(t) for ti, t in as_keyed(trees).items()}
+    views = {
+        ti: t if isinstance(t, _TreeView) else _TreeView(t.vertices, t.adjacency())
+        for ti, t in as_keyed(trees).items()
+    }
     terminals = as_keyed(terminals)
     if demands is None:
         demands = dict.fromkeys(terminals, 1)
@@ -219,26 +238,27 @@ def make_state(g, trees, terminals, demands=None, *, trace=None):
 
 def k4_state(terminals=(0, 1), demands=(2, 2)):
     """K4 with the two trees of `k4_trees` and its terminals placed."""
-    state = make_state(k4(), k4_trees(), terminals, demands)
+    state = make_state(K4, k4_trees(), terminals, demands)
     state.place_terminals()
     return state
 
 
 class TestCategorizeTrees:
     def test_all_terminals_on_first_tree(self):
-        assert categorize_trees(make_state(k4(), k4_trees(), [0, 1])) == {0: [0, 1], 1: []}
+        assert categorize_trees(make_state(K4, k4_trees(), [0, 1])) == {0: [0, 1], 1: []}
 
     def test_one_terminal_per_tree(self):
-        assert categorize_trees(make_state(k4(), k4_trees(), [0, 2])) == {0: [0], 1: [1]}
+        assert categorize_trees(make_state(K4, k4_trees(), [0, 2])) == {0: [0], 1: [1]}
 
     def test_stray_terminal_attached(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4)])
-        tree = DominatingTree(frozenset({0, 1}), ((0, 1),))
+        tree = DominatingTree(g, {0, 1})
         state = make_state(g, (tree,), [4])
         view = state.trees[0]
         assert categorize_trees(state) == {0: [0]}
-        grown = DominatingTree(frozenset({0, 1, 4}), ((0, 1), (0, 4)))
-        grown.validate(g)
+        grown = DominatingTree(g, {0, 1, 4})
+        grown.validate()
+        assert grown.edges == ((0, 1), (0, 4))
         assert view.vertices == grown.vertices and view.adj == grown.adjacency()
         assert state.tree_of[4] == 0
 
@@ -249,14 +269,15 @@ class TestCategorizeTrees:
     ])
     def test_strays_join_in_terminal_order(self, terminals, edges):
         g = Graph(4, [(0, 2), (0, 3), (0, 1), (1, 3), (2, 3)])
-        state = make_state(g, (DominatingTree(frozenset({2, 3}), ((2, 3),)),), terminals)
+        state = make_state(g, (DominatingTree(g, {2, 3}),), terminals)
         assert categorize_trees(state) == {0: [0, 1]}
-        assert state.trees[0].adj == DominatingTree(frozenset(range(4)), edges).adjacency()
+        adj = {v: tuple(sorted(w for e in edges if v in e for w in e if w != v)) for v in range(4)}
+        assert state.trees[0].adj == adj
 
     def test_lead_missing_a_stray_raises(self):
         # corrupt: lead tree 2 = {0, 1} of the path 0-1-2-3 misses terminal 3
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        state = make_state(g, {2: DominatingTree(frozenset({0, 1}), ((0, 1),))}, [3])
+        state = make_state(g, {2: DominatingTree(g, {0, 1})}, [3])
         with pytest.raises(EngineError, match="invalid-cds-input: tree 2 does not dominate 3"):
             categorize_trees(state)
 
@@ -287,17 +308,14 @@ class TestSingleTreePhases:
         labeling(state)
         add_vertices(state)
         state.check_invariants("test")
-        assert all(state.full.values())
+        assert all(map(state.full, state.sets))
         assert state.sets == {0: {0, 3}, 1: {1, 2}}
 
     def test_all_over_when_assignments_split(self):
         # C_4 with opposite trees: each spare vertex labels a different set,
         # both deficits are covered, nobody is Under, no tree is handed out
         g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        trees = (
-            DominatingTree(frozenset({0, 1}), ((0, 1),)),
-            DominatingTree(frozenset({2, 3}), ((2, 3),)),
-        )
+        trees = (DominatingTree(g, {0, 1}), DominatingTree(g, {2, 3}))
         state = make_state(g, trees, [0, 1], [2, 2])
         state.place_terminals()
         add_trees(state)
@@ -310,7 +328,7 @@ class TestSingleTreePhases:
 
     def test_star_leaves_attach_to_center_set(self):
         star = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        tree = DominatingTree(frozenset({0}), ())
+        tree = DominatingTree(star, {0})
         state = make_state(star, [tree], [0], [5])
         state.place_terminals()
         try:
@@ -348,7 +366,7 @@ def assert_valid_remainder(inst, trees, blocks, used):
 
 class TestSolveSingleTree:
     def test_k4_two_blocks(self):
-        inst = GLInstance(graph=k4(), terminals=(0, 1), demands=(2, 2))
+        inst = GLInstance(graph=K4, terminals=(0, 1), demands=(2, 2))
         blocks, used = run_single_tree(inst, k4_trees())
         assert used == [0, 1] and list(blocks) == [0, 1]
         partition = list(blocks.values())
@@ -357,14 +375,14 @@ class TestSolveSingleTree:
         assert brute_gl(inst) is not None
 
     def test_k1_single_block(self):
-        inst = GLInstance(graph=k4(), terminals=(2,), demands=(4,))
-        tree = (DominatingTree(frozenset({2, 3}), ((2, 3),)),)
+        inst = GLInstance(graph=K4, terminals=(2,), demands=(4,))
+        tree = (DominatingTree(K4, {2, 3}),)
         blocks, used = run_single_tree(inst, tree)
         assert blocks == {0: frozenset({0, 1, 2, 3})} and used == [0]
         assert solve(inst, tree) == (frozenset({0, 1, 2, 3}),)
 
     def test_emission_on_demand_one(self):
-        inst = GLInstance(graph=k4(), terminals=(0, 1), demands=(1, 3))
+        inst = GLInstance(graph=K4, terminals=(0, 1), demands=(1, 3))
         blocks, used = run_single_tree(inst, k4_trees())
         assert blocks == {0: frozenset({0})} and used == [0]
         # the unused tree is a valid dominating tree of what is left
@@ -539,7 +557,7 @@ class TestTrim:
 
 class TestSolve:
     def test_k4_general(self):
-        inst = GLInstance(graph=k4(), terminals=(0, 2), demands=(1, 3))
+        inst = GLInstance(graph=K4, terminals=(0, 2), demands=(1, 3))
         p = solve(inst, k4_trees())
         assert verify_gl(inst, p).ok
         assert p[0] == frozenset({0})
@@ -677,7 +695,7 @@ class TestEmissionRule:
         # sets and trees keep their input indices, in the signal and the trace
         trace = []
         trees = dict(zip((3, 4), k4_trees()))
-        state = make_state(k4(), trees, {5: 0, 7: 2}, {5: 2, 7: 2}, trace=trace)
+        state = make_state(K4, trees, {5: 0, 7: 2}, {5: 2, 7: 2}, trace=trace)
         state.place_terminals()
         with pytest.raises(eng_module._Emit) as exc:
             state.add(1, 5, parent=0)  # set 5 = {0, 1}: all of tree 3
@@ -690,13 +708,13 @@ class TestEmissionRule:
         state = k4_state()
         state.add(2, 0, parent=0)
         state.add(3, 1, parent=1)
-        assert all(state.full.values())
+        assert all(map(state.full, state.sets))
 
 
 class TestStateInvariants:
     def test_checker_catches_disconnection(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        tree = DominatingTree(frozenset({1, 2}), ((1, 2),))
+        tree = DominatingTree(g, {1, 2})
         state = make_state(g, [tree], [1], [4])
         state.place_terminals()
         state.sets[0].add(3)  # corrupt: 3 is not adjacent to {1}
@@ -717,7 +735,7 @@ class TestStateInvariants:
         monkeypatch.setattr(
             eng_module, "_run_single_tree", lambda *a, **kw: (original(*a, **kw)[0], [])
         )
-        inst = GLInstance(graph=k4(), terminals=(0, 1), demands=(2, 2))
+        inst = GLInstance(graph=K4, terminals=(0, 1), demands=(2, 2))
         with pytest.raises(EngineError, match="state-invariant: retire"):
             solve(inst, k4_trees())
 
@@ -751,7 +769,7 @@ class TestStateInvariants:
         # tree {1, 2} does not dominate 0, whose only neighbour 3 is unplaced
         # when 0 is reached: no open set is adjacent to it
         g = Graph(4, [(0, 3), (1, 2), (2, 3)])
-        tree = DominatingTree(frozenset({1, 2}), ((1, 2),))
+        tree = DominatingTree(g, {1, 2})
         with pytest.raises(EngineError, match="state-invariant: non-tree vertex 0"):
             _run_single_tree(make_state(g, [tree], [1], [4]))
 
@@ -777,7 +795,7 @@ class TestStateInvariants:
 
     def test_unfilled_set_after_add_vertices_raises(self, monkeypatch):
         monkeypatch.setattr(eng_module, "add_vertices", lambda state: None)
-        inst = GLInstance(graph=k4(), terminals=(0, 1), demands=(2, 2))
+        inst = GLInstance(graph=K4, terminals=(0, 1), demands=(2, 2))
         with pytest.raises(EngineError, match="state-invariant: a set is short"):
             run_single_tree(inst, k4_trees())
 
@@ -792,10 +810,7 @@ class TestStateInvariants:
             original = eng._run_single_tree
             eng._run_single_tree = lambda *a, **kw: (original(*a, **kw)[0], [])
             g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-            trees = (
-                DominatingTree(frozenset({0, 1}), ((0, 1),)),
-                DominatingTree(frozenset({2, 3}), ((2, 3),)),
-            )
+            trees = (DominatingTree(g, {0, 1}), DominatingTree(g, {2, 3}))
             inst = eng.GLInstance(graph=g, terminals=(0, 1), demands=(2, 2))
             try:
                 eng.solve(inst, trees)
@@ -991,8 +1006,9 @@ class TestGrowthFrontier:
         rng = random.Random(seed)
         n = 30
         g = random_graph(seed, n, 90, connected=True)
-        tree0 = DominatingTree(frozenset(range(10)), ())
-        tree1 = DominatingTree(frozenset(range(10, 25)), ())
+        # views of vertex sets: the heap reads no tree edge
+        tree0 = _TreeView(range(10), {})
+        tree1 = _TreeView(range(10, 25), {})
         state = make_state(g, [tree0, tree1], [0], [n])
         state.place_terminals()
         for _ in range(60):
@@ -1014,7 +1030,7 @@ class TestGrowthFrontier:
 
     def test_no_vertex_to_grow_into_raises(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        trees = [DominatingTree(frozenset({1}), ()), DominatingTree(frozenset({0, 2}), ())]
+        trees = [DominatingTree(g, {1}), _TreeView({0, 2}, {})]
         state = make_state(g, trees, [1], [3])
         state.place_terminals()
         state.add(0, 0, parent=1)
@@ -1086,7 +1102,7 @@ class TestStateRaises:
 
     def test_trim_of_a_block_without_its_terminal(self):
         with pytest.raises(EngineError, match="state-invariant: trim: no block of 1 around 0"):
-            _trim_block(k4(), frozenset({1, 2}), 0, 1)
+            _trim_block(K4, frozenset({1, 2}), 0, 1)
 
     def test_trim_of_a_disconnected_block(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -1136,11 +1152,6 @@ class TestInvariantRules:
         state = k4_state()
         state.sets[0].discard(0)
         self.fires(state, "terminal missing from 0")
-
-    def test_full_flag(self):
-        state = k4_state()
-        state.full[0] = True
-        self.fires(state, "full flag wrong on 0")
 
     def test_over_demand(self):
         state = k4_state()

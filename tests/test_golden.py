@@ -54,7 +54,7 @@ def corpus(size=600):
     return instances
 
 
-CORPUS_DIGEST = "ee7d5cbbbe108eebec89dfad3b2d6305adf9be7871a882afc4918b10b9677eda"
+CORPUS_DIGEST = "8206f5848d5e0c8c1b1c8ec0c8fe7c1f234453e29e718c73366c5e58f3a028f0"
 
 # gen arguments and `cds -k` (None: the planted trees)
 CHAINS = {

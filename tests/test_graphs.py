@@ -195,9 +195,11 @@ class TestOrderIndependence:
         assert any(list(a) != list(b) for a, b in zip(g._adjsets, h._adjsets))
         outs = []
         for graph in (g, h):
+            # each graph's trees are built on it, from the planted sets
+            trees_here = [DominatingTree(graph, tree.vertices) for tree in trees]
             trace = []
-            blocks = solve(GLInstance(graph, t, d), trees, trace=trace)
-            outs.append((blocks, trace))
+            blocks = solve(GLInstance(graph, t, d), trees_here, trace=trace)
+            outs.append(([tree.edges for tree in trees_here], blocks, trace))
         assert outs[0] == outs[1]
 
 
@@ -384,6 +386,13 @@ class TestSpanningTree:
         with pytest.raises(GraphError, match="not-connected"):
             spanning_tree(path_graph(4), {0, 3})
 
+    @pytest.mark.parametrize("s", [{-1, 1}, {1, 3}])
+    def test_id_out_of_range(self, s):
+        # without the check, -1 reads vertex 2's neighbours and yields the
+        # non-edge (-1, 1)
+        with pytest.raises(GraphError, match="bad-vertex"):
+            spanning_tree(path_graph(3), s)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_equals_the_ascending_scan(self, seed):
         rng = random.Random(seed)
@@ -486,26 +495,26 @@ class TestVertexConnectivity:
 class TestDominatingTree:
     def test_validates(self):
         g = k_complete(4)
-        DominatingTree(frozenset({0, 1}), ((0, 1),)).validate(g)
+        DominatingTree(g, {0, 1}).validate()
 
-    def test_edge_count_mismatch(self):
-        g = k_complete(4)
-        with pytest.raises(GraphError, match="not-a-tree"):
-            DominatingTree(frozenset({0, 1, 2}), ((0, 1),)).validate(g)
+    def test_bfs_tree_from_the_lowest_id(self):
+        t = DominatingTree(cycle_graph(5), [3, 4, 0, 1])
+        assert t.vertices == frozenset({0, 1, 3, 4})
+        assert t.edges == ((0, 1), (0, 4), (4, 3))
+        assert t.adjacency() == {0: (1, 4), 1: (0,), 3: (4,), 4: (0, 3)}
 
-    def test_non_graph_edge(self):
-        g = path_graph(4)
-        with pytest.raises(GraphError, match="not-a-tree"):
-            DominatingTree(frozenset({0, 2}), ((0, 2),)).validate(g)
+    @pytest.mark.parametrize("vertices,message", [
+        ((), "empty-subset"),
+        ({0, 2}, "not-connected"),
+        # -1 would index vertex 2 of the path 0-1-2, a neighbour of 1
+        ({-1, 1}, "bad-vertex: -1 is not in 0..2"),
+        ({1, 3}, "bad-vertex: 3 is not in 0..2"),
+    ])
+    def test_rejects(self, vertices, message):
+        with pytest.raises(GraphError, match=message):
+            DominatingTree(path_graph(3), vertices)
 
     def test_non_dominating(self):
         g = path_graph(5)
         with pytest.raises(GraphError, match="not-dominating"):
-            DominatingTree(frozenset({0, 1}), ((0, 1),)).validate(g)
-
-    def test_check_tree_skips_domination_only(self):
-        g = path_graph(5)
-        DominatingTree(frozenset({0, 1}), ((0, 1),)).check_tree(g)
-        with pytest.raises(GraphError, match="not-a-tree"):
-            DominatingTree(frozenset({0, 2}), ((0, 2),)).check_tree(g)
-
+            DominatingTree(g, {0, 1}).validate()
