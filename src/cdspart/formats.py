@@ -9,7 +9,7 @@ so parse/write round-trips are byte-stable.
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -148,7 +148,7 @@ def parse_bundle(text: str) -> InstanceBundle:
         elif kind == "interval":
             model = _parse_interval(rows, lineno, toks)
         elif kind in ("convex", "biconvex"):
-            model = _parse_convex(rows, lineno, toks, biconvex=(kind == "biconvex"))
+            model = _parse_convex(rows, lineno, toks, lines, numbered, kind == "biconvex")
         else:
             raise FormatError("syntax", f"unknown model kind '{kind}'", lineno)
         terminals = demands = None
@@ -164,9 +164,9 @@ def parse_bundle(text: str) -> InstanceBundle:
 # Each section parser takes the header row's number and tokens, reads its
 # records from `rows` and returns the model.  After a record loop `lineno`
 # is the last line read (the header when none was), which is where a short
-# section is reported.  `_parse_graph` also takes the file's lines and the
-# numbered iterator that `rows` reads, to read a canonical edge block in
-# bulk and step `rows` past it.
+# section is reported.  `_parse_graph` and `_parse_convex` also take the
+# file's lines and the numbered iterator that `rows` reads, to read a
+# canonical edge block in bulk and step `rows` past it.
 
 
 def _parse_graph(
@@ -209,9 +209,10 @@ def _edge_block(
     block: list[str], m: int, ids: dict[str, int]
 ) -> tuple[list[int], list[int]] | None:
     """The 0-based endpoints of m edge lines that are all canonical,
-    `e <u> <v>` with single spaces and ids in `ids`, read a few thousand
-    lines per split; None for any other block, which the per-line reader
-    then reads.
+    `e <u> <v>` of a `gl` section or `e <a> <b>` of a convex or biconvex
+    one, with single spaces and ids in `ids`, read a few thousand lines
+    per split; None for any other block, which the per-line reader then
+    reads.
 
     Joined with " \\n", k lines split on single spaces into 3k tokens
     exactly when every line holds three: the token that starts each line
@@ -318,7 +319,12 @@ def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> Inter
 
 
 def _parse_convex(
-    rows: Iterator[_Row], lineno: int, toks: list[str], biconvex: bool
+    rows: Iterator[_Row],
+    lineno: int,
+    toks: list[str],
+    lines: list[str],
+    numbered: Iterator[tuple[int, str]],
+    biconvex: bool,
 ) -> ConvexModel:
     if len(toks) != 5:
         raise FormatError("syntax", f"expected 'p {'biconvex' if biconvex else 'convex'} <nA> <nB> <m>'", lineno)
@@ -326,6 +332,47 @@ def _parse_convex(
     na, nb, m = _ints(toks[2:], lineno)
     if min(na, nb, m) < 0:
         raise FormatError("invariant", f"negative count in '{' '.join(toks)}'", lineno)
+    windows = None
+    if na + nb <= MAX_VERTICES:
+        # as in `_parse_graph`: m records name at most m ids of each side
+        ids = dict(zip(map(str, range(1, min(max(na, nb), m) + 1)), range(m)))
+        ends = _edge_block(lines[lineno : lineno + m], m, ids)
+        if ends is not None:
+            windows = _window_runs(*ends, na, nb)
+    if windows is None:
+        windows = _window_lines(rows, lineno, na, nb, m)
+    else:
+        next(islice(numbered, m, m), None)  # steps `rows` past the block
+    if na + nb > MAX_VERTICES:
+        raise FormatError("invariant", f"vertex count {na + nb} exceeds {MAX_VERTICES}", header)
+    try:
+        cls = BiconvexModel if biconvex else ConvexModel
+        return cls(na=na, nb=nb, windows=tuple(windows))
+    except GraphError as exc:
+        raise FormatError("invariant", str(exc)) from exc
+
+
+def _window_runs(a_ids: list[int], b_ids: list[int], na: int, nb: int) -> list[tuple[int, int]] | None:
+    """The 0-based windows of an edge section as `write_bundle` writes it,
+    B-vertices in order and each one's A ids rising by one; None for any
+    other.  `bisect_left` only proposes where a run ends: the count and
+    the range check the run, and the runs must cover the section."""
+    windows = []
+    start = 0
+    for j in range(nb):
+        end = bisect_left(b_ids, j + 1, start)
+        run = a_ids[start:end]
+        if (not run or run[-1] >= na or b_ids[start:end].count(j) != len(run)
+                or run != list(range(run[0], run[-1] + 1))):
+            return None
+        windows.append((run[0], run[-1]))
+        start = end
+    return windows if start == len(b_ids) else None
+
+
+def _window_lines(rows: Iterator[_Row], lineno: int, na: int, nb: int, m: int) -> list[tuple[int, int]]:
+    """The 0-based windows of the next m edge records, read line by line;
+    every fault is named with its line."""
     # keyed by B-vertex: the header count sizes nothing before the records
     # are read, and a B-vertex with no record stops the window loop below
     nbrs: defaultdict[int, set[int]] = defaultdict(set)
@@ -354,13 +401,7 @@ def _parse_convex(
         if len(s) != hi - lo + 1:
             raise FormatError("invariant", f"B-vertex {j + 1} has a non-contiguous neighborhood")
         windows.append((lo, hi))
-    if na + nb > MAX_VERTICES:
-        raise FormatError("invariant", f"vertex count {na + nb} exceeds {MAX_VERTICES}", header)
-    try:
-        cls = BiconvexModel if biconvex else ConvexModel
-        return cls(na=na, nb=nb, windows=tuple(windows))
-    except GraphError as exc:
-        raise FormatError("invariant", str(exc)) from exc
+    return windows
 
 
 def parse_vertex_sets(text: str, prefix: str, n: int) -> tuple[VertexSet, ...]:

@@ -170,11 +170,21 @@ class DominatingTree:
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
 
-def is_connected_subset(g: Graph, s: Iterable[int]) -> bool:
-    """True iff the subgraph induced on s is connected. s must be nonempty."""
+def _subset(g: Graph, s: Iterable[int]) -> set[int]:
+    """s as a new set; an empty s or an id outside 0..n-1 raises `GraphError`."""
     unseen = set(s)
     if not unseen:
         raise GraphError("empty-subset")
+    lo, hi = min(unseen), max(unseen)
+    if lo < 0 or hi >= g.n:
+        raise GraphError("bad-vertex", f"{lo if lo < 0 else hi} is not in 0..{g.n - 1}")
+    return unseen
+
+
+def is_connected_subset(g: Graph, s: Iterable[int]) -> bool:
+    """True iff the subgraph induced on s is connected.  An empty s and an
+    id of s outside 0..n-1 raise `GraphError`."""
+    unseen = _subset(g, s)
     stack = [unseen.pop()]
     while stack and unseen:
         # set intersection walks the smaller side: O(min(|unseen|, deg x))
@@ -217,14 +227,9 @@ def spanning_tree(g: Graph, s: Iterable[int], root: int | None = None) -> tuple[
     is deterministic.  An empty s, an id of s outside 0..n-1 and a
     disconnected s raise `GraphError`.
     """
-    unseen = set(s)
-    if not unseen:
-        raise GraphError("empty-subset")
-    lo, hi = min(unseen), max(unseen)
-    if lo < 0 or hi >= g.n:
-        raise GraphError("bad-vertex", f"{lo if lo < 0 else hi} is not in 0..{g.n - 1}")
+    unseen = _subset(g, s)
     if root is None:
-        root = lo
+        root = min(unseen)
     elif root not in unseen:
         raise GraphError("not-connected")
     unseen.remove(root)

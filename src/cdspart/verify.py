@@ -56,6 +56,15 @@ def _partition_violations(g: Graph, blocks: list[frozenset[int]]) -> list[tuple[
     return out
 
 
+def _connected(g: Graph, b: frozenset[int]) -> bool:
+    """Whether block b is nonempty and connected.  A block holding an
+    unknown vertex, which `_partition_violations` names, is not."""
+    try:
+        return is_connected_subset(g, b)
+    except GraphError:
+        return False
+
+
 def verify_gl(instance: GLInstance, p: Sequence[Iterable[int]]) -> VerificationReport:
     """Check the four partition conditions: cover, sizes, terminals, connectivity."""
     g = instance.graph
@@ -69,7 +78,7 @@ def verify_gl(instance: GLInstance, p: Sequence[Iterable[int]]) -> VerificationR
             v.append(("size-mismatch", f"block {i} has {len(b)}, demand {instance.demands[i]}"))
         if instance.terminals[i] not in b:
             v.append(("terminal-missing", f"terminal {instance.terminals[i]} not in block {i}"))
-        if not b or not is_connected_subset(g, b):
+        if not _connected(g, b):
             v.append(("not-connected", f"block {i}"))
     return VerificationReport(tuple(v))
 
@@ -79,7 +88,7 @@ def verify_cds_partition(g: Graph, p: Sequence[Iterable[int]]) -> VerificationRe
     blocks = [frozenset(b) for b in p]
     v = _partition_violations(g, blocks)
     for i, b in enumerate(blocks):
-        if not b or not is_connected_subset(g, b):
+        if not _connected(g, b):
             v.append(("not-connected", f"block {i}"))
         if not dominates(g, b):
             uncovered = next(

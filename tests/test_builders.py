@@ -13,7 +13,7 @@ from cdspart.builders import (
     validate_family,
 )
 from cdspart.generators import gen_biconvex, gen_convex, gen_interval, gen_planted_cds
-from cdspart.graphs import Graph, dominates, is_connected_subset, vertex_connectivity
+from cdspart.graphs import Graph, GraphError, dominates, is_connected_subset, vertex_connectivity
 from cdspart.models import BiconvexModel, ConvexModel, IntervalModel, interval_connectivity
 from cdspart.verify import verify_cds_partition
 
@@ -211,3 +211,10 @@ class TestValidateFamily:
             assert self.outcome(validate_family, g, fam) == expected, seed
             kinds.add(expected and expected[0])
         assert kinds == {None, "empty-set", "not-disjoint", "not-connected", "not-dominating"}
+
+    def test_id_out_of_range(self):
+        # the star centred at 7: {-1, 7} dominates, and -1 once read
+        # vertex 8's neighbours, so the set passed as connected
+        star = Graph(9, [(7, v) for v in range(9) if v != 7])
+        with pytest.raises(GraphError, match="bad-vertex"):
+            validate_family(star, [frozenset({-1, 7})])

@@ -32,7 +32,7 @@ from cdspart.generators import (
     gen_planted_cds,
 )
 from cdspart.graphs import Graph, GraphError, spanning_tree
-from cdspart.models import BiconvexModel, IntervalModel
+from cdspart.models import BiconvexModel, ConvexModel, IntervalModel
 
 import reference_parser
 
@@ -408,6 +408,43 @@ class TestReferenceParser:
             "p gl 3 2\ne 1 2\ne 2 3\nk 1\nt 2 3\n",
             "p gl 3 2\ne 1 2\ne 2 3\nk 2\nt 2 1\nt 3 2\n",
             "p gl 3 2\ne 1 2\ne 2 3\nk 1\nt 2 3\ne 1 3\n",
+            # canonical convex and biconvex sections, read in bulk, and near
+            # misses that the per-line reader must read instead
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\nk 1\nt 1 5\n",
+            "p biconvex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\nk 2\nt 1 2\nt 5 3\n",
+            "p biconvex 3 3 4\ne 1 1\ne 2 2\ne 3 2\ne 1 3\n",
+            "p convex 3 2 4\ne 2 2\ne 3 2\ne 1 1\ne 2 1\n",
+            "p biconvex 3 2 4\ne 1 1\ne 2 2\ne 2 1\ne 3 2\n",
+            "p convex 2 2 4\ne 1 1\ne 1 2\ne 2 1\ne 2 2\n",
+            "p convex 3 2 4\ne 1 1\ne 2 2\ne 3 1\ne 3 2\n",
+            "p convex 3 2 3\ne 1 1\ne 3 1\ne 2 2\n",
+            "p convex 3 2 4\ne 2 1\ne 1 1\ne 2 2\ne 3 2\n",
+            "p biconvex 3 2 4\ne 1 1\ne 2 1\ne 3 2\ne 2 2\n",
+            "p convex 3 2 4\ne 1 1\ne 1 1\ne 2 2\ne 3 2\n",
+            "p convex 3 2 5\ne 1 1\ne 2 1\ne 2 2\ne 3 2\ne 3 2\n",
+            "p convex 3 3 4\ne 1 1\ne 2 1\ne 2 3\ne 3 3\n",
+            "p convex 3 3 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\n",
+            "p biconvex 3 3 3\ne 2 2\ne 2 2\ne 3 3\n",
+            "p convex 2 4 4\ne 1 1\ne 2 2\ne 3 3\ne 1 4\n",
+            "p convex 4 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 3\n",
+            "p convex 3 2 4\ne 01 1\ne 2 1\ne 2 2\ne 3 +2\n",
+            "p convex 3 2 4\ne 0 1\ne 2 1\ne 2 2\ne 3 2\n",
+            "p biconvex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 x\n",
+            "p convex 3 2 4\r\ne 1 1\r\ne 2 1\r\ne 2 2\r\ne 3 2\r\n",
+            "p convex 3 2 4\ne 1 1\ne\t2 1\ne 2 2\ne 3 2\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2 # x\n",
+            "p convex 3 2 4\ne 1 1\n# c\ne 2 1\ne 2 2\ne 3 2\n",
+            "p convex 3 2 4\ne 1  1\ne 2 1\ne 2 2\ne 3 2\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\n",
+            "p convex 3 2 5\ne 1 1\ne 2 1\ne 2 2\ne 3 2\nk 1\nt 1 5\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\ne 3 1\n",
+            "p convex 3 2 0\n",
+            "p biconvex 3 0 0\n",
+            "p convex 3 0 0\nk 1\nt 1 3\n",
+            f"p convex {MAX_VERTICES} 1 2\ne 1 1\ne 1 1\n",
+            f"p biconvex {MAX_VERTICES} 2 2\ne 1 1\ne 3 3\n",
+            f"p convex {MAX_VERTICES} 1 1\ne 2 2\n",
         ],
     )
     def test_hand_cases(self, text):
@@ -430,6 +467,25 @@ class TestReferenceParser:
         monkeypatch.setattr(formats, "_edge_lines", per_line)
         assert [_outcome(_streamed_bundle, text) for text in texts] == expected
 
+    def test_written_convex_files_take_the_bulk_path(self, monkeypatch):
+        """A convex or biconvex file as `write_bundle` writes it never
+        reaches the per-line window reader; the benchmark's sizes are
+        among them."""
+        models = [b.model for b in bundle_samples(4) if not isinstance(b.model, (Graph, IntervalModel))]
+        models += [gen_convex(300, 600, 8, 3), gen_biconvex(200, 220, 4, 3)]
+        texts = [write_bundle(InstanceBundle(model=m), comments=["c"]) for m in models]
+        for m, k, seed in [(models[-2], 8, 3), (models[-1], 4, 3)]:
+            t, d = gen_gl_extension(m.n, k, seed)
+            texts.append(write_bundle(InstanceBundle(model=m, terminals=t, demands=d)))
+        expected = [_outcome(reference_parser.parse_bundle, text) for text in texts]
+        assert all(isinstance(e[0], (ConvexModel, BiconvexModel)) for e in expected)
+
+        def per_line(*args):
+            raise AssertionError("per-line window reader called")
+
+        monkeypatch.setattr(formats, "_window_lines", per_line)
+        assert [_outcome(_streamed_bundle, text) for text in texts] == expected
+
     def test_blocks_of_several_splits(self):
         """Faults and non-canonical lines past the bulk reader's first split."""
         text = _planted_text(300, 30, 60, 5)
@@ -447,6 +503,34 @@ class TestReferenceParser:
         assert_same_bundle_outcome(text)
         for i, line in cases:
             assert_same_bundle_outcome("\n".join(lines[:i] + [line] + lines[i + 1 :]))
+
+    def test_convex_blocks_of_several_splits(self):
+        """Faults and non-canonical lines past the bulk reader's first
+        split of a convex section."""
+        text = write_bundle(InstanceBundle(model=gen_convex(50, 250, 8, 1)))
+        lines = text.split("\n")
+        m = int(lines[0].split()[4])
+        assert m > 2 * formats._BLOCK_LINES
+        mid = formats._BLOCK_LINES + 7
+        a, b = lines[mid].split()[1:]
+        cases = [
+            (mid, lines[mid] + " # x"),
+            (mid, lines[mid].replace(" ", "\t")),
+            (mid, ""),
+            (mid, f"e 0{a} {b}"),
+            (mid, f"e {int(a) + 1} {b}"),
+            (mid, f"e {a} {int(b) + 1}"),
+            (m, lines[m - 1]),  # a repeated edge, last in the section
+            (m, lines[1]),  # the first B-vertex's line, out of order
+            (m - 1, "e 1"),
+        ]
+        assert_same_bundle_outcome(text)
+        for i, line in cases:
+            assert_same_bundle_outcome("\n".join(lines[:i] + [line] + lines[i + 1 :]))
+        # two lines swapped across a B-run boundary: same edges, other order
+        j = next(i for i in range(mid, m) if lines[i].split()[2] != lines[i + 1].split()[2])
+        swapped = lines[:j] + [lines[j + 1], lines[j]] + lines[j + 2 :]
+        assert_same_bundle_outcome("\n".join(swapped))
 
     @given(_soup)
     def test_token_soup(self, text):

@@ -231,6 +231,13 @@ class TestConnectedSubset:
         with pytest.raises(GraphError, match="empty-subset"):
             is_connected_subset(random_graph(3, 120, 400), [])
 
+    @pytest.mark.parametrize("s", [{-1, 7}, {8, 9}, {0, -9}])
+    def test_id_out_of_range(self, s):
+        # without the check, -1 reads vertex 8's neighbours and {-1, 7}
+        # passes as connected
+        with pytest.raises(GraphError, match="bad-vertex"):
+            is_connected_subset(path_graph(9), s)
+
     def test_matches_networkx(self):
         # n = 30..200, sparse to dense; subsets from singletons to all of V,
         # half of them grown as connected pieces and then perhaps cut

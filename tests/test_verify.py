@@ -49,6 +49,16 @@ class TestPartitionRules:
         rep = verify_cds_partition(k4(), [{0, 1, 7}, {2, 3}])
         assert ("partition", "block 0 holds unknown vertex 7") in rep.violations
 
+    def test_unknown_vertex_block_is_not_connected(self):
+        # on the path 0-8, -1 once read vertex 8's neighbours, so {-1, 7}
+        # passed as connected
+        g = Graph(9, [(i, i + 1) for i in range(8)])
+        blocks = [{-1, 7}, set(range(7)) | {8}]
+        inst = GLInstance(graph=g, terminals=(7, 0), demands=(2, 7))
+        for rep in (verify_gl(inst, blocks), verify_cds_partition(g, blocks)):
+            assert ("partition", "block 0 holds unknown vertex -1") in rep.violations
+            assert ("not-connected", "block 0") in rep.violations
+
     def test_vertex_in_two_blocks(self):
         rep = verify_cds_partition(k4(), [{0, 1}, {1, 2, 3}])
         assert ("partition", "vertex 1 in blocks 0 and 1") in rep.violations
