@@ -113,40 +113,30 @@ def _cmd_gen(args) -> int:
     n = sum(getattr(args, name) for name in sizes)
     if n > formats.MAX_VERTICES:  # parse_bundle's header bound, before anything is sized
         raise formats.FormatError("invariant", f"vertex count {n} exceeds {formats.MAX_VERTICES}")
-    comments = []
     if klass == "planted":
         cds_path = Path(args.output).with_suffix(".cds")
         _distinct_files(args.output, cds_path)
         extra = args.extra_edges if args.extra_edges is not None else n // 4
-        g, trees = generators.gen_planted_cds(n, args.k, extra, args.seed)
-        terminals, demands = generators.gen_gl_extension(
-            g.n, args.k, seed=args.seed ^ 0x5EED
-        )
-        comments.append(
-            f"planted instance: n={n} k={args.k} extra={extra} seed={args.seed} prng=splitmix64"
-        )
-        bundle = formats.InstanceBundle(model=g, terminals=terminals, demands=demands)
-        Path(args.output).write_text(formats.write_bundle(bundle, comments), encoding="utf-8")
-        cds_text = formats.write_cds([t.vertices for t in trees])
-        cds_path.write_text(cds_text, encoding="utf-8")
-        print(f"wrote {args.output} and {cds_path}")
-        return 0
-    if klass == "interval":
+        model, trees = generators.gen_planted_cds(n, args.k, extra, args.seed)
+        comment = f"planted instance: n={n} k={args.k} extra={extra} seed={args.seed} prng=splitmix64"
+    elif klass == "interval":
         model = generators.gen_interval(n, args.k, args.seed)
-        comments.append(
-            f"interval model: n={n} target_k={args.k} seed={args.seed} prng=splitmix64"
-        )
+        comment = f"interval model: n={n} target_k={args.k} seed={args.seed} prng=splitmix64"
     else:
         fn = generators.gen_biconvex if klass == "biconvex" else generators.gen_convex
         model = fn(args.na, args.nb, args.k, args.seed)
-        comments.append(
+        comment = (
             f"{klass} model: na={args.na} nb={args.nb} target_k={args.k} seed={args.seed} prng=splitmix64"
         )
     # write_bundle reads the model alone, so no graph is derived here
     terminals, demands = generators.gen_gl_extension(model.n, args.k, seed=args.seed ^ 0x5EED)
     bundle = formats.InstanceBundle(model=model, terminals=terminals, demands=demands)
-    Path(args.output).write_text(formats.write_bundle(bundle, comments), encoding="utf-8")
-    print(f"wrote {args.output}")
+    Path(args.output).write_text(formats.write_bundle(bundle, [comment]), encoding="utf-8")
+    if klass == "planted":
+        cds_path.write_text(formats.write_cds([t.vertices for t in trees]), encoding="utf-8")
+        print(f"wrote {args.output} and {cds_path}")
+    else:
+        print(f"wrote {args.output}")
     return 0
 
 

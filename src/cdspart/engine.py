@@ -107,17 +107,6 @@ def validate_cds_input(g: Graph, trees: Sequence[DominatingTree]) -> None:
         seen |= t.vertices
 
 
-class _TreeView:
-    """Per-solve view of one dominating tree: its vertex set and sorted tree
-    adjacency, which stray terminals extend in place."""
-
-    __slots__ = ("vertices", "adj")
-
-    def __init__(self, vertices: Iterable[int], adj: dict[int, tuple[int, ...]]):
-        self.vertices = set(vertices)
-        self.adj = adj
-
-
 class _Emit(Exception):
     """Internal signal: set `set_index` filled while touching only tree
     `tree_index`."""
@@ -135,9 +124,10 @@ class PartitionState:
     leaf removals are connectivity-safe.
 
     Sets and trees keep their input index: `terminals` maps set index to
-    terminal in ascending order, `trees` maps tree index to view with the
-    lead first and the spare trees ascending, `demands` is indexed by set
-    index, and `tree_of` (vertex to tree index) is the solve's one copy.
+    terminal in ascending order, `trees` maps tree index to vertex set with
+    the lead first and the spare trees ascending, and `demands` is indexed
+    by set index.  `tree_of` (vertex to tree index) and `tree_adj` (tree
+    vertex to its sorted tree neighbours) are the solve's one copy each.
     """
 
     def __init__(
@@ -146,8 +136,9 @@ class PartitionState:
         members: frozenset[int],
         terminals: Mapping[int, int],
         demands: Mapping[int, int] | Sequence[int],
-        trees: Mapping[int, _TreeView],
+        trees: Mapping[int, set[int]],
         tree_of: dict[int, int],
+        tree_adj: dict[int, tuple[int, ...]],
         *,
         trace: list[TraceEvent] | None = None,
     ):
@@ -158,6 +149,7 @@ class PartitionState:
         self.trees = trees
         self.lead, *self.spares = trees
         self.tree_of = tree_of
+        self.tree_adj = tree_adj
         self.trace = trace
         self.sets: dict[int, set[int]] = {i: set() for i in terminals}
         self.t1_part: dict[int, set[int]] = {i: set() for i in terminals}
@@ -204,7 +196,7 @@ class PartitionState:
             if frontier is not None and ti in (self.lead, frontier[0]):
                 grow_ti, heap, anchor = frontier
                 anchor.add(v)
-                for w in self.graph.neighbor_set(v) & self.trees[grow_ti].vertices:
+                for w in self.graph.neighbor_set(v) & self.trees[grow_ti]:
                     heapq.heappush(heap, w)
         if not _quiet and self.trace is not None:
             self.trace.append(("place", v, i))
@@ -275,10 +267,10 @@ class PartitionState:
         """
         frontier = self._frontiers.get(j)
         if frontier is None or frontier[0] != ti:
-            tv = self.trees[ti]
-            anchor = self.t1_part[j] | (self.sets[j] & tv.vertices)
+            tree = self.trees[ti]
+            anchor = self.t1_part[j] | (self.sets[j] & tree)
             heap = [
-                w for w in tv.vertices
+                w for w in tree
                 if w not in self.sets[j] and not self.graph.neighbor_set(w).isdisjoint(anchor)
             ]
             heapq.heapify(heap)
@@ -304,7 +296,7 @@ class PartitionState:
 
     def contains_whole_tree(self, i: int) -> bool:
         return any(
-            self.hit_count[i].get(ti, 0) == len(self.trees[ti].vertices) for ti in self.spares
+            self.hit_count[i].get(ti, 0) == len(self.trees[ti]) for ti in self.spares
         )
 
     # -- invariant suite ---------------------------------------------------
@@ -323,7 +315,7 @@ class PartitionState:
             if len(s) > self.demands[i]:
                 raise EngineError("state-invariant", f"{where}: set {i} over demand")
             for ti, cnt in self.hit_count[i].items():
-                if cnt != len(s & self.trees[ti].vertices):
+                if cnt != len(s & self.trees[ti]):
                     raise EngineError("state-invariant", f"{where}: hit count wrong on {i}")
         for v, i in self.placed.items():
             if v not in self.sets[i]:
@@ -347,7 +339,9 @@ class PartitionState:
             if "over" not in self.status.values():
                 raise EngineError("state-invariant", f"{where}: no set is Over")
 
-    checkpoints_run = 0  # class-wide tally, used by test instrumentation
+    # class-wide tally, read by test instrumentation and by the benchmark
+    # (`bench/run.py` reports it as `engine.checkpoints`)
+    checkpoints_run = 0
 
     def checkpoint(self, where: str) -> None:
         PartitionState.checkpoints_run += 1
@@ -361,23 +355,24 @@ def categorize_trees(state: PartitionState) -> dict[int, list[int]]:
     A stray terminal joins the lead tree (the lowest remaining index; every
     tree dominates every vertex, so an attachment edge always exists) in
     place, under its lowest neighbour there, keeping it a dominating tree,
-    and is entered in the shared `tree_of`; strays join in terminal order.
+    and is entered in the shared `tree_of` and `tree_adj`; strays join in
+    terminal order.
     Returns by_tree, mapping each tree index, in the order of
     `state.trees`, to the indices of the terminals on that tree, ascending.
     """
     lead = state.lead
-    host = state.trees[lead]
+    host, adj = state.trees[lead], state.tree_adj
     by_tree: dict[int, list[int]] = {ti: [] for ti in state.trees}
     for i, c in state.terminals.items():
         ti = state.tree_of.get(c)
         if ti is None:
-            witness_pool = state.graph.neighbor_set(c) & host.vertices
+            witness_pool = state.graph.neighbor_set(c) & host
             if not witness_pool:
                 raise EngineError("invalid-cds-input", f"tree {lead} does not dominate {c}")
             w = min(witness_pool)
-            host.vertices.add(c)
-            host.adj[c] = (w,)
-            host.adj[w] = tuple(sorted((*host.adj[w], c)))
+            host.add(c)
+            adj[c] = (w,)
+            adj[w] = tuple(sorted((*adj[w], c)))
             state.tree_of[c] = ti = lead
         by_tree[ti].append(i)
     return by_tree
@@ -388,12 +383,11 @@ def categorize_trees(state: PartitionState) -> dict[int, list[int]]:
 
 def _bfs_place_tree(state: PartitionState, ti: int, roots: list[int]) -> None:
     """Spread one tree over the sets of its terminals `roots`, tree edges only."""
-    tv = state.trees[ti]
     queue = deque(roots)
     while queue:
         x = queue.popleft()
         home = state.placed[x]
-        for y in tv.adj[x]:
+        for y in state.tree_adj[x]:
             if y not in state.placed:
                 state.add(y, home, parent=x)
                 queue.append(y)
@@ -509,7 +503,7 @@ def labeling(state: PartitionState) -> None:
     """
     g = state.graph
     for ti in state.spares:
-        for v in sorted(state.trees[ti].vertices):
+        for v in sorted(state.trees[ti]):
             target = next(
                 (i for i, part in state.t1_part.items() if g.neighbor_set(v) & part),
                 None,
@@ -552,7 +546,7 @@ def add_vertices(state: PartitionState) -> None:
         if j is None:
             break
         ti = state.tlabel[j]
-        while not state.full(j) and state.hit_count[j].get(ti, 0) < len(state.trees[ti].vertices):
+        while not state.full(j) and state.hit_count[j].get(ti, 0) < len(state.trees[ti]):
             guard -= 1
             if guard < 0:
                 raise EngineError("no-progress", "tree absorption failed to advance")
@@ -612,11 +606,11 @@ def _choose_group(
         members = by_tree[lead]
         # a single-terminal lead takes no extras
         extras = [free.popleft() for _ in members[1:]]
-        union: set[int] = set(state.trees[lead].vertices)
+        union = set(state.trees[lead])
         for i in members:
             union |= state.sets[i]
         for e in extras:
-            union |= state.trees[e].vertices
+            union |= state.trees[e]
         if len(union) >= sum(state.demands[i] for i in members):
             return lead, members, extras, union
     raise EngineError("no-qualifying-group", "contradicts the counting argument")
@@ -682,12 +676,12 @@ def solve(
     # dominates all of V.  Rounds only ever add vertices to a tree, and a
     # superset of it dominates whatever is left, so retire checks inclusion.
     validated = [t.vertices for t in trees[: instance.k]]
-    # The one copy of each tree, and the one tree index over them: stray
-    # terminals grow the lead tree's view and enter the index in place.
-    views = {
-        ti: _TreeView(t.vertices, t.adjacency()) for ti, t in enumerate(trees[: instance.k])
-    }
-    tree_of = {v: ti for ti, tv in views.items() for v in tv.vertices}
+    # The one copy of each tree's vertex set, and the one tree index and
+    # tree adjacency over them: stray terminals grow the lead tree's set and
+    # enter both in place.
+    tree_sets = {ti: set(vs) for ti, vs in enumerate(validated)}
+    tree_of = {v: ti for ti, tree in tree_sets.items() for v in tree}
+    tree_adj = {v: nbrs for t in trees[: instance.k] for v, nbrs in t.adjacency().items()}
     terminals = dict(enumerate(instance.terminals))  # the unfinished blocks
     blocks_out: dict[int, VertexSet] = {}
 
@@ -700,23 +694,23 @@ def solve(
             members = members - block
             del terminals[i]
         for ti in used:
-            for v in views.pop(ti).vertices:
-                del tree_of[v]
+            for v in tree_sets.pop(ti):
+                del tree_of[v], tree_adj[v]
         seen: set[int] = set()
-        for ti, tv in views.items():
-            if not tv.vertices <= members or tv.vertices & seen:
+        for ti, tree in tree_sets.items():
+            if not tree <= members or tree & seen:
                 raise EngineError(
                     "state-invariant", f"retire: tree {ti} lost a vertex or overlaps"
                 )
-            if not validated[ti] <= tv.vertices:
+            if not validated[ti] <= tree:
                 raise EngineError(
                     "state-invariant", f"retire: tree {ti} lost a validated vertex"
                 )
-            seen |= tv.vertices
+            seen |= tree
 
     while terminals:
         state = PartitionState(
-            g, members, terminals, instance.demands, views, tree_of, trace=trace
+            g, members, terminals, instance.demands, tree_sets, tree_of, tree_adj, trace=trace
         )
         by_tree = categorize_trees(state)
         try:
@@ -737,8 +731,9 @@ def solve(
                 frozenset(gprime),
                 {i: terminals[i] for i in group},
                 demands,
-                {ti: views[ti] for ti in (lead, *extras)},
+                {ti: tree_sets[ti] for ti in (lead, *extras)},
                 tree_of,
+                tree_adj,
                 trace=trace,
             )
         )

@@ -518,15 +518,7 @@ def write_partition(blocks: Sequence[Iterable[int]]) -> str:
 
 
 def write_trace(events: Sequence[TraceEvent]) -> str:
-    lines = []
-    for ev in events:
-        if ev[0] == "place":
-            _, v, label = ev
-            lines.append(f"PLACE {v + 1} {label + 1}")
-        elif ev[0] == "steal":
-            _, v, frm, to = ev
-            lines.append(f"STEAL {v + 1} {frm + 1} {to + 1}")
-        elif ev[0] == "emit":
-            _, label, tree = ev
-            lines.append(f"EMIT {label + 1} {tree + 1}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One line per event: its kind upper-cased, then its fields 1-based."""
+    return "".join(
+        f"{ev[0].upper()} {' '.join(str(x + 1) for x in ev[1:])}\n" for ev in events
+    )

@@ -22,7 +22,6 @@ from cdspart.engine import (
     _grow_from_tree,
     _trim_block,
     _run_single_tree,
-    _TreeView,
     add_trees,
     add_vertices,
     categorize_trees,
@@ -219,21 +218,23 @@ def make_state(g, trees, terminals, demands=None, *, trace=None):
 
     `trees` and `terminals` are sequences keyed by position, or mappings
     keyed by input index; the first tree is the lead.  A tree is a
-    `DominatingTree` or a ready `_TreeView`.  `demands` follows the
-    terminals' keys and defaults to 1 each.
+    `DominatingTree`, or a bare vertex set that enters no tree adjacency.
+    `demands` follows the terminals' keys and defaults to 1 each.
     """
-    views = {
-        ti: t if isinstance(t, _TreeView) else _TreeView(t.vertices, t.adjacency())
-        for ti, t in as_keyed(trees).items()
-    }
+    sets, tree_adj = {}, {}
+    for ti, t in as_keyed(trees).items():
+        if isinstance(t, DominatingTree):
+            tree_adj.update(t.adjacency())
+            t = t.vertices
+        sets[ti] = set(t)
     terminals = as_keyed(terminals)
     if demands is None:
         demands = dict.fromkeys(terminals, 1)
     elif not isinstance(demands, dict):
         demands = dict(zip(terminals, demands))
-    tree_of = {v: ti for ti, tv in views.items() for v in tv.vertices}
+    tree_of = {v: ti for ti, tree in sets.items() for v in tree}
     members = frozenset(range(g.n))
-    return PartitionState(g, members, terminals, demands, views, tree_of, trace=trace)
+    return PartitionState(g, members, terminals, demands, sets, tree_of, tree_adj, trace=trace)
 
 
 def k4_state(terminals=(0, 1), demands=(2, 2)):
@@ -254,12 +255,13 @@ class TestCategorizeTrees:
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4)])
         tree = DominatingTree(g, {0, 1})
         state = make_state(g, (tree,), [4])
-        view = state.trees[0]
+        lead = state.trees[0]
         assert categorize_trees(state) == {0: [0]}
         grown = DominatingTree(g, {0, 1, 4})
         grown.validate()
         assert grown.edges == ((0, 1), (0, 4))
-        assert view.vertices == grown.vertices and view.adj == grown.adjacency()
+        assert state.trees[0] is lead and lead == grown.vertices
+        assert state.tree_adj == grown.adjacency()
         assert state.tree_of[4] == 0
 
     # the later stray hangs under the earlier one, its lowest tree neighbour
@@ -272,7 +274,7 @@ class TestCategorizeTrees:
         state = make_state(g, (DominatingTree(g, {2, 3}),), terminals)
         assert categorize_trees(state) == {0: [0, 1]}
         adj = {v: tuple(sorted(w for e in edges if v in e for w in e if w != v)) for v in range(4)}
-        assert state.trees[0].adj == adj
+        assert state.tree_adj == adj
 
     def test_lead_missing_a_stray_raises(self):
         # corrupt: lead tree 2 = {0, 1} of the path 0-1-2-3 misses terminal 3
@@ -424,11 +426,11 @@ class TestChooseGroup:
         def wrapped(state, by_tree):
             out = original(state, by_tree)
             lead, members, extras, _ = out
-            union = set(state.trees[lead].vertices)
+            union = set(state.trees[lead])
             for i in members:
                 union |= state.sets[i]
             for e in extras:
-                union |= state.trees[e].vertices
+                union |= state.trees[e]
             captured.append((len(union), sum(state.demands[i] for i in members)))
             return out
 
@@ -443,24 +445,24 @@ class TestChooseGroup:
             assert union_size >= needed
 
     @staticmethod
-    def scan_group(views, terminals, demands, sets):
+    def scan_group(trees, terminals, demands, sets):
         """Reference group choice by terminal scans: each lead rescans every
         terminal, and G' is built from the chosen trees and sets.  All four
         arguments are keyed by input index."""
         counts = {
-            ti: sum(c in tv.vertices for c in terminals.values()) for ti, tv in views.items()
+            ti: sum(c in tree for c in terminals.values()) for ti, tree in trees.items()
         }
         free = deque(ti for ti, c in counts.items() if c == 0)
         leads = [ti for ti, c in counts.items() if c > 1]
         leads += [ti for ti, c in counts.items() if c == 1]
         for lead in leads:
-            members = [i for i, c in terminals.items() if c in views[lead].vertices]
+            members = [i for i, c in terminals.items() if c in trees[lead]]
             extras = [free.popleft() for _ in members[1:]]
-            gprime = set(views[lead].vertices)
+            gprime = set(trees[lead])
             for i in members:
                 gprime |= sets[i]
             for e in extras:
-                gprime |= views[e].vertices
+                gprime |= trees[e]
             if len(gprime) >= sum(demands[i] for i in members):
                 return lead, members, extras, gprime
         return None
@@ -474,8 +476,8 @@ class TestChooseGroup:
         def checked_categorize(state):
             by_tree = categorize(state)
             assert by_tree == {
-                ti: [i for i, c in state.terminals.items() if c in tv.vertices]
-                for ti, tv in state.trees.items()
+                ti: [i for i, c in state.terminals.items() if c in tree]
+                for ti, tree in state.trees.items()
             }
             rounds.append(dict(state.terminals))
             return by_tree
@@ -740,9 +742,9 @@ class TestStateInvariants:
             solve(inst, k4_trees())
 
     def test_retire_certificate_catches_dropped_vertex(self, monkeypatch):
-        # a terminal-free view loses its lowest validated leaf in place, and
-        # the solve's tree index forgets it; the round may still succeed,
-        # but retire refuses
+        # a terminal-free tree loses its lowest validated leaf in place, and
+        # the solve's tree index and tree adjacency forget it; the round may
+        # still succeed, but retire refuses
         inst, trees = planted(3, 80, 8)
         original = eng_module.categorize_trees
         shrunk = []
@@ -751,11 +753,11 @@ class TestStateInvariants:
             by_tree = original(state)
             t0 = [ti for ti, on in by_tree.items() if not on]
             if not shrunk and t0:
-                tv = state.trees[max(t0)]
-                leaf = min(v for v in tv.vertices if len(tv.adj[v]) == 1)
-                (parent,) = tv.adj.pop(leaf)
-                tv.adj[parent] = tuple(w for w in tv.adj[parent] if w != leaf)
-                tv.vertices.discard(leaf)
+                tree, adj = state.trees[max(t0)], state.tree_adj
+                leaf = min(v for v in tree if len(adj[v]) == 1)
+                (parent,) = adj.pop(leaf)
+                adj[parent] = tuple(w for w in adj[parent] if w != leaf)
+                tree.discard(leaf)
                 del state.tree_of[leaf]
                 shrunk.append(leaf)
             return by_tree
@@ -828,10 +830,10 @@ class TestStateInvariants:
 
 
 class TestSolveCost:
-    def test_tree_views_built_once_and_no_domination_rescan(self, monkeypatch):
+    def test_tree_adjacency_built_once_and_no_domination_rescan(self, monkeypatch):
         # counts, not time: each used tree's adjacency is built once, stray
-        # terminals grow tree 0's view in place without building a tree, and
-        # retire never re-checks domination
+        # terminals grow tree 0's set and the tree adjacency in place without
+        # building a tree, and retire never re-checks domination
         n, k = 600, 150
         g, trees = gen_planted_cds(n, k, n // 4, seed=11)
         terminals, demands = gen_gl_extension(n, k, seed=11 ^ 0xF00D)
@@ -874,15 +876,17 @@ class TestSolveCost:
         assert verify_gl(inst, p).ok
 
     def test_one_tree_index_per_solve(self, monkeypatch):
-        # every state of a solve reads the one tree index `solve` built; a
-        # stray's entry persists into the next round while its tree remains,
-        # and leaves with the tree when the tree retires
+        # every state of a solve reads the one tree index and the one tree
+        # adjacency `solve` built, over the same vertices; a stray's entries
+        # persist into the next round while its tree remains, and leave with
+        # the tree's rows when the tree retires
         n, k = 200, 50
         g, trees = gen_planted_cds(n, k, n // 4, seed=3)
         terminals, demands = gen_gl_extension(n, k, seed=3 ^ 0xF00D)
         inst = GLInstance(graph=g, terminals=terminals, demands=demands)
-        indexes = []
+        indexes, adjacencies = [], []
         joined = {}  # stray terminal -> the tree it joined last round
+        last = {}  # tree index -> its vertices, strays included, last round
         counts = Counter()
         init = PartitionState.__init__
         categorize = eng_module.categorize_trees
@@ -890,26 +894,37 @@ class TestSolveCost:
         def recorded_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
             indexes.append(self.tree_of)
+            adjacencies.append(self.tree_adj)
 
         def checked_categorize(state):
+            for ti, tree in last.items():
+                if ti not in state.trees:
+                    assert tree.isdisjoint(state.tree_adj)
+                    counts["rows left"] += 1
             for c, ti in joined.items():
                 if ti in state.trees:
-                    assert state.tree_of[c] == ti
+                    assert state.tree_of[c] == ti and c in state.tree_adj
                     counts["kept"] += 1
                 else:
-                    assert c not in state.tree_of
+                    assert c not in state.tree_of and c not in state.tree_adj
                     counts["retired"] += 1
+            assert state.tree_adj.keys() == state.tree_of.keys()
             strays = [c for c in state.terminals.values() if c not in state.tree_of]
             by_tree = categorize(state)
+            assert state.tree_adj.keys() == state.tree_of.keys()
             joined.clear()
             joined.update(dict.fromkeys(strays, state.lead))
+            last.clear()
+            last.update((ti, set(tree)) for ti, tree in state.trees.items())
             return by_tree
 
         monkeypatch.setattr(PartitionState, "__init__", recorded_init)
         monkeypatch.setattr(eng_module, "categorize_trees", checked_categorize)
         p = solve(inst, trees)
         assert len(indexes) > k // 2 and all(t is indexes[0] for t in indexes)
+        assert all(a is adjacencies[0] for a in adjacencies)
         assert counts["kept"] > 0 and counts["retired"] > 0, counts
+        assert counts["rows left"] > 0, counts
         monkeypatch.undo()
         assert verify_gl(inst, p).ok
 
@@ -973,9 +988,9 @@ class TestGrowthFrontier:
     @staticmethod
     def scan_choice(state, j, ti):
         g = state.graph
-        tv = state.trees[ti]
-        anchor = state.t1_part[j] | (state.sets[j] & tv.vertices)
-        v = min(w for w in tv.vertices if w not in state.sets[j] and g.neighbor_set(w) & anchor)
+        tree = state.trees[ti]
+        anchor = state.t1_part[j] | (state.sets[j] & tree)
+        v = min(w for w in tree if w not in state.sets[j] and g.neighbor_set(w) & anchor)
         return v, min(g.neighbor_set(v) & anchor)
 
     def checked_solves(self, monkeypatch, instances):
@@ -1006,10 +1021,8 @@ class TestGrowthFrontier:
         rng = random.Random(seed)
         n = 30
         g = random_graph(seed, n, 90, connected=True)
-        # views of vertex sets: the heap reads no tree edge
-        tree0 = _TreeView(range(10), {})
-        tree1 = _TreeView(range(10, 25), {})
-        state = make_state(g, [tree0, tree1], [0], [n])
+        # bare vertex sets: the heap reads no tree edge
+        state = make_state(g, [range(10), range(10, 25)], [0], [n])
         state.place_terminals()
         for _ in range(60):
             leaves = [v for v in state.sets[0] if v != 0 and not state.children.get(v)]
@@ -1030,7 +1043,7 @@ class TestGrowthFrontier:
 
     def test_no_vertex_to_grow_into_raises(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        trees = [DominatingTree(g, {1}), _TreeView({0, 2}, {})]
+        trees = [DominatingTree(g, {1}), {0, 2}]
         state = make_state(g, trees, [1], [3])
         state.place_terminals()
         state.add(0, 0, parent=1)
