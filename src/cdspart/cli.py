@@ -12,6 +12,7 @@ a machine-parsable first line (`ERROR <code>`, `FAIL <rule> ...` or
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from pathlib import Path
@@ -239,7 +240,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # A command builds one graph whose containers live as long as it and
+    # form no cycles; the cyclic collector would only walk them again and
+    # again, so it is paused for the command and its state restored.
+    enabled = gc.isenabled()
     try:
+        gc.disable()
         return _HANDLERS[args.command](args)
     except builders.InsufficientConnectivity as exc:
         print(f"ERROR {exc.code} {exc}")
@@ -253,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"ERROR io {exc}")
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -133,7 +133,7 @@ class PartitionState:
     def __init__(
         self,
         graph: Graph,
-        members: frozenset[int],
+        members: set[int] | frozenset[int],
         terminals: Mapping[int, int],
         demands: Mapping[int, int] | Sequence[int],
         trees: Mapping[int, set[int]],
@@ -553,9 +553,9 @@ def add_vertices(state: PartitionState) -> None:
             if _grow_from_tree(state, j, ti):
                 _ensure_tree_adjacency(state)
     for i, st in state.status.items():
-        if st == "over" and not state.full(i):
-            while not state.full(i):
-                u = min(state.vlabel_sets[i])
+        if st == "over":
+            # `add(u, i)` takes only u out of `vlabel_sets[i]`
+            for u in sorted(state.vlabel_sets[i])[: state.deficit(i)]:
                 state.add(u, i, parent=min(g.neighbor_set(u) & state.t1_part[i]))
     # each placement adds one vertex, so one ascending walk meets the
     # lowest unplaced vertex every time
@@ -671,7 +671,7 @@ def solve(
             "too-few-trees", f"{len(trees)} trees for {instance.k} terminals"
         )
     validate_cds_input(g, trees)
-    members = frozenset(range(g.n))
+    members = set(range(g.n))  # `retire` shrinks it once a round's state is done
     # Retire certificate: each tree's vertex set as validated above, which
     # dominates all of V.  Rounds only ever add vertices to a tree, and a
     # superset of it dominates whatever is left, so retire checks inclusion.
@@ -686,12 +686,11 @@ def solve(
     blocks_out: dict[int, VertexSet] = {}
 
     def retire(finished: dict[int, VertexSet], used: list[int]) -> None:
-        nonlocal members
         if not finished:
             raise EngineError("no-progress", "a round finished no block")
         for i, block in finished.items():
             blocks_out[i] = block
-            members = members - block
+            members.difference_update(block)
             del terminals[i]
         for ti in used:
             for v in tree_sets.pop(ti):

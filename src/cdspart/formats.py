@@ -16,7 +16,7 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from .engine import CdsInput, GLInstance, TraceEvent
-from .graphs import DominatingTree, Graph, GraphError, VertexSet, collector_paused
+from .graphs import DominatingTree, Graph, GraphError, VertexSet
 from .models import BiconvexModel, ConvexModel, IntervalModel
 
 Model = Graph | IntervalModel | ConvexModel | BiconvexModel
@@ -133,32 +133,29 @@ def parse_bundle(text: str) -> InstanceBundle:
     lines = text.splitlines()
     numbered = enumerate(lines, 1)
     rows = _rows(numbered)
-    # A graph's neighbour containers outlive the parse; the collector
-    # would only scan them over and over while they are built.
-    with collector_paused():
+    row = next(rows, None)
+    if row is None:
+        raise FormatError("syntax", "empty file", 1)
+    lineno, toks = row
+    if toks[0] != "p" or len(toks) < 2:
+        raise FormatError("syntax", f"expected 'p <kind> ...' header, got {' '.join(toks)}", lineno)
+    kind = toks[1]
+    if kind == "gl":
+        model = _parse_graph(rows, lineno, toks, lines, numbered)
+    elif kind == "interval":
+        model = _parse_interval(rows, lineno, toks)
+    elif kind in ("convex", "biconvex"):
+        model = _parse_convex(rows, lineno, toks, lines, numbered, kind == "biconvex")
+    else:
+        raise FormatError("syntax", f"unknown model kind '{kind}'", lineno)
+    terminals = demands = None
+    row = next(rows, None)
+    if row is not None:
+        terminals, demands = _parse_gl_extension(rows, row, model.n)
         row = next(rows, None)
-        if row is None:
-            raise FormatError("syntax", "empty file", 1)
-        lineno, toks = row
-        if toks[0] != "p" or len(toks) < 2:
-            raise FormatError("syntax", f"expected 'p <kind> ...' header, got {' '.join(toks)}", lineno)
-        kind = toks[1]
-        if kind == "gl":
-            model = _parse_graph(rows, lineno, toks, lines, numbered)
-        elif kind == "interval":
-            model = _parse_interval(rows, lineno, toks)
-        elif kind in ("convex", "biconvex"):
-            model = _parse_convex(rows, lineno, toks, lines, numbered, kind == "biconvex")
-        else:
-            raise FormatError("syntax", f"unknown model kind '{kind}'", lineno)
-        terminals = demands = None
-        row = next(rows, None)
-        if row is not None:
-            terminals, demands = _parse_gl_extension(rows, row, model.n)
-            row = next(rows, None)
-        if row is not None:
-            raise FormatError("syntax", "unexpected trailing content", row[0])
-        return InstanceBundle(model=model, terminals=terminals, demands=demands)
+    if row is not None:
+        raise FormatError("syntax", "unexpected trailing content", row[0])
+    return InstanceBundle(model=model, terminals=terminals, demands=demands)
 
 
 # Each section parser takes the header row's number and tokens, reads its

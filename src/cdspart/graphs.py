@@ -7,7 +7,6 @@ in ascending vertex id so results are reproducible for a given input.
 
 from __future__ import annotations
 
-import gc
 from bisect import bisect
 from collections import deque
 from itertools import chain
@@ -15,26 +14,6 @@ from typing import Iterable, Iterator, Sequence
 
 VertexSet = frozenset[int]
 Edge = tuple[int, int]
-
-
-class collector_paused:
-    """Context manager that pauses the cyclic garbage collector for its
-    block and restores the previous state on every exit, errors included.
-
-    A graph build allocates a few containers per vertex that live as long
-    as the graph and form no cycles; with the collector running, every
-    few hundred of them start a scan.  The exit allocates nothing once
-    the collector is back on, so the one collection the block made due
-    runs after it, at the caller's next allocation.
-    """
-
-    def __enter__(self) -> None:
-        self.enabled = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self.enabled:
-            gc.enable()
 
 
 class GraphError(ValueError):
@@ -73,9 +52,7 @@ class Graph:
         raises `GraphError("bad-adjacency")`.
         """
         g = cls.__new__(cls)
-        with collector_paused():
-            filled = g._fill(adj)
-        if not filled:
+        if not g._fill(adj):
             raise GraphError("bad-adjacency", "a repeated neighbour or a self-loop")
         return g
 

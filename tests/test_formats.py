@@ -1,4 +1,3 @@
-import gc
 import random
 import tracemalloc
 from pathlib import Path
@@ -626,44 +625,3 @@ def test_id_table_is_sized_by_the_records():
         tracemalloc.stop()
     assert (g.n, g.m) == (n, 0)
     assert peak - retained <= 100 * n, (peak - retained) / n
-
-
-class TestCollectorPause:
-    def test_no_collection_while_a_planted_bundle_parses(self):
-        """A planted n = 10^4, k = 8 bundle: the parse builds about 2n
-        long-lived containers, and the collector runs over none of them."""
-        text = _planted_text(10**4, 8, 2500, 101)
-        starts = []
-
-        def hook(phase, info):
-            if phase == "start":
-                starts.append(info["generation"])
-
-        assert gc.isenabled()
-        gc.collect()
-        gc.callbacks.append(hook)
-        try:
-            parse_bundle(text)
-        finally:
-            gc.callbacks.remove(hook)
-        assert starts == []
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize(
-        "text, code",
-        [
-            ("p gl 3 2\ne 1 2\ne 2 3\n", None),
-            ("p gl 3 2\ne 1 2\ne 2 x\n", "syntax"),  # inside the edge block
-            ("p gl 3 2\ne 1 2\ne 2 1\n", "invariant"),  # a repeated edge
-        ],
-    )
-    def test_collector_state_is_restored(self, text, code, enabled):
-        was = gc.isenabled()
-        (gc.enable if enabled else gc.disable)()
-        try:
-            outcome = _outcome(parse_bundle, text)
-            after = gc.isenabled()
-        finally:
-            (gc.enable if was else gc.disable)()
-        assert after is enabled
-        assert (outcome[0] if isinstance(outcome, tuple) else None) == code

@@ -1,4 +1,3 @@
-import gc
 import random
 
 import pytest
@@ -142,21 +141,6 @@ class TestFromLists:
     def test_rejects_a_repeated_entry_or_a_self_loop(self, lists):
         with pytest.raises(GraphError, match="bad-adjacency"):
             Graph.from_lists(lists)
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("lists", [[[1], [0]], [[0]]])
-    def test_restores_the_collector(self, lists, enabled):
-        was = gc.isenabled()
-        (gc.enable if enabled else gc.disable)()
-        try:
-            try:
-                Graph.from_lists(lists)
-            except GraphError:
-                pass
-            after = gc.isenabled()
-        finally:
-            (gc.enable if was else gc.disable)()
-        assert after is enabled
 
 
 def shuffled_lists(g, seed):
