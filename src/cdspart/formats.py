@@ -9,7 +9,7 @@ so parse/write round-trips are byte-stable.
 
 from __future__ import annotations
 
-from bisect import bisect, bisect_left
+from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -163,7 +163,7 @@ def parse_bundle(text: str) -> InstanceBundle:
 # is the last line read (the header when none was), which is where a short
 # section is reported.  `_parse_graph` and `_parse_convex` also take the
 # file's lines and the numbered iterator that `rows` reads, to read a
-# canonical edge block in bulk and step `rows` past it.
+# canonical edge section in bulk and step `rows` past it.
 
 
 def _parse_graph(
@@ -205,11 +205,10 @@ def _parse_graph(
 def _edge_block(
     block: list[str], m: int, ids: dict[str, int]
 ) -> tuple[list[int], list[int]] | None:
-    """The 0-based endpoints of m edge lines that are all canonical,
-    `e <u> <v>` of a `gl` section or `e <a> <b>` of a convex or biconvex
-    one, with single spaces and ids in `ids`, read a few thousand lines
-    per split; None for any other block, which the per-line reader then
-    reads.
+    """The 0-based endpoints of m `gl` edge lines that are all canonical,
+    `e <u> <v>` with single spaces and ids in `ids`, read a few thousand
+    lines per split; None for any other block, which the per-line reader
+    then reads.
 
     Joined with " \\n", k lines split on single spaces into 3k tokens
     exactly when every line holds three: the token that starts each line
@@ -331,11 +330,7 @@ def _parse_convex(
         raise FormatError("invariant", f"negative count in '{' '.join(toks)}'", lineno)
     windows = None
     if na + nb <= MAX_VERTICES:
-        # as in `_parse_graph`: m records name at most m ids of each side
-        ids = dict(zip(map(str, range(1, min(max(na, nb), m) + 1)), range(m)))
-        ends = _edge_block(lines[lineno : lineno + m], m, ids)
-        if ends is not None:
-            windows = _window_runs(*ends, na, nb)
+        windows = _window_block(lines[lineno : lineno + m], na, nb, m)
     if windows is None:
         windows = _window_lines(rows, lineno, na, nb, m)
     else:
@@ -349,22 +344,50 @@ def _parse_convex(
         raise FormatError("invariant", str(exc)) from exc
 
 
-def _window_runs(a_ids: list[int], b_ids: list[int], na: int, nb: int) -> list[tuple[int, int]] | None:
-    """The 0-based windows of an edge section as `write_bundle` writes it,
-    B-vertices in order and each one's A ids rising by one; None for any
-    other.  `bisect_left` only proposes where a run ends: the count and
-    the range check the run, and the runs must cover the section."""
+def _window_section(windows: Sequence[tuple[int, int]]) -> list[str]:
+    """The canonical edge lines of a convex or biconvex section with these
+    0-based windows, one string per B-vertex in order: its window's
+    `e <a> <b>` lines, A ids rising, joined by newlines in one join."""
+    names = list(map(str, range(1, max((hi for _, hi in windows), default=-1) + 2)))
+    runs = []
+    for b, (lo, hi) in enumerate(windows, 1):
+        tail = f" {b}"
+        runs.append("e " + (tail + "\ne ").join(names[lo : hi + 1]) + tail)
+    return runs
+
+
+def _window_block(block: list[str], na: int, nb: int, m: int) -> list[tuple[int, int]] | None:
+    """The 0-based windows of m edge lines exactly as `_window_section`
+    writes them; None for any other block, which the per-line reader then
+    reads.
+
+    Each B-run's window is proposed from the run's first line and line
+    count, found by a few searches of the section's text per B-vertex,
+    and stands only if writing the windows again gives that text.  Ids
+    above m fall back too, so no table outgrows the records.
+    """
+    if len(block) != m:
+        return None
+    text = "\n".join([*block, ""])
+    top = min(na, m)
     windows = []
-    start = 0
-    for j in range(nb):
-        end = bisect_left(b_ids, j + 1, start)
-        run = a_ids[start:end]
-        if (not run or run[-1] >= na or b_ids[start:end].count(j) != len(run)
-                or run != list(range(run[0], run[-1] + 1))):
+    start = line = 0  # the run's first character and its index in `block`
+    for b in range(1, nb + 1):
+        # the run ends where the first line ending in " <b + 1>" begins
+        nxt = text.find(f" {b + 1}\n", start) if b < nb else len(text)
+        end = text.rfind("\n", start, nxt) + 1
+        count = text.count("\n", start, end)
+        if count < 1:
             return None
-        windows.append((run[0], run[-1]))
-        start = end
-    return windows if start == len(b_ids) else None
+        try:
+            lo = int(block[line][2:].partition(" ")[0])
+        except ValueError:
+            return None
+        if not 1 <= lo <= top - count + 1:
+            return None
+        windows.append((lo - 1, lo + count - 2))
+        start, line = end, line + count
+    return windows if "\n".join([*_window_section(windows), ""]) == text else None
 
 
 def _window_lines(rows: Iterator[_Row], lineno: int, na: int, nb: int, m: int) -> list[tuple[int, int]]:
@@ -481,8 +504,10 @@ def write_bundle(bundle: InstanceBundle, comments: Iterable[str] = ()) -> str:
         names = list(map(str, range(1, model.n + 1)))
         for u, name in enumerate(names):
             row = sorted(model.neighbor_set(u))
-            head = f"e {name} "
-            lines += [head + names[v] for v in row[bisect(row, u) :]]
+            higher = row[bisect(row, u) :]
+            if higher:  # u's lines, joined once
+                head = f"e {name} "
+                lines.append(head + ("\n" + head).join(map(names.__getitem__, higher)))
     elif isinstance(model, IntervalModel):
         lines.append(f"p interval {model.n}")
         lines += [
@@ -492,10 +517,10 @@ def write_bundle(bundle: InstanceBundle, comments: Iterable[str] = ()) -> str:
         kind = "biconvex" if isinstance(model, BiconvexModel) else "convex"
         m = sum(hi - lo + 1 for lo, hi in model.windows)
         lines.append(f"p {kind} {model.na} {model.nb} {m}")
-        for j, (lo, hi) in enumerate(model.windows):
-            lines += [f"e {i + 1} {j + 1}" for i in range(lo, hi + 1)]
+        lines += _window_section(model.windows)
     lines += _extension_lines(bundle.terminals, bundle.demands)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # ends the last line without copying the text again
+    return "\n".join(lines)
 
 
 def write_sets(sets: Sequence[Iterable[int]], prefix: str, header: str | None) -> str:

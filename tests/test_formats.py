@@ -444,6 +444,34 @@ class TestReferenceParser:
             f"p convex {MAX_VERTICES} 1 2\ne 1 1\ne 1 1\n",
             f"p biconvex {MAX_VERTICES} 2 2\ne 1 1\ne 3 3\n",
             f"p convex {MAX_VERTICES} 1 1\ne 2 2\n",
+            # windows proposed from each B-run's first line and line count,
+            # and near misses that writing the proposal again must reject
+            "p convex 2 1 2\ne \u00b2 1\ne 2 1\n",  # isdigit, but no int
+            "p convex 2 1 2\ne 1\u00b2 1\ne 2 1\n",
+            "p convex 3 2 4\ne \u0661 1\ne 2 1\ne 2 2\ne 3 2\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2_0 2\ne 3 2\n",
+            "p convex 2 12 13\n" + "".join(f"e 1 {b}\n" for b in range(1, 13)) + "e 2 12\n",
+            "p convex 2 12 12\n" + "".join(f"e 1 {b}\n" for b in [1, 12, *range(3, 12), 2]),
+            "p convex 1 12 11\n" + "".join(f"e 1 {b}\n" for b in range(1, 13) if b != 2),
+            "p convex 2 3 4\ne 1 1\ne 2 1\ne 1 3\ne 2 3\n",
+            "p convex 2 3 3\ne 1 1\ne 1 2\ne 1 2\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\nk 1\nt 1 5\n",
+            "p convex 3 2 3\ne 1 1\ne 2 1\ne 2 2\ne 3 2\n",
+            "p convex 3 2 3\ne 1 1\ne 2 1\ne 2 2\ne 3 2\nk 1\nt 1 5\n",
+            "p convex 2 2 3\ne 1 1\ne 1 2\ne 3 2\n",
+            "p convex 2 2 2\ne 1 1\ne 3 2\n",
+            "p convex 3 2 3\ne 1 1\ne 01 2\ne 2 2\n",
+            "p convex 3 2 3\ne 01 1\ne 1 2\ne 2 2\n",
+            "p convex 3 2 3\ne 1 1\ne -1 2\ne 0 2\n",
+            "p biconvex 3 2 4\r\ne 1 1\r\ne 2 1\r\ne 2 2\r\ne 3 2\r\nk 1\r\nt 1 5\r\n",
+            "p convex 2 2 3\r\ne 1 1\r\ne 1 2\r\ne 2 2\r",
+            "p convex 3 1 3\ne 1 1\ne 2 1\ne 3 1\n",
+            "p convex 3 1 2\ne 2 1\ne 3 1\nk 2\nt 1 2\nt 4 2\n",
+            "p convex 3 1 3\ne 1 1\ne 3 1\ne 2 1\n",
+            "p convex 3 1 1\ne 2 1 \n",
+            "p convex 2 2 3\ne 1 1\ne 1 2\ne 2 2\nk 1\nt 1 4\n",
+            "p biconvex 2 2 3\ne 1 1\ne 1 2\ne 2 2\nk 2\nt 1 2\nt 4 2\n",
+            "p convex 2 2 3\ne 1 1\ne 1 2\nk 1\nt 1 4\n",
         ],
     )
     def test_hand_cases(self, text):
@@ -578,6 +606,25 @@ def _planted_text(n, k, extra, seed):
     g, _ = gen_planted_cds(n, k, extra, seed)
     t, d = gen_gl_extension(g.n, k, seed)
     return write_bundle(InstanceBundle(model=g, terminals=t, demands=d))
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [(lambda: gen_convex(300, 600, 8, 11), 3.5), (lambda: gen_planted_cds(2000, 8, 500, 1)[0], 5)],
+    ids=["convex", "planted"],
+)
+def test_write_peak_memory_is_a_few_times_the_text(make, bound):
+    """`write_bundle` joins a convex window's lines, or a vertex's `gl`
+    lines, into one string: its peak stays within a few times the text it
+    returns.  A string per edge line costs about 9 times the text."""
+    bundle = InstanceBundle(model=make())
+    tracemalloc.start()
+    try:
+        text = write_bundle(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * len(text), peak / len(text)
 
 
 def test_parse_peak_memory_is_linear_in_file_size():

@@ -2,7 +2,7 @@
 
 Each digest is the sha256 of a partition file followed by its trace file,
 as `cdspart partition --trace` writes them, or, for a chain that stops at
-`cds`, of the CDS file.  A refactor must leave every digest unchanged; a
+`cds`, of the CDS file, or of each file `cdspart gen` writes.  A refactor must leave every digest unchanged; a
 deliberate change of output updates them.
 """
 
@@ -82,6 +82,26 @@ CDS_DIGESTS = {
 }
 
 
+# gen arguments and the model file's extension, at the benchmark's sizes:
+# the digests pin every file `gen` writes (a planted run also writes `.cds`)
+GEN_CASES = {
+    "interval": (["--class", "interval", "--n", "80", "--k", "4", "--seed", "3"], "interval"),
+    "biconvex": (["--class", "biconvex", "--na", "200", "--nb", "220", "--k", "4", "--seed", "3"], "biconvex"),
+    "convex": (["--class", "convex", "--na", "300", "--nb", "600", "--k", "8", "--seed", "3"], "convex"),
+    "planted": (["--class", "planted", "--n", "600", "--k", "150", "--seed", "3"], "gl"),
+}
+
+GEN_DIGESTS = {
+    "interval": {"m.interval": "2eadaca09e1fa0f86dc303bab926a1ecb8b431c6edfd500bc523bd73096b53c6"},
+    "biconvex": {"m.biconvex": "2089767c2808a9f23f5e471b75400c77c9287810846fb99024827a0f4c830d9e"},
+    "convex": {"m.convex": "410af097495b2f1dee2df684edee8f3e9aff0df3f42e90125901451e9883adb0"},
+    "planted": {
+        "m.gl": "f974389684d5c2fba47cd33c16dd8062e152af86ee8fbd49219efd768911c0a1",
+        "m.cds": "e474aa2c1a28da02f8e24db20dc47426c14dc23dc656050101b0f8040ceb3f04",
+    },
+}
+
+
 def solve_bytes(n, k, extra, seed):
     g, trees = gen_planted_cds(n, k, extra, seed)
     terminals, demands = gen_gl_extension(n, k, seed=seed ^ 0xF00D)
@@ -147,6 +167,15 @@ def test_cli_cds_digest(tmp_path, capsys, name):
     assert main(["cds", "--class", gen_args[1], "-k", str(cds_k), str(model), "-o", str(cds)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(cds.read_bytes()).hexdigest() == CDS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(GEN_CASES))
+def test_cli_gen_digest(tmp_path, capsys, name):
+    gen_args, ext = GEN_CASES[name]
+    assert main(["gen", *gen_args, "-o", str(tmp_path / f"m.{ext}")]) == 0
+    capsys.readouterr()
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert digests == GEN_DIGESTS[name]
 
 
 def test_same_digest_under_python_O():
