@@ -21,7 +21,7 @@ class BuilderError(GraphError):
 
 
 class InsufficientConnectivity(BuilderError):
-    """Fewer disjoint paths exist than the requested family size."""
+    """The model's connectivity (or disjoint backbone count) is below k."""
 
     def __init__(self, wanted: int, achieved: int):
         super().__init__(
@@ -48,40 +48,49 @@ def validate_family(g: Graph, sets: CdsFamily) -> None:
 
 
 def cds_interval(m: IntervalModel, k: int) -> CdsFamily:
-    """k disjoint dominating paths of a k-connected interval graph.
+    """k disjoint CDSs of a k-connected interval graph, by one sweep over
+    the separators S_i = B_i & B_i+1 of the clique path B_0 .. B_r-1 (a
+    single bag is its own separator).
 
-    Augments the graph with a virtual source adjacent to the first bag of
-    the clique path and a virtual sink adjacent to the last, routes k
-    vertex-disjoint source-sink paths and strips the virtual endpoints.
-    Every bag is a separator of size >= k, and a clique, so each surviving
-    path meets every bag and dominates the graph.
+    A set meeting every S_i is connected and dominating: every vertex lies
+    in a bag B_j, a clique holding S_j-1 or S_j, and members in S_i and
+    S_i+1 both lie in the clique B_i+1.  A vertex lies in a run of
+    consecutive separators; a set's reach is its members' farthest run
+    end.  At S_i each set whose reach is below i takes the free vertex of
+    S_i that reaches farthest (lowest id on ties; any would do).  None runs
+    short while every |S_i| >= k: a vertex of S_i taken before step i
+    lifted its set's reach to i or more, so each set not due holds at most
+    one taken vertex of S_i, and a free one is left for every set due.  A
+    CDS meets every S_i, so kappa = min |S_i| is the largest k there is.
     """
     if k < 1:
         raise BuilderError("bad-k", f"k={k}")
-    g = m.graph
     bags = interval_path_decomposition(m)
-    s, t = m.n, m.n + 1
-    adj = [list(g.neighbor_set(v)) for v in range(m.n)] + [list(bags[0]), list(bags[-1])]
-    for end, bag in ((s, bags[0]), (t, bags[-1])):
-        for v in bag:
-            adj[v].append(end)
-    aug = Graph.from_lists(adj)
-    paths = vertex_disjoint_paths(aug, s, t, want=k)
-    if len(paths) < k:
-        raise InsufficientConnectivity(k, len(paths))
-    sets = tuple(frozenset(p[1:-1]) for p in paths)
-    validate_family(g, sets)
-    return sets
+    seps = [a & b for a, b in zip(bags, bags[1:])] or list(bags)
+    kappa = min(map(len, seps))
+    if kappa < k:
+        raise InsufficientConnectivity(k, kappa)
+    ends = {v: i for i, sep in enumerate(seps) for v in sep}  # run end per vertex not taken
+    sets: list[set[int]] = [set() for _ in range(k)]
+    due: list[list[int]] = [list(range(k))] + [[] for _ in seps]  # due[i]: reach i - 1
+    for i, sep in enumerate(seps):
+        if due[i]:
+            free = sorted((v for v in sep if v in ends), key=lambda v: (-ends[v], v))
+            for j, v in zip(sorted(due[i]), free):
+                sets[j].add(v)
+                due[ends.pop(v) + 1].append(j)
+    out = tuple(frozenset(s) for s in sets)
+    validate_family(m.graph, out)
+    return out
 
 
 def backbones(m: ConvexModel, g: Graph, k: int) -> tuple[Path, ...]:
     """k disjoint induced a_1..a_na paths of a convex (or biconvex) model,
-    endpoints kept; `g` is the model's derived graph."""
+    endpoints kept (na = 1 gives (a_1,)); `g` is the model's derived graph."""
     if k < 1:
         raise BuilderError("bad-k", f"k={k}")
-    if m.na < 2:
-        raise BuilderError("bad-model", "need at least two A-vertices")
-    paths = vertex_disjoint_paths(g, m.a_id(0), m.a_id(m.na - 1), want=k)
+    a1, a_na = m.a_id(0), m.a_id(m.na - 1)
+    paths = vertex_disjoint_paths(g, a1, a_na, want=k) if m.na > 1 else ((a1,),)
     if len(paths) < k:
         raise InsufficientConnectivity(k, len(paths))
     return tuple(make_induced(g, p) for p in paths)

@@ -12,11 +12,32 @@ from cdspart.builders import (
     extend_to_partition,
     validate_family,
 )
-from cdspart.generators import gen_biconvex, gen_convex, gen_interval, gen_planted_cds
-from cdspart.graphs import Graph, GraphError, dominates, is_connected_subset, vertex_connectivity
-from cdspart.models import BiconvexModel, ConvexModel, IntervalModel, interval_connectivity
-from cdspart.verify import verify_cds_partition
+from cdspart.engine import GLInstance, solve
+from cdspart.generators import (
+    gen_biconvex,
+    gen_convex,
+    gen_gl_extension,
+    gen_interval,
+    gen_planted_cds,
+)
+from cdspart.graphs import (
+    DominatingTree,
+    Graph,
+    GraphError,
+    dominates,
+    is_connected_subset,
+    vertex_connectivity,
+)
+from cdspart.models import (
+    BiconvexModel,
+    ConvexModel,
+    IntervalModel,
+    interval_connectivity,
+    interval_path_decomposition,
+)
+from cdspart.verify import verify_cds_partition, verify_gl
 
+from reference_flows import disjoint_paths
 from reference_oracles import verify_cds_family
 
 
@@ -63,6 +84,116 @@ class TestCdsInterval:
         assert verify_cds_partition(g, extend_to_partition(g, fam)).ok
 
 
+def flow_route(m, k):
+    """The families `cds_interval` built before its separator sweep: at
+    most k vertex-disjoint paths between two virtual ends, one joined to
+    the first bag of the clique path and one to the last, ends stripped.
+    k = None gives the most there are, kappa of the sweep."""
+    bags = interval_path_decomposition(m)
+    s, t = m.n, m.n + 1
+    edges = list(m.graph.edges()) + [(s, v) for v in bags[0]] + [(t, v) for v in bags[-1]]
+    paths = disjoint_paths(Graph(m.n + 2, edges), s, t, want=k)
+    return tuple(frozenset(p[1:-1]) for p in paths)
+
+
+def random_interval_models(count, seed):
+    """Seeded interval models with n <= 40, many of them disconnected."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, span = rng.randint(1, 40), rng.randint(1, 30)
+        lefts = [rng.randint(0, span) for _ in range(n)]
+        rights = [a + rng.randint(0, 12) for a in lefts]
+        yield IntervalModel(lefts=tuple(lefts), rights=tuple(rights))
+
+
+class TestIntervalSweepAgainstFlow:
+    """The separator sweep and the old flow route agree: both give valid
+    families at every k <= kappa and both stop at kappa + 1."""
+
+    @staticmethod
+    def agree(m):
+        kappa = len(flow_route(m, None))
+        g = m.graph
+        expected = m.n if g.is_complete() else interval_connectivity(m)
+        assert kappa == expected
+        for k in range(1, kappa + 1):
+            for fam in (cds_interval(m, k), flow_route(m, k)):
+                assert len(fam) == k and verify_cds_family(g, fam).ok, (m, k)
+        with pytest.raises(InsufficientConnectivity) as exc:
+            cds_interval(m, kappa + 1)
+        assert (exc.value.wanted, exc.value.achieved) == (kappa + 1, kappa)
+        assert len(flow_route(m, kappa + 1)) == kappa
+        return kappa
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_models(self, seed):
+        kappas = []
+        for m in random_interval_models(80, seed):
+            try:
+                interval_path_decomposition(m)
+            except GraphError as exc:
+                assert exc.code == "disconnected"
+                with pytest.raises(GraphError, match="disconnected"):
+                    cds_interval(m, 1)
+                continue
+            kappas.append(self.agree(m))
+        assert len(kappas) >= 30 and max(kappas) >= 4, kappas
+
+    @pytest.mark.parametrize("n,k", [(30, 2), (40, 3), (60, 4), (80, 5)])
+    def test_generated_models(self, n, k):
+        for seed in range(1, 6):
+            assert self.agree(gen_interval(n, k, seed)) >= k
+
+    def test_one_vertex(self):
+        m = IntervalModel(lefts=(3,), rights=(3,))
+        assert cds_interval(m, 1) == (frozenset({0}),)
+        assert self.agree(m) == 1
+
+    def test_one_clique_gives_n_singletons(self):
+        m = complete_interval(5)
+        assert cds_interval(m, 5) == tuple(frozenset({v}) for v in range(5))
+        assert self.agree(m) == 5
+
+    def test_two_bags(self):
+        # bags {0, 1, 2} and {1, 2, 3}: the separator {1, 2}
+        m = IntervalModel(lefts=(0, 1, 1, 3), rights=(1, 4, 5, 6))
+        assert len(interval_path_decomposition(m)) == 2
+        assert cds_interval(m, 2) == (frozenset({1}), frozenset({2}))
+        assert self.agree(m) == 2
+
+    def test_vertex_in_no_separator(self):
+        # vertex 3 lies in the middle bag only: both separators are {1, 2, 4}
+        m = IntervalModel(lefts=(0, 0, 2, 3, 2, 5, 5), rights=(2, 5, 5, 3, 7, 7, 8))
+        bags = interval_path_decomposition(m)
+        assert [a & b for a, b in zip(bags, bags[1:])] == [{1, 2, 4}] * 2
+        assert cds_interval(m, 3) == (frozenset({1}), frozenset({2}), frozenset({4}))
+        assert self.agree(m) == 3
+
+    def test_disconnected_model(self):
+        m = IntervalModel(lefts=(1, 2, 6, 7), rights=(3, 4, 8, 9))
+        with pytest.raises(GraphError, match="disconnected"):
+            cds_interval(m, 1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        with pytest.raises(BuilderError, match="bad-k"):
+            cds_interval(complete_interval(3), k)
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_families_extend_and_solve(self, seed):
+        # each family is a CDS partition once extended, and the trees it
+        # gives drive a prescribed-size partition that verify_gl accepts
+        k = 2 + seed % 4
+        m = gen_interval(60 + 10 * seed, k, seed)
+        g = m.graph
+        fam = cds_interval(m, k)
+        assert verify_cds_partition(g, extend_to_partition(g, fam)).ok
+        terminals, demands = gen_gl_extension(g.n, k, seed=seed)
+        inst = GLInstance(graph=g, terminals=terminals, demands=demands)
+        part = solve(inst, [DominatingTree(g, s) for s in fam])
+        assert verify_gl(inst, part).ok
+
+
 class TestCdsBiconvex:
     def test_complete_bipartite(self):
         k = 3
@@ -92,6 +223,17 @@ class TestCdsBiconvex:
             assert len(set(p) & first) <= 1
             assert len(set(p) & last) <= 1
 
+    @pytest.mark.parametrize("nb", [1, 2, 3])
+    def test_one_a_vertex(self, nb):
+        # a_1 sees every B-vertex: it is a CDS, and a cut vertex (or an
+        # end of the one edge), so kappa = 1
+        m = BiconvexModel(na=1, nb=nb, windows=((0, 0),) * nb)
+        assert backbones(m, m.graph, 1) == ((0,),)
+        assert cds_biconvex(m, 1) == (frozenset({0}),)
+        with pytest.raises(InsufficientConnectivity) as exc:
+            cds_biconvex(m, 2)
+        assert (exc.value.wanted, exc.value.achieved) == (2, 1)
+
     def test_insufficient_connectivity(self):
         # a 1-connected zig-zag cannot host 2 disjoint end-to-end paths
         m = BiconvexModel(na=3, nb=2, windows=((0, 1), (1, 2)))
@@ -109,6 +251,13 @@ class TestCdsConvex:
         assert set(range(4)) <= set(fam[0])
         part = extend_to_partition(g, fam)
         assert verify_cds_partition(g, part).ok
+
+    def test_one_a_vertex(self):
+        m = ConvexModel(na=1, nb=2, windows=((0, 0), (0, 0)))
+        assert cds_convex(m, 1) == (frozenset({0}),)
+        with pytest.raises(InsufficientConnectivity) as exc:
+            cds_convex(m, 2)
+        assert exc.value.achieved == 1
 
     @pytest.mark.parametrize("seed", range(10))
     def test_path_properties(self, seed):

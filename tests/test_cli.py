@@ -547,6 +547,41 @@ class TestCds:
                      "-o", str(tmp_path / "m.cdsp")]) == 0
         assert len(derived) == 1
 
+    @pytest.mark.parametrize("klass", ["biconvex", "convex"])
+    def test_one_a_vertex(self, tmp_path, capsys, klass):
+        # {a_1} is a CDS and connectivity reads 1, so k = 1 is admissible
+        model = tmp_path / f"m.{klass}"
+        model.write_text(f"p {klass} 1 2 2\ne 1 1\ne 1 2\n")
+        cdsf = tmp_path / "m.cdsp"
+        assert run(capsys, "connectivity", str(model)) == (0, "1\n")
+        assert run(capsys, "cds", "--class", klass, "-k", "1", str(model), "-o", str(cdsf)) == (
+            0, f"wrote {cdsf}\n")
+        assert run(capsys, "verify", "--what", "cds", str(model), str(cdsf))[0] == 0
+        code, out = run(capsys, "cds", "--class", klass, "-k", "2", str(model), "-o", str(cdsf))
+        assert (code, out) == (1, "ERROR insufficient-connectivity "
+                                  "insufficient-connectivity: wanted 2, achieved 1\n")
+
+    def test_interval_cds_builds_one_graph_and_no_flow(self, tmp_path, monkeypatch):
+        # the separator sweep reads the clique path: the model's own graph,
+        # built once for the final check, is the only graph, and no flow
+        # network is built
+        import cdspart.flows as flows
+        from cdspart.graphs import Graph
+
+        model = tmp_path / "m.interval"
+        assert main(["gen", "--class", "interval", "--n", "40", "--k", "3", "--seed", "2",
+                     "-o", str(model)]) == 0
+        called = []
+        from_lists = Graph.from_lists.__func__
+        monkeypatch.setattr(Graph, "from_lists", classmethod(
+            lambda cls, adj: called.append("from_lists") or from_lists(cls, adj)))
+        init = flows._SplitNetwork.__init__
+        monkeypatch.setattr(flows._SplitNetwork, "__init__",
+                            lambda self, g: called.append("_SplitNetwork") or init(self, g))
+        assert main(["cds", "--class", "interval", "-k", "3", str(model),
+                     "-o", str(tmp_path / "m.cdsp")]) == 0
+        assert called == ["from_lists"]
+
 
 class TestOracleGl:
     def test_tiny_gl_oracle(self, tmp_path, capsys):

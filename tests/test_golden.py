@@ -65,20 +65,23 @@ CHAINS = {
 
 CHAIN_DIGESTS = {
     "planted": "03db182188d492d1a98611b6d272c3fafe67bba89d2ed6613d2cb8c8f7d4f919",
-    "interval": "a1b83bcb00169d01deca7588b1863451acfc7f86e57acd63c753aaa1f2ce466c",
+    "interval": "be12fb56b01d200d454f789369e9c946a7dad8cb762cc29944c47f630b0fd371",
     "biconvex": "93b1549fb7b4605d3c25b584b4082b855892ceef44784df7c4b427a06fda46d9",
 }
 
 
 # gen arguments and `cds -k` for chains that stop at the CDS file: with K
 # terminals the convex 4k rule gives only K/4 trees, so `partition` refuses.
-# The file depends on the order of the backbone path family.
+# The file depends on the order of the backbone path family.  The interval
+# file, at the benchmark's size, pins the separator sweep's family.
 CDS_CHAINS = {
     "convex": (["--class", "convex", "--na", "40", "--nb", "80", "--k", "8", "--seed", "1"], 2),
+    "interval": (["--class", "interval", "--n", "80", "--k", "4", "--seed", "3"], 4),
 }
 
 CDS_DIGESTS = {
     "convex": "c1fd6c1cf76e03df5c399aa789aa7f9df550af7dd11953ad653c7f7aedd2c2f2",
+    "interval": "8623e548dd17b80dce3679747661e0493129e12fd1b07621eccb5d4d6534982f",
 }
 
 
