@@ -163,7 +163,8 @@ def parse_bundle(text: str) -> InstanceBundle:
 # is the last line read (the header when none was), which is where a short
 # section is reported.  `_parse_graph` and `_parse_convex` also take the
 # file's lines and the numbered iterator that `rows` reads, to read a
-# canonical edge section in bulk and step `rows` past it.
+# canonical edge section in bulk and step `rows` past it; `_parse_graph`
+# also reads its records again from them to name a bad edge.
 
 
 def _parse_graph(
@@ -176,8 +177,8 @@ def _parse_graph(
     if len(toks) != 4:
         raise FormatError("syntax", "expected 'p gl <n> <m>'", lineno)
     n, m = _ints(toks[2:], lineno)
-    if n < 0:  # the message `Graph` gives
-        raise FormatError("invariant", f"bad-order: negative vertex count {n}")
+    if n < 0:
+        raise FormatError("invariant", f"negative vertex count {n}", lineno)
     if m < 0:
         raise FormatError("invariant", f"negative edge count {m}", lineno)
     if n > MAX_VERTICES:
@@ -197,9 +198,10 @@ def _parse_graph(
         adj[u].append(v)
         adj[v].append(u)
     try:
-        return Graph.from_lists(adj)
+        return Graph(adj)
     except GraphError:
-        raise _graph_fault(n, us, vs) from None
+        _name_edge_fault(lines, lineno, m)
+        raise
 
 
 def _edge_block(
@@ -270,15 +272,25 @@ def _edge_ids(toks: list[str], lineno: int, n: int) -> tuple[int, int]:
     return u - 1, v - 1
 
 
-def _graph_fault(n: int, us: list[int], vs: list[int]) -> FormatError:
-    """The error for a `gl` section whose lines all parse but whose graph
-    does not: a repeated edge or a self-loop, the first one in input
-    order, as `Graph` names it."""
-    try:
-        Graph(n, list(zip(us, vs)))
-    except GraphError as exc:
-        return FormatError("invariant", str(exc))
-    raise AssertionError("no faulty edge")
+def _name_edge_fault(lines: list[str], lineno: int, m: int) -> None:
+    """Raise the error for a `gl` section whose records all parse but whose
+    graph `Graph` rejects: the first self-loop or repeated edge in input
+    order, named by the file's ids and its line.
+
+    Only then are the m records after the header at `lineno` read again,
+    so neither edge reader keeps per-edge state for this fault.
+    """
+    seen: set[tuple[int, int]] = set()
+    records = _rows(islice(enumerate(lines, 1), lineno, None))
+    for _, (lineno, toks) in zip(range(m), records):
+        u = int(toks[1])
+        v = int(toks[2])
+        if u == v:
+            raise FormatError("invariant", f"self-loop at vertex {u}", lineno)
+        edge = (u, v) if u < v else (v, u)
+        if edge in seen:
+            raise FormatError("invariant", f"duplicate edge ({u}, {v})", lineno)
+        seen.add(edge)
 
 
 def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> IntervalModel:

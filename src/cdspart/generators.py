@@ -217,7 +217,7 @@ def gen_planted_cds(
             added += 1
     adj = list(map(list, nbrs))
     del nbrs  # the sets go before the graph builds its own copies
-    g = Graph.from_lists(adj)
+    g = Graph(adj)
     trees = tuple(DominatingTree(g, chain) for chain in backbones)
     validate_cds_input(g, trees)
     return g, trees

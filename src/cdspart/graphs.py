@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import deque
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 VertexSet = frozenset[int]
 Edge = tuple[int, int]
@@ -29,48 +29,21 @@ class Graph:
 
     __slots__ = ("n", "m", "_adjsets")
 
-    def __init__(self, n: int, edges: Iterable[Edge]):
-        if n < 0:
-            raise GraphError("bad-order", f"negative vertex count {n}")
-        if not isinstance(edges, (list, tuple)):
-            edges = list(edges)  # a fault is located by a second pass
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise _first_fault(n, edges)
-            adj[u].append(v)
-            adj[v].append(u)
-        if not self._fill(adj):
-            raise _first_fault(n, edges)
-
-    @classmethod
-    def from_lists(cls, adj: list[list[int]]) -> Graph:
+    def __init__(self, adj: list[list[int]]):
         """The graph in which vertex v has the neighbours adj[v].
 
         The lists must be symmetric and hold one entry per incident edge,
         in any order, and are only read.  A repeated entry or a self-loop
-        raises `GraphError("bad-adjacency")`.
-        """
-        g = cls.__new__(cls)
-        if not g._fill(adj):
-            raise GraphError("bad-adjacency", "a repeated neighbour or a self-loop")
-        return g
-
-    def _fill(self, adj: list[list[int]]) -> bool:
-        """Take the graph's neighbour sets from adjacency lists.
-
-        A repeated edge or a self-loop leaves a set shorter than its list,
-        and then nothing is set and False is returned: the caller names
-        the fault.
+        leaves a set shorter than its list and raises
+        `GraphError("bad-adjacency")`.
         """
         adjsets = tuple(map(frozenset, adj))
         twice_m = sum(map(len, adj))
         if sum(map(len, adjsets)) != twice_m:
-            return False
+            raise GraphError("bad-adjacency", "a repeated neighbour or a self-loop")
         self.n = len(adj)
         self.m = twice_m // 2
         self._adjsets: tuple[frozenset[int], ...] = adjsets
-        return True
 
     @property
     def graph(self) -> Graph:
@@ -98,23 +71,6 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def _first_fault(n: int, edges: Sequence[Edge]) -> GraphError:
-    """The error for the first faulty edge in input order: an endpoint out
-    of range, a self-loop or a repeat of an earlier edge.  Only called on
-    edge lists known to hold a fault."""
-    seen: set[Edge] = set()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            return GraphError("bad-edge", f"endpoint out of range in ({u}, {v})")
-        if u == v:
-            return GraphError("self-loop", f"vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            return GraphError("duplicate-edge", f"({u}, {v})")
-        seen.add(key)
-    raise AssertionError("no faulty edge")
 
 
 class DominatingTree:

@@ -66,7 +66,7 @@ class IntervalModel(_Model):
             adj[u] += later
             for v in later:
                 adj[v].append(u)
-        return Graph.from_lists(adj)
+        return Graph(adj)
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class ConvexModel(_Model):
             for i in range(lo, hi + 1):
                 adj[i].append(b)
             adj.append(list(range(lo, hi + 1)))
-        return Graph.from_lists(adj)
+        return Graph(adj)
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def interval_path_decomposition(m: IntervalModel) -> tuple[VertexSet, ...]:
     """The bags of the clique path of a connected interval model, a path
     decomposition; bags being maximal cliques gives minimum width."""
     if m.n == 0:
-        raise GraphError("empty-subset")
+        raise GraphError("degenerate-graph", "n=0")
     bags = _clique_path(m)
     if any(a.isdisjoint(b) for a, b in zip(bags, bags[1:])):
         raise GraphError("disconnected")

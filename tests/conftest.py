@@ -14,6 +14,16 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("ci")
 
 
+def graph_of(n: int, edges) -> Graph:
+    """The graph on 0..n-1 with these edges, each listed once: the tests'
+    edge-list constructor, over `Graph`'s one constructor."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(adj)
+
+
 def random_graph(seed: int, n: int, m: int, *, connected: bool = False) -> Graph:
     """Seeded random simple graph; optionally joined into one component."""
     rng = SplitMix64(seed)
@@ -30,7 +40,7 @@ def random_graph(seed: int, n: int, m: int, *, connected: bool = False) -> Graph
         tries += 1
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))
+    return graph_of(n, sorted(edges))
 
 
 def fixture_graph(name: str) -> Graph:

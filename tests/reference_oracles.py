@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 from cdspart.graphs import Graph, GraphError, dominates, is_connected_subset
 from cdspart.verify import VerificationReport, _adj_masks, _bits, _connected_mask
 
+from conftest import graph_of
+
 
 def verify_cds_family(g: Graph, sets: Sequence[Iterable[int]]) -> VerificationReport:
     """Like verify_cds_partition but the sets need not cover V."""
@@ -44,7 +46,7 @@ def brute_min_vertex_cut(g: Graph, s: int, t: int, max_n: int = 24) -> int:
     if s == t:
         raise GraphError("identical-endpoints")
     if g.has_edge(s, t):
-        stripped = Graph(g.n, [e for e in g.edges() if set(e) != {s, t}])
+        stripped = graph_of(g.n, [e for e in g.edges() if set(e) != {s, t}])
         return 1 + brute_min_vertex_cut(stripped, s, t, max_n)
     adj = _adj_masks(g)
     others = [v for v in range(g.n) if v != s and v != t]

@@ -32,17 +32,17 @@ def _ints(tokens, lineno):
 
 
 def _graph_sets(n, edges):
-    """Adjacency sets, checking each edge in input order."""
+    """Adjacency sets of edges given as (u, v, line) with the file's 1-based
+    ids, checking each edge in input order: the first self-loop or
+    repeated edge is named by its ids and line."""
     adj = [set() for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError("bad-edge", f"endpoint out of range in ({u}, {v})")
+    for u, v, lineno in edges:
         if u == v:
-            raise GraphError("self-loop", f"vertex {u}")
-        if v in adj[u]:
-            raise GraphError("duplicate-edge", f"({u}, {v})")
-        adj[u].add(v)
-        adj[v].add(u)
+            raise FormatError("invariant", f"self-loop at vertex {u}", lineno)
+        if v - 1 in adj[u - 1]:
+            raise FormatError("invariant", f"duplicate edge ({u}, {v})", lineno)
+        adj[u - 1].add(v - 1)
+        adj[v - 1].add(u - 1)
     return tuple(frozenset(s) for s in adj)
 
 
@@ -113,7 +113,7 @@ def _parse_graph(rows):
         raise FormatError("syntax", "expected 'p gl <n> <m>'", lineno)
     n, m = _ints(toks[2:], lineno)
     if n < 0:
-        raise FormatError("invariant", f"bad-order: negative vertex count {n}")
+        raise FormatError("invariant", f"negative vertex count {n}", lineno)
     if m < 0:
         raise FormatError("invariant", f"negative edge count {m}", lineno)
     edges = []
@@ -127,13 +127,9 @@ def _parse_graph(rows):
         u, v = _ints(toks[1:], lineno)
         if not (1 <= u <= n and 1 <= v <= n):
             raise FormatError("invariant", f"edge ({u}, {v}) out of range 1..{n}", lineno)
-        edges.append((u - 1, v - 1))
+        edges.append((u, v, lineno))
         pos += 1
-    try:
-        sets = _graph_sets(n, edges)
-    except GraphError as exc:
-        raise FormatError("invariant", str(exc)) from exc
-    return None, sets, pos
+    return None, _graph_sets(n, edges), pos
 
 
 def _parse_interval(rows):

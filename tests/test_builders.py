@@ -22,7 +22,6 @@ from cdspart.generators import (
 )
 from cdspart.graphs import (
     DominatingTree,
-    Graph,
     GraphError,
     dominates,
     is_connected_subset,
@@ -37,6 +36,7 @@ from cdspart.models import (
 )
 from cdspart.verify import verify_cds_partition, verify_gl
 
+from conftest import graph_of
 from reference_flows import disjoint_paths
 from reference_oracles import verify_cds_family
 
@@ -92,7 +92,7 @@ def flow_route(m, k):
     bags = interval_path_decomposition(m)
     s, t = m.n, m.n + 1
     edges = list(m.graph.edges()) + [(s, v) for v in bags[0]] + [(t, v) for v in bags[-1]]
-    paths = disjoint_paths(Graph(m.n + 2, edges), s, t, want=k)
+    paths = disjoint_paths(graph_of(m.n + 2, edges), s, t, want=k)
     return tuple(frozenset(p[1:-1]) for p in paths)
 
 
@@ -297,17 +297,17 @@ class TestCdsConvex:
 
 class TestExtendToPartition:
     def test_already_complete_unchanged(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
+        g = graph_of(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
         fam = (frozenset({0, 1}), frozenset({2, 3}))
         assert extend_to_partition(g, fam) == fam
 
     def test_k4_lowest_index_rule(self):
-        g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        g = graph_of(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         out = extend_to_partition(g, (frozenset({0}), frozenset({1})))
         assert out == (frozenset({0, 2, 3}), frozenset({1}))
 
     def test_orphan_vertex_error(self):
-        g = Graph(4, [(0, 1), (2, 3)])
+        g = graph_of(4, [(0, 1), (2, 3)])
         with pytest.raises(BuilderError, match="not-dominating"):
             extend_to_partition(g, (frozenset({0}),))
 
@@ -364,6 +364,6 @@ class TestValidateFamily:
     def test_id_out_of_range(self):
         # the star centred at 7: {-1, 7} dominates, and -1 once read
         # vertex 8's neighbours, so the set passed as connected
-        star = Graph(9, [(7, v) for v in range(9) if v != 7])
+        star = graph_of(9, [(7, v) for v in range(9) if v != 7])
         with pytest.raises(GraphError, match="bad-vertex"):
             validate_family(star, [frozenset({-1, 7})])

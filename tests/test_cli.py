@@ -300,13 +300,27 @@ class TestErrorPaths:
     @pytest.mark.parametrize("text,message", [
         ("p gl 3 -1\n", "negative edge count -1 (line 1)"),
         ("p gl 3 -1\ne 1 2\n", "negative edge count -1 (line 1)"),
-        ("# c\np gl -1 0\n", "bad-order: negative vertex count -1"),
+        ("p gl -1 0\n", "negative vertex count -1 (line 1)"),
+        ("# c\np gl -1 0\n", "negative vertex count -1 (line 2)"),
         ("p interval -1\n", "negative interval count -1 (line 1)"),
         ("p convex 2 2 -1\ne 1 1\n", "negative count in 'p convex 2 2 -1' (line 1)"),
         ("p biconvex -2 1 0\n", "negative count in 'p biconvex -2 1 0' (line 1)"),
     ])
     def test_negative_header_count_exit_2(self, tmp_path, capsys, text, message):
         model = tmp_path / "m.txt"
+        model.write_text(text)
+        code, out = run(capsys, "connectivity", str(model))
+        assert (code, out) == (2, f"ERROR invariant invariant violated: {message}\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("p gl 3 2\ne 1 2\ne 2 1\n", "duplicate edge (2, 1) (line 3)"),
+        ("p gl 3 2\ne 1 2 # per-line\ne 2 1\n", "duplicate edge (2, 1) (line 3)"),
+        ("p gl 3 2\ne 1 2\ne 2 +1\n", "duplicate edge (2, 1) (line 3)"),
+        ("p gl 3 1\ne 2 2\n", "self-loop at vertex 2 (line 2)"),
+        ("p gl 3 1\ne 2 2 # per-line\n", "self-loop at vertex 2 (line 2)"),
+    ])
+    def test_bad_gl_edge_named_by_file_ids_exit_2(self, tmp_path, capsys, text, message):
+        model = tmp_path / "m.gl"
         model.write_text(text)
         code, out = run(capsys, "connectivity", str(model))
         assert (code, out) == (2, f"ERROR invariant invariant violated: {message}\n")
@@ -572,15 +586,25 @@ class TestCds:
         assert main(["gen", "--class", "interval", "--n", "40", "--k", "3", "--seed", "2",
                      "-o", str(model)]) == 0
         called = []
-        from_lists = Graph.from_lists.__func__
-        monkeypatch.setattr(Graph, "from_lists", classmethod(
-            lambda cls, adj: called.append("from_lists") or from_lists(cls, adj)))
+        graph_init = Graph.__init__
+        monkeypatch.setattr(Graph, "__init__",
+                            lambda self, adj: called.append("Graph") or graph_init(self, adj))
         init = flows._SplitNetwork.__init__
         monkeypatch.setattr(flows._SplitNetwork, "__init__",
                             lambda self, g: called.append("_SplitNetwork") or init(self, g))
         assert main(["cds", "--class", "interval", "-k", "3", str(model),
                      "-o", str(tmp_path / "m.cdsp")]) == 0
-        assert called == ["from_lists"]
+        assert called == ["Graph"]
+
+    def test_empty_interval_model_exit_2(self, tmp_path, capsys):
+        # n = 0 is a degenerate graph, as `connectivity` reports it
+        model = tmp_path / "m.interval"
+        model.write_text("p interval 0\n")
+        expected = (2, "ERROR degenerate-graph degenerate-graph: n=0\n")
+        code, out = run(capsys, "cds", "--class", "interval", "-k", "1", str(model),
+                        "-o", str(tmp_path / "m.cdsp"))
+        assert (code, out) == expected
+        assert run(capsys, "connectivity", str(model)) == expected
 
 
 class TestOracleGl:

@@ -39,10 +39,10 @@ from cdspart.graphs import (
 )
 from cdspart.verify import brute_cds, brute_gl, verify_gl
 
-from conftest import random_graph
+from conftest import graph_of, random_graph
 
 
-K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+K4 = graph_of(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 def k4_trees():
@@ -98,7 +98,7 @@ class TestCdsInputValidation:
             validate_cds_input(K4, (t, t))
 
     def test_non_dominating_tree(self):
-        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        g = graph_of(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         t = DominatingTree(g, {0, 1})
         with pytest.raises(EngineError, match="invalid-cds-input"):
             validate_cds_input(g, (t,))
@@ -109,8 +109,8 @@ class TestCdsInputValidation:
 
     def test_tree_of_another_graph(self):
         # an equal copy of the path 0-1-2 is still another graph
-        g = Graph(3, [(0, 1), (1, 2)])
-        t = DominatingTree(Graph(3, [(0, 1), (1, 2)]), {1})
+        g = graph_of(3, [(0, 1), (1, 2)])
+        t = DominatingTree(graph_of(3, [(0, 1), (1, 2)]), {1})
         inst = GLInstance(graph=g, terminals=(0,), demands=(3,))
         with pytest.raises(EngineError, match="invalid-cds-input: tree 0 is built on another graph"):
             solve(inst, (t,))
@@ -118,8 +118,8 @@ class TestCdsInputValidation:
     def test_id_n_of_the_solved_graph(self):
         # vertex 3 of a larger graph is id n = 3 of the path 0-1-2, which
         # cannot build it (tests/test_graphs.py); solve refuses the tree too
-        g = Graph(3, [(0, 1), (1, 2)])
-        t = DominatingTree(Graph(4, [(0, 1), (1, 2), (1, 3)]), {1, 3})
+        g = graph_of(3, [(0, 1), (1, 2)])
+        t = DominatingTree(graph_of(4, [(0, 1), (1, 2), (1, 3)]), {1, 3})
         inst = GLInstance(graph=g, terminals=(0,), demands=(3,))
         with pytest.raises(EngineError, match="invalid-cds-input: tree 0 is built on another graph"):
             solve(inst, (t,))
@@ -163,7 +163,7 @@ class TestOnePassValidation:
             rng = random.Random(seed)
             k = 2 + seed % 6
             g, trees = gen_planted_cds(4 * k + seed % 40, k, 10, seed)
-            copy = Graph.from_lists([list(g.neighbor_set(v)) for v in range(g.n)])
+            copy = Graph([list(g.neighbor_set(v)) for v in range(g.n)])
             trees = list(trees)
             for _ in range(rng.randint(0, 3)):
                 i = rng.randrange(k)
@@ -189,7 +189,7 @@ class TestOnePassValidation:
         assert kinds == {None, "not-dominating", "another graph", "overlaps"}
 
 
-P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+P5 = graph_of(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
 
 class TestCheckPrecedence:
@@ -197,7 +197,7 @@ class TestCheckPrecedence:
 
     @pytest.mark.parametrize("trees,message", [
         # built on another graph and not dominating
-        ([DominatingTree(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), {0, 1})],
+        ([DominatingTree(graph_of(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), {0, 1})],
          "tree 0 is built on another graph"),
         # overlaps tree 0 and does not dominate
         ([DominatingTree(P5, {1, 2, 3}), DominatingTree(P5, {3})], "tree 1: not-dominating"),
@@ -252,7 +252,7 @@ class TestCategorizeTrees:
         assert categorize_trees(make_state(K4, k4_trees(), [0, 2])) == {0: [0], 1: [1]}
 
     def test_stray_terminal_attached(self):
-        g = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4)])
+        g = graph_of(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4)])
         tree = DominatingTree(g, {0, 1})
         state = make_state(g, (tree,), [4])
         lead = state.trees[0]
@@ -270,7 +270,7 @@ class TestCategorizeTrees:
         ([1, 0], ((2, 3), (3, 1), (1, 0))),
     ])
     def test_strays_join_in_terminal_order(self, terminals, edges):
-        g = Graph(4, [(0, 2), (0, 3), (0, 1), (1, 3), (2, 3)])
+        g = graph_of(4, [(0, 2), (0, 3), (0, 1), (1, 3), (2, 3)])
         state = make_state(g, (DominatingTree(g, {2, 3}),), terminals)
         assert categorize_trees(state) == {0: [0, 1]}
         adj = {v: tuple(sorted(w for e in edges if v in e for w in e if w != v)) for v in range(4)}
@@ -278,7 +278,7 @@ class TestCategorizeTrees:
 
     def test_lead_missing_a_stray_raises(self):
         # corrupt: lead tree 2 = {0, 1} of the path 0-1-2-3 misses terminal 3
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        g = graph_of(4, [(0, 1), (1, 2), (2, 3)])
         state = make_state(g, {2: DominatingTree(g, {0, 1})}, [3])
         with pytest.raises(EngineError, match="invalid-cds-input: tree 2 does not dominate 3"):
             categorize_trees(state)
@@ -316,7 +316,7 @@ class TestSingleTreePhases:
     def test_all_over_when_assignments_split(self):
         # C_4 with opposite trees: each spare vertex labels a different set,
         # both deficits are covered, nobody is Under, no tree is handed out
-        g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        g = graph_of(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         trees = (DominatingTree(g, {0, 1}), DominatingTree(g, {2, 3}))
         state = make_state(g, trees, [0, 1], [2, 2])
         state.place_terminals()
@@ -329,7 +329,7 @@ class TestSingleTreePhases:
         assert state.sets == {0: {0, 2}, 1: {1, 3}}
 
     def test_star_leaves_attach_to_center_set(self):
-        star = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        star = graph_of(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         tree = DominatingTree(star, {0})
         state = make_state(star, [tree], [0], [5])
         state.place_terminals()
@@ -532,7 +532,7 @@ def peel_own_bfs(g, block, terminal, target):
 
 class TestTrim:
     def test_trim_keeps_terminal_and_connectivity(self):
-        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+        g = graph_of(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
         block = frozenset(range(6))
         out = _trim_block(g, block, terminal=2, target=3)
         assert len(out) == 3 and 2 in out
@@ -646,7 +646,7 @@ def brute_family_cases(draw):
     density = draw(st.integers(0, 4))
     marks = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
     edges |= {pair for pair, mark in zip(pairs, marks) if mark < density}
-    g = Graph(n, sorted(edges))
+    g = graph_of(n, sorted(edges))
     k = draw(st.sampled_from([3, 2, 1]))
     family = brute_cds(g, k, max_n=10)
     while family is None:  # k = 1 always has one: the graph is connected
@@ -658,7 +658,7 @@ def brute_family_cases(draw):
     return GLInstance(graph=g, terminals=tuple(terminals), demands=tuple(demands)), family
 
 
-K6 = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+K6 = graph_of(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
 
 
 class TestBruteFamilyProperty:
@@ -715,7 +715,7 @@ class TestEmissionRule:
 
 class TestStateInvariants:
     def test_checker_catches_disconnection(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        g = graph_of(4, [(0, 1), (1, 2), (2, 3)])
         tree = DominatingTree(g, {1, 2})
         state = make_state(g, [tree], [1], [4])
         state.place_terminals()
@@ -770,7 +770,7 @@ class TestStateInvariants:
     def test_orphan_vertex_raises_state_invariant(self):
         # tree {1, 2} does not dominate 0, whose only neighbour 3 is unplaced
         # when 0 is reached: no open set is adjacent to it
-        g = Graph(4, [(0, 3), (1, 2), (2, 3)])
+        g = graph_of(4, [(0, 3), (1, 2), (2, 3)])
         tree = DominatingTree(g, {1, 2})
         with pytest.raises(EngineError, match="state-invariant: non-tree vertex 0"):
             _run_single_tree(make_state(g, [tree], [1], [4]))
@@ -811,7 +811,7 @@ class TestStateInvariants:
                 raise SystemExit("asserts are on: not running under -O")
             original = eng._run_single_tree
             eng._run_single_tree = lambda *a, **kw: (original(*a, **kw)[0], [])
-            g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+            g = Graph([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
             trees = (DominatingTree(g, {0, 1}), DominatingTree(g, {2, 3}))
             inst = eng.GLInstance(graph=g, terminals=(0, 1), demands=(2, 2))
             try:
@@ -1042,7 +1042,7 @@ class TestGrowthFrontier:
             assert state._growth_choice(0, 1) == expected
 
     def test_no_vertex_to_grow_into_raises(self):
-        g = Graph(3, [(0, 1), (1, 2)])
+        g = graph_of(3, [(0, 1), (1, 2)])
         trees = [DominatingTree(g, {1}), {0, 2}]
         state = make_state(g, trees, [1], [3])
         state.place_terminals()
@@ -1118,7 +1118,7 @@ class TestStateRaises:
             _trim_block(K4, frozenset({1, 2}), 0, 1)
 
     def test_trim_of_a_disconnected_block(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        g = graph_of(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(EngineError, match="state-invariant: trim: block is not connected"):
             _trim_block(g, frozenset({0, 2}), 0, 1)
 

@@ -11,19 +11,18 @@ from cdspart.flows import (
 )
 from cdspart.generators import SplitMix64, gen_biconvex, gen_convex, gen_interval
 from cdspart.graphs import (
-    Graph,
     GraphError,
     _connectivity_capped,
     is_k_connected,
     vertex_connectivity,
 )
 
-from conftest import fixture_graph, random_graph
+from conftest import fixture_graph, graph_of, random_graph
 from reference_oracles import brute_min_vertex_cut
 
 
 def k_complete(n):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return graph_of(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 class TestVertexDisjointPaths:
@@ -32,7 +31,7 @@ class TestVertexDisjointPaths:
         assert paths == ((0, 3), (0, 1, 3), (0, 2, 3))
 
     def test_cut_vertex_limits(self):
-        g = Graph(3, [(0, 1), (1, 2)])
+        g = graph_of(3, [(0, 1), (1, 2)])
         assert vertex_disjoint_paths(g, 0, 2, want=2) == ((0, 1, 2),)
 
     def test_convex_fixture_two_paths(self):
@@ -64,22 +63,22 @@ class TestLocalConnectivity:
         assert _SplitNetwork(g).max_flow(0, 4, None) == 4
 
     def test_star(self):
-        star = Graph(5, [(0, i) for i in range(1, 5)])
+        star = graph_of(5, [(0, i) for i in range(1, 5)])
         assert _SplitNetwork(star).max_flow(0, 3, None) == 1
 
     def test_adjacent_edge_counts(self):
-        g = Graph(2, [(0, 1)])
+        g = graph_of(2, [(0, 1)])
         assert _SplitNetwork(g).max_flow(0, 1, None) == 1
 
 
 class TestMakeInduced:
     def test_chordless_path_unchanged(self):
-        g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+        g = graph_of(5, [(i, (i + 1) % 5) for i in range(5)])
         assert make_induced(g, (0, 1, 2, 3)) == (0, 1, 2, 3)
 
     def test_endpoint_edge_counts_as_chord(self):
         # the full C_5 path closes into a cycle, so it is not induced
-        g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+        g = graph_of(5, [(i, (i + 1) % 5) for i in range(5)])
         assert make_induced(g, (0, 1, 2, 3, 4)) == (0, 4)
 
     def test_triangle_shortcut(self):
@@ -123,7 +122,7 @@ class TestMakeInducedAgainstTheSpliceLoop:
                 u, v = rng.randint(0, n - 1), rng.randint(0, n - 1)
                 if u != v:
                     edges.add((min(u, v), max(u, v)))
-            g = Graph(n, sorted(edges))
+            g = graph_of(n, sorted(edges))
             q = make_induced(g, p)
             assert q == ref.make_induced_splice(g, p), seed
             shortened += len(q) < len(p)
@@ -252,7 +251,7 @@ def random_bipartite(seed, na, nb, m, connected):
         i, j = rng.randint(0, na - 1), rng.randint(0, nb - 1)
         if connected or i % 2 == j % 2:
             pairs.add((i, j))
-    return Graph(na + nb, sorted(tuple(sorted((a_ids[i], b_ids[j]))) for i, j in pairs))
+    return graph_of(na + nb, sorted(tuple(sorted((a_ids[i], b_ids[j]))) for i, j in pairs))
 
 
 def settled_graphs():
@@ -272,7 +271,7 @@ def settled_graphs():
 # kappa = 1: vertex 2 cuts {1, 5} off.  v0 = 0 and its non-neighbours are
 # 1, 4, 5, 6, of which 1, 4 and 6 are settled; only the flow to 5 sees the
 # cut, so settling 5 as well (say, every second non-neighbour) reads 2.
-PINNED = Graph(7, [(0, 2), (0, 3), (1, 2), (1, 5), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 6)])
+PINNED = graph_of(7, [(0, 2), (0, 3), (1, 2), (1, 5), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 6)])
 
 
 class TestSettledNonNeighbours:

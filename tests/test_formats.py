@@ -34,6 +34,7 @@ from cdspart.graphs import Graph, GraphError, spanning_tree
 from cdspart.models import BiconvexModel, ConvexModel, IntervalModel
 
 import reference_parser
+from conftest import graph_of
 
 
 class TestGraphParsing:
@@ -70,6 +71,89 @@ class TestGraphParsing:
         text = "p gl 2 1\ne 1 2\nk 2\nt 1 0\nt 2 2\n"
         with pytest.raises(FormatError, match="demand 0"):
             parse_bundle(text)
+
+
+def _gl_text(n, edges):
+    """A `p gl` file with these edges, given by 1-based ids, one per line
+    from line 2 on."""
+    return f"p gl {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+
+
+def _graph_sets(text):
+    return parse_bundle(text).graph._adjsets
+
+
+def _per_line_text(text):
+    """The same file with a comment on its first edge line: the lines keep
+    their numbers, but the bulk reader hands the section on."""
+    lines = text.split("\n")
+    return "\n".join([lines[0], lines[1] + " # per-line", *lines[2:]])
+
+
+class TestGlEdgeFaults:
+    """A self-loop or a repeated `gl` edge is named by its file ids and its
+    line, the first one in input order; a syntax or range fault anywhere in
+    the section comes first.  The bulk and the per-line reader agree."""
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("p gl 4 4\ne 1 2\ne 2 3\ne 1 2\ne 4 4\n", 4, "duplicate edge (1, 2)"),
+            ("p gl 4 3\ne 1 2\ne 3 3\ne 1 2\n", 3, "self-loop at vertex 3"),
+            ("p gl 3 2\ne 1 2\ne 2 1\n", 3, "duplicate edge (2, 1)"),
+            ("p gl 3 1\ne 2 2\n", 2, "self-loop at vertex 2"),
+            ("p gl 3 3\ne 1 2\ne 2 3\ne 3 2\n", 4, "duplicate edge (3, 2)"),
+            # the first repeat in input order, not the lowest vertex's
+            ("p gl 4 4\ne 3 4\ne 1 2\ne 4 3\ne 2 1\n", 4, "duplicate edge (4, 3)"),
+            # a range fault anywhere in the section comes first
+            ("p gl 4 3\ne 1 2\ne 2 1\ne 1 5\n", 4, "edge (1, 5) out of range 1..4"),
+            ("p gl 4 3\ne 1 2\ne 1 10\ne 1 2\n", 3, "edge (1, 10) out of range 1..4"),
+            ("p gl 3 1\ne 0 1\n", 2, "edge (0, 1) out of range 1..3"),
+            # the ids as int() reads them, not as written
+            ("p gl 3 2\ne 1 2\ne 2 +1\n", 3, "duplicate edge (2, 1)"),
+            ("p gl 3 2\n# c\ne 01 2\n\ne 2 1\n", 5, "duplicate edge (2, 1)"),
+        ],
+    )
+    def test_reports_first_fault_in_input_order(self, monkeypatch, text, line, message):
+        expected = ("invariant", line, f"invariant violated: {message} (line {line})")
+        assert _outcome(_graph_sets, text) == expected
+        calls = []
+        edge_lines = formats._edge_lines
+        monkeypatch.setattr(formats, "_edge_lines",
+                            lambda *args: calls.append(1) or edge_lines(*args))
+        assert _outcome(_graph_sets, _per_line_text(text)) == expected
+        assert calls == [1]
+
+    def test_rejects_out_of_range(self):
+        text = "p gl 3 1\ne 1 4\n"
+        expected = ("invariant", 2, "invariant violated: edge (1, 4) out of range 1..3 (line 2)")
+        assert _outcome(_graph_sets, text) == expected
+        assert _outcome(_graph_sets, _per_line_text(text)) == expected
+
+    @given(st.integers(0, 400))
+    def test_faults_match_a_per_edge_check(self, seed):
+        def per_edge(n, edges):
+            for line, (u, v) in enumerate(edges, 2):
+                if not (1 <= u <= n and 1 <= v <= n):
+                    return "invariant", line, f"invariant violated: edge ({u}, {v}) out of range 1..{n} (line {line})"
+            adj = [set() for _ in range(n)]
+            for line, (u, v) in enumerate(edges, 2):
+                if u == v:
+                    return "invariant", line, f"invariant violated: self-loop at vertex {u} (line {line})"
+                if v - 1 in adj[u - 1]:
+                    return "invariant", line, f"invariant violated: duplicate edge ({u}, {v}) (line {line})"
+                adj[u - 1].add(v - 1)
+                adj[v - 1].add(u - 1)
+            return tuple(map(frozenset, adj))
+
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        edges = [
+            (rng.randint(0, n + 1), rng.randint(0, n + 1)) for _ in range(rng.randint(1, 12))
+        ]
+        text = _gl_text(n, edges)
+        expected = per_edge(n, edges)
+        assert _outcome(_graph_sets, text) == _outcome(_graph_sets, _per_line_text(text)) == expected
 
 
 class TestModelParsing:
@@ -160,13 +244,13 @@ class TestVertexCap:
 
 class TestBuildCdsInput:
     def test_spanning_trees_derived(self):
-        g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        g = graph_of(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         trees = build_cds_input(g, [frozenset({0, 1}), frozenset({2, 3})])
         assert [t.edges for t in trees] == [((0, 1),), ((2, 3),)]
         assert all(t.graph is g for t in trees)
 
     def test_disconnected_set_rejected(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        g = graph_of(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(FormatError, match="set 1"):
             build_cds_input(g, [frozenset({0, 3})])
 
@@ -483,7 +567,7 @@ class TestReferenceParser:
         block on fails here."""
         texts = [_planted_text(n, k, extra, seed)
                  for n, k, extra, seed in [(12, 2, 3, 1), (40, 4, 10, 3), (300, 30, 60, 5)]]
-        texts += [write_bundle(InstanceBundle(model=Graph(3, [])), comments=["no edges"])]
+        texts += [write_bundle(InstanceBundle(model=graph_of(3, [])), comments=["no edges"])]
         texts += [write_bundle(InstanceBundle(model=b.model), comments=["c"])
                   for b in bundle_samples(4) if isinstance(b.model, Graph)]
         expected = [_outcome(reference_parser.parse_bundle, text) for text in texts]

@@ -19,39 +19,35 @@ from cdspart.engine import GLInstance, solve
 from cdspart.flows import vertex_disjoint_paths
 from cdspart.generators import gen_gl_extension, gen_planted_cds
 
-from conftest import fixture_graph, random_graph
+from conftest import fixture_graph, graph_of, random_graph
 from reference_oracles import brute_vertex_connectivity
 
 
 def k_complete(n):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return graph_of(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return graph_of(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return graph_of(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 class TestGraphConstruction:
     def test_counts(self):
-        g = Graph(4, [(0, 1), (2, 3)])
+        g = graph_of(4, [(0, 1), (2, 3)])
         assert g.n == 4 and g.m == 2
         assert g.neighbor_set(0) == {1}
 
     def test_rejects_self_loop(self):
-        with pytest.raises(GraphError, match="self-loop"):
-            Graph(3, [(1, 1)])
+        with pytest.raises(GraphError, match="bad-adjacency"):
+            graph_of(3, [(1, 1)])
 
     def test_rejects_duplicate(self):
-        with pytest.raises(GraphError, match="duplicate-edge"):
-            Graph(3, [(0, 1), (1, 0)])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(GraphError, match="bad-edge"):
-            Graph(3, [(0, 3)])
+        with pytest.raises(GraphError, match="bad-adjacency"):
+            graph_of(3, [(0, 1), (1, 0)])
 
     @given(st.integers(0, 400))
     def test_adjacency_symmetry(self, seed):
@@ -64,53 +60,6 @@ class TestGraphConstruction:
         g = random_graph(7, 12, 20)
         assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
 
-    @pytest.mark.parametrize(
-        "n, edges, message",
-        [
-            (4, [(0, 1), (1, 2), (0, 1), (3, 3)], "duplicate-edge: (0, 1)"),
-            (4, [(0, 1), (2, 2), (0, 1)], "self-loop: vertex 2"),
-            (4, [(0, 1), (1, 0), (0, 4)], "duplicate-edge: (1, 0)"),
-            (4, [(0, 1), (0, 9), (0, 1)], "bad-edge: endpoint out of range in (0, 9)"),
-            (3, [(0, 1), (1, 2), (2, 1)], "duplicate-edge: (2, 1)"),
-            # the first repeat in input order, not the lowest vertex's
-            (4, [(2, 3), (0, 1), (3, 2), (1, 0)], "duplicate-edge: (3, 2)"),
-            (3, [(-1, 0)], "bad-edge: endpoint out of range in (-1, 0)"),
-        ],
-    )
-    def test_reports_first_fault_in_input_order(self, n, edges, message):
-        with pytest.raises(GraphError) as exc:
-            Graph(n, edges)
-        assert str(exc.value) == message
-        with pytest.raises(GraphError) as again:
-            Graph(n, iter(edges))
-        assert str(again.value) == message
-
-    @given(st.integers(0, 400))
-    def test_faults_match_a_per_edge_check(self, seed):
-        def per_edge(n, edges):
-            adj = [set() for _ in range(n)]
-            for u, v in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    return f"bad-edge: endpoint out of range in ({u}, {v})"
-                if u == v:
-                    return f"self-loop: vertex {u}"
-                if v in adj[u]:
-                    return f"duplicate-edge: ({u}, {v})"
-                adj[u].add(v)
-                adj[v].add(u)
-            return tuple(map(frozenset, adj))
-
-        rng = random.Random(seed)
-        n = rng.randint(1, 8)
-        edges = [
-            (rng.randint(-1, n), rng.randint(-1, n)) for _ in range(rng.randint(0, 12))
-        ]
-        try:
-            got = Graph(n, edges)._adjsets
-        except GraphError as exc:
-            got = str(exc)
-        assert got == per_edge(n, edges)
-
     @pytest.mark.parametrize("seed", range(12))
     def test_edges_are_the_sorted_pairs(self, seed):
         g = random_graph(seed, 1 + 9 * seed, 4 * seed * (1 + seed % 3))
@@ -118,29 +67,25 @@ class TestGraphConstruction:
         assert list(g.edges()) == pairs
         assert len(pairs) == g.m
 
-    def test_one_shot_edge_generator(self):
-        g = Graph(4, ((i, i + 1) for i in range(3)))
-        assert g.m == 3
-        assert [g.neighbor_set(v) for v in range(4)] == [{1}, {0, 2}, {1, 3}, {2}]
-        assert g.neighbor_set(1) == {0, 2}
-
 
 class TestFromLists:
+    """`Graph(adj)`, the one constructor, reads lists in any order."""
+
     def test_equals_the_edge_list_constructor(self):
         for seed in range(40):
             g = random_graph(seed, 1 + seed % 12, 3 * (seed % 7))
             lists = [sorted(g.neighbor_set(v), reverse=True) for v in range(g.n)]
-            h = Graph.from_lists(lists)
+            h = Graph(lists)
             assert (h.n, h.m, h._adjsets) == (g.n, g.m, g._adjsets)
 
     def test_empty(self):
-        g = Graph.from_lists([])
+        g = Graph([])
         assert (g.n, g.m) == (0, 0)
 
     @pytest.mark.parametrize("lists", [[[1, 1], [0, 0]], [[0, 0]], [[1, 0], [0, 0]]])
     def test_rejects_a_repeated_entry_or_a_self_loop(self, lists):
         with pytest.raises(GraphError, match="bad-adjacency"):
-            Graph.from_lists(lists)
+            Graph(lists)
 
 
 def shuffled_lists(g, seed):
@@ -156,7 +101,7 @@ class TestOrderIndependence:
     @pytest.mark.parametrize("seed", range(6))
     def test_walks_and_flows(self, seed):
         g = random_graph(seed, 40 + 20 * seed, 150 + 60 * seed, connected=True)
-        h = Graph.from_lists(shuffled_lists(g, seed))
+        h = Graph(shuffled_lists(g, seed))
         # the test has teeth: some set iterates in another order
         assert any(list(a) != list(b) for a, b in zip(g._adjsets, h._adjsets))
         assert (h.n, h.m, h._adjsets) == (g.n, g.m, g._adjsets)
@@ -175,7 +120,7 @@ class TestOrderIndependence:
         n, k = 150, 5 + seed
         g, trees = gen_planted_cds(n, k, 300, seed)
         t, d = gen_gl_extension(n, k, seed)
-        h = Graph.from_lists(shuffled_lists(g, seed))
+        h = Graph(shuffled_lists(g, seed))
         assert any(list(a) != list(b) for a, b in zip(g._adjsets, h._adjsets))
         outs = []
         for graph in (g, h):
@@ -257,7 +202,7 @@ class TestConnectedSubset:
 
 class TestDominates:
     def test_star_center(self):
-        star = Graph(6, [(0, i) for i in range(1, 6)])
+        star = graph_of(6, [(0, i) for i in range(1, 6)])
         assert dominates(star, {0})
 
     def test_path_end_does_not_dominate(self):
@@ -415,7 +360,7 @@ class TestSpanningTree:
         assert spanning_tree(g, {1, 2, 3}) == spanning_tree(g, {1, 2, 3}, root=1)
         # a root outside s spans nothing of s: {1, 3} would match in size
         with pytest.raises(GraphError, match="not-connected"):
-            spanning_tree(Graph(4, [(0, 1), (2, 3)]), {1, 3}, root=0)
+            spanning_tree(graph_of(4, [(0, 1), (2, 3)]), {1, 3}, root=0)
 
 
 def _tree_outcome_by_scan(g, s, root=None):
@@ -449,10 +394,10 @@ class TestVertexConnectivity:
 
     def test_degenerate(self):
         with pytest.raises(GraphError, match="degenerate-graph"):
-            vertex_connectivity(Graph(1, []))
+            vertex_connectivity(graph_of(1, []))
 
     def test_disconnected_is_zero(self):
-        assert vertex_connectivity(Graph(4, [(0, 1), (2, 3)])) == 0
+        assert vertex_connectivity(graph_of(4, [(0, 1), (2, 3)])) == 0
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_brute_force(self, seed):

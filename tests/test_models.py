@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdspart.graphs import Graph, GraphError, vertex_connectivity
+from cdspart.graphs import GraphError, vertex_connectivity
 from cdspart.models import (
     BiconvexModel,
     ConvexModel,
@@ -13,6 +13,8 @@ from cdspart.models import (
 )
 from cdspart.builders import cds_interval
 from cdspart.generators import SplitMix64, gen_biconvex, gen_interval
+
+from conftest import graph_of
 
 
 def random_interval_model(seed, n, span=None, lo_len=1, hi_len=6):
@@ -55,7 +57,7 @@ class TestIntervalModel:
             for v in range(u + 1, m.n)
             if max(m.lefts[u], m.lefts[v]) <= min(m.rights[u], m.rights[v])
         ]
-        assert m.derive_graph()._adjsets == Graph(m.n, pairs)._adjsets
+        assert m.derive_graph()._adjsets == graph_of(m.n, pairs)._adjsets
 
 
 def check_path_decomposition(g, bags):
@@ -86,6 +88,14 @@ class TestIntervalDecomposition:
         bags = interval_path_decomposition(m)
         assert bags == (frozenset({0, 1}), frozenset({1, 2}))
         assert max(map(len, bags)) - 1 == 1
+
+    def test_empty_model_is_degenerate(self):
+        m = IntervalModel(lefts=(), rights=())
+        with pytest.raises(GraphError) as exc:
+            interval_path_decomposition(m)
+        assert (exc.value.code, str(exc.value)) == ("degenerate-graph", "degenerate-graph: n=0")
+        with pytest.raises(GraphError, match="degenerate-graph: n=0"):
+            cds_interval(m, 1)
 
     def test_disconnected_error(self):
         m = IntervalModel(lefts=(1, 10), rights=(2, 11))
@@ -226,25 +236,25 @@ class TestConvexModels:
 
 class TestPathDecompositionChecker:
     def test_rejects_missing_edge(self):
-        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+        g = graph_of(3, [(0, 1), (1, 2), (0, 2)])
         bags = (frozenset({0, 1}), frozenset({1, 2}))
         with pytest.raises(GraphError, match="bad-decomposition"):
             check_path_decomposition(g, bags)
 
     def test_rejects_gap_occurrence(self):
-        g = Graph(3, [(0, 1), (1, 2)])
+        g = graph_of(3, [(0, 1), (1, 2)])
         bags = (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1}))
         with pytest.raises(GraphError, match="bad-decomposition"):
             check_path_decomposition(g, bags)
 
 
 class TestDerivedGraphsFromEnumeratedPairs:
-    """Each model's derived graph equals `Graph(n, pairs)` built from its
+    """Each model's derived graph equals `graph_of(n, pairs)` built from its
     edges listed one pair at a time by the class's definition."""
 
     @staticmethod
     def same(g, n, pairs):
-        want = Graph(n, pairs)
+        want = graph_of(n, pairs)
         assert (g.n, g.m, g._adjsets) == (want.n, want.m, want._adjsets)
 
     @pytest.mark.parametrize("seed", range(60))

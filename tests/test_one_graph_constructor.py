@@ -1,24 +1,38 @@
-"""Every graph the package builds from adjacency lists goes through
-`Graph.from_lists`, so only `graphs.py` may reach past it; and a graph
-keeps one adjacency, its neighbour sets."""
+"""`Graph(adj)` is the one way to build a graph: every graph the package
+builds comes from adjacency lists, and a bad `gl` edge is named by the
+reader, not by a second constructor; a graph keeps one adjacency, its
+neighbour sets."""
 
+import inspect
 import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cdspart"
 
 
-def test_only_graphs_py_names_new_or_fill():
+def _src_lines():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 9
+    for path in paths:
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            yield f"{path.name}:{lineno}", line
+
+
+def test_graph_init_is_the_one_constructor():
+    from cdspart.graphs import Graph
+
+    assert list(inspect.signature(Graph.__init__).parameters) == ["self", "adj"]
     found = [
-        f"{path.name}:{lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "graphs.py"
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if re.search(r"__new__|\._fill\b", line)
+        where
+        for where, line in _src_lines()
+        if re.search(r"\bfrom_lists\b|\b_fill\b|__new__|\b_first_fault\b|\b_graph_fault\b", line)
     ]
-    assert len(list(SRC.glob("*.py"))) >= 9
-    assert "def from_lists" in (SRC / "graphs.py").read_text(encoding="utf-8")
     assert found == []
+
+
+def test_src_raises_no_assertion_error():
+    """A fault path that cannot be reached is not kept as a raise."""
+    assert [where for where, line in _src_lines() if re.search(r"raise AssertionError\b", line)] == []
 
 
 def test_graph_keeps_one_adjacency():
@@ -27,10 +41,5 @@ def test_graph_keeps_one_adjacency():
     from cdspart.graphs import Graph
 
     assert Graph.__slots__ == ("n", "m", "_adjsets")
-    found = [
-        f"{path.name}:{lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if re.search(r"\.neighbors\(|\b_adj\b", line)
-    ]
+    found = [where for where, line in _src_lines() if re.search(r"\.neighbors\(|\b_adj\b", line)]
     assert found == []

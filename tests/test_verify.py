@@ -2,19 +2,19 @@ import pytest
 
 from cdspart.engine import GLInstance
 from cdspart.generators import gen_planted_cds
-from cdspart.graphs import Graph, GraphError
+from cdspart.graphs import GraphError
 from cdspart.verify import brute_cds, brute_gl, verify_cds_partition, verify_gl
 
-from conftest import fixture_graph
+from conftest import fixture_graph, graph_of
 from reference_oracles import brute_min_vertex_cut, verify_cds_family
 
 
 def k4():
-    return Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    return graph_of(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return graph_of(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 class TestVerifyGl:
@@ -31,7 +31,7 @@ class TestVerifyGl:
         assert rep.render().startswith("FAIL")
 
     def test_disconnected_block(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        g = graph_of(4, [(0, 1), (1, 2), (2, 3)])
         inst = GLInstance(graph=g, terminals=(0, 1), demands=(2, 2))
         rep = verify_gl(inst, [{0, 3}, {1, 2}])
         assert ("not-connected", "block 0") in rep.violations
@@ -52,7 +52,7 @@ class TestPartitionRules:
     def test_unknown_vertex_block_is_not_connected(self):
         # on the path 0-8, -1 once read vertex 8's neighbours, so {-1, 7}
         # passed as connected
-        g = Graph(9, [(i, i + 1) for i in range(8)])
+        g = graph_of(9, [(i, i + 1) for i in range(8)])
         blocks = [{-1, 7}, set(range(7)) | {8}]
         inst = GLInstance(graph=g, terminals=(7, 0), demands=(2, 7))
         for rep in (verify_gl(inst, blocks), verify_cds_partition(g, blocks)):
@@ -68,13 +68,13 @@ class TestPartitionRules:
         assert ("partition", "uncovered vertices [2, 3]") in rep.violations
 
     def test_many_uncovered_vertices_are_counted(self):
-        g = Graph(1000, [])
+        g = graph_of(1000, [])
         rep = verify_cds_partition(g, [{5}])
         line = "FAIL partition 999 uncovered vertices, first 10 [0, 1, 2, 3, 4, 6, 7, 8, 9, 10]"
         assert rep.render().splitlines()[0] == line
 
     def test_ten_uncovered_vertices_are_still_listed(self):
-        rep = verify_cds_partition(Graph(11, []), [{10}])
+        rep = verify_cds_partition(graph_of(11, []), [{10}])
         assert ("partition", f"uncovered vertices {list(range(10))}") in rep.violations
 
     def test_wrong_block_count(self):
@@ -111,7 +111,7 @@ class TestBruteGl:
         assert p == (frozenset({0, 2}), frozenset({1, 3}))
 
     def test_star_feasibility_depends_on_center(self):
-        star = Graph(5, [(0, i) for i in range(1, 5)])
+        star = graph_of(5, [(0, i) for i in range(1, 5)])
         # demand-2 block must contain the center to be connected
         feasible = GLInstance(graph=star, terminals=(0, 1), demands=(2, 3))
         assert brute_gl(feasible) is None  # block 2 = {1, x} is never connected
@@ -120,7 +120,7 @@ class TestBruteGl:
         assert p is not None and verify_gl(ok, p).ok
 
     def test_size_guard(self):
-        g = Graph(15, [(i, i + 1) for i in range(14)])
+        g = graph_of(15, [(i, i + 1) for i in range(14)])
         inst = GLInstance(graph=g, terminals=(0,), demands=(15,))
         with pytest.raises(GraphError, match="too-large-for-oracle"):
             brute_gl(inst)
@@ -141,7 +141,7 @@ class TestBruteGl:
 
     def test_planted_solution_recovered(self):
         # oracle completeness: a graph built around a known partition
-        g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)])
+        g = graph_of(6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)])
         inst = GLInstance(graph=g, terminals=(0, 3), demands=(3, 3))
         p = brute_gl(inst)
         assert p == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
@@ -168,19 +168,19 @@ class TestBruteCds:
             assert verify_cds_family(g, fam).ok
 
     def test_size_guard(self):
-        g = Graph(15, [(i, i + 1) for i in range(14)])
+        g = graph_of(15, [(i, i + 1) for i in range(14)])
         with pytest.raises(GraphError, match="too-large-for-oracle"):
             brute_cds(g, 1)
 
 
 class TestBruteMinCut:
     def test_adjacent_edge_convention(self):
-        g = Graph(2, [(0, 1)])
+        g = graph_of(2, [(0, 1)])
         assert brute_min_vertex_cut(g, 0, 1) == 1
 
     def test_k4_pair(self):
         assert brute_min_vertex_cut(k4(), 0, 3) == 3
 
     def test_path(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        g = graph_of(4, [(0, 1), (1, 2), (2, 3)])
         assert brute_min_vertex_cut(g, 0, 3) == 1
