@@ -4,17 +4,35 @@ terminal/demand extensions.
 All randomness flows through SplitMix64, a published 64-bit generator
 whose output stream is fixed by the seed alone, so identical parameters
 reproduce byte-identical files on any platform.  Bounded integers are
-derived as `lo + next_u64() % span`, shuffles are Fisher-Yates from the
-top; both derivations are part of the reproducibility contract.
+derived as `lo + next_u64() % span`; `draws(c)` gives the next c
+outputs of that same stream, as c calls of `next_u64` would, and leaves
+the generator where they would.  A shuffle is Fisher-Yates from the top
+with one draw d per position i, swapping i and d % (i + 1).  These
+derivations are part of the reproducibility contract.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
 
 from .engine import CdsInput, validate_cds_input
 from .graphs import DominatingTree, Graph, GraphError
 from .models import BiconvexModel, ConvexModel, IntervalModel
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_BLOCK = 4096  # outputs per block of `SplitMix64.draws`
+
+
+def _lanes(words) -> int:
+    """The int whose i-th 128-bit lane, from the low end, holds words[i]."""
+    return int.from_bytes(b"".join(w.to_bytes(16, "little") for w in words), "little")
+
+
+_LOW = _lanes([_MASK] * _BLOCK)
+_ONES = _lanes([1] * _BLOCK)
+_STRIDES = _lanes([i * _GAMMA & _MASK for i in range(1, _BLOCK + 1)])
 
 
 class SplitMix64:
@@ -24,11 +42,34 @@ class SplitMix64:
         self._state = seed & _MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
+        self._state = (self._state + _GAMMA) & _MASK
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
+
+    def draws(self, count: int) -> array:
+        """The next `count` outputs of `next_u64` (none if count < 1), as an array('Q').
+
+        Output t mixes state + t * gamma, so lane i of one int holds the
+        block's position i + 1 in the low half of 128 bits, and each step
+        of the mix is one big-int operation over the block: a product of
+        two 64-bit values fits its lane, and `low` cuts the bits a right
+        shift brings down from the next lane.
+        """
+        out = array("Q", [0]) * count
+        for start in range(0, count, _BLOCK):
+            lanes = min(_BLOCK, count - start)
+            low = _LOW >> 128 * (_BLOCK - lanes)
+            z = (self._state * (_ONES & low) + (_STRIDES & low)) & low
+            z = ((z ^ ((z >> 30) & low)) * 0xBF58476D1CE4E5B9) & low
+            z = ((z ^ ((z >> 27) & low)) * 0x94D049BB133111EB) & low
+            words = array("Q", (z ^ ((z >> 31) & low)).to_bytes(16 * lanes, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            out[start : start + lanes] = words[::2]
+            self._state = (self._state + lanes * _GAMMA) & _MASK
+        return out
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi] via modulo reduction."""
@@ -37,8 +78,8 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
     def shuffle(self, xs: list) -> None:
-        for i in range(len(xs) - 1, 0, -1):
-            j = self.randint(0, i)
+        for i, d in zip(range(len(xs) - 1, 0, -1), self.draws(len(xs) - 1)):
+            j = d % (i + 1)
             xs[i], xs[j] = xs[j], xs[i]
 
     def sample_distinct(self, n: int, k: int) -> list[int]:
@@ -198,10 +239,12 @@ def gen_planted_cds(
             nbrs[a].add(b)
             nbrs[b].add(a)
     members = [set(chain) for chain in backbones]
+    # one draw per vertex and backbone it is not on
+    stream = iter(rng.draws(n * k - sum(map(len, backbones))))
     for v in range(n):
         for i, chain in enumerate(backbones):
             if v not in members[i]:
-                w = chain[rng.randint(0, len(chain) - 1)]
+                w = chain[next(stream) % len(chain)]
                 nbrs[v].add(w)
                 nbrs[w].add(v)
     free = n * (n - 1) // 2 - sum(map(len, nbrs)) // 2

@@ -4,8 +4,10 @@
 of a family that need not cover V.  `brute_min_vertex_cut` and
 `brute_vertex_connectivity` find minimum vertex cuts by enumerating
 subsets, independently of the flow network in `cdspart.flows`, so they
-stay usable only on graphs of a few dozen vertices.  Nothing in `src/`
-imports this module.
+stay usable only on graphs of a few dozen vertices.  `scalar_shuffle`
+and `scalar_sample_distinct` take one `randint` draw per position, the
+definition that `SplitMix64.shuffle` and its block draws must match.
+Nothing in `src/` imports this module.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from cdspart.generators import SplitMix64
 from cdspart.graphs import Graph, GraphError, dominates, is_connected_subset
 from cdspart.verify import VerificationReport, _adj_masks, _bits, _connected_mask
 
@@ -91,3 +94,17 @@ def brute_vertex_connectivity(g: Graph, max_n: int = 20) -> int:
             if rest and not _connected_mask(adj, rest):
                 return size
     return g.n - 1
+
+
+def scalar_shuffle(rng: SplitMix64, xs: list) -> None:
+    """Fisher-Yates from the top, one scalar `randint(0, i)` per position i."""
+    for i in range(len(xs) - 1, 0, -1):
+        j = rng.randint(0, i)
+        xs[i], xs[j] = xs[j], xs[i]
+
+
+def scalar_sample_distinct(rng: SplitMix64, n: int, k: int) -> list[int]:
+    """k distinct values from range(n): the first k of a scalar shuffle."""
+    pool = list(range(n))
+    scalar_shuffle(rng, pool)
+    return pool[:k]

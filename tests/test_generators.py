@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import cdspart
 from cdspart.formats import InstanceBundle, write_bundle
 from cdspart.generators import (
+    _BLOCK,
     SplitMix64,
     gen_biconvex,
     gen_convex,
@@ -19,6 +21,8 @@ from cdspart.generators import (
 )
 from cdspart.graphs import GraphError, dominates, is_k_connected, vertex_connectivity
 from cdspart.models import interval_connectivity
+
+from reference_oracles import scalar_sample_distinct, scalar_shuffle
 
 
 class TestSplitMix64:
@@ -35,17 +39,60 @@ class TestSplitMix64:
     def test_seed_zero_head(self):
         assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
 
-    def test_shuffle_deterministic(self):
-        a = list(range(10))
-        b = list(range(10))
-        SplitMix64(42).shuffle(a)
-        SplitMix64(42).shuffle(b)
-        assert a == b and a != list(range(10))
+    @pytest.mark.parametrize("seed", [0, 1, 1234567, 2**64 - 1, -1])
+    @pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_draws_equal_the_scalar_stream(self, seed, count):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        got = block.draws(count)
+        assert got.typecode == "Q"
+        assert list(got) == [scalar.next_u64() for _ in range(count)]
+        # the block leaves the generator where `count` scalar calls do
+        assert block.next_u64() == scalar.next_u64()
 
+    def test_draws_peak_memory_is_the_output(self):
+        # blocks are packed one at a time, never the whole stream at once
+        tracemalloc.start()
+        try:
+            out = SplitMix64(1).draws(200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 200_000
+        assert peak < 200_000 * 8 + 1_000_000
+
+    def test_shuffle_deterministic(self):
+        # against the scalar loop, position by position, and the stream
+        # position it leaves behind
+        for length in (0, 1, 2, 10, _BLOCK + 2):
+            for seed in (0, 42, 2**64 - 1):
+                block, scalar = SplitMix64(seed), SplitMix64(seed)
+                a, b = list(range(length)), list(range(length))
+                block.shuffle(a)
+                scalar_shuffle(scalar, b)
+                assert a == b, (length, seed)
+                assert block.next_u64() == scalar.next_u64()
+        a = list(range(10))
+        SplitMix64(42).shuffle(a)
+        assert a != list(range(10))
+
+    @pytest.mark.parametrize(
+        "n,k", [(0, 0), (1, 1), (5, 3), (40, 40), (_BLOCK + 2, 7), (2 * _BLOCK + 5, 2 * _BLOCK)]
+    )
+    def test_sample_distinct_matches_scalar_oracle(self, n, k):
+        for seed in (0, 3, 1234567):
+            block, scalar = SplitMix64(seed), SplitMix64(seed)
+            assert block.sample_distinct(n, k) == scalar_sample_distinct(scalar, n, k)
+            assert block.next_u64() == scalar.next_u64()
 
     def test_empty_randint_range_raises(self):
         with pytest.raises(GraphError, match="bad-range"):
             SplitMix64(1).randint(3, 2)
+
+    def test_negative_count_draws_nothing(self):
+        # like range(count): the empty shuffle asks for -1 draws
+        rng = SplitMix64(5)
+        assert len(rng.draws(-1)) == 0
+        assert rng.next_u64() == SplitMix64(5).next_u64()
 
     @pytest.mark.parametrize("n,k", [(3, 4), (3, -1)])
     def test_impossible_sample_raises(self, n, k):
@@ -161,10 +208,11 @@ class TestGenConvex:
     def test_nb_below_k_fails_without_a_draw(self, monkeypatch):
         # every A-vertex needs k B-neighbours, so nb < k is rejected
         # before the first random draw
-        def no_draw(self):
+        def no_draw(self, *args):
             raise AssertionError("random draw")
 
         monkeypatch.setattr(SplitMix64, "next_u64", no_draw)
+        monkeypatch.setattr(SplitMix64, "draws", no_draw)
         with pytest.raises(GraphError, match="generation-failed: sizes too small: na=10, nb=3"):
             gen_convex(10, 3, 8, 1)
 

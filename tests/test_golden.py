@@ -92,6 +92,8 @@ GEN_CASES = {
     "biconvex": (["--class", "biconvex", "--na", "200", "--nb", "220", "--k", "4", "--seed", "3"], "biconvex"),
     "convex": (["--class", "convex", "--na", "300", "--nb", "600", "--k", "8", "--seed", "3"], "convex"),
     "planted": (["--class", "planted", "--n", "600", "--k", "150", "--seed", "3"], "gl"),
+    # the sparse size: its `perm` shuffle spans three blocks of draws
+    "planted-sparse": (["--class", "planted", "--n", "10000", "--k", "8", "--seed", "3"], "gl"),
 }
 
 GEN_DIGESTS = {
@@ -101,6 +103,10 @@ GEN_DIGESTS = {
     "planted": {
         "m.gl": "f974389684d5c2fba47cd33c16dd8062e152af86ee8fbd49219efd768911c0a1",
         "m.cds": "e474aa2c1a28da02f8e24db20dc47426c14dc23dc656050101b0f8040ceb3f04",
+    },
+    "planted-sparse": {
+        "m.gl": "b2959410648ced9539447690ea165c66bcf603d17967c5dcf79af5f544f69ec1",
+        "m.cds": "660e9ed6613a618c9f6898fd802e9064b9e16cc0f16ff71389c60e2eb566dcef",
     },
 }
 
