@@ -115,7 +115,7 @@ def cds_biconvex(m: BiconvexModel, k: int) -> CdsFamily:
     last_b = m.b_id(m.nb - 1)
     for s in sets:
         for b in (first_b, last_b):
-            watchers = g.neighbor_set(b)
+            watchers = g.adj[b]
             if not (s & watchers):
                 free = sorted(watchers - used)
                 if not free:
@@ -167,7 +167,7 @@ def extend_to_partition(g: Graph, fam: CdsFamily) -> tuple[VertexSet, ...]:
     for v in range(g.n):
         if v in covered:
             continue
-        nbrs = g.neighbor_set(v)
+        nbrs = g.adj[v]
         for s in sets:
             if nbrs & s:
                 s.add(v)

@@ -184,7 +184,7 @@ class PartitionState:
         self.placed[v] = i
         self.attach_parent[v] = parent
         if parent is not None:
-            if not self.graph.has_edge(parent, v) or self.placed.get(parent) != i:
+            if v not in self.graph.adj[parent] or self.placed.get(parent) != i:
                 raise EngineError("state-invariant", f"add: parent {parent} of {v} is off set {i}")
             self.children[parent] = self.children.get(parent, 0) + 1
         ti = self.tree_of.get(v)
@@ -196,7 +196,7 @@ class PartitionState:
             if frontier is not None and ti in (self.lead, frontier[0]):
                 grow_ti, heap, anchor = frontier
                 anchor.add(v)
-                for w in self.graph.neighbor_set(v) & self.trees[grow_ti]:
+                for w in self.graph.adj[v] & self.trees[grow_ti]:
                     heapq.heappush(heap, w)
         if not _quiet and self.trace is not None:
             self.trace.append(("place", v, i))
@@ -271,19 +271,19 @@ class PartitionState:
             anchor = self.t1_part[j] | (self.sets[j] & tree)
             heap = [
                 w for w in tree
-                if w not in self.sets[j] and not self.graph.neighbor_set(w).isdisjoint(anchor)
+                if w not in self.sets[j] and not self.graph.adj[w].isdisjoint(anchor)
             ]
             heapq.heapify(heap)
             frontier = self._frontiers[j] = (ti, heap, anchor)
         _, heap, anchor = frontier
         members = self.sets[j]
-        nbrs = self.graph.neighbor_set
-        while heap and (heap[0] in members or nbrs(heap[0]).isdisjoint(anchor)):
+        adj = self.graph.adj
+        while heap and (heap[0] in members or adj[heap[0]].isdisjoint(anchor)):
             heapq.heappop(heap)
         if not heap:
             raise EngineError("state-invariant", f"set {j} has no vertex of tree {ti} to grow into")
         v = heap[0]
-        return v, min(nbrs(v) & anchor)
+        return v, min(adj[v] & anchor)
 
     def full(self, i: int) -> bool:
         return len(self.sets[i]) == self.demands[i]
@@ -322,7 +322,7 @@ class PartitionState:
                 raise EngineError("state-invariant", f"{where}: placement map stale at {v}")
             parent = self.attach_parent.get(v)
             if parent is not None and (
-                self.placed.get(parent) != i or not self.graph.has_edge(parent, v)
+                self.placed.get(parent) != i or v not in self.graph.adj[parent]
             ):
                 raise EngineError("state-invariant", f"{where}: bad attachment of {v}")
         owners = [ti for ti in self.tlabel.values() if ti is not None]
@@ -331,7 +331,7 @@ class PartitionState:
         for v, i in self.vlabel_of.items():
             if v in self.placed:
                 raise EngineError("state-invariant", f"{where}: vlabel holds placed {v}")
-            if not (self.graph.neighbor_set(v) & self.t1_part[i]):
+            if not (self.graph.adj[v] & self.t1_part[i]):
                 raise EngineError(
                     "state-invariant", f"{where}: vlabel {v} not adjacent to set {i}"
                 )
@@ -366,7 +366,7 @@ def categorize_trees(state: PartitionState) -> dict[int, list[int]]:
     for i, c in state.terminals.items():
         ti = state.tree_of.get(c)
         if ti is None:
-            witness_pool = state.graph.neighbor_set(c) & host
+            witness_pool = state.graph.adj[c] & host
             if not witness_pool:
                 raise EngineError("invalid-cds-input", f"tree {lead} does not dominate {c}")
             w = min(witness_pool)
@@ -396,7 +396,7 @@ def _bfs_place_tree(state: PartitionState, ti: int, roots: list[int]) -> None:
 def _attach(state: PartitionState, v: int, what: str) -> None:
     """Add v to the lowest-index non-full set it neighbours, under its
     lowest neighbour there; `what` names v in the error."""
-    nbrs = state.graph.neighbor_set(v)
+    nbrs = state.graph.adj[v]
     target = next(
         (i for i, s in state.sets.items() if not state.full(i) and nbrs & s),
         None,
@@ -440,7 +440,7 @@ def _absorb_and_label(state: PartitionState, idxs: Iterable[int]) -> None:
     """Under sets take all their assigned vertices and a private tree."""
     for i in idxs:
         for v in sorted(state.vlabel_sets[i]):
-            state.add(v, i, parent=min(state.graph.neighbor_set(v) & state.t1_part[i]))
+            state.add(v, i, parent=min(state.graph.adj[v] & state.t1_part[i]))
         if state.tlabel[i] is None:
             free = next(
                 (ti for ti in state.spares if ti not in state.tlabel_owner),
@@ -501,11 +501,11 @@ def labeling(state: PartitionState) -> None:
     assignment and each receives a distinct private tree, then every such
     set is guaranteed one vertex of that tree.
     """
-    g = state.graph
+    adj = state.graph.adj
     for ti in state.spares:
         for v in sorted(state.trees[ti]):
             target = next(
-                (i for i, part in state.t1_part.items() if g.neighbor_set(v) & part),
+                (i for i, part in state.t1_part.items() if adj[v] & part),
                 None,
             )
             if target is None:
@@ -530,7 +530,7 @@ def add_vertices(state: PartitionState) -> None:
     absorb their assignment to fullness, and leftover tree vertices join
     any adjacent non-full set (each now contains a whole dominating tree).
     """
-    g = state.graph
+    adj = state.graph.adj
     guard = 4 * (len(state.members) + 1) * (len(state.terminals) + 1) * (len(state.trees) + 1)
     while True:
         j = next(
@@ -556,7 +556,7 @@ def add_vertices(state: PartitionState) -> None:
         if st == "over":
             # `add(u, i)` takes only u out of `vlabel_sets[i]`
             for u in sorted(state.vlabel_sets[i])[: state.deficit(i)]:
-                state.add(u, i, parent=min(g.neighbor_set(u) & state.t1_part[i]))
+                state.add(u, i, parent=min(adj[u] & state.t1_part[i]))
     # each placement adds one vertex, so one ascending walk meets the
     # lowest unplaced vertex every time
     for v in sorted(state.members.difference(state.placed)):

@@ -17,18 +17,19 @@ from __future__ import annotations
 from bisect import insort
 from itertools import chain, repeat
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, _subset
 
 Path = tuple[int, ...]
 
 
 def check_path(g: Graph, p: Path) -> None:
+    """Raise unless p is a simple path of g; an id outside 0..n-1 is a "bad-vertex"."""
     if not p:
         raise GraphError("empty-path")
-    if len(set(p)) != len(p):
+    if len(_subset(g, p)) != len(p):
         raise GraphError("repeated-vertex", f"{p}")
     for a, b in zip(p, p[1:]):
-        if not g.has_edge(a, b):
+        if b not in g.adj[a]:
             raise GraphError("not-a-path", f"missing edge ({a}, {b})")
 
 
@@ -51,7 +52,7 @@ class _SplitNetwork:
 
     def __init__(self, g: Graph):
         n = g.n
-        adj = [sorted(g.neighbor_set(u)) for u in range(n)]
+        adj = list(map(sorted, g.adj))
         self.base = base = 2 * n  # index of the first edge arc
         first = [base]  # first[u]: the forward arc of u's first edge
         for nbrs in adj:
@@ -172,7 +173,9 @@ def vertex_disjoint_paths(g: Graph, s: int, t: int, want: int | None = None) -> 
     """min(want, lambda(s,t)) internally vertex-disjoint s-t paths.
 
     Paths are sorted by (length, vertex sequence) for reproducibility.
+    An endpoint outside 0..n-1 raises `GraphError("bad-vertex")`.
     """
+    _subset(g, (s, t))
     if s == t:
         raise GraphError("identical-endpoints", f"vertex {s}")
     if want is not None and want < 1:
@@ -199,6 +202,6 @@ def make_induced(g: Graph, p: Path) -> Path:
     i = 0
     while i < len(p) - 1:
         # p[i + 1] is a neighbour, so the jump moves forward
-        i = max(pos.get(w, -1) for w in g.neighbor_set(p[i]))
+        i = max(pos.get(w, -1) for w in g.adj[p[i]])
         out.append(p[i])
     return tuple(out)

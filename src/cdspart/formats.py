@@ -515,7 +515,7 @@ def write_bundle(bundle: InstanceBundle, comments: Iterable[str] = ()) -> str:
         lines.append(f"p gl {model.n} {model.m}")
         names = list(map(str, range(1, model.n + 1)))
         for u, name in enumerate(names):
-            row = sorted(model.neighbor_set(u))
+            row = sorted(model.adj[u])
             higher = row[bisect(row, u) :]
             if higher:  # u's lines, joined once
                 head = f"e {name} "

@@ -7,10 +7,9 @@ in ascending vertex id so results are reproducible for a given input.
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections import deque
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 VertexSet = frozenset[int]
 Edge = tuple[int, int]
@@ -25,12 +24,13 @@ class GraphError(ValueError):
 
 
 class Graph:
-    """Immutable undirected simple graph on vertices 0..n-1."""
+    """Immutable undirected simple graph on vertices 0..n-1 with m edges:
+    `adj[v]` is the frozenset of v's neighbours, and nothing mutates `adj`."""
 
-    __slots__ = ("n", "m", "_adjsets")
+    __slots__ = ("n", "m", "adj")
 
     def __init__(self, adj: list[list[int]]):
-        """The graph in which vertex v has the neighbours adj[v].
+        """The graph with `Graph(adj).adj[v] == frozenset(adj[v])` for every v.
 
         The lists must be symmetric and hold one entry per incident edge,
         in any order, and are only read.  A repeated entry or a self-loop
@@ -43,31 +43,12 @@ class Graph:
             raise GraphError("bad-adjacency", "a repeated neighbour or a self-loop")
         self.n = len(adj)
         self.m = twice_m // 2
-        self._adjsets: tuple[frozenset[int], ...] = adjsets
+        self.adj: tuple[frozenset[int], ...] = adjsets
 
     @property
     def graph(self) -> Graph:
         """Read as a model, a graph is its own derived graph."""
         return self
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._adjsets[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adjsets[u]
-
-    def degree(self, v: int) -> int:
-        return len(self._adjsets[v])
-
-    def edges(self) -> Iterator[Edge]:
-        """All edges as (u, v) with u < v, ascending."""
-        for u, a in enumerate(self._adjsets):
-            row = sorted(a)
-            for v in row[bisect(row, u) :]:
-                yield (u, v)
-
-    def is_complete(self) -> bool:
-        return all(len(a) == self.n - 1 for a in self._adjsets)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.m})"
@@ -121,7 +102,7 @@ def is_connected_subset(g: Graph, s: Iterable[int]) -> bool:
     stack = [unseen.pop()]
     while stack and unseen:
         # set intersection walks the smaller side: O(min(|unseen|, deg x))
-        found = g.neighbor_set(stack.pop()) & unseen
+        found = g.adj[stack.pop()] & unseen
         unseen -= found
         stack.extend(found)
     return not unseen
@@ -146,7 +127,7 @@ def first_non_dominating(g: Graph, sets: Iterable[Iterable[int]]) -> int | None:
     n = g.n
     for i, s in enumerate(sets):
         members = [v for v in s if 0 <= v < n]
-        if len(set(members).union(*map(g.neighbor_set, members))) < n:
+        if len(set(members).union(*map(g.adj.__getitem__, members))) < n:
             return i
     return None
 
@@ -170,7 +151,7 @@ def spanning_tree(g: Graph, s: Iterable[int], root: int | None = None) -> tuple[
     edges: list[Edge] = []
     while queue:
         x = queue.popleft()
-        found = sorted(g.neighbor_set(x) & unseen)
+        found = sorted(g.adj[x] & unseen)
         unseen.difference_update(found)
         edges += [(x, y) for y in found]
         queue += found
@@ -203,26 +184,27 @@ def _connectivity_capped(g: Graph, cap: int) -> int:
 
     if g.n < 2:
         raise GraphError("degenerate-graph", f"n={g.n}")
-    if g.is_complete():
+    adj = g.adj
+    if all(len(a) == g.n - 1 for a in adj):
         return min(g.n - 1, cap)
-    v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
-    best = min(cap, g.degree(v0))
+    v0 = min(range(g.n), key=lambda v: (len(adj[v]), v))
+    best = min(cap, len(adj[v0]))
     if best == 0:
         return 0
-    nbr_set = g.neighbor_set(v0)
+    nbr_set = adj[v0]
     nbrs = sorted(nbr_set)
     settled: set[int] = set()
     flowed: list[int] = []
     for u in range(g.n):
         if u == v0 or u in nbr_set:
             continue
-        if g.neighbor_set(u).isdisjoint(settled):
+        if adj[u].isdisjoint(settled):
             settled.add(u)
         else:
             flowed.append(u)
     pairs = chain(
         ((v0, u) for u in flowed),
-        ((x, y) for i, x in enumerate(nbrs) for y in nbrs[i + 1 :] if not g.has_edge(x, y)),
+        ((x, y) for i, x in enumerate(nbrs) for y in nbrs[i + 1 :] if y not in adj[x]),
     )
     net = _SplitNetwork(g)
     for s, t in pairs:

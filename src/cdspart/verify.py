@@ -92,7 +92,7 @@ def verify_cds_partition(g: Graph, p: Sequence[Iterable[int]]) -> VerificationRe
             v.append(("not-connected", f"block {i}"))
         if not dominates(g, b):
             uncovered = next(
-                w for w in range(g.n) if w not in b and not (g.neighbor_set(w) & b)
+                w for w in range(g.n) if w not in b and not (g.adj[w] & b)
             )
             v.append(("not-dominating", f"block {i} misses vertex {uncovered}"))
     return VerificationReport(tuple(v))
@@ -104,7 +104,7 @@ def verify_cds_partition(g: Graph, p: Sequence[Iterable[int]]) -> VerificationRe
 def _adj_masks(g: Graph) -> list[int]:
     masks = [0] * g.n
     for v in range(g.n):
-        for w in g.neighbor_set(v):
+        for w in g.adj[v]:
             masks[v] |= 1 << w
     return masks
 

@@ -24,6 +24,12 @@ def graph_of(n: int, edges) -> Graph:
     return Graph(adj)
 
 
+def edges_of(g: Graph) -> list[tuple[int, int]]:
+    """g's edges as (u, v) with u < v, ascending: the edge list `graph_of`
+    reads."""
+    return [(u, v) for u, nbrs in enumerate(g.adj) for v in sorted(nbrs) if u < v]
+
+
 def random_graph(seed: int, n: int, m: int, *, connected: bool = False) -> Graph:
     """Seeded random simple graph; optionally joined into one component."""
     rng = SplitMix64(seed)

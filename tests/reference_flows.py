@@ -33,7 +33,7 @@ class SplitNetwork:
             if v != s and v != t:
                 self._arc(2 * v, 2 * v + 1)
         for u in range(g.n):
-            for v in sorted(g.neighbor_set(u)):
+            for v in sorted(g.adj[u]):
                 self._arc(2 * u + 1, 2 * v)
 
     def _arc(self, a: int, b: int) -> None:
@@ -113,21 +113,21 @@ def check_family(g: Graph, s: int, t: int, paths: tuple) -> None:
     seen: set[int] = set()
     for p in paths:
         assert p[0] == s and p[-1] == t and len(set(p)) == len(p), p
-        assert all(g.has_edge(a, b) for a, b in zip(p, p[1:])), p
+        assert all(b in g.adj[a] for a, b in zip(p, p[1:])), p
         assert seen.isdisjoint(p[1:-1]), p
         seen.update(p[1:-1])
 
 
 def connectivity_capped(g: Graph, cap: int) -> int:
     """min(kappa(g), cap) over the minimum-degree pair schedule; n >= 2."""
-    if g.is_complete():
+    if all(len(a) == g.n - 1 for a in g.adj):
         return min(g.n - 1, cap)
-    v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
-    best = min(cap, g.degree(v0))
-    nbrs = sorted(g.neighbor_set(v0))
+    v0 = min(range(g.n), key=lambda v: (len(g.adj[v]), v))
+    best = min(cap, len(g.adj[v0]))
+    nbrs = sorted(g.adj[v0])
     pairs = chain(
-        ((v0, u) for u in range(g.n) if u != v0 and not g.has_edge(v0, u)),
-        ((x, y) for i, x in enumerate(nbrs) for y in nbrs[i + 1 :] if not g.has_edge(x, y)),
+        ((v0, u) for u in range(g.n) if u != v0 and u not in g.adj[v0]),
+        ((x, y) for i, x in enumerate(nbrs) for y in nbrs[i + 1 :] if y not in g.adj[x]),
     )
     for s, t in pairs:
         if best == 0:
@@ -146,7 +146,7 @@ def make_induced_splice(g: Graph, p: tuple[int, ...]) -> tuple[int, ...]:
         chord = None
         for i in range(len(cur) - 2):
             for j in range(len(cur) - 1, i + 1, -1):
-                if j - i >= 2 and g.has_edge(cur[i], cur[j]):
+                if j - i >= 2 and cur[j] in g.adj[cur[i]]:
                     chord = (i, j)
                     break
             if chord:

@@ -19,7 +19,7 @@ from cdspart.generators import SplitMix64
 from cdspart.graphs import Graph, GraphError, dominates, is_connected_subset
 from cdspart.verify import VerificationReport, _adj_masks, _bits, _connected_mask
 
-from conftest import graph_of
+from conftest import edges_of, graph_of
 
 
 def verify_cds_family(g: Graph, sets: Sequence[Iterable[int]]) -> VerificationReport:
@@ -48,8 +48,8 @@ def brute_min_vertex_cut(g: Graph, s: int, t: int, max_n: int = 24) -> int:
         raise GraphError("too-large-for-oracle", f"n={g.n} > {max_n}")
     if s == t:
         raise GraphError("identical-endpoints")
-    if g.has_edge(s, t):
-        stripped = graph_of(g.n, [e for e in g.edges() if set(e) != {s, t}])
+    if t in g.adj[s]:
+        stripped = graph_of(g.n, [e for e in edges_of(g) if set(e) != {s, t}])
         return 1 + brute_min_vertex_cut(stripped, s, t, max_n)
     adj = _adj_masks(g)
     others = [v for v in range(g.n) if v != s and v != t]
@@ -81,7 +81,7 @@ def brute_vertex_connectivity(g: Graph, max_n: int = 20) -> int:
         raise GraphError("too-large-for-oracle", f"n={g.n} > {max_n}")
     if g.n < 2:
         raise GraphError("degenerate-graph")
-    if g.is_complete():
+    if all(len(a) == g.n - 1 for a in g.adj):
         return g.n - 1
     adj = _adj_masks(g)
     full = (1 << g.n) - 1

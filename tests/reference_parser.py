@@ -104,7 +104,7 @@ def parse_bundle(text):
 
 def _derived_sets(model):
     g = model.derive_graph()
-    return tuple(g.neighbor_set(v) for v in range(g.n))
+    return g.adj
 
 
 def _parse_graph(rows):

@@ -107,8 +107,8 @@ def test_03_biconvex_pipeline():
             continue
         started = time.perf_counter()
         stripped = [p[1:-1] for p in backbones(m, g, k)]
-        first = g.neighbor_set(m.b_id(0))
-        last = g.neighbor_set(m.b_id(m.nb - 1))
+        first = g.adj[m.b_id(0)]
+        last = g.adj[m.b_id(m.nb - 1)]
         for p in stripped:
             assert len(set(p) & first) <= 1 and len(set(p) & last) <= 1
         fam = cds_biconvex(m, k)

@@ -163,7 +163,7 @@ class TestOnePassValidation:
             rng = random.Random(seed)
             k = 2 + seed % 6
             g, trees = gen_planted_cds(4 * k + seed % 40, k, 10, seed)
-            copy = Graph([list(g.neighbor_set(v)) for v in range(g.n)])
+            copy = Graph([list(g.adj[v]) for v in range(g.n)])
             trees = list(trees)
             for _ in range(rng.randint(0, 3)):
                 i = rng.randrange(k)
@@ -363,7 +363,7 @@ def assert_valid_remainder(inst, trees, blocks, used):
         seen |= t.vertices
         assert is_connected_subset(inst.graph, t.vertices)
         for v in rest - t.vertices:
-            assert inst.graph.neighbor_set(v) & t.vertices
+            assert inst.graph.adj[v] & t.vertices
 
 
 class TestSolveSingleTree:
@@ -510,7 +510,7 @@ def peel_own_bfs(g, block, terminal, target):
     queue = deque([terminal])
     while queue:
         x = queue.popleft()
-        for y in sorted(g.neighbor_set(x)):
+        for y in sorted(g.adj[x]):
             if y in kept and y not in seen:
                 seen.add(y)
                 parent[y] = x
@@ -990,8 +990,8 @@ class TestGrowthFrontier:
         g = state.graph
         tree = state.trees[ti]
         anchor = state.t1_part[j] | (state.sets[j] & tree)
-        v = min(w for w in tree if w not in state.sets[j] and g.neighbor_set(w) & anchor)
-        return v, min(g.neighbor_set(v) & anchor)
+        v = min(w for w in tree if w not in state.sets[j] and g.adj[w] & anchor)
+        return v, min(g.adj[v] & anchor)
 
     def checked_solves(self, monkeypatch, instances):
         grow = eng_module._grow_from_tree
@@ -1028,13 +1028,13 @@ class TestGrowthFrontier:
             leaves = [v for v in state.sets[0] if v != 0 and not state.children.get(v)]
             outside = [
                 v for v in range(n)
-                if v not in state.placed and g.neighbor_set(v) & state.sets[0]
+                if v not in state.placed and g.adj[v] & state.sets[0]
             ]
             if leaves and (not outside or rng.random() < 0.4):
                 state.remove(rng.choice(leaves), 0)
             elif outside:
                 v = rng.choice(outside)
-                state.add(v, 0, parent=min(g.neighbor_set(v) & state.sets[0]))
+                state.add(v, 0, parent=min(g.adj[v] & state.sets[0]))
             try:
                 expected = self.scan_choice(state, 0, 1)
             except ValueError:  # no tree-1 vertex to grow into

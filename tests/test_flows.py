@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import cdspart.flows as flows_module
@@ -11,13 +16,14 @@ from cdspart.flows import (
 )
 from cdspart.generators import SplitMix64, gen_biconvex, gen_convex, gen_interval
 from cdspart.graphs import (
+    Graph,
     GraphError,
     _connectivity_capped,
     is_k_connected,
     vertex_connectivity,
 )
 
-from conftest import fixture_graph, graph_of, random_graph
+from conftest import edges_of, fixture_graph, graph_of, random_graph
 from reference_oracles import brute_min_vertex_cut
 
 
@@ -55,6 +61,48 @@ class TestVertexDisjointPaths:
         ref.check_family(g, s, t, paths)
         assert len(paths) == _SplitNetwork(g).max_flow(s, t, None)
         assert len(paths) == brute_min_vertex_cut(g, s, t)
+
+
+class TestIdsOutsideTheGraph:
+    """An id outside 0..n-1 is named, not read as another vertex (index -1
+    is the last one) or as a node of the flow network."""
+
+    TRIANGLE = [[1, 2], [0, 2], [0, 1]]
+
+    # the (-1, 0) query runs in a subprocess below
+    @pytest.mark.parametrize("s, t, bad", [(0, 5, 5), (0, -1, -1), (5, 0, 5), (-1, 5, -1)])
+    def test_vertex_disjoint_paths(self, s, t, bad):
+        with pytest.raises(GraphError, match=f"bad-vertex: {bad} is not in 0..2"):
+            vertex_disjoint_paths(Graph(self.TRIANGLE), s, t)
+
+    def test_negative_source_returns_at_once(self):
+        # apart from the suite: source -1 would be the network's last node,
+        # which the push never walks back to, so the query could not return
+        script = (
+            "from cdspart.flows import vertex_disjoint_paths\n"
+            "from cdspart.graphs import Graph, GraphError\n"
+            "try:\n"
+            f"    vertex_disjoint_paths(Graph({self.TRIANGLE}), -1, 0)\n"
+            "except GraphError as exc:\n"
+            "    print(exc.code)\n"
+        )
+        src = str(Path(flows_module.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.split() == ["bad-vertex"]
+
+    @pytest.mark.parametrize(
+        "p, bad", [((-1, 0), -1), ((0, -1), -1), ((5, 0), 5), ((1, 5), 5), ((3,), 3), ((-1,), -1)]
+    )
+    def test_check_path(self, p, bad):
+        with pytest.raises(GraphError, match=f"bad-vertex: {bad} is not in 0..2"):
+            check_path(Graph(self.TRIANGLE), p)
+
+    def test_make_induced(self):
+        with pytest.raises(GraphError, match="bad-vertex: -1 is not in 0..2"):
+            make_induced(Graph(self.TRIANGLE), (-1, 1))
 
 
 class TestLocalConnectivity:
@@ -96,7 +144,7 @@ class TestMakeInduced:
         assert set(q) <= set(p)
         for i in range(len(q)):
             for j in range(i + 2, len(q)):
-                assert not g.has_edge(q[i], q[j])
+                assert q[j] not in g.adj[q[i]]
 
     @pytest.mark.parametrize("seed", range(15))
     def test_shortening_preserves_family_disjointness(self, seed):
@@ -285,7 +333,7 @@ class TestSettledNonNeighbours:
         nx = pytest.importorskip("networkx")
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges())
+        h.add_edges_from(edges_of(g))
         kappa = nx.node_connectivity(h)
         for cap in (1, 2, 3, 4, 5, g.n - 1):
             assert _connectivity_capped(g, cap) == ref.connectivity_capped(g, cap) == min(cap, kappa)
@@ -309,13 +357,13 @@ class TestSettledNonNeighbours:
 
         monkeypatch.setattr(flows_module._SplitNetwork, "max_flow", counted)
         assert is_k_connected(g, 4)
-        v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
-        non_nbrs = [u for u in range(g.n) if u != v0 and not g.has_edge(v0, u)]
+        v0 = min(range(g.n), key=lambda v: (len(g.adj[v]), v))
+        non_nbrs = [u for u in range(g.n) if u != v0 and u not in g.adj[v0]]
         settled = set()
         for u in non_nbrs:
-            if not g.neighbor_set(u) & settled:
+            if not g.adj[u] & settled:
                 settled.add(u)
-        nbrs = sorted(g.neighbor_set(v0))
-        nbr_pairs = [(x, y) for x in nbrs for y in nbrs if x < y and not g.has_edge(x, y)]
+        nbrs = sorted(g.adj[v0])
+        nbr_pairs = [(x, y) for x in nbrs for y in nbrs if x < y and y not in g.adj[x]]
         assert settled
         assert len(flows) == len(non_nbrs) - len(settled) + len(nbr_pairs)

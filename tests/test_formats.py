@@ -41,7 +41,7 @@ class TestGraphParsing:
     def test_path_graph(self):
         b = parse_bundle("p gl 3 2\ne 1 2\ne 2 3\n")
         assert b.graph.n == 3 and b.graph.m == 2
-        assert b.graph.has_edge(0, 1) and b.graph.has_edge(1, 2)
+        assert 1 in b.graph.adj[0] and 2 in b.graph.adj[1]
 
     def test_comments_anywhere(self):
         text = "# header\np gl 2 1 # trailing\n# middle\ne 1 2\n"
@@ -80,7 +80,7 @@ def _gl_text(n, edges):
 
 
 def _graph_sets(text):
-    return parse_bundle(text).graph._adjsets
+    return parse_bundle(text).graph.adj
 
 
 def _per_line_text(text):
@@ -160,7 +160,7 @@ class TestModelParsing:
     def test_interval(self):
         b = parse_bundle("p interval 2\ni 1 1 3\ni 2 2 5\n")
         assert isinstance(b.model, IntervalModel)
-        assert b.graph.has_edge(0, 1)
+        assert 1 in b.graph.adj[0]
 
     def test_convex_contiguity_enforced(self):
         text = "p convex 3 1 2\ne 1 1\ne 3 1\n"
@@ -308,8 +308,8 @@ def _streamed_bundle(text):
     """parse_bundle's result in the reference parser's shape."""
     b = parse_bundle(text)
     g = b.graph
-    assert 2 * g.m == sum(map(len, g._adjsets))
-    return (None if b.model is g else b.model), g._adjsets, b.terminals, b.demands
+    assert 2 * g.m == sum(map(len, g.adj))
+    return (None if b.model is g else b.model), g.adj, b.terminals, b.demands
 
 
 def assert_same_bundle_outcome(text):
@@ -740,7 +740,7 @@ def test_parsed_graph_is_compact_and_interned():
     finally:
         tracemalloc.stop()
     assert retained <= 135 * g.m, retained / g.m
-    assert len({id(v) for a in g._adjsets for v in a}) <= g.n
+    assert len({id(v) for a in g.adj for v in a}) <= g.n
 
 
 def test_id_table_is_sized_by_the_records():

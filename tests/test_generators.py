@@ -22,6 +22,7 @@ from cdspart.generators import (
 from cdspart.graphs import GraphError, dominates, is_k_connected, vertex_connectivity
 from cdspart.models import interval_connectivity
 
+from conftest import edges_of
 from reference_oracles import scalar_sample_distinct, scalar_shuffle
 
 
@@ -281,7 +282,7 @@ class TestGenPlanted:
             g, trees = gen_planted_cds(n, k, free if extra is None else extra, seed)
             if extra is None:
                 assert g.m == n * (n - 1) // 2
-            h.update(repr((g.n, list(g.edges()), [sorted(t.vertices) for t in trees])).encode())
+            h.update(repr((g.n, edges_of(g), [sorted(t.vertices) for t in trees])).encode())
         return h.hexdigest()[:16]
 
     @pytest.mark.parametrize("case", sorted(PINNED, key=str))

@@ -19,7 +19,7 @@ from cdspart.engine import GLInstance, solve
 from cdspart.flows import vertex_disjoint_paths
 from cdspart.generators import gen_gl_extension, gen_planted_cds
 
-from conftest import fixture_graph, graph_of, random_graph
+from conftest import edges_of, fixture_graph, graph_of, random_graph
 from reference_oracles import brute_vertex_connectivity
 
 
@@ -39,7 +39,7 @@ class TestGraphConstruction:
     def test_counts(self):
         g = graph_of(4, [(0, 1), (2, 3)])
         assert g.n == 4 and g.m == 2
-        assert g.neighbor_set(0) == {1}
+        assert g.adj[0] == {1}
 
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError, match="bad-adjacency"):
@@ -53,18 +53,18 @@ class TestGraphConstruction:
     def test_adjacency_symmetry(self, seed):
         g = random_graph(seed, 10, 14)
         for u in range(g.n):
-            for v in g.neighbor_set(u):
-                assert u in g.neighbor_set(v)
+            for v in g.adj[u]:
+                assert u in g.adj[v]
 
     def test_degree_sum_is_twice_edges(self):
         g = random_graph(7, 12, 20)
-        assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
+        assert sum(map(len, g.adj)) == 2 * g.m
 
     @pytest.mark.parametrize("seed", range(12))
     def test_edges_are_the_sorted_pairs(self, seed):
         g = random_graph(seed, 1 + 9 * seed, 4 * seed * (1 + seed % 3))
-        pairs = sorted((u, v) for u in range(g.n) for v in g.neighbor_set(u) if u < v)
-        assert list(g.edges()) == pairs
+        pairs = sorted((u, v) for u in range(g.n) for v in g.adj[u] if u < v)
+        assert edges_of(g) == pairs
         assert len(pairs) == g.m
 
 
@@ -74,9 +74,17 @@ class TestFromLists:
     def test_equals_the_edge_list_constructor(self):
         for seed in range(40):
             g = random_graph(seed, 1 + seed % 12, 3 * (seed % 7))
-            lists = [sorted(g.neighbor_set(v), reverse=True) for v in range(g.n)]
+            lists = [sorted(g.adj[v], reverse=True) for v in range(g.n)]
             h = Graph(lists)
-            assert (h.n, h.m, h._adjsets) == (g.n, g.m, g._adjsets)
+            assert (h.n, h.m, h.adj) == (g.n, g.m, g.adj)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_adj_is_a_tuple_of_the_lists_sets(self, seed):
+        lists = shuffled_lists(random_graph(seed, 3 + 5 * seed, 4 * seed), seed)
+        g = Graph(lists)
+        assert type(g.adj) is tuple
+        assert all(g.adj[v] == frozenset(lists[v]) for v in range(g.n))
+        assert all(type(a) is frozenset for a in g.adj)
 
     def test_empty(self):
         g = Graph([])
@@ -90,7 +98,7 @@ class TestFromLists:
 
 def shuffled_lists(g, seed):
     rng = random.Random(seed)
-    return [rng.sample(sorted(a), len(a)) for a in g._adjsets]
+    return [rng.sample(sorted(a), len(a)) for a in g.adj]
 
 
 class TestOrderIndependence:
@@ -103,9 +111,9 @@ class TestOrderIndependence:
         g = random_graph(seed, 40 + 20 * seed, 150 + 60 * seed, connected=True)
         h = Graph(shuffled_lists(g, seed))
         # the test has teeth: some set iterates in another order
-        assert any(list(a) != list(b) for a, b in zip(g._adjsets, h._adjsets))
-        assert (h.n, h.m, h._adjsets) == (g.n, g.m, g._adjsets)
-        assert list(h.edges()) == list(g.edges())
+        assert any(list(a) != list(b) for a, b in zip(g.adj, h.adj))
+        assert (h.n, h.m, h.adj) == (g.n, g.m, g.adj)
+        assert edges_of(h) == edges_of(g)
         rng = random.Random(seed)
         for _ in range(20):
             s = set(rng.sample(range(g.n), rng.randint(1, g.n)))
@@ -121,7 +129,7 @@ class TestOrderIndependence:
         g, trees = gen_planted_cds(n, k, 300, seed)
         t, d = gen_gl_extension(n, k, seed)
         h = Graph(shuffled_lists(g, seed))
-        assert any(list(a) != list(b) for a, b in zip(g._adjsets, h._adjsets))
+        assert any(list(a) != list(b) for a, b in zip(g.adj, h.adj))
         outs = []
         for graph in (g, h):
             # each graph's trees are built on it, from the planted sets
@@ -149,7 +157,7 @@ class TestConnectedSubset:
     def test_chordal_fixture_def(self):
         g = fixture_graph("fig1-chordal.gl")
         # D, E, F = 3, 4, 5 form a triangle in the fixture
-        assert g.has_edge(3, 4) and g.has_edge(3, 5) and g.has_edge(4, 5)
+        assert 4 in g.adj[3] and 5 in g.adj[3] and 5 in g.adj[4]
         assert is_connected_subset(g, {3, 4, 5})
 
     def test_empty_subset_error(self):
@@ -177,7 +185,7 @@ class TestConnectedSubset:
             g = random_graph(2000 + seed, n, n * (1 + seed % 5) // 2)
             h = nx.Graph()
             h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges())
+            h.add_edges_from(edges_of(g))
             rng = random.Random(seed)
             for trial in range(25):
                 size = 1 if trial < 3 else rng.randint(2, n)
@@ -188,7 +196,7 @@ class TestConnectedSubset:
                     frontier = sorted(s)
                     while frontier and len(s) < size:
                         x = frontier.pop(rng.randrange(len(frontier)))
-                        for y in sorted(g.neighbor_set(x)):
+                        for y in sorted(g.adj[x]):
                             if y not in s and len(s) < size:
                                 s.add(y)
                                 frontier.append(y)
@@ -212,7 +220,7 @@ class TestDominates:
         g = fixture_graph("fig1-chordal.gl")
         s = {1, 3, 4}  # B, D, E
         # independent check: every vertex outside s has a neighbor in s
-        expected = all(v in s or bool(g.neighbor_set(v) & s) for v in range(6))
+        expected = all(v in s or bool(g.adj[v] & s) for v in range(6))
         assert expected
         assert dominates(g, s)
 
@@ -224,7 +232,7 @@ class TestDominates:
             g = random_graph(seed, n, rng.randint(0, n * (n - 1) // 2))
             # members outside 0..n-1 cover nothing
             s = set(rng.sample(range(-2, n + 2), rng.randint(0, n + 4)))
-            expected = all(v in s or g.neighbor_set(v) & s for v in range(n))
+            expected = all(v in s or g.adj[v] & s for v in range(n))
             assert dominates(g, s) == expected, seed
             assert dominates(g, iter(s)) == expected, seed
             outcomes.add(expected)
@@ -344,7 +352,7 @@ class TestSpanningTree:
                 frontier = sorted(s)
                 while frontier and len(s) < size:
                     x = frontier.pop(rng.randrange(len(frontier)))
-                    grow = sorted(g.neighbor_set(x) - s)[: size - len(s)]
+                    grow = sorted(g.adj[x] - s)[: size - len(s)]
                     s.update(grow)
                     frontier += grow
             # in s, the default, or any vertex (perhaps outside s)
@@ -373,7 +381,7 @@ def _tree_outcome_by_scan(g, s, root=None):
     queue = [root]
     edges = []
     for x in queue:
-        for y in sorted(g.neighbor_set(x)):
+        for y in sorted(g.adj[x]):
             if y in members and y not in seen:
                 seen.add(y)
                 edges.append((x, y))
@@ -414,7 +422,7 @@ class TestVertexConnectivity:
         g = random_graph(1000 + seed, n, m, connected=seed % 4 != 3)
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges())
+        h.add_edges_from(edges_of(g))
         kappa = vertex_connectivity(g)
         assert kappa == nx.node_connectivity(h)
         for k in range(kappa + 2):

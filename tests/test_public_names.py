@@ -2,7 +2,8 @@
 
 A public top-level function, class or constant of `src/cdspart` must be
 named somewhere in `src/` outside its own definition, in `README.md` or
-in `bench/`.  The package's `__init__` exports the README's API and the
+in `bench/`; so must a public member (method, property or class
+attribute) of a class there.  The package's `__init__` exports the README's API and the
 error types, and no re-export there counts as a use.
 """
 
@@ -66,6 +67,35 @@ def test_every_public_name_is_used_outside_the_tests():
         if not defined.startswith("_") and defined not in used
     ]
     assert len(modules) >= 9
+    assert unused == []
+
+
+def test_every_public_member_is_used_outside_the_tests():
+    """A method that only tests call is a tests-only name too.  Members are
+    matched by name alone, so one used elsewhere under the same name (an
+    attribute of another class, say) passes."""
+    modules = _modules()
+    used = set()
+    members = []
+    for name, tree in modules.items():
+        if name == "__init__.py":
+            continue
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                used.update(_named(node))
+                continue
+            for base in node.bases + node.decorator_list:
+                used.update(_named(base))
+            for item in node.body:
+                defined = set(_defined(item))
+                used.update(set(_named(item)) - defined)
+                members += [f"{name}:{node.name}.{d}" for d in defined]
+    used |= _words((ROOT / "README.md").read_text(encoding="utf-8"))
+    for path in sorted((ROOT / "bench").rglob("*.py")):
+        used |= _words(path.read_text(encoding="utf-8"))
+    methods = [m for m in members if not m.rpartition(".")[2].startswith("_")]
+    unused = [m for m in methods if m.rpartition(".")[2] not in used]
+    assert len(methods) >= 20
     assert unused == []
 
 
