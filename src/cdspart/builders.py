@@ -10,7 +10,7 @@ CDS partition.
 from __future__ import annotations
 
 from .flows import Path, make_induced, vertex_disjoint_paths
-from .graphs import Graph, GraphError, VertexSet, first_non_dominating, is_connected_subset
+from .graphs import Graph, GraphError, VertexSet, _subset, first_non_dominating, is_connected_subset
 from .models import BiconvexModel, ConvexModel, IntervalModel, interval_path_decomposition
 
 CdsFamily = tuple[VertexSet, ...]
@@ -158,12 +158,11 @@ def extend_to_partition(g: Graph, fam: CdsFamily) -> tuple[VertexSet, ...]:
 
     Every uncovered vertex is appended to the lowest-index set it is
     adjacent to (one exists since each set dominates); supersets of a CDS
-    stay connected and dominating, so the result is a CDS partition.
+    stay connected and dominating, so the result is a CDS partition.  An id
+    outside 0..n-1 raises `GraphError("bad-vertex")` before any set grows.
     """
-    sets = [set(s) for s in fam]
-    covered: set[int] = set()
-    for s in sets:
-        covered |= s
+    sets = [_subset(g, s) for s in fam]
+    covered = set().union(*sets)
     for v in range(g.n):
         if v in covered:
             continue

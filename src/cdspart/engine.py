@@ -26,8 +26,10 @@ lowest vertex id / lowest index, so runs are reproducible.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from .graphs import (
@@ -117,7 +119,7 @@ class _Emit(Exception):
 
 
 class PartitionState:
-    """Mutable bookkeeping for one placement run.
+    """Mutable bookkeeping for placement runs; `solve` keeps one for all rounds.
 
     Tracks the sets, placement and assignment maps, Over/Under status,
     per-set tree intersections and the attachment forest that certifies
@@ -147,7 +149,7 @@ class PartitionState:
         self.terminals = terminals
         self.demands = demands
         self.trees = trees
-        self.lead, *self.spares = trees
+        self.lead = next(iter(trees))
         self.tree_of = tree_of
         self.tree_adj = tree_adj
         self.trace = trace
@@ -164,12 +166,41 @@ class PartitionState:
         self.children: dict[int, int] = {}
         # set j -> (ti, heap, anchor), see `_growth_choice`
         self._frontiers: dict[int, tuple[int, list[int], set[int]]] = {}
+        self._log: list[int] = []  # non-terminal placements, which `retire` undoes
+        self._dirty: set[int] = set()  # sets touched since the last checkpoint
+        self._ones = sorted((i for i in terminals if demands[i] == 1), reverse=True)
+        # tree index -> its terminals' set indices, ascending; `strays` are on no tree
+        self.by_tree: dict[int, list[int]] = {ti: [] for ti in trees}
+        self.strays: list[int] = []
+        for i, c in terminals.items():
+            ti = tree_of.get(c)
+            (self.strays if ti is None else self.by_tree[ti]).append(i)
+            self.add(c, i, parent=None, _quiet=True)
+
+    spares = property(lambda self: islice(self.trees, 1, None))  # the trees after the lead
 
     # -- mutations --------------------------------------------------------
 
     def place_terminals(self) -> None:
-        for i, c in self.terminals.items():
-            self.add(c, i, parent=None)
+        """Emit the lowest-index set of demand 1, if any: a lookup, as the
+        terminals sit in their sets.  A trace still gets their `place` lines
+        up to that set, as if they were placed afresh in index order."""
+        ones = self._ones
+        while ones and ones[-1] not in self.terminals:
+            ones.pop()
+        if self.trace is not None:
+            for i, c in self.terminals.items():
+                self.trace.append(("place", c, i))
+                if ones and i == ones[-1]:
+                    break
+        if ones:
+            self._emit(ones[-1])
+
+    def _emit(self, i: int) -> None:
+        (only,) = self.hit_count[i]
+        if self.trace is not None:
+            self.trace.append(("emit", i, only))
+        raise _Emit(i, only)
 
     def add(self, v: int, i: int, parent: int | None, *, _quiet: bool = False) -> None:
         if v not in self.members or v in self.placed:
@@ -183,10 +214,12 @@ class PartitionState:
         s.add(v)
         self.placed[v] = i
         self.attach_parent[v] = parent
+        self._dirty.add(i)
         if parent is not None:
             if v not in self.graph.adj[parent] or self.placed.get(parent) != i:
                 raise EngineError("state-invariant", f"add: parent {parent} of {v} is off set {i}")
             self.children[parent] = self.children.get(parent, 0) + 1
+            self._log.append(v)
         ti = self.tree_of.get(v)
         if ti is not None:
             self.hit_count[i][ti] = self.hit_count[i].get(ti, 0) + 1
@@ -200,11 +233,9 @@ class PartitionState:
                     heapq.heappush(heap, w)
         if not _quiet and self.trace is not None:
             self.trace.append(("place", v, i))
-        if len(s) == self.demands[i] and len(self.hit_count[i]) == 1:
-            (only,) = self.hit_count[i]
-            if self.trace is not None:
-                self.trace.append(("emit", i, only))
-            raise _Emit(i, only)
+        # a terminal (no parent) emits in `place_terminals` instead
+        if parent is not None and len(s) == self.demands[i] and len(self.hit_count[i]) == 1:
+            self._emit(i)
 
     def remove(self, v: int, i: int) -> None:
         if self.placed.get(v) != i:
@@ -218,6 +249,7 @@ class PartitionState:
             self.children[parent] -= 1
         self.sets[i].discard(v)
         del self.placed[v]
+        self._dirty.add(i)
         ti = self.tree_of.get(v)
         if ti is not None:
             self.hit_count[i][ti] -= 1
@@ -230,6 +262,31 @@ class PartitionState:
                 frontier[2].discard(v)
                 if ti == frontier[0]:
                     heapq.heappush(frontier[1], v)
+
+    def retire(self, finished: Iterable[int], used: Iterable[int]) -> None:
+        """Undo all placements since the terminals' (each by `add`), check the whole
+        state before its last sets go, and take out finished sets and used trees."""
+        touched = {self.placed.pop(v) for v in self._log}
+        for v in self._log:
+            del self.attach_parent[v]
+        self._log, self.children = [], {}  # no vertex has a child left
+        self._dirty |= touched
+        for i in touched:
+            c = self.terminals[i]
+            self.sets[i], self.hit_count[i] = {c}, {self.tree_of[c]: 1}
+            self.t1_part[i] = self.sets[i] & self.trees[self.lead]
+        if len(finished) == len(self.terminals):
+            self.check_invariants("solve")
+        for i in finished:
+            c = self.terminals.pop(i)
+            del self.placed[c], self.attach_parent[c]
+            del self.sets[i], self.t1_part[i], self.status[i]
+            del self.vlabel_sets[i], self.tlabel[i], self.hit_count[i]
+        for ti in used:
+            for v in self.trees.pop(ti):
+                del self.tree_of[v], self.tree_adj[v]
+            self.strays += (i for i in self.by_tree.pop(ti) if i in self.terminals)
+        self.strays.sort()
 
     def steal(self, v: int, frm: int, to: int, parent: int) -> None:
         if self.trace is not None:
@@ -247,6 +304,7 @@ class PartitionState:
         if self.status[i] == "under" and status == "over":
             raise EngineError("under-monotonicity", f"set {i} left Under")
         self.status[i] = status
+        self._dirty.add(i)
 
     def set_tlabel(self, i: int, ti: int) -> None:
         if self.tlabel[i] is not None or ti in self.tlabel_owner:
@@ -291,9 +349,6 @@ class PartitionState:
     def deficit(self, i: int) -> int:
         return self.demands[i] - len(self.sets[i])
 
-    def needs_demotion(self, i: int) -> bool:
-        return self.status[i] == "over" and self.deficit(i) > len(self.vlabel_sets[i])
-
     def contains_whole_tree(self, i: int) -> bool:
         return any(
             self.hit_count[i].get(ti, 0) == len(self.trees[ti]) for ti in self.spares
@@ -301,10 +356,12 @@ class PartitionState:
 
     # -- invariant suite ---------------------------------------------------
 
-    def check_invariants(self, where: str = "") -> None:
-        """Full state-invariant suite; raises EngineError on any violation."""
+    def check_invariants(self, where: str = "", sets: Iterable[int] | None = None) -> None:
+        """State-invariant suite; raises EngineError on any violation.  With
+        `sets`, only the rules on those sets and their vertices run."""
         seen: set[int] = set()
-        for i, s in self.sets.items():
+        for i in self.sets if sets is None else sets:
+            s = self.sets[i]
             if s & seen:
                 raise EngineError("state-invariant", f"{where}: sets overlap at {i}")
             seen |= s
@@ -317,14 +374,17 @@ class PartitionState:
             for ti, cnt in self.hit_count[i].items():
                 if cnt != len(s & self.trees[ti]):
                     raise EngineError("state-invariant", f"{where}: hit count wrong on {i}")
+            for v in s:
+                if self.placed.get(v) != i:
+                    raise EngineError("state-invariant", f"{where}: placement map stale at {v}")
+                p = self.attach_parent.get(v)
+                if p is not None and (self.placed.get(p) != i or v not in self.graph.adj[p]):
+                    raise EngineError("state-invariant", f"{where}: bad attachment of {v}")
+        if sets is not None:
+            return
         for v, i in self.placed.items():
             if v not in self.sets[i]:
                 raise EngineError("state-invariant", f"{where}: placement map stale at {v}")
-            parent = self.attach_parent.get(v)
-            if parent is not None and (
-                self.placed.get(parent) != i or v not in self.graph.adj[parent]
-            ):
-                raise EngineError("state-invariant", f"{where}: bad attachment of {v}")
         owners = [ti for ti in self.tlabel.values() if ti is not None]
         if len(owners) != len(set(owners)):
             raise EngineError("state-invariant", f"{where}: tlabel not injective")
@@ -344,92 +404,80 @@ class PartitionState:
     checkpoints_run = 0
 
     def checkpoint(self, where: str) -> None:
+        # re-check the sets touched since the last one; all, once classified (labels span sets)
         PartitionState.checkpoints_run += 1
-        self.check_invariants(where)
+        dirty, self._dirty = self._dirty & self.sets.keys(), set()  # less retired sets
+        self.check_invariants(where, None if any(self.status[i] for i in dirty) else dirty)
 
 
 def categorize_trees(state: PartitionState) -> dict[int, list[int]]:
-    """Put every terminal of a fresh round state on a tree, then index
-    terminals by tree.
+    """Put the strays, the terminals on no tree (at the state's start, or
+    left by a retired tree), on the lead tree; return `state.by_tree`.
 
-    A stray terminal joins the lead tree (the lowest remaining index; every
-    tree dominates every vertex, so an attachment edge always exists) in
-    place, under its lowest neighbour there, keeping it a dominating tree,
-    and is entered in the shared `tree_of` and `tree_adj`; strays join in
-    terminal order.
-    Returns by_tree, mapping each tree index, in the order of
-    `state.trees`, to the indices of the terminals on that tree, ascending.
+    Only strays are visited.  Each joins the lead tree (the lowest remaining
+    index; every tree dominates every vertex, so an attachment edge always
+    exists) in place, under its lowest neighbour there, keeping it a
+    dominating tree, and enters the shared `tree_of` and `tree_adj`; strays
+    join in terminal order.  by_tree maps each tree index, in the order of
+    `state.trees`, to the indices of the terminals on it, ascending.
     """
-    lead = state.lead
-    host, adj = state.trees[lead], state.tree_adj
-    by_tree: dict[int, list[int]] = {ti: [] for ti in state.trees}
-    for i, c in state.terminals.items():
-        ti = state.tree_of.get(c)
-        if ti is None:
-            witness_pool = state.graph.adj[c] & host
-            if not witness_pool:
-                raise EngineError("invalid-cds-input", f"tree {lead} does not dominate {c}")
-            w = min(witness_pool)
-            host.add(c)
-            adj[c] = (w,)
-            adj[w] = tuple(sorted((*adj[w], c)))
-            state.tree_of[c] = ti = lead
-        by_tree[ti].append(i)
+    lead = state.lead = next(iter(state.trees))
+    host, adj, by_tree, strays = state.trees[lead], state.tree_adj, state.by_tree, state.strays
+    order = sorted(host)  # the lead ascending; each stray enters on joining
+    for i in strays:
+        c = state.terminals[i]
+        w = next(filter(state.graph.adj[c].__contains__, order), None)
+        if w is None:
+            raise EngineError("invalid-cds-input", f"tree {lead} does not dominate {c}")
+        insort(order, c)
+        host.add(c)
+        adj[c] = (w,)
+        adj[w] = tuple(sorted((*adj[w], c)))
+        state.tree_of[c] = lead
+        state.hit_count[i] = {lead: 1}  # the terminal's set touches the lead now
+    by_tree[lead] = sorted(by_tree[lead] + strays)
+    strays.clear()
+    for i in by_tree[lead]:  # a retired lead's successor, or strays, may be new to it
+        state.t1_part[i].add(state.terminals[i])
     return by_tree
 
 
 # -- single-tree case ------------------------------------------------------
 
 
-def _bfs_place_tree(state: PartitionState, ti: int, roots: list[int]) -> None:
-    """Spread one tree over the sets of its terminals `roots`, tree edges only."""
-    queue = deque(roots)
-    while queue:
-        x = queue.popleft()
-        home = state.placed[x]
-        for y in state.tree_adj[x]:
-            if y not in state.placed:
-                state.add(y, home, parent=x)
-                queue.append(y)
-
-
 def _attach(state: PartitionState, v: int, what: str) -> None:
     """Add v to the lowest-index non-full set it neighbours, under its
     lowest neighbour there; `what` names v in the error."""
     nbrs = state.graph.adj[v]
-    target = next(
-        (i for i, s in state.sets.items() if not state.full(i) and nbrs & s),
-        None,
-    )
+    target = next((i for i, s in state.sets.items() if not state.full(i) and nbrs & s), None)
     if target is None:
         raise EngineError("state-invariant", f"{what} {v} touches no open set")
     state.add(v, target, parent=min(nbrs & state.sets[target]))
 
 
-def _place_non_tree(state: PartitionState) -> None:
-    """Place every vertex lying on no tree into an adjacent non-full set."""
-    for v in sorted(state.members.difference(state.tree_of, state.placed)):
-        _attach(state, v, "non-tree vertex")
-
-
 def add_trees(state: PartitionState) -> None:
-    """Step 1: spread every terminal-bearing tree, then place all non-tree
-    vertices.
+    """Step 1: spread every terminal-bearing tree over its terminals' sets
+    by tree edges, then place each vertex on no tree, ascending, in an
+    adjacent non-full set.
 
     Trees are spread in ascending index, each BFS rooted at the tree's
     terminals in ascending id.  In the single-tree case only the lead tree
     bears terminals.
     """
-    roots: dict[int, list[int]] = {}
-    for c in sorted(state.terminals.values()):
-        roots.setdefault(state.tree_of[c], []).append(c)
-    for ti in sorted(roots):
-        _bfs_place_tree(state, ti, roots[ti])
-    _place_non_tree(state)
+    for on in filter(None, state.by_tree.values()):
+        queue = deque(sorted(state.terminals[i] for i in on))
+        while queue:
+            x = queue.popleft()
+            for y in state.tree_adj[x]:
+                if y not in state.placed:
+                    state.add(y, state.placed[x], parent=x)
+                    queue.append(y)
+    for v in sorted(state.members.difference(state.tree_of, state.placed)):
+        _attach(state, v, "non-tree vertex")
 
 
 def _place(state: PartitionState) -> None:
-    """Place the terminals, then spread the trees, checking both steps."""
+    """Emit a demand-1 set, else spread the trees, checking both steps."""
     state.place_terminals()
     state.checkpoint("init")
     add_trees(state)
@@ -467,7 +515,7 @@ def _grow_from_tree(state: PartitionState, j: int, ti: int) -> bool:
         if state.status[s] != "over":
             raise EngineError("state-invariant", f"unplaced {v} is assigned to non-Over set {s}")
         state.add(v, j, parent)
-        if state.needs_demotion(s):
+        if state.deficit(s) > len(state.vlabel_sets[s]):  # s is Over: its surplus is gone
             state.classify(s, "under")
             _absorb_and_label(state, [s])
             return True
@@ -653,13 +701,14 @@ def solve(
     """Full pipeline: k disjoint dominating trees to a complete partition,
     returned as its k blocks, block i holding terminal i.
 
-    This is the only solve entry point.  Each round normalizes terminals
-    onto trees, then places them and spreads the terminal-bearing trees
-    (emitting a set that fills while touching a single tree, the one
-    emission rule), picks a tree group able to cover its terminals'
-    demands, runs the single-tree case on the group's union (inflating the
-    first demand to absorb slack, trimmed off afterwards), retires the
-    finished blocks and their trees and goes on with what is left.
+    This is the only solve entry point.  One state serves every round.
+    A round puts stray terminals on the lead tree, emits the lowest demand-1
+    set or spreads the terminal-bearing trees (emitting a set that fills
+    while touching a single tree, the one emission rule), else picks a tree
+    group able to cover its terminals' demands and runs the single-tree
+    case on the group's union in a fresh state (inflating the first demand
+    to absorb slack, trimmed off afterwards).  Retiring the finished blocks
+    undoes the round's placements, so a round costs what it changes.
 
     Tree count: `trees` must hold at least `instance.k` trees, else
     EngineError("too-few-trees") is raised before any work.  All trees
@@ -667,11 +716,8 @@ def solve(
     """
     g = instance.graph
     if len(trees) < instance.k:
-        raise EngineError(
-            "too-few-trees", f"{len(trees)} trees for {instance.k} terminals"
-        )
+        raise EngineError("too-few-trees", f"{len(trees)} trees for {instance.k} terminals")
     validate_cds_input(g, trees)
-    members = set(range(g.n))  # `retire` shrinks it once a round's state is done
     # Retire certificate: each tree's vertex set as validated above, which
     # dominates all of V.  Rounds only ever add vertices to a tree, and a
     # superset of it dominates whatever is left, so retire checks inclusion.
@@ -682,35 +728,32 @@ def solve(
     tree_sets = {ti: set(vs) for ti, vs in enumerate(validated)}
     tree_of = {v: ti for ti, tree in tree_sets.items() for v in tree}
     tree_adj = {v: nbrs for t in trees[: instance.k] for v, nbrs in t.adjacency().items()}
-    terminals = dict(enumerate(instance.terminals))  # the unfinished blocks
+    # `retire` shrinks the state's members and terminals (the unfinished blocks)
+    state = PartitionState(
+        g, set(range(g.n)), dict(enumerate(instance.terminals)), instance.demands,
+        tree_sets, tree_of, tree_adj, trace=trace,
+    )
+    members, terminals = state.members, state.terminals
     blocks_out: dict[int, VertexSet] = {}
 
     def retire(finished: dict[int, VertexSet], used: list[int]) -> None:
         if not finished:
             raise EngineError("no-progress", "a round finished no block")
+        # the changed trees: the lead (strays grow it), the used ones and any a block touches
+        changed = {state.lead, *used}
         for i, block in finished.items():
             blocks_out[i] = block
             members.difference_update(block)
-            del terminals[i]
-        for ti in used:
-            for v in tree_sets.pop(ti):
-                del tree_of[v], tree_adj[v]
-        seen: set[int] = set()
-        for ti, tree in tree_sets.items():
-            if not tree <= members or tree & seen:
-                raise EngineError(
-                    "state-invariant", f"retire: tree {ti} lost a vertex or overlaps"
-                )
+            changed.update(tree_of[v] for v in block if v in tree_of)
+        for ti in sorted(changed):
+            tree = tree_sets[ti]
+            if ti not in used and not (tree <= members and all(tree_of[v] == ti for v in tree)):
+                raise EngineError("state-invariant", f"retire: tree {ti} lost a vertex or overlaps")
             if not validated[ti] <= tree:
-                raise EngineError(
-                    "state-invariant", f"retire: tree {ti} lost a validated vertex"
-                )
-            seen |= tree
+                raise EngineError("state-invariant", f"retire: tree {ti} lost a validated vertex")
+        state.retire(finished, used)
 
     while terminals:
-        state = PartitionState(
-            g, members, terminals, instance.demands, tree_sets, tree_of, tree_adj, trace=trace
-        )
         by_tree = categorize_trees(state)
         try:
             _place(state)
@@ -720,26 +763,14 @@ def solve(
         lead, group, extras, gprime = _choose_group(state, by_tree)
         first = group[0]
         demands = {i: instance.demands[i] for i in group}
-        delta = len(gprime) - sum(demands.values())
-        if delta < 0:
-            raise EngineError("state-invariant", "chosen group is short of vertices")
+        delta = len(gprime) - sum(demands.values())  # >= 0, as `_choose_group` checks
         demands[first] += delta
-        finished, used = _run_single_tree(
-            PartitionState(
-                g,
-                frozenset(gprime),
-                {i: terminals[i] for i in group},
-                demands,
-                {ti: tree_sets[ti] for ti in (lead, *extras)},
-                tree_of,
-                tree_adj,
-                trace=trace,
-            )
-        )
+        finished, used = _run_single_tree(PartitionState(
+            g, frozenset(gprime), {i: terminals[i] for i in group}, demands,
+            {ti: tree_sets[ti] for ti in (lead, *extras)}, tree_of, tree_adj, trace=trace,
+        ))
         if delta > 0 and first in finished:
-            finished[first] = _trim_block(
-                g, finished[first], terminals[first], instance.demands[first]
-            )
+            finished[first] = _trim_block(g, finished[first], terminals[first], instance.demands[first])
         retire(finished, used)
     if members:
         raise EngineError("state-invariant", f"{len(members)} vertices left unassigned")

@@ -22,6 +22,7 @@ from cdspart.generators import (
 )
 from cdspart.graphs import (
     DominatingTree,
+    Graph,
     GraphError,
     dominates,
     is_connected_subset,
@@ -310,6 +311,13 @@ class TestExtendToPartition:
         g = graph_of(4, [(0, 1), (2, 3)])
         with pytest.raises(BuilderError, match="not-dominating"):
             extend_to_partition(g, (frozenset({0}),))
+
+    @pytest.mark.parametrize("bad,named", [({-1, 0}, -1), ({0, 3}, 3)])
+    def test_id_outside_the_graph_is_refused(self, bad, named):
+        # refused before any set grows, as `spanning_tree` and the flows do
+        triangle = Graph([[1, 2], [0, 2], [0, 1]])
+        with pytest.raises(GraphError, match=f"bad-vertex: {named} is not in 0..2"):
+            extend_to_partition(triangle, [frozenset(bad)])
 
 
 class TestValidateFamily:

@@ -897,6 +897,7 @@ class TestSolveCost:
             adjacencies.append(self.tree_adj)
 
         def checked_categorize(state):
+            counts["rounds"] += 1
             for ti, tree in last.items():
                 if ti not in state.trees:
                     assert tree.isdisjoint(state.tree_adj)
@@ -921,12 +922,72 @@ class TestSolveCost:
         monkeypatch.setattr(PartitionState, "__init__", recorded_init)
         monkeypatch.setattr(eng_module, "categorize_trees", checked_categorize)
         p = solve(inst, trees)
-        assert len(indexes) > k // 2 and all(t is indexes[0] for t in indexes)
+        # one state serves every round; group runs build their own
+        assert counts["rounds"] > k // 2 and all(t is indexes[0] for t in indexes)
         assert all(a is adjacencies[0] for a in adjacencies)
         assert counts["kept"] > 0 and counts["retired"] > 0, counts
         assert counts["rows left"] > 0, counts
         monkeypatch.undo()
         assert verify_gl(inst, p).ok
+
+    def test_adds_per_vertex_stay_flat_at_k_n_over_4(self, monkeypatch):
+        # counts, not time: each terminal is placed once per solve, and a
+        # round places only what its spread reaches.  The spread, redone
+        # after each emission, still grows with n: 2.4, 3.9 and 4.2 adds
+        # per vertex at n = 200, 400 and 800.
+        add = PartitionState.add
+        calls = Counter()
+
+        def counted_add(self, *args, **kwargs):
+            calls[self.graph.n] += 1
+            return add(self, *args, **kwargs)
+
+        monkeypatch.setattr(PartitionState, "add", counted_add)
+        for n in (200, 400, 800):
+            g, trees = gen_planted_cds(n, n // 4, n // 4, 1)
+            terminals, demands = gen_gl_extension(n, n // 4, seed=1 ^ 0xF00D)
+            inst = GLInstance(graph=g, terminals=terminals, demands=demands)
+            assert verify_gl(inst, solve(inst, trees)).ok
+        per_vertex = {n: c / n for n, c in calls.items()}
+        assert max(per_vertex.values()) < 5, per_vertex
+        assert per_vertex[800] <= 1.8 * per_vertex[200], per_vertex
+
+
+class TestCheckpoints:
+    """A checkpoint re-checks the sets touched since the last one; `solve`
+    ends with the whole suite."""
+
+    def test_set_touched_by_add_is_rechecked(self):
+        state = k4_state()
+        state.checkpoint("init")  # every set is new, so all are checked
+        state.hit_count[1][0] = 2  # corrupt set 1, which nothing touches after
+        state.checkpoint("untouched")
+        state.add(2, 0, parent=0)
+        state.hit_count[0][1] = 2  # corrupt set 0, which the add touched
+        with pytest.raises(EngineError, match="state-invariant: touched: hit count wrong on 0"):
+            state.checkpoint("touched")
+        state.hit_count[0][1] = 1
+        with pytest.raises(EngineError, match="state-invariant: full: hit count wrong on 1"):
+            state.check_invariants("full")
+
+    def test_untouched_set_is_caught_by_the_final_check(self, monkeypatch):
+        # one round, which picks the group of both terminals: no placement
+        # reaches set 1 of the round's state, so only the full check that
+        # ends the solve sees it corrupted (the group runs in its own state)
+        add_trees = eng_module.add_trees
+        states = []
+
+        def corrupting(state):
+            add_trees(state)
+            if not states:
+                state.hit_count[1][0] = 2
+            states.append(state)
+
+        monkeypatch.setattr(eng_module, "add_trees", corrupting)
+        inst = GLInstance(graph=K4, terminals=(0, 1), demands=(2, 2))
+        with pytest.raises(EngineError, match="state-invariant: solve: hit count wrong on 1"):
+            solve(inst, k4_trees())
+        assert len(states) == 2 and states[0] is not states[1]
 
 
 class TestMergedPaths:
