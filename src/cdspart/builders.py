@@ -21,7 +21,7 @@ class BuilderError(GraphError):
 
 
 class InsufficientConnectivity(BuilderError):
-    """The model's connectivity (or disjoint backbone count) is below k."""
+    """The model's connectivity is below k; `achieved` is an upper bound on it."""
 
     def __init__(self, wanted: int, achieved: int):
         super().__init__(
@@ -99,31 +99,43 @@ def backbones(m: ConvexModel, g: Graph, k: int) -> tuple[Path, ...]:
 def cds_biconvex(m: BiconvexModel, k: int) -> CdsFamily:
     """k disjoint CDSs of a k-connected biconvex graph.
 
-    Starts from the induced backbones with their endpoints stripped; each
-    contains at most one neighbor of b_1 and at most one of b_nb, and
-    already dominates the A side.  For any backbone missing a neighbor of
-    b_1 (resp. b_nb), adds one unused vertex from N(b_1) (resp. N(b_nb));
-    availability follows from the one-neighbor bound per backbone plus
-    minimum degree >= k.
+    D1 = N(b_1) and Dn = N(b_nb) hold at least kappa >= k vertices, else
+    `InsufficientConnectivity` gets the smaller size.  Each set starts as an
+    induced backbone a_1..a_na less its ends: its B-windows chain over A, so
+    an A-vertex added joins it, and it is a CDS once it meets D1 and Dn.  It
+    holds at most one D1-vertex (of two, the one with the larger window, both
+    starting at b_1, would see both path neighbours of the other), so (*) no
+    more sets miss D1 than D1 has free vertices; likewise Dn.  Let X, Y, Z be
+    the free vertices of D1 - Dn, Dn - D1, D1 & Dn (seen by every B-vertex),
+    and c1, cn, a the counts of sets missing only D1, only Dn, both.  If
+    c1 > |X| and cn > |Y|, p = min(c1 - |X|, cn - |Y|) sets missing only D1
+    take the D1-vertex of sets missing only Dn, which then need Z to join
+    again.  Lowest ids first, the rest missing D1 (Dn) take X (Y), else Z;
+    those missing both take X and Y while both last, else Z.  Z then gives
+    max(0, a + c1 - |X|, a + cn - |Y|) <= |Z| by (*): pairing leaves X and Y
+    to one-sided sets, and the sets missing both pair until one runs out.
     """
     g = m.graph
+    d1, dn = g.adj[m.b_id(0)], g.adj[m.b_id(m.nb - 1)]
+    if min(len(d1), len(dn)) < k:
+        raise InsufficientConnectivity(k, min(len(d1), len(dn)))
     sets = [set(p[1:-1]) for p in backbones(m, g, k)]
-    used: set[int] = set()
+    free = set(range(m.na)).difference(*sets)
+    xs, ys, zs = (sorted(f, reverse=True) for f in (free & d1 - dn, free & dn - d1, free & d1 & dn))
+    miss1 = [s for s in sets if s & dn and not s & d1]
+    missn = [s for s in sets if s & d1 and not s & dn]
+    p = max(0, min(len(miss1) - len(xs), len(missn) - len(ys)))
+    for s, hollow in zip(miss1[:p], missn[:p]):
+        s.update(hollow & d1)
+        hollow -= d1
+        hollow.add(zs.pop())
+    for s in miss1[p:]:
+        s.add((xs or zs).pop())
+    for s in missn[p:]:
+        s.add((ys or zs).pop())
     for s in sets:
-        used |= s
-    first_b = m.b_id(0)
-    last_b = m.b_id(m.nb - 1)
-    for s in sets:
-        for b in (first_b, last_b):
-            watchers = g.adj[b]
-            if not (s & watchers):
-                free = sorted(watchers - used)
-                if not free:
-                    raise BuilderError(
-                        "augmentation-exhausted", f"no unused neighbor of vertex {b}"
-                    )
-                s.add(free[0])
-                used.add(free[0])
+        if s.isdisjoint(d1 | dn):
+            s.update((xs.pop(), ys.pop()) if xs and ys else (zs.pop(),))
     out = tuple(frozenset(s) for s in sets)
     validate_family(g, out)
     return out
@@ -139,12 +151,8 @@ def cds_convex(m: ConvexModel, k: int) -> CdsFamily:
     """
     g = m.graph
     paths = backbones(m, g, k)
-    on_paths: set[int] = set()
-    for p in paths:
-        on_paths |= set(p)
     sets = [set(p[1:-1]) for p in paths]
-    leftover = [a for a in range(m.na) if a not in on_paths]
-    for pos, a in enumerate(leftover):
+    for pos, a in enumerate(sorted(set(range(m.na)).difference(*paths))):
         sets[pos % k].add(a)
     sets[0].add(m.a_id(0))
     sets[0].add(m.a_id(m.na - 1))
@@ -162,10 +170,7 @@ def extend_to_partition(g: Graph, fam: CdsFamily) -> tuple[VertexSet, ...]:
     outside 0..n-1 raises `GraphError("bad-vertex")` before any set grows.
     """
     sets = [_subset(g, s) for s in fam]
-    covered = set().union(*sets)
-    for v in range(g.n):
-        if v in covered:
-            continue
+    for v in sorted(set(range(g.n)).difference(*sets)):
         nbrs = g.adj[v]
         for s in sets:
             if nbrs & s:

@@ -175,24 +175,17 @@ class PartitionState:
         for i, c in terminals.items():
             ti = tree_of.get(c)
             (self.strays if ti is None else self.by_tree[ti]).append(i)
-            self.add(c, i, parent=None, _quiet=True)
+            self.add(c, i, parent=None)
 
     spares = property(lambda self: islice(self.trees, 1, None))  # the trees after the lead
 
     # -- mutations --------------------------------------------------------
 
     def place_terminals(self) -> None:
-        """Emit the lowest-index set of demand 1, if any: a lookup, as the
-        terminals sit in their sets.  A trace still gets their `place` lines
-        up to that set, as if they were placed afresh in index order."""
+        """Emit the lowest-index set of demand 1, if any: a lookup, as terminals never move."""
         ones = self._ones
         while ones and ones[-1] not in self.terminals:
             ones.pop()
-        if self.trace is not None:
-            for i, c in self.terminals.items():
-                self.trace.append(("place", c, i))
-                if ones and i == ones[-1]:
-                    break
         if ones:
             self._emit(ones[-1])
 
@@ -202,7 +195,7 @@ class PartitionState:
             self.trace.append(("emit", i, only))
         raise _Emit(i, only)
 
-    def add(self, v: int, i: int, parent: int | None, *, _quiet: bool = False) -> None:
+    def add(self, v: int, i: int, parent: int | None) -> None:
         if v not in self.members or v in self.placed:
             raise EngineError("state-invariant", f"add: {v} is not an unplaced member")
         s = self.sets[i]
@@ -231,7 +224,7 @@ class PartitionState:
                 anchor.add(v)
                 for w in self.graph.adj[v] & self.trees[grow_ti]:
                     heapq.heappush(heap, w)
-        if not _quiet and self.trace is not None:
+        if self.trace is not None:
             self.trace.append(("place", v, i))
         # a terminal (no parent) emits in `place_terminals` instead
         if parent is not None and len(s) == self.demands[i] and len(self.hit_count[i]) == 1:
@@ -266,6 +259,8 @@ class PartitionState:
     def retire(self, finished: Iterable[int], used: Iterable[int]) -> None:
         """Undo all placements since the terminals' (each by `add`), check the whole
         state before its last sets go, and take out finished sets and used trees."""
+        if self.trace is not None:
+            self.trace.append(("round",))
         touched = {self.placed.pop(v) for v in self._log}
         for v in self._log:
             del self.attach_parent[v]
@@ -292,7 +287,7 @@ class PartitionState:
         if self.trace is not None:
             self.trace.append(("steal", v, frm, to))
         self.remove(v, frm)
-        self.add(v, to, parent, _quiet=True)
+        self.add(v, to, parent)
 
     def assign_vlabel(self, v: int, i: int) -> None:
         if v in self.placed or v in self.vlabel_of:

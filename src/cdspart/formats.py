@@ -554,5 +554,5 @@ def write_partition(blocks: Sequence[Iterable[int]]) -> str:
 def write_trace(events: Sequence[TraceEvent]) -> str:
     """One line per event: its kind upper-cased, then its fields 1-based."""
     return "".join(
-        f"{ev[0].upper()} {' '.join(str(x + 1) for x in ev[1:])}\n" for ev in events
+        " ".join((ev[0].upper(), *(str(x + 1) for x in ev[1:]))) + "\n" for ev in events
     )

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import cdspart.builders as builders_module
+import window_sweep
 from cdspart.builders import (
     BuilderError,
     InsufficientConnectivity,
@@ -240,6 +242,37 @@ class TestCdsBiconvex:
         m = BiconvexModel(na=3, nb=2, windows=((0, 1), (1, 2)))
         with pytest.raises(InsufficientConnectivity):
             cds_biconvex(m, 2)
+
+    def test_end_b_vertex_degree_bounds_k(self):
+        # two backbones a_1 b_j a_3, but b_1 sees a_1 alone
+        m = BiconvexModel(na=3, nb=3, windows=((0, 0), (0, 2), (0, 2)))
+        assert len(backbones(m, m.graph, 2)) == 2
+        with pytest.raises(InsufficientConnectivity) as exc:
+            cds_biconvex(m, 2)
+        assert (exc.value.wanted, exc.value.achieved) == (2, 1)
+
+    def test_one_sided_backbones_trade_their_end_vertex(self, monkeypatch):
+        # every B-window holds a_4 (id 3), the one vertex of N(b_1) & N(b_nb).
+        # The first backbone meets only N(b_nb) (at id 4), the second only
+        # N(b_1) (at id 2), and a_4 is the one free vertex of either: the
+        # first takes id 2 from the second, which takes a_4.
+        windows = ((2, 3), (0, 3), (0, 3), (1, 5), (1, 5), (3, 6), (3, 6), (3, 4))
+        m = BiconvexModel(na=7, nb=8, windows=windows)
+        assert vertex_connectivity(m.graph) == 2
+        paths = ((0, 9, 1, 11, 4, 12, 6), (0, 8, 2, 10, 5, 13, 6))
+        monkeypatch.setattr(builders_module, "backbones", lambda m, g, k: paths)
+        fam = cds_biconvex(m, 2)
+        assert fam == (frozenset({9, 1, 11, 4, 12, 2}), frozenset({8, 10, 5, 13, 3}))
+        assert verify_cds_family(m.graph, fam).ok
+
+
+def test_every_small_window_model():
+    # tests/window_sweep.py at na, nb <= 5: biconvex succeeds at every
+    # k <= kappa and refuses kappa + 1; convex returns a verified family or a
+    # BuilderError, and succeeds wherever 4k <= kappa
+    counts, broken = window_sweep.sweep(5)
+    assert broken == []
+    assert (counts["biconvex"]["models"], counts["convex"]["models"]) == (4988, 9298)
 
 
 class TestCdsConvex:

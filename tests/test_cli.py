@@ -561,6 +561,19 @@ class TestCds:
                      "-o", str(tmp_path / "m.cdsp")]) == 0
         assert len(derived) == 1
 
+    def test_biconvex_at_its_connectivity(self, tmp_path, capsys):
+        # windows a1..a2, a1..a3, a1..a3, a2..a3: kappa = 2; the sets
+        # {a1, a3, b2} and {a2, b3}, extended, take b1 and b4 into the first
+        model = tmp_path / "m.biconvex"
+        edges = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3), (2, 4), (3, 4)]
+        model.write_text("p biconvex 3 4 10\n" + "".join(f"e {a} {b}\n" for a, b in edges))
+        cdsf = tmp_path / "m.cdsp"
+        assert run(capsys, "connectivity", str(model)) == (0, "2\n")
+        assert run(capsys, "cds", "--class", "biconvex", "-k", "2", str(model), "-o", str(cdsf)) == (
+            0, f"wrote {cdsf}\n")
+        assert cdsf.read_text().splitlines()[1:] == ["s 1 1 3 4 5 7", "s 2 2 6"]
+        assert run(capsys, "verify", "--what", "cds", str(model), str(cdsf)) == (0, "OK\n")
+
     @pytest.mark.parametrize("klass", ["biconvex", "convex"])
     def test_one_a_vertex(self, tmp_path, capsys, klass):
         # {a_1} is a CDS and connectivity reads 1, so k = 1 is admissible

@@ -694,7 +694,8 @@ class TestEmissionRule:
     """A set emits when it fills while touching exactly one tree, and only then."""
 
     def test_set_filling_on_one_tree_emits(self):
-        # sets and trees keep their input indices, in the signal and the trace
+        # sets and trees keep their input indices, in the signal and the trace;
+        # the state writes its terminals' lines once, when it is built
         trace = []
         trees = dict(zip((3, 4), k4_trees()))
         state = make_state(K4, trees, {5: 0, 7: 2}, {5: 2, 7: 2}, trace=trace)
@@ -702,7 +703,7 @@ class TestEmissionRule:
         with pytest.raises(eng_module._Emit) as exc:
             state.add(1, 5, parent=0)  # set 5 = {0, 1}: all of tree 3
         assert (exc.value.set_index, exc.value.tree_index) == (5, 3)
-        assert trace[-3:] == [("place", 2, 7), ("place", 1, 5), ("emit", 5, 3)]
+        assert trace == [("place", 0, 5), ("place", 2, 7), ("place", 1, 5), ("emit", 5, 3)]
 
     def test_tight_family_does_not_emit(self):
         # two sets that each straddle both trees fill up: together they hit

@@ -293,8 +293,8 @@ class TestBuildCdsInput:
 
 
 def test_trace_rendering():
-    events = [("place", 4, 0), ("steal", 2, 1, 0), ("emit", 0, 2)]
-    assert write_trace(events) == "PLACE 5 1\nSTEAL 3 2 1\nEMIT 1 3\n"
+    events = [("place", 4, 0), ("steal", 2, 1, 0), ("emit", 0, 2), ("round",)]
+    assert write_trace(events) == "PLACE 5 1\nSTEAL 3 2 1\nEMIT 1 3\nROUND\n"
 
 
 def _outcome(parse, *args):

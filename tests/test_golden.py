@@ -1,9 +1,12 @@
 """Golden outputs: the partition and trace bytes of fixed seeded solves.
 
-Each digest is the sha256 of a partition file followed by its trace file,
-as `cdspart partition --trace` writes them, or, for a chain that stops at
-`cds`, of the CDS file, or of each file `cdspart gen` writes.  A refactor must leave every digest unchanged; a
-deliberate change of output updates them.
+A solve is pinned by two digests, the sha256 of its partition files and
+the sha256 of its trace files, as `cdspart partition --trace` writes
+them, so a change of the trace format re-pins trace digests alone and
+cannot hide a change of partition.  A chain that stops at `cds` is pinned
+by the digest of its CDS file, and `cdspart gen` by that of each file it
+writes.  A refactor must leave every digest unchanged; a deliberate
+change of output updates them.
 """
 
 import hashlib
@@ -12,13 +15,14 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import cdspart.engine as eng_module
 from cdspart.cli import main
-from cdspart.engine import GLInstance, solve
+from cdspart.engine import GLInstance, PartitionState, solve
 from cdspart.formats import write_partition, write_trace
 from cdspart.generators import gen_gl_extension, gen_planted_cds
 
@@ -28,22 +32,35 @@ from cdspart.generators import gen_gl_extension, gen_planted_cds
 # tests/test_engine.py, TestMergedPaths).
 PINNED = [(44, 21, 13, 553), (60, 29, 4, 110), (142, 19, 18, 18)]
 
+# (partition digest, trace digest) per instance
 SOLVE_DIGESTS = {
-    (44, 21, 13, 553): "caf0384d2782cd7d972569136dd3a1f2eea7ede77faadad8bb02190cf43acfec",
-    (60, 29, 4, 110): "a1e08017b83309dfd8e63085a0ece29d99e5135742e7c2627491b02e5b0a791d",
-    (142, 19, 18, 18): "7c834615c49f37ce3b27cbbfc8cddd8b1e76b8fc7e5e8a3db40c384a3d1be20e",
+    (44, 21, 13, 553): (
+        "032c9a3387b6eb97d3110f781f06693925e2066ae07cf3667d4bd07cfd84426a",
+        "9e540b2332736303ace8ba247ad0a36980490e19fd8ccd91c6e3b37dacf30cd6",
+    ),
+    (60, 29, 4, 110): (
+        "932b522afbb968a933e1727a4200a2e679d7b0d84578b67675377879bfbe1c19",
+        "aff3b841498d7257d1d0213a5c82d8027b17a1b8035ecd135f9440bdc10cc339",
+    ),
+    (142, 19, 18, 18): (
+        "92da2079c0149534341416edfde8f88d653ff824bffb4d2881f92806640aa254",
+        "1f575f5d1f40de9fc29d9fb2ac2a895e8133bea059ecbc8db03513a4d8c603ba",
+    ),
 }
 
 # The stray-churn corpus, built like PINNED: at k = n/4 most rounds retire
 # tree 0, and the stray terminals of each retired tree join the next tree 0
-# in place.  One digest covers every solve's partition and trace in order.
+# in place.  One pair of digests covers every solve, in order.
 CHURN = [(n, n // 4, n // 4, seed) for n in (40, 80, 120, 200) for seed in range(10)]
-CHURN_DIGEST = "c56436317634891c995af789b01d59482a6df5f51443fb4ac6c6703f902e7731"
+CHURN_DIGESTS = (
+    "ab64a7e7f5a15dd56b7e19b2a124bbc1ab19798543727ae8f11210c7fbc6870d",
+    "9b3af3ceeaed0895c21c712977fd6fce5dc3eb864db2252c28144dba1b9d8744",
+)
 CHURN_STRAYS = 6361  # terminals on no tree when their round begins
 
 # A seeded corpus of 600 planted solves with n <= 120, built like PINNED:
 # odd entries draw k up to n/4 (many rounds, stray churn), even ones at
-# most 4 trees (long single-tree runs).  One digest covers them all.
+# most 4 trees (long single-tree runs).  One pair of digests covers them all.
 def corpus(size=600):
     rng = random.Random(600)
     instances = []
@@ -54,7 +71,10 @@ def corpus(size=600):
     return instances
 
 
-CORPUS_DIGEST = "8206f5848d5e0c8c1b1c8ec0c8fe7c1f234453e29e718c73366c5e58f3a028f0"
+CORPUS_DIGESTS = (
+    "8d4308cb7a7fd05fbe442573eaa6327a7ac342166d5f421f5b60703670ed8c13",
+    "314f13d8af2aa617e28232ca4139b0b56435724c4c140b944b29bac33310a537",
+)
 
 # gen arguments and `cds -k` (None: the planted trees)
 CHAINS = {
@@ -64,9 +84,18 @@ CHAINS = {
 }
 
 CHAIN_DIGESTS = {
-    "planted": "03db182188d492d1a98611b6d272c3fafe67bba89d2ed6613d2cb8c8f7d4f919",
-    "interval": "be12fb56b01d200d454f789369e9c946a7dad8cb762cc29944c47f630b0fd371",
-    "biconvex": "93b1549fb7b4605d3c25b584b4082b855892ceef44784df7c4b427a06fda46d9",
+    "planted": (
+        "1809883d656445d68523e9112c776a16ec20ff8047f2f133dca7bb477254471c",
+        "8158d779933a43622ec686a625db54a843933f815226a7341eeb463cd8e6dc90",
+    ),
+    "interval": (
+        "2c8d0fc4f431fbcaba56d63e74615d8b6b319374bc6724d5a14b1f6b20fe1fd5",
+        "b1dd7955d9803bc69020a548c2aa6e7b33eaff30f6e5a165449bce28716da79c",
+    ),
+    "biconvex": (
+        "5040a89b063b6797996b1b14af1ff5b8c36801e11592ce75e51789a64bb8cb84",
+        "5fb684b676492c36fef6aeb5cf2cca0f68176995f6381bbaf8ab03121446a124",
+    ),
 }
 
 
@@ -111,21 +140,31 @@ GEN_DIGESTS = {
 }
 
 
-def solve_bytes(n, k, extra, seed):
+def solve_files(n, k, extra, seed):
+    """The partition and trace bytes of one seeded solve."""
     g, trees = gen_planted_cds(n, k, extra, seed)
     terminals, demands = gen_gl_extension(n, k, seed=seed ^ 0xF00D)
     trace = []
     p = solve(GLInstance(graph=g, terminals=terminals, demands=demands), trees, trace=trace)
-    return (write_partition(p) + write_trace(trace)).encode()
+    return write_partition(p).encode(), write_trace(trace).encode()
 
 
-def solve_digest(n, k, extra, seed):
-    return hashlib.sha256(solve_bytes(n, k, extra, seed)).hexdigest()
+def digests(files):
+    """The sha256 of the partition files and of the trace files, each in order."""
+    parts, traces = hashlib.sha256(), hashlib.sha256()
+    for part, trace in files:
+        parts.update(part)
+        traces.update(trace)
+    return parts.hexdigest(), traces.hexdigest()
+
+
+def solve_digests(*params):
+    return digests([solve_files(*params)])
 
 
 @pytest.mark.parametrize("params", PINNED)
 def test_pinned_solve_digest(params):
-    assert solve_digest(*params) == SOLVE_DIGESTS[params]
+    assert solve_digests(*params) == SOLVE_DIGESTS[params]
 
 
 def test_stray_churn_corpus_digest(monkeypatch):
@@ -137,18 +176,32 @@ def test_stray_churn_corpus_digest(monkeypatch):
         return categorize(state)
 
     monkeypatch.setattr(eng_module, "categorize_trees", counted)
-    h = hashlib.sha256()
-    for params in CHURN:
-        h.update(solve_bytes(*params))
-    assert h.hexdigest() == CHURN_DIGEST
+    assert digests(solve_files(*params) for params in CHURN) == CHURN_DIGESTS
     assert strays[0] == CHURN_STRAYS, strays[0]
 
 
 def test_seeded_corpus_digest():
-    h = hashlib.sha256()
-    for params in corpus():
-        h.update(solve_bytes(*params))
-    assert h.hexdigest() == CORPUS_DIGEST
+    assert digests(solve_files(*params) for params in corpus()) == CORPUS_DIGESTS
+
+
+@pytest.mark.parametrize("instances", [PINNED, corpus()], ids=["pinned", "corpus"])
+def test_one_trace_line_per_state_change(monkeypatch, instances):
+    # a PLACE per `add` (a steal's add too), a STEAL per steal, a ROUND per
+    # retire and an EMIT per emission, and no other line
+    calls = Counter()
+    for name in ("add", "steal", "retire", "_emit"):
+        def counted(self, *args, _method=getattr(PartitionState, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(PartitionState, name, counted)
+    lines = Counter()
+    for params in instances:
+        lines.update(line.split()[0] for line in solve_files(*params)[1].decode().splitlines())
+    assert calls["steal"] > 0
+    assert lines == Counter(
+        PLACE=calls["add"], STEAL=calls["steal"], ROUND=calls["retire"], EMIT=calls["_emit"]
+    )
 
 
 @pytest.mark.parametrize("name", list(CHAINS))
@@ -164,8 +217,7 @@ def test_cli_chain_digest(tmp_path, capsys, name):
     argv = ["partition", str(model), "--cds", str(cds), "-o", str(part), "--trace", str(trace)]
     assert main(argv) == 0
     capsys.readouterr()
-    digest = hashlib.sha256(part.read_bytes() + trace.read_bytes()).hexdigest()
-    assert digest == CHAIN_DIGESTS[name]
+    assert digests([(part.read_bytes(), trace.read_bytes())]) == CHAIN_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", list(CDS_CHAINS))
@@ -196,8 +248,8 @@ def test_same_digest_under_python_O():
         sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
         if __debug__:
             raise SystemExit("asserts are on: not running under -O")
-        from test_golden import solve_digest
-        print(solve_digest(*{params!r}))
+        from test_golden import solve_digests
+        print(*solve_digests(*{params!r}))
         """
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -206,4 +258,4 @@ def test_same_digest_under_python_O():
         [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == SOLVE_DIGESTS[params]
+    assert tuple(out.stdout.split()) == SOLVE_DIGESTS[params]
