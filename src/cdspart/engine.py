@@ -154,7 +154,6 @@ class PartitionState:
         self.tree_adj = tree_adj
         self.trace = trace
         self.sets: dict[int, set[int]] = {i: set() for i in terminals}
-        self.t1_part: dict[int, set[int]] = {i: set() for i in terminals}
         self.placed: dict[int, int] = {}
         self.status: dict[int, str | None] = dict.fromkeys(terminals)
         self.vlabel_of: dict[int, int] = {}
@@ -216,8 +215,6 @@ class PartitionState:
         ti = self.tree_of.get(v)
         if ti is not None:
             self.hit_count[i][ti] = self.hit_count[i].get(ti, 0) + 1
-            if ti == self.lead:
-                self.t1_part[i].add(v)
             frontier = self._frontiers.get(i)
             if frontier is not None and ti in (self.lead, frontier[0]):
                 grow_ti, heap, anchor = frontier
@@ -248,8 +245,6 @@ class PartitionState:
             self.hit_count[i][ti] -= 1
             if self.hit_count[i][ti] == 0:
                 del self.hit_count[i][ti]
-            if ti == self.lead:
-                self.t1_part[i].discard(v)
             frontier = self._frontiers.get(i)
             if frontier is not None and ti in (self.lead, frontier[0]):
                 frontier[2].discard(v)
@@ -269,13 +264,12 @@ class PartitionState:
         for i in touched:
             c = self.terminals[i]
             self.sets[i], self.hit_count[i] = {c}, {self.tree_of[c]: 1}
-            self.t1_part[i] = self.sets[i] & self.trees[self.lead]
         if len(finished) == len(self.terminals):
             self.check_invariants("solve")
         for i in finished:
             c = self.terminals.pop(i)
             del self.placed[c], self.attach_parent[c]
-            del self.sets[i], self.t1_part[i], self.status[i]
+            del self.sets[i], self.status[i]
             del self.vlabel_sets[i], self.tlabel[i], self.hit_count[i]
         for ti in used:
             for v in self.trees.pop(ti):
@@ -321,7 +315,7 @@ class PartitionState:
         frontier = self._frontiers.get(j)
         if frontier is None or frontier[0] != ti:
             tree = self.trees[ti]
-            anchor = self.t1_part[j] | (self.sets[j] & tree)
+            anchor = {u for u in self.sets[j] if self.tree_of.get(u) in (self.lead, ti)}
             heap = [
                 w for w in tree
                 if w not in self.sets[j] and not self.graph.adj[w].isdisjoint(anchor)
@@ -386,7 +380,7 @@ class PartitionState:
         for v, i in self.vlabel_of.items():
             if v in self.placed:
                 raise EngineError("state-invariant", f"{where}: vlabel holds placed {v}")
-            if not (self.graph.adj[v] & self.t1_part[i]):
+            if i not in map(self.placed.get, self.graph.adj[v] & self.trees[self.lead]):
                 raise EngineError(
                     "state-invariant", f"{where}: vlabel {v} not adjacent to set {i}"
                 )
@@ -432,8 +426,6 @@ def categorize_trees(state: PartitionState) -> dict[int, list[int]]:
         state.hit_count[i] = {lead: 1}  # the terminal's set touches the lead now
     by_tree[lead] = sorted(by_tree[lead] + strays)
     strays.clear()
-    for i in by_tree[lead]:  # a retired lead's successor, or strays, may be new to it
-        state.t1_part[i].add(state.terminals[i])
     return by_tree
 
 
@@ -448,6 +440,12 @@ def _attach(state: PartitionState, v: int, what: str) -> None:
     if target is None:
         raise EngineError("state-invariant", f"{what} {v} touches no open set")
     state.add(v, target, parent=min(nbrs & state.sets[target]))
+
+
+def _lead_parent(state: PartitionState, v: int, i: int) -> int:
+    """v's lowest lead-tree neighbour in set i."""
+    lead = state.trees[state.lead]
+    return min(u for u in state.graph.adj[v] & lead if state.placed.get(u) == i)
 
 
 def add_trees(state: PartitionState) -> None:
@@ -483,7 +481,7 @@ def _absorb_and_label(state: PartitionState, idxs: Iterable[int]) -> None:
     """Under sets take all their assigned vertices and a private tree."""
     for i in idxs:
         for v in sorted(state.vlabel_sets[i]):
-            state.add(v, i, parent=min(state.graph.adj[v] & state.t1_part[i]))
+            state.add(v, i, parent=_lead_parent(state, v, i))
         if state.tlabel[i] is None:
             free = next(
                 (ti for ti in state.spares if ti not in state.tlabel_owner),
@@ -544,13 +542,10 @@ def labeling(state: PartitionState) -> None:
     assignment and each receives a distinct private tree, then every such
     set is guaranteed one vertex of that tree.
     """
-    adj = state.graph.adj
+    adj, lead, placed = state.graph.adj, state.trees[state.lead], state.placed
     for ti in state.spares:
         for v in sorted(state.trees[ti]):
-            target = next(
-                (i for i, part in state.t1_part.items() if adj[v] & part),
-                None,
-            )
+            target = min((placed[u] for u in adj[v] & lead if u in placed), default=None)
             if target is None:
                 raise EngineError("state-invariant", f"lead tree does not dominate {v}")
             state.assign_vlabel(v, target)
@@ -573,7 +568,6 @@ def add_vertices(state: PartitionState) -> None:
     absorb their assignment to fullness, and leftover tree vertices join
     any adjacent non-full set (each now contains a whole dominating tree).
     """
-    adj = state.graph.adj
     guard = 4 * (len(state.members) + 1) * (len(state.terminals) + 1) * (len(state.trees) + 1)
     while True:
         j = next(
@@ -599,7 +593,7 @@ def add_vertices(state: PartitionState) -> None:
         if st == "over":
             # `add(u, i)` takes only u out of `vlabel_sets[i]`
             for u in sorted(state.vlabel_sets[i])[: state.deficit(i)]:
-                state.add(u, i, parent=min(adj[u] & state.t1_part[i]))
+                state.add(u, i, parent=_lead_parent(state, u, i))
     # each placement adds one vertex, so one ascending walk meets the
     # lowest unplaced vertex every time
     for v in sorted(state.members.difference(state.placed)):

@@ -1051,7 +1051,7 @@ class TestGrowthFrontier:
     def scan_choice(state, j, ti):
         g = state.graph
         tree = state.trees[ti]
-        anchor = state.t1_part[j] | (state.sets[j] & tree)
+        anchor = state.sets[j] & (state.trees[state.lead] | tree)
         v = min(w for w in tree if w not in state.sets[j] and g.adj[w] & anchor)
         return v, min(g.adj[v] & anchor)
 
