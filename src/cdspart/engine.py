@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Mapping, Sequence
@@ -39,7 +39,6 @@ from .graphs import (
     VertexSet,
     first_non_dominating,
     is_connected_subset,
-    spanning_tree,
 )
 
 CdsInput = tuple[DominatingTree, ...]
@@ -250,6 +249,26 @@ class PartitionState:
                 frontier[2].discard(v)
                 if ti == frontier[0]:
                     heapq.heappush(frontier[1], v)
+
+    def trim(self, i: int, target: int) -> None:
+        """Remove set i's lowest-id attachment leaf, by `remove`, until the
+        set holds `target` vertices.
+
+        The attachment forest spans each set from its terminal, its one
+        vertex with no parent, so a leaf's removal keeps the set connected
+        and the terminal goes last: below it there is no leaf left.
+        """
+        terminal, children = self.terminals[i], self.children
+        leaves = [v for v in self.sets[i] if not children.get(v) and v != terminal]
+        heapq.heapify(leaves)
+        while len(self.sets[i]) > target:
+            if not leaves:
+                raise EngineError("state-invariant", f"trim: set {i} has no leaf left")
+            v = heapq.heappop(leaves)
+            parent = self.attach_parent[v]
+            self.remove(v, i)
+            if not children[parent] and parent != terminal:
+                heapq.heappush(leaves, parent)
 
     def retire(self, finished: Iterable[int], used: Iterable[int]) -> None:
         """Undo all placements since the terminals' (each by `add`), check the whole
@@ -653,34 +672,6 @@ def _choose_group(
     raise EngineError("no-qualifying-group", "contradicts the counting argument")
 
 
-def _trim_block(g: Graph, block: VertexSet, terminal: int, target: int) -> VertexSet:
-    """Shrink a connected block to `target` vertices, keeping the terminal.
-
-    Peels lowest-id leaves of a BFS spanning tree rooted at the terminal;
-    removing tree leaves preserves connectivity, and the root is never a
-    leaf, so the terminal survives.
-    """
-    if terminal not in block or not 1 <= target <= len(block):
-        raise EngineError("state-invariant", f"trim: no block of {target} around {terminal}")
-    try:
-        tree = spanning_tree(g, block, root=terminal)
-    except GraphError:
-        raise EngineError("state-invariant", "trim: block is not connected") from None
-    kept = set(block)
-    parent = {y: x for x, y in tree}
-    child_count = Counter(parent.values())
-    leaves = [v for v in kept if not child_count[v] and v != terminal]
-    heapq.heapify(leaves)
-    while len(kept) > target:
-        v = heapq.heappop(leaves)
-        kept.discard(v)
-        p = parent[v]
-        child_count[p] -= 1
-        if child_count[p] == 0 and p != terminal:
-            heapq.heappush(leaves, p)
-    return frozenset(kept)
-
-
 def solve(
     instance: GLInstance,
     trees: Sequence[DominatingTree],
@@ -696,8 +687,9 @@ def solve(
     while touching a single tree, the one emission rule), else picks a tree
     group able to cover its terminals' demands and runs the single-tree
     case on the group's union in a fresh state (inflating the first demand
-    to absorb slack, trimmed off afterwards).  Retiring the finished blocks
-    undoes the round's placements, so a round costs what it changes.
+    to absorb slack, which that state's `trim` takes off afterwards).
+    Retiring the finished blocks undoes the round's placements, so a round
+    costs what it changes.
 
     Tree count: `trees` must hold at least `instance.k` trees, else
     EngineError("too-few-trees") is raised before any work.  All trees
@@ -754,12 +746,14 @@ def solve(
         demands = {i: instance.demands[i] for i in group}
         delta = len(gprime) - sum(demands.values())  # >= 0, as `_choose_group` checks
         demands[first] += delta
-        finished, used = _run_single_tree(PartitionState(
+        run = PartitionState(
             g, frozenset(gprime), {i: terminals[i] for i in group}, demands,
             {ti: tree_sets[ti] for ti in (lead, *extras)}, tree_of, tree_adj, trace=trace,
-        ))
+        )
+        finished, used = _run_single_tree(run)
         if delta > 0 and first in finished:
-            finished[first] = _trim_block(g, finished[first], terminals[first], instance.demands[first])
+            run.trim(first, instance.demands[first])
+            finished[first] = frozenset(run.sets[first])
         retire(finished, used)
     if members:
         raise EngineError("state-invariant", f"{len(members)} vertices left unassigned")

@@ -132,9 +132,8 @@ def first_non_dominating(g: Graph, sets: Iterable[Iterable[int]]) -> int | None:
     return None
 
 
-def spanning_tree(g: Graph, s: Iterable[int], root: int | None = None) -> tuple[Edge, ...]:
-    """BFS spanning tree of the induced subgraph on s, rooted at `root`, a
-    member of s (default min(s)).
+def spanning_tree(g: Graph, s: Iterable[int]) -> tuple[Edge, ...]:
+    """BFS spanning tree of the induced subgraph on s, rooted at min(s).
 
     Edges are returned in discovery order as (parent, child); each vertex
     takes its undiscovered neighbours in s in ascending id, so the result
@@ -142,10 +141,7 @@ def spanning_tree(g: Graph, s: Iterable[int], root: int | None = None) -> tuple[
     disconnected s raise `GraphError`.
     """
     unseen = _subset(g, s)
-    if root is None:
-        root = min(unseen)
-    elif root not in unseen:
-        raise GraphError("not-connected")
+    root = min(unseen)
     unseen.remove(root)
     queue = deque([root])
     edges: list[Edge] = []

@@ -1,4 +1,3 @@
-import heapq
 import importlib
 import os
 import random
@@ -20,7 +19,6 @@ from cdspart.engine import (
     _absorb_and_label,
     _choose_group,
     _grow_from_tree,
-    _trim_block,
     _run_single_tree,
     add_trees,
     add_vertices,
@@ -500,61 +498,69 @@ class TestChooseGroup:
         assert len(rounds) > 300 and groups[0] >= 15, (len(rounds), groups[0])
 
 
-def peel_own_bfs(g, block, terminal, target):
-    """`_trim_block` as it was before it took its tree from `spanning_tree`:
-    its own BFS from the terminal, then the lowest-id leaf peel."""
-    kept = set(block)
-    parent = {}
-    child_count = {v: 0 for v in kept}
-    seen = {terminal}
-    queue = deque([terminal])
-    while queue:
-        x = queue.popleft()
-        for y in sorted(g.adj[x]):
-            if y in kept and y not in seen:
-                seen.add(y)
-                parent[y] = x
-                child_count[x] += 1
-                queue.append(y)
-    if len(seen) != len(kept):
-        return None
-    leaves = [v for v in kept if child_count[v] == 0 and v != terminal]
-    heapq.heapify(leaves)
+def grown_state(g, terminal, attach):
+    """A state over g whose set 0 holds `terminal` and grows by `attach`,
+    (vertex, parent) pairs in order; its demand leaves room for all of g."""
+    state = make_state(g, [{terminal}], [terminal], [g.n + 1])
+    for v, parent in attach:
+        state.add(v, 0, parent)
+    return state
+
+
+def random_grown_state(seed):
+    """A state over a random connected graph whose set 0 grew from its
+    terminal by random attachments."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    g = random_graph(seed, n, rng.randint(n - 1, 3 * n), connected=True)
+    state = grown_state(g, rng.randrange(n), [])
+    for _ in range(rng.randint(0, n - 1)):
+        s = state.sets[0]
+        v = rng.choice(sorted(u for u in range(n) if u not in s and g.adj[u] & s))
+        state.add(v, 0, rng.choice(sorted(g.adj[v] & s)))
+    return state
+
+
+def lowest_leaf_peel(state, i, target):
+    """The set that peeling the lowest-id leaf of i's attachment forest,
+    found afresh at every step, leaves at `target` vertices."""
+    kept = set(state.sets[i])
+    parent = {v: state.attach_parent[v] for v in kept}
     while len(kept) > target:
-        v = heapq.heappop(leaves)
-        kept.discard(v)
-        p = parent[v]
-        child_count[p] -= 1
-        if child_count[p] == 0 and p != terminal:
-            heapq.heappush(leaves, p)
-    return frozenset(kept)
+        inner = {parent[v] for v in kept}
+        kept.remove(min(v for v in kept if v not in inner and v != state.terminals[i]))
+    return kept
 
 
 class TestTrim:
     def test_trim_keeps_terminal_and_connectivity(self):
         g = graph_of(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-        block = frozenset(range(6))
-        out = _trim_block(g, block, terminal=2, target=3)
-        assert len(out) == 3 and 2 in out
-        assert is_connected_subset(g, out)
+        state = grown_state(g, 2, [(1, 2), (3, 2), (0, 1), (4, 3), (5, 0)])
+        state.trim(0, 3)
+        assert len(state.sets[0]) == 3 and 2 in state.sets[0]
+        assert is_connected_subset(g, state.sets[0])
+        state.check_invariants("trim")
 
-    def test_equals_the_peel_of_its_own_bfs(self):
-        outcomes = Counter()
+    def test_lowest_id_attachment_leaf_goes_first(self):
+        # the set's own forest is the path 0-1-2-3, so 3 goes first, not the
+        # 2 that a BFS tree from 0 (children 1 and 3) would peel
+        g = graph_of(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        state = grown_state(g, 0, [(1, 0), (2, 1), (3, 2)])
+        state.trim(0, 3)
+        assert state.sets[0] == {0, 1, 2}
+        state.trim(0, 1)
+        assert state.sets[0] == {0} and state.placed == {0: 0}
+
+    def test_equals_the_lowest_leaf_peel(self):
         for seed in range(400):
-            rng = random.Random(seed)
-            n = rng.randint(1, 30)
-            g = random_graph(seed, n, rng.randint(n - 1, 3 * n), connected=seed % 5 != 0)
-            block = frozenset(rng.sample(range(n), rng.randint(1, n)))
-            terminal = rng.choice(sorted(block))
-            target = rng.randint(1, len(block))
-            expected = peel_own_bfs(g, block, terminal, target)
-            if expected is None:
-                with pytest.raises(EngineError, match="state-invariant: trim: block is not connected"):
-                    _trim_block(g, block, terminal, target)
-            else:
-                assert _trim_block(g, block, terminal, target) == expected, seed
-            outcomes[expected is None] += 1
-        assert outcomes[False] > 100 and outcomes[True] > 20, outcomes
+            state = random_grown_state(seed)
+            terminal, size = state.terminals[0], len(state.sets[0])
+            target = random.Random(seed).randint(1, size)
+            expected = lowest_leaf_peel(state, 0, target)
+            state.trim(0, target)
+            assert state.sets[0] == expected and len(expected) == target, seed
+            assert terminal in expected and is_connected_subset(state.graph, expected)
+            state.check_invariants("trim")
 
 
 class TestSolve:
@@ -1175,14 +1181,12 @@ class TestStateRaises:
         with pytest.raises(EngineError, match="state-invariant: tlabel: set 1 or tree 1 is taken"):
             state.set_tlabel(1, 1)
 
-    def test_trim_of_a_block_without_its_terminal(self):
-        with pytest.raises(EngineError, match="state-invariant: trim: no block of 1 around 0"):
-            _trim_block(K4, frozenset({1, 2}), 0, 1)
-
-    def test_trim_of_a_disconnected_block(self):
-        g = graph_of(4, [(0, 1), (1, 2), (2, 3)])
-        with pytest.raises(EngineError, match="state-invariant: trim: block is not connected"):
-            _trim_block(g, frozenset({0, 2}), 0, 1)
+    def test_trim_below_the_terminal(self):
+        state = k4_state()
+        state.add(2, 0, parent=0)
+        with pytest.raises(EngineError, match="state-invariant: trim: set 0 has no leaf left"):
+            state.trim(0, 0)
+        assert state.sets[0] == {0}
 
     def test_raise_survives_python_O(self):
         script = textwrap.dedent(

@@ -117,8 +117,7 @@ class TestOrderIndependence:
         rng = random.Random(seed)
         for _ in range(20):
             s = set(rng.sample(range(g.n), rng.randint(1, g.n)))
-            root = rng.choice(sorted(s))
-            assert _tree_outcome(h, s, root) == _tree_outcome(g, s, root)
+            assert _tree_outcome(h, s) == _tree_outcome(g, s)
             u, v = rng.sample(range(g.n), 2)
             assert vertex_disjoint_paths(h, u, v) == vertex_disjoint_paths(g, u, v)
         assert vertex_connectivity(h) == vertex_connectivity(g)
@@ -140,9 +139,9 @@ class TestOrderIndependence:
         assert outs[0] == outs[1]
 
 
-def _tree_outcome(g, s, root=None):
+def _tree_outcome(g, s):
     try:
-        return spanning_tree(g, s, root)
+        return spanning_tree(g, s)
     except GraphError as exc:
         return exc.code
 
@@ -355,28 +354,18 @@ class TestSpanningTree:
                     grow = sorted(g.adj[x] - s)[: size - len(s)]
                     s.update(grow)
                     frontier += grow
-            # in s, the default, or any vertex (perhaps outside s)
-            root = (rng.choice(sorted(s)), None, rng.randrange(n))[trial % 3]
-            want = _tree_outcome_by_scan(g, s, root)
-            assert _tree_outcome(g, s, root) == want, (seed, trial)
+            want = _tree_outcome_by_scan(g, s)
+            assert _tree_outcome(g, s) == want, (seed, trial)
             outcomes.add(isinstance(want, str))
         assert outcomes == {True, False}
 
-    def test_root(self):
-        g = path_graph(4)
-        assert spanning_tree(g, {0, 1, 2, 3}, root=2) == ((2, 1), (2, 3), (1, 0))
-        assert spanning_tree(g, {1, 2, 3}) == spanning_tree(g, {1, 2, 3}, root=1)
-        # a root outside s spans nothing of s: {1, 3} would match in size
-        with pytest.raises(GraphError, match="not-connected"):
-            spanning_tree(graph_of(4, [(0, 1), (2, 3)]), {1, 3}, root=0)
 
-
-def _tree_outcome_by_scan(g, s, root=None):
+def _tree_outcome_by_scan(g, s):
     """`spanning_tree`'s outcome by its former routine: each vertex scans
     all its neighbours in ascending id and skips seen vertices and
     non-members."""
     members = set(s)
-    root = min(members) if root is None else root
+    root = min(members)
     seen = {root}
     queue = [root]
     edges = []
