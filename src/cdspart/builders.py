@@ -148,6 +148,11 @@ def cds_convex(m: ConvexModel, k: int) -> CdsFamily:
     dealt out alternatingly in A order, and each such share dominates B
     because any 4k consecutive A-vertices contain at most 3 vertices of
     each backbone.  The stripped endpoints a_1, a_na join the first set.
+
+    Below 4k the deal may leave a B-vertex undominated.  If it does and
+    some window holds fewer than 4k A-vertices, that B-vertex's degree
+    bounds kappa below 4k, and `InsufficientConnectivity(4k, width)` is
+    raised with the narrowest width; any other failure stands.
     """
     g = m.graph
     paths = backbones(m, g, k)
@@ -157,7 +162,13 @@ def cds_convex(m: ConvexModel, k: int) -> CdsFamily:
     sets[0].add(m.a_id(0))
     sets[0].add(m.a_id(m.na - 1))
     out = tuple(frozenset(s) for s in sets)
-    validate_family(g, out)
+    try:
+        validate_family(g, out)
+    except BuilderError as exc:
+        width = min(hi - lo + 1 for lo, hi in m.windows)
+        if exc.code == "not-dominating" and width < 4 * k:
+            raise InsufficientConnectivity(4 * k, width) from None
+        raise
     return out
 
 

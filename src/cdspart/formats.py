@@ -185,11 +185,12 @@ def _parse_graph(
         raise FormatError("invariant", f"vertex count {n} exceeds {MAX_VERTICES}", lineno)
     # One lookup range-checks a canonical id token and makes it 0-based; it
     # also interns the ids.  m records name at most 2m ids, so the table
-    # holds the lowest min(n, 2m); any other id takes `_edge_ids`.
+    # holds the lowest min(n, 2m); a block with any other id is read by
+    # `_edge_lines`.
     ids = dict(zip(map(str, range(1, min(n, 2 * m) + 1)), range(n)))
     ends = _edge_block(lines[lineno : lineno + m], m, ids)
     if ends is None:
-        ends = _edge_lines(rows, lineno, m, n, ids)
+        ends = _edge_lines(rows, lineno, m, n)
     else:
         next(islice(numbered, m, m), None)  # steps `rows` past the block
     us, vs = ends
@@ -237,7 +238,7 @@ def _edge_block(
 
 
 def _edge_lines(
-    rows: Iterator[_Row], lineno: int, m: int, n: int, ids: dict[str, int]
+    rows: Iterator[_Row], lineno: int, m: int, n: int
 ) -> tuple[list[int], list[int]]:
     """The 0-based endpoints of the next m edge records, read line by line:
     comments, blank lines, tabs and ids such as `01` or `+2` parse here,
@@ -248,28 +249,17 @@ def _edge_lines(
         if toks[0] != "e" or len(toks) != 3:
             raise FormatError("syntax", f"expected 'e <u> <v>', got {' '.join(toks)}", lineno)
         try:
-            u = ids[toks[1]]
-            v = ids[toks[2]]
-        except KeyError:
-            u, v = _edge_ids(toks, lineno, n)
-        us.append(u)
-        vs.append(v)
+            u = int(toks[1])
+            v = int(toks[2])
+        except ValueError:
+            raise _not_ints(toks[1:], lineno) from None
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise FormatError("invariant", f"edge ({u}, {v}) out of range 1..{n}", lineno)
+        us.append(u - 1)
+        vs.append(v - 1)
     if len(us) < m:
         raise FormatError("syntax", f"expected {m} edge lines", lineno)
     return us, vs
-
-
-def _edge_ids(toks: list[str], lineno: int, n: int) -> tuple[int, int]:
-    """The 0-based endpoints of an edge line whose tokens are not both
-    canonical ids: `01`, `+2` and the like still parse, the rest fail."""
-    try:
-        u = int(toks[1])
-        v = int(toks[2])
-    except ValueError:
-        raise _not_ints(toks[1:], lineno) from None
-    if not (1 <= u <= n and 1 <= v <= n):
-        raise FormatError("invariant", f"edge ({u}, {v}) out of range 1..{n}", lineno)
-    return u - 1, v - 1
 
 
 def _name_edge_fault(lines: list[str], lineno: int, m: int) -> None:

@@ -267,12 +267,14 @@ class TestCdsBiconvex:
 
 
 def test_every_small_window_model():
-    # tests/window_sweep.py at na, nb <= 5: biconvex succeeds at every
-    # k <= kappa and refuses kappa + 1; convex returns a verified family or a
-    # BuilderError, and succeeds wherever 4k <= kappa
+    # tests/window_sweep.py at N = 5: biconvex succeeds at every k <= kappa
+    # and refuses kappa + 1; convex returns a verified family or raises
+    # InsufficientConnectivity with kappa <= achieved < 4k; interval succeeds
+    # at every k <= kappa (n on a complete graph) and refuses one more
     counts, broken = window_sweep.sweep(5)
     assert broken == []
-    assert (counts["biconvex"]["models"], counts["convex"]["models"]) == (4988, 9298)
+    models = [counts[c]["models"] for c in ("biconvex", "convex", "interval")]
+    assert models == [4988, 9298, 11527]
 
 
 class TestCdsConvex:

@@ -75,6 +75,16 @@ class TestFixtures:
         assert code == 1
         assert out.splitlines()[0] == "INFEASIBLE"
 
+    def test_convex_cds_below_4k_blames_connectivity(self, tmp_path, capsys):
+        # kappa = 2 and no 2 disjoint CDSs exist: the dealt family misses a
+        # B-vertex whose window holds 2 < 4k A-vertices, so kappa < 4k
+        cdsf = tmp_path / "m.cdsp"
+        code, out = run(capsys, "cds", "--class", "convex", "-k", "2",
+                        str(FIXTURES / "fig1-convex.gl"), "-o", str(cdsf))
+        assert (code, out) == (1, "ERROR insufficient-connectivity "
+                                  "insufficient-connectivity: wanted 8, achieved 2\n")
+        assert not cdsf.exists()
+
 
 class TestConnectivity:
     """`connectivity` answers interval models from the clique path and the

@@ -563,6 +563,22 @@ class TestTrim:
             state.check_invariants("trim")
 
 
+
+def test_every_small_atlas_graph():
+    # tests/atlas_sweep.py at n <= 6: every connected atlas graph, at every k
+    # with k disjoint CDSs, every terminal k-subset and every composition of
+    # n; every partition passes verify_gl, and three solves trim.  A change
+    # of tie rule (attaching to the highest set, say) still verifies, so the
+    # partitions are pinned by their digest too.
+    pytest.importorskip("networkx")
+    import atlas_sweep
+
+    counts, digest, broken = atlas_sweep.sweep(6)
+    assert broken == []
+    assert (counts["graphs"], counts["solves"], counts["trims"]) == (143, 9027, 3)
+    assert digest == "62d15494f05dcf43b767ea4c3ae14bfd9ebb80a0e4e7c60e256cebe5664d47a2"
+
+
 class TestSolve:
     def test_k4_general(self):
         inst = GLInstance(graph=K4, terminals=(0, 2), demands=(1, 3))

@@ -4,7 +4,8 @@ A public top-level function, class or constant of `src/cdspart` must be
 named somewhere in `src/` outside its own definition, in `README.md` or
 in `bench/`; so must a public member (method, property or class
 attribute) of a class there.  The package's `__init__` exports the README's API and the
-error types, and no re-export there counts as a use.
+error types, and no re-export there counts as a use.  A defaulted parameter of
+a src function or method is an option, and some src call site must set it.
 """
 
 import ast
@@ -97,6 +98,61 @@ def test_every_public_member_is_used_outside_the_tests():
     unused = [m for m in methods if m.rpartition(".")[2] not in used]
     assert len(methods) >= 20
     assert unused == []
+
+
+# tests and the benchmark drive the CLI through `main(argv)`; the console
+# script calls it bare
+ENTRY_OPTIONS = {"cli.py:main.argv"}
+
+
+def _options(fn, bound):
+    """(name, position in a call) of each defaulted parameter of fn; a
+    bound method's call passes no `self`, and a keyword-only one has no
+    position."""
+    pos = fn.args.posonlyargs + fn.args.args
+    first = len(pos) - len(fn.args.defaults)
+    out = [(a.arg, i - bound) for i, a in enumerate(pos) if i >= first]
+    kwonly = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+    return out + [(a.arg, None) for a, d in kwonly if d is not None]
+
+
+def test_every_option_is_set_by_some_src_call():
+    """Matched by the called name alone: `C(...)` sets the options of
+    `C.__init__`, and `x.f(...)` those of any f, as in the member test."""
+    options = []
+    calls = []
+    for name, tree in _modules().items():
+        methods = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        methods.add(item)
+                        static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                        called = node.name if item.name == "__init__" else item.name
+                        options += [
+                            (f"{name}:{node.name}.{item.name}.{arg}", called, arg, i)
+                            for arg, i in _options(item, 0 if static else 1)
+                        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node not in methods:
+                options += [(f"{name}:{node.name}.{arg}", node.name, arg, i) for arg, i in _options(node, 0)]
+            elif isinstance(node, ast.Call):
+                calls.append((getattr(node.func, "id", None) or getattr(node.func, "attr", None), node))
+
+    def sets(call, arg, i):
+        if any(kw.arg in (None, arg) for kw in call.keywords):
+            return True
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        return i is not None and (len(call.args) > i or starred)
+
+    unset = [
+        where
+        for where, called, arg, i in options
+        if not any(name == called and sets(call, arg, i) for name, call in calls)
+    ]
+    assert len(options) >= 10
+    assert unset == sorted(ENTRY_OPTIONS)
 
 
 def test_package_exports_the_readme_api_and_error_types():

@@ -1,29 +1,45 @@
-"""Every convex bipartite model with na, nb <= N, walked through the builders.
+"""Every convex bipartite model with na, nb <= N and every interval model
+of 2..N intervals with endpoints in 1..N, walked through the builders.
 
-A model is a multiset of B-windows over the ordered A side, its B-vertices
-in window order; only connected models are kept, and those whose
-A-neighbourhoods are also consecutive in that B order are biconvex too.
-With kappa the model's vertex connectivity:
+A convex model is a multiset of B-windows over the ordered A side, its
+B-vertices in window order; those whose A-neighbourhoods are also
+consecutive in that B order are biconvex too.  An interval model is a
+multiset of intervals.  Only connected models are kept.  With kappa the
+model's vertex connectivity, by flows:
 
 - biconvex: `cds_biconvex` succeeds at every k <= kappa and raises
   `InsufficientConnectivity` at kappa + 1;
 - convex (every model): at every k <= kappa, `cds_convex` returns a family
   that `extend_to_partition` grows into a verified CDS partition, or raises
-  a `BuilderError`, and it succeeds wherever 4k <= kappa.
+  `InsufficientConnectivity` with kappa <= achieved < 4k, so it succeeds
+  wherever 4k <= kappa;
+- interval: with top = kappa, or n on a complete graph (n singletons), at
+  every k <= top `cds_interval` returns a family that `extend_to_partition`
+  grows into a verified CDS partition, and it raises
+  `InsufficientConnectivity` at top + 1.
 
 Run as a script, `python tests/window_sweep.py N`, it prints each class's
-models, calls and failures (biconvex: calls that break its rule; convex:
-`BuilderError` raises) and every broken rule; the tier-1 suite walks N = 5.
+models, calls and failures (biconvex and interval: calls that break the
+rule; convex: `InsufficientConnectivity` raises) and every broken rule; the
+tier-1 suite walks N = 5.  With `--table` it then prints the convex table
+of README.md, which runs `brute_cds` on every model (about a minute at
+N = 5).
 """
 
 import sys
 from collections import Counter
 from itertools import combinations_with_replacement
 
-from cdspart.builders import BuilderError, InsufficientConnectivity, cds_biconvex, cds_convex, extend_to_partition
+from cdspart.builders import (
+    InsufficientConnectivity,
+    cds_biconvex,
+    cds_convex,
+    cds_interval,
+    extend_to_partition,
+)
 from cdspart.graphs import GraphError, vertex_connectivity
-from cdspart.models import BiconvexModel, ConvexModel
-from cdspart.verify import verify_cds_partition
+from cdspart.models import BiconvexModel, ConvexModel, IntervalModel
+from cdspart.verify import brute_cds, verify_cds_partition
 
 
 def models(limit):
@@ -42,6 +58,23 @@ def models(limit):
                     yield m, kappa, isinstance(m, BiconvexModel)
 
 
+def interval_models(limit):
+    """(model, top) for every connected model of 2..limit intervals with
+    endpoints in 1..limit; top is kappa, or n on a complete graph."""
+    spans = [(a, b) for a in range(1, limit + 1) for b in range(a, limit + 1)]
+    for n in range(2, limit + 1):
+        for chosen in combinations_with_replacement(spans, n):
+            m = IntervalModel(lefts=tuple(a for a, _ in chosen), rights=tuple(b for _, b in chosen))
+            kappa = vertex_connectivity(m.graph)
+            if kappa:
+                yield m, n if 2 * m.graph.m == n * (n - 1) else kappa
+
+
+def verified(m, out):
+    """True iff `out` is a family that grows into a verified CDS partition."""
+    return isinstance(out, tuple) and verify_cds_partition(m.graph, extend_to_partition(m.graph, out)).ok
+
+
 def outcome(build, m, k):
     """The family `build(m, k)` returns, or the exception it raises."""
     try:
@@ -53,7 +86,7 @@ def outcome(build, m, k):
 def sweep(limit):
     """Per class, the counts of models, calls and failures, and the list of
     (class, windows, k, what) for every broken rule."""
-    counts = {"biconvex": Counter(), "convex": Counter()}
+    counts = {"biconvex": Counter(), "convex": Counter(), "interval": Counter()}
     broken = []
     for m, kappa, biconvex in models(limit):
         if biconvex:
@@ -68,21 +101,53 @@ def sweep(limit):
         for k in range(1, kappa + 1):
             counts["convex"]["calls"] += 1
             out = outcome(cds_convex, m, k)
-            if isinstance(out, BuilderError):
+            if isinstance(out, InsufficientConnectivity) and kappa <= out.achieved < 4 * k:
                 counts["convex"]["failures"] += 1
-                if 4 * k <= kappa:
-                    broken.append(("convex", m.windows, k, repr(out)))
             elif isinstance(out, Exception):
                 broken.append(("convex", m.windows, k, repr(out)))
-            elif not verify_cds_partition(m.graph, extend_to_partition(m.graph, out)).ok:
+            elif not verified(m, out):
                 broken.append(("convex", m.windows, k, "partition fails verification"))
+    for m, top in interval_models(limit):
+        counts["interval"]["models"] += 1
+        for k in range(1, top + 2):
+            counts["interval"]["calls"] += 1
+            out = outcome(cds_interval, m, k)
+            if not (verified(m, out) if k <= top else isinstance(out, InsufficientConnectivity)):
+                counts["interval"]["failures"] += 1
+                broken.append(("interval", tuple(zip(m.lefts, m.rights)), k, repr(out)))
     return counts, broken
 
 
+def convex_table(limit):
+    """{(na, nb): Counter} over the convex models of that size: `models`,
+    and summed over them the largest k at which `cds_convex` succeeds
+    (`reached`), kappa // 4, kappa and the largest k with k disjoint CDSs
+    (`optimum`, by `brute_cds`); `at_optimum` counts the models whose
+    reached k is the optimum."""
+    table = {}
+    for m, kappa, _ in models(limit):
+        reached = max((k for k in range(1, kappa + 1) if isinstance(outcome(cds_convex, m, k), tuple)), default=0)
+        optimum = 0
+        while brute_cds(m.graph, optimum + 1) is not None:
+            optimum += 1
+        table.setdefault((m.na, m.nb), Counter()).update(
+            models=1, quarter=kappa // 4, reached=reached, kappa=kappa,
+            optimum=optimum, at_optimum=int(reached == optimum),
+        )
+    return table
+
+
 if __name__ == "__main__":
-    counts, broken = sweep(int(sys.argv[1]) if len(sys.argv) > 1 else 5)
+    limit = int(sys.argv[1]) if len(sys.argv) > 1 and sys.argv[1] != "--table" else 5
+    counts, broken = sweep(limit)
     for klass, c in counts.items():
         print(f"{klass}: {c['models']} models, {c['calls']} calls, {c['failures']} failures")
     for b in broken:
         print("BROKEN", *b)
+    if "--table" in sys.argv:
+        print("| na | nb | models | Σ ⌊κ/4⌋ | Σ reached | Σ κ | Σ optimum | reached = optimum |")
+        print("|---|---|---|---|---|---|---|---|")
+        for (na, nb), c in sorted(convex_table(limit).items()):
+            cells = (c[key] for key in ("models", "quarter", "reached", "kappa", "optimum", "at_optimum"))
+            print(f"| {na} | {nb} | " + " | ".join(map(str, cells)) + " |")
     sys.exit(1 if broken else 0)
