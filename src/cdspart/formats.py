@@ -237,9 +237,7 @@ def _edge_block(
     return us, vs
 
 
-def _edge_lines(
-    rows: Iterator[_Row], lineno: int, m: int, n: int
-) -> tuple[list[int], list[int]]:
+def _edge_lines(rows: Iterator[_Row], lineno: int, m: int, n: int) -> tuple[list[int], list[int]]:
     """The 0-based endpoints of the next m edge records, read line by line:
     comments, blank lines, tabs and ids such as `01` or `+2` parse here,
     and every fault is named with its line."""

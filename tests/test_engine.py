@@ -563,7 +563,6 @@ class TestTrim:
             state.check_invariants("trim")
 
 
-
 def test_every_small_atlas_graph():
     # tests/atlas_sweep.py at n <= 6: every connected atlas graph, at every k
     # with k disjoint CDSs, every terminal k-subset and every composition of

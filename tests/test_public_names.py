@@ -128,7 +128,8 @@ def test_every_option_is_set_by_some_src_call():
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
                         methods.add(item)
-                        static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                        decorators = [getattr(d, "id", None) for d in item.decorator_list]
+                        static = "staticmethod" in decorators
                         called = node.name if item.name == "__init__" else item.name
                         options += [
                             (f"{name}:{node.name}.{item.name}.{arg}", called, arg, i)
@@ -136,9 +137,12 @@ def test_every_option_is_set_by_some_src_call():
                         ]
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node not in methods:
-                options += [(f"{name}:{node.name}.{arg}", node.name, arg, i) for arg, i in _options(node, 0)]
+                options += [
+                    (f"{name}:{node.name}.{arg}", node.name, arg, i) for arg, i in _options(node, 0)
+                ]
             elif isinstance(node, ast.Call):
-                calls.append((getattr(node.func, "id", None) or getattr(node.func, "attr", None), node))
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.append((called, node))
 
     def sets(call, arg, i):
         if any(kw.arg in (None, arg) for kw in call.keywords):

@@ -72,7 +72,9 @@ def interval_models(limit):
 
 def verified(m, out):
     """True iff `out` is a family that grows into a verified CDS partition."""
-    return isinstance(out, tuple) and verify_cds_partition(m.graph, extend_to_partition(m.graph, out)).ok
+    if not isinstance(out, tuple):
+        return False
+    return verify_cds_partition(m.graph, extend_to_partition(m.graph, out)).ok
 
 
 def outcome(build, m, k):
@@ -126,7 +128,8 @@ def convex_table(limit):
     reached k is the optimum."""
     table = {}
     for m, kappa, _ in models(limit):
-        reached = max((k for k in range(1, kappa + 1) if isinstance(outcome(cds_convex, m, k), tuple)), default=0)
+        built = (k for k in range(1, kappa + 1) if isinstance(outcome(cds_convex, m, k), tuple))
+        reached = max(built, default=0)
         optimum = 0
         while brute_cds(m.graph, optimum + 1) is not None:
             optimum += 1
@@ -145,9 +148,9 @@ if __name__ == "__main__":
     for b in broken:
         print("BROKEN", *b)
     if "--table" in sys.argv:
+        columns = ("models", "quarter", "reached", "kappa", "optimum", "at_optimum")
         print("| na | nb | models | Σ ⌊κ/4⌋ | Σ reached | Σ κ | Σ optimum | reached = optimum |")
         print("|---|---|---|---|---|---|---|---|")
         for (na, nb), c in sorted(convex_table(limit).items()):
-            cells = (c[key] for key in ("models", "quarter", "reached", "kappa", "optimum", "at_optimum"))
-            print(f"| {na} | {nb} | " + " | ".join(map(str, cells)) + " |")
+            print(f"| {na} | {nb} | " + " | ".join(str(c[key]) for key in columns) + " |")
     sys.exit(1 if broken else 0)
