@@ -9,10 +9,11 @@ so parse/write round-trips are byte-stable.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import Iterable, Iterator, Sequence
 
 from .engine import CdsInput, GLInstance, TraceEvent
@@ -68,15 +69,17 @@ class InstanceBundle:
 
 _Row = tuple[int, list[str]]
 
+# The line breaks of `str.splitlines`, "\r\n" first so it counts as one.
+_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
-def _rows(numbered: Iterator[tuple[int, str]]) -> Iterator[_Row]:
+
+def _rows(numbered: Iterable[tuple[int, str]]) -> Iterator[_Row]:
     """Numbered lines' tokens with `#` comments cut off; lines without
     tokens are skipped.
 
-    The caller holds every line of the file (`str.splitlines`), numbered
-    from 1.  Rows are tokenized lazily, one line at a time, and read
-    `numbered` as they go, so a section that advances `numbered` itself
-    skips those lines for the rows too.
+    Rows are tokenized lazily, one line at a time, and read `numbered` as
+    they go, so a section that advances `numbered` itself skips those lines
+    for the rows too.
     """
     for lineno, line in numbered:
         if "#" in line:
@@ -84,6 +87,26 @@ def _rows(numbered: Iterator[tuple[int, str]]) -> Iterator[_Row]:
         toks = line.split()
         if toks:
             yield lineno, toks
+
+
+def _rows_after(text: str, offset: int, lineno: int) -> Iterator[_Row]:
+    """The rows of `text` from `offset`, which starts line `lineno + 1`."""
+    return _rows(enumerate(text[offset:].splitlines(), lineno + 1))
+
+
+def _header(text: str) -> tuple[int, list[str], int]:
+    """The first row of `text` and the offset just past its line, found a
+    line at a time, so the lines after it are never split here."""
+    start = 0
+    for lineno in count(1):
+        brk = _BREAK.search(text, start)
+        end = brk.end() if brk else len(text)
+        row = next(_rows([(lineno, text[start : brk.start() if brk else end])]), None)
+        if row is not None:
+            return (*row, end)
+        if brk is None:
+            raise FormatError("syntax", "empty file", 1)
+        start = end
 
 
 def _not_ints(tokens: Sequence[str], lineno: int) -> FormatError:
@@ -130,22 +153,17 @@ def _parse_gl_extension(
 def parse_bundle(text: str) -> InstanceBundle:
     """Parse a graph / interval / convex / biconvex file with optional
     terminal-demand extension."""
-    lines = text.splitlines()
-    numbered = enumerate(lines, 1)
-    rows = _rows(numbered)
-    row = next(rows, None)
-    if row is None:
-        raise FormatError("syntax", "empty file", 1)
-    lineno, toks = row
+    lineno, toks, offset = _header(text)
     if toks[0] != "p" or len(toks) < 2:
         raise FormatError("syntax", f"expected 'p <kind> ...' header, got {' '.join(toks)}", lineno)
     kind = toks[1]
     if kind == "gl":
-        model = _parse_graph(rows, lineno, toks, lines, numbered)
+        model, rows = _parse_graph(text, offset, lineno, toks)
     elif kind == "interval":
+        rows = _rows_after(text, offset, lineno)
         model = _parse_interval(rows, lineno, toks)
     elif kind in ("convex", "biconvex"):
-        model = _parse_convex(rows, lineno, toks, lines, numbered, kind == "biconvex")
+        model, rows = _parse_convex(text, offset, lineno, toks, kind == "biconvex")
     else:
         raise FormatError("syntax", f"unknown model kind '{kind}'", lineno)
     terminals = demands = None
@@ -159,21 +177,14 @@ def parse_bundle(text: str) -> InstanceBundle:
 
 
 # Each section parser takes the header row's number and tokens, reads its
-# records from `rows` and returns the model.  After a record loop `lineno`
-# is the last line read (the header when none was), which is where a short
-# section is reported.  `_parse_graph` and `_parse_convex` also take the
-# file's lines and the numbered iterator that `rows` reads, to read a
-# canonical edge section in bulk and step `rows` past it; `_parse_graph`
-# also reads its records again from them to name a bad edge.
+# records and returns the model (`_parse_graph` and `_parse_convex` also
+# return the rows after the section, which they read from `text` at
+# `offset`, the start of the line after the header).  After a record loop
+# `lineno` is the last line read (the header when none was), which is
+# where a short section is reported.
 
 
-def _parse_graph(
-    rows: Iterator[_Row],
-    lineno: int,
-    toks: list[str],
-    lines: list[str],
-    numbered: Iterator[tuple[int, str]],
-) -> Graph:
+def _parse_graph(text: str, offset: int, lineno: int, toks: list[str]) -> tuple[Graph, Iterator[_Row]]:
     if len(toks) != 4:
         raise FormatError("syntax", "expected 'p gl <n> <m>'", lineno)
     n, m = _ints(toks[2:], lineno)
@@ -183,12 +194,15 @@ def _parse_graph(
         raise FormatError("invariant", f"negative edge count {m}", lineno)
     if n > MAX_VERTICES:
         raise FormatError("invariant", f"vertex count {n} exceeds {MAX_VERTICES}", lineno)
+    lines = text[offset:].splitlines()
+    numbered = enumerate(lines, lineno + 1)
+    rows = _rows(numbered)
     # One lookup range-checks a canonical id token and makes it 0-based; it
     # also interns the ids.  m records name at most 2m ids, so the table
     # holds the lowest min(n, 2m); a block with any other id is read by
     # `_edge_lines`.
     ids = dict(zip(map(str, range(1, min(n, 2 * m) + 1)), range(n)))
-    ends = _edge_block(lines[lineno : lineno + m], m, ids)
+    ends = _edge_block(lines[:m], m, ids)
     if ends is None:
         ends = _edge_lines(rows, lineno, m, n)
     else:
@@ -199,7 +213,7 @@ def _parse_graph(
         adj[u].append(v)
         adj[v].append(u)
     try:
-        return Graph(adj)
+        return Graph(adj), rows
     except GraphError:
         _name_edge_fault(lines, lineno, m)
         raise
@@ -265,11 +279,12 @@ def _name_edge_fault(lines: list[str], lineno: int, m: int) -> None:
     graph `Graph` rejects: the first self-loop or repeated edge in input
     order, named by the file's ids and its line.
 
-    Only then are the m records after the header at `lineno` read again,
-    so neither edge reader keeps per-edge state for this fault.
+    Only then are the m records in `lines`, the lines after the header at
+    `lineno`, read again, so neither edge reader keeps per-edge state for
+    this fault.
     """
     seen: set[tuple[int, int]] = set()
-    records = _rows(islice(enumerate(lines, 1), lineno, None))
+    records = _rows(enumerate(lines, lineno + 1))
     for _, (lineno, toks) in zip(range(m), records):
         u = int(toks[1])
         v = int(toks[2])
@@ -315,31 +330,26 @@ def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> Inter
 
 
 def _parse_convex(
-    rows: Iterator[_Row],
-    lineno: int,
-    toks: list[str],
-    lines: list[str],
-    numbered: Iterator[tuple[int, str]],
-    biconvex: bool,
-) -> ConvexModel:
+    text: str, offset: int, lineno: int, toks: list[str], biconvex: bool
+) -> tuple[ConvexModel, Iterator[_Row]]:
     if len(toks) != 5:
         raise FormatError("syntax", f"expected 'p {'biconvex' if biconvex else 'convex'} <nA> <nB> <m>'", lineno)
     header = lineno
     na, nb, m = _ints(toks[2:], lineno)
     if min(na, nb, m) < 0:
         raise FormatError("invariant", f"negative count in '{' '.join(toks)}'", lineno)
-    windows = None
-    if na + nb <= MAX_VERTICES:
-        windows = _window_block(lines[lineno : lineno + m], na, nb, m)
-    if windows is None:
+    found = _window_text(text, offset, na, nb, m) if na + nb <= MAX_VERTICES else None
+    if found is None:
+        rows = _rows_after(text, offset, lineno)
         windows = _window_lines(rows, lineno, na, nb, m)
     else:
-        next(islice(numbered, m, m), None)  # steps `rows` past the block
+        windows, end = found
+        rows = _rows_after(text, end, lineno + m)
     if na + nb > MAX_VERTICES:
         raise FormatError("invariant", f"vertex count {na + nb} exceeds {MAX_VERTICES}", header)
     try:
         cls = BiconvexModel if biconvex else ConvexModel
-        return cls(na=na, nb=nb, windows=tuple(windows))
+        return cls(na=na, nb=nb, windows=tuple(windows)), rows
     except GraphError as exc:
         raise FormatError("invariant", str(exc)) from exc
 
@@ -356,38 +366,38 @@ def _window_section(windows: Sequence[tuple[int, int]]) -> list[str]:
     return runs
 
 
-def _window_block(block: list[str], na: int, nb: int, m: int) -> list[tuple[int, int]] | None:
-    """The 0-based windows of m edge lines exactly as `_window_section`
-    writes them; None for any other block, which the per-line reader then
-    reads.
+def _window_text(text: str, offset: int, na: int, nb: int, m: int) -> tuple[list[tuple[int, int]], int] | None:
+    """The 0-based windows of the m edge lines at `offset` in `text`, and
+    the offset past them, when those lines are exactly as `_window_section`
+    writes them; None otherwise, and the per-line reader reads them.
 
     Each B-run's window is proposed from the run's first line and line
-    count, found by a few searches of the section's text per B-vertex,
-    and stands only if writing the windows again gives that text.  Ids
-    above m fall back too, so no table outgrows the records.
+    count, found by a few searches of the text per B-vertex, and stands
+    only if the text at `offset` starts with the windows written again.
+    Ids above m fall back too, so no table outgrows the records.
     """
-    if len(block) != m:
-        return None
-    text = "\n".join([*block, ""])
     top = min(na, m)
     windows = []
-    start = line = 0  # the run's first character and its index in `block`
+    start, line = offset, 0  # the run's first character and its line in the section
     for b in range(1, nb + 1):
-        # the run ends where the first line ending in " <b + 1>" begins
-        nxt = text.find(f" {b + 1}\n", start) if b < nb else len(text)
-        end = text.rfind("\n", start, nxt) + 1
-        count = text.count("\n", start, end)
-        if count < 1:
-            return None
         try:
-            lo = int(block[line][2:].partition(" ")[0])
+            lo = int(text[start + 2 : text.find("\n", start)].partition(" ")[0])
         except ValueError:
             return None
-        if not 1 <= lo <= top - count + 1:
+        if b == nb:  # the last run holds the lines left
+            size = m - line
+        else:  # the run ends where the first line ending in " <b + 1>" begins
+            end = text.rfind("\n", start, text.find(f" {b + 1}\n", start)) + 1
+            size = text.count("\n", start, end)
+            start = end
+        if size < 1 or not 1 <= lo <= top - size + 1:
             return None
-        windows.append((lo - 1, lo + count - 2))
-        start, line = end, line + count
-    return windows if "\n".join([*_window_section(windows), ""]) == text else None
+        windows.append((lo - 1, lo + size - 2))
+        line += size
+    rendered = "\n".join([*_window_section(windows), ""])
+    if line != m or not text.startswith(rendered, offset):
+        return None
+    return windows, offset + len(rendered)
 
 
 def _window_lines(rows: Iterator[_Row], lineno: int, na: int, nb: int, m: int) -> list[tuple[int, int]]:

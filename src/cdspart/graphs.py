@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from typing import Iterable
+from typing import Collection, Iterable, Sequence
 
 VertexSet = frozenset[int]
 Edge = tuple[int, int]
@@ -29,12 +29,14 @@ class Graph:
 
     __slots__ = ("n", "m", "adj")
 
-    def __init__(self, adj: list[list[int]]):
+    def __init__(self, adj: Sequence[Collection[int]]):
         """The graph with `Graph(adj).adj[v] == frozenset(adj[v])` for every v.
 
-        The lists must be symmetric and hold one entry per incident edge,
-        in any order, and are only read.  A repeated entry or a self-loop
-        leaves a set shorter than its list and raises
+        The rows may be any sized collections of ints, such as lists,
+        ranges or frozensets (a frozenset row is kept as it is).  They must
+        be symmetric and hold one entry per incident edge, in any order,
+        and are only read.  A repeated entry, or a self-loop written into
+        both ends' rows, leaves a set shorter than its row and raises
         `GraphError("bad-adjacency")`.
         """
         adjsets = tuple(map(frozenset, adj))

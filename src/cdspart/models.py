@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Collection
 
 from .graphs import Graph, GraphError, VertexSet
 
@@ -101,15 +102,26 @@ class ConvexModel(_Model):
         return self.na + j
 
     def derive_graph(self) -> Graph:
-        """Each window fills its B-vertex's list and adds that B-vertex to
-        the lists of the A-vertices it covers: O(n + m)."""
-        adj: list[list[int]] = [[] for _ in range(self.na)]
-        for j, (lo, hi) in enumerate(self.windows):
-            b = self.na + j
-            for i in range(lo, hi + 1):
-                adj[i].append(b)
-            adj.append(list(range(lo, hi + 1)))
-        return Graph(adj)
+        """One sweep over the A positions with the B-vertices whose windows
+        hold the position active: A-vertex i's row is the active set at i,
+        and each B-vertex's row is its window's slice of one list of the A
+        ids.  The work is O(n) list operations plus O(m) inside set copies
+        and slices, and no int object is made per edge."""
+        na = self.na
+        opens: list[list[int]] = [[] for _ in range(na)]
+        closes: list[list[int]] = [[] for _ in range(na + 1)]
+        for b, (lo, hi) in enumerate(self.windows, na):
+            opens[lo].append(b)
+            closes[hi + 1].append(b)
+        active: set[int] = set()
+        rows: list[Collection[int]] = []
+        for i in range(na):
+            active.difference_update(closes[i])
+            active.update(opens[i])
+            rows.append(frozenset(active))
+        ids = list(range(na))
+        rows += [ids[lo : hi + 1] for lo, hi in self.windows]
+        return Graph(rows)
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,8 @@ def test_every_small_window_model():
     assert broken == []
     models = [counts[c]["models"] for c in ("biconvex", "convex", "interval")]
     assert models == [4988, 9298, 11527]
+    # every convex and biconvex model's derived graph equals its window pairs
+    assert [counts[c]["graphs"] for c in ("biconvex", "convex")] == [4988, 9298]
 
 
 class TestCdsConvex:

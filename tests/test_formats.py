@@ -337,10 +337,18 @@ class TestParserRobustness:
 
     @given(st.integers(0, 40), st.integers(0, 40))
     def test_mutated_valid_files(self, seed, pos):
-        m = gen_interval(8 + seed % 6, 2, seed % 4)
-        t, d = gen_gl_extension(m.n, 2, seed)
-        text = write_bundle(InstanceBundle(model=m, terminals=t, demands=d))
-        assert_same_bundle_outcome(_mutate(text, seed, pos))
+        """Canonical files of every kind with a few characters changed,
+        which reach the bulk readers' near misses."""
+        models = [
+            gen_interval(8 + seed % 6, 2, seed % 4),
+            gen_convex(4 + seed % 5, 3 + seed % 4, 2, seed),
+            gen_biconvex(4 + seed % 3, 6 + seed % 4, 2, seed),
+            gen_planted_cds(8 + seed % 6, 2, 3, seed)[0],
+        ]
+        for m in models:
+            t, d = gen_gl_extension(m.n, 2, seed)
+            text = write_bundle(InstanceBundle(model=m, terminals=t, demands=d))
+            assert_same_bundle_outcome(_mutate(text, seed, pos))
 
 
 # Fragments that reach past the header: short and long sections, records
@@ -556,6 +564,39 @@ class TestReferenceParser:
             "p convex 2 2 3\ne 1 1\ne 1 2\ne 2 2\nk 1\nt 1 4\n",
             "p biconvex 2 2 3\ne 1 1\ne 1 2\ne 2 2\nk 2\nt 1 2\nt 4 2\n",
             "p convex 2 2 3\ne 1 1\ne 1 2\nk 1\nt 1 4\n",
+            # a canonical section read in place from the text: extension
+            # lines that end like the next B-run's first line, a last run
+            # one line short or long, other line breaks, a comment or a
+            # blank line inside, the end of the file right after it, and
+            # content after it
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\nk 2\nt 1 2\nt 4 3\n",
+            "p convex 3 2 3\ne 1 1\ne 2 1\nk 2\nt 1 2\nt 4 3\n",
+            "p convex 3 3 5\ne 1 1\ne 2 1\ne 2 2\ne 3 3\nt 1 3\n",
+            "p convex 2 2 3\ne 1 1\ne 2 1\nk 2\nt 1 2\nt 2 2\n",
+            "p convex 3 2 3\ne 1 1\ne 2 1\ne 2 2\n",
+            "p convex 3 2 3\ne 1 1\ne 2 1\ne 2 2\nk 1\nt 1 5\n",
+            "p convex 3 2 5\ne 1 1\ne 2 1\ne 2 2\ne 3 2\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\ne 1 2\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\ne 3 2\nk 1\nt 1 5\n",
+            "p biconvex 3 2 4\r\ne 1 1\r\ne 2 1\r\ne 2 2\r\ne 3 2\r\n",
+            "p biconvex 3 2 4\ne 1 1\ne 2 1\r\ne 2 2\ne 3 2\n",
+            "p convex 3 2 4\re 1 1\re 2 1\re 2 2\re 3 2\rk 1\rt 1 5\r",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\rk 1\nt 1 5\n",
+            "p convex 3 2 4\re 1 1\ne 2 1\ne 2 2\ne 3 2\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\n# c\ne 2 2\ne 3 2\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\n\ne 3 2\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1 # c\ne 2 2\ne 3 2\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\n# c\n\nk 1\n# d\nt 1 5\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\nk 1\nt 1 5",
+            "p biconvex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\nx\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\nk 1\nt 1 5\nx\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\nk 1\nt 1 5\nk 1\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\x0bk 1\nt 1 5\n",
+            "p convex 3 2 4\ne 1 1\ne 2 1\ne 2 2\ne 3 2\n\u2028k 1\u2029t 1 5\x85",
+            "# a\r\n\r\n# b\rp convex 3 2 4 # h\ne 1 1\ne 2 1\ne 2 2\ne 3 2\nk 1\nt 1 5\n",
+            "\x0c\x1cp biconvex 3 2 4\x1de 1 1\ne 2 1\ne 2 2\ne 3 2\n",
+            "p convex 3 0 2\ne 1 1\ne 2 1\n",
         ],
     )
     def test_hand_cases(self, text):
@@ -725,6 +766,23 @@ def test_parse_peak_memory_is_linear_in_file_size():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * len(text), peak / len(text)
+
+
+def test_canonical_window_file_is_read_in_place():
+    """A canonical convex bundle is read from its text: `parse_bundle`
+    peaks below 3 times the text's length (about 2 with the one rendering
+    of its windows, about 11 when the file is split into lines)."""
+    m = gen_convex(300, 600, 8, 3)
+    t, d = gen_gl_extension(m.n, 8, 3)
+    text = write_bundle(InstanceBundle(model=m, terminals=t, demands=d))
+    tracemalloc.start()
+    try:
+        bundle = parse_bundle(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (bundle.model, bundle.terminals, bundle.demands) == (m, t, d)
+    assert peak < 3 * len(text), peak / len(text)
 
 
 def test_parsed_graph_is_compact_and_interned():

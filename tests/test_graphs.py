@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -17,7 +18,8 @@ from cdspart.graphs import (
 )
 from cdspart.engine import GLInstance, solve
 from cdspart.flows import vertex_disjoint_paths
-from cdspart.generators import gen_gl_extension, gen_planted_cds
+from cdspart.builders import cds_biconvex, cds_convex, extend_to_partition
+from cdspart.generators import gen_biconvex, gen_convex, gen_gl_extension, gen_planted_cds
 
 from conftest import edges_of, fixture_graph, graph_of, random_graph
 from reference_oracles import brute_vertex_connectivity
@@ -137,6 +139,23 @@ class TestOrderIndependence:
             blocks = solve(GLInstance(graph, t, d), trees_here, trace=trace)
             outs.append(([tree.edges for tree in trees_here], blocks, trace))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_window_builders(self, seed):
+        # sizes at which some rows hold ids that collide in their hash tables
+        convex = gen_convex(100 + 20 * seed, 200 + 20 * seed, 8, seed)
+        biconvex = gen_biconvex(150 + 20 * seed, 180 + 20 * seed, 4, seed)
+        for m, builds in [(convex, [(cds_convex, 2)]), (biconvex, [(cds_biconvex, 4), (cds_convex, 1)])]:
+            twin = dataclasses.replace(m)  # the same windows, no graph yet
+            object.__setattr__(twin, "_graph", Graph(shuffled_lists(m.graph, seed)))
+            # the test has teeth: some row iterates in another order
+            assert any(list(a) != list(b) for a, b in zip(m.graph.adj, twin.graph.adj))
+            assert twin.graph.adj == m.graph.adj
+            for build, k in builds:
+                fams = [build(model, k) for model in (m, twin)]
+                assert fams[0] == fams[1]
+                parts = [extend_to_partition(model.graph, fam) for model, fam in zip((m, twin), fams)]
+                assert parts[0] == parts[1]
 
 
 def _tree_outcome(g, s):

@@ -18,6 +18,10 @@ model's vertex connectivity, by flows:
   grows into a verified CDS partition, and it raises
   `InsufficientConnectivity` at top + 1.
 
+Every convex and biconvex model's derived graph must also equal the graph
+of its window pairs, listed one at a time (`graph_of`); for a biconvex
+model the convex model of the same windows is checked too.
+
 Run as a script, `python tests/window_sweep.py N`, it prints each class's
 models, calls and failures (biconvex and interval: calls that break the
 rule; convex: `InsufficientConnectivity` raises) and every broken rule; the
@@ -40,6 +44,7 @@ from cdspart.builders import (
 from cdspart.graphs import GraphError, vertex_connectivity
 from cdspart.models import BiconvexModel, ConvexModel, IntervalModel
 from cdspart.verify import brute_cds, verify_cds_partition
+from conftest import graph_of
 
 
 def models(limit):
@@ -70,6 +75,13 @@ def interval_models(limit):
                 yield m, n if 2 * m.graph.m == n * (n - 1) else kappa
 
 
+def derived_as_pairs(m):
+    """True iff m's derived graph is `graph_of` its window pairs."""
+    pairs = [(a, m.b_id(j)) for j, (lo, hi) in enumerate(m.windows) for a in range(m.na) if lo <= a <= hi]
+    want = graph_of(m.n, pairs)
+    return (m.graph.n, m.graph.m, m.graph.adj) == (want.n, want.m, want.adj)
+
+
 def verified(m, out):
     """True iff `out` is a family that grows into a verified CDS partition."""
     if not isinstance(out, tuple):
@@ -86,11 +98,16 @@ def outcome(build, m, k):
 
 
 def sweep(limit):
-    """Per class, the counts of models, calls and failures, and the list of
-    (class, windows, k, what) for every broken rule."""
+    """Per class, the counts of models, calls, failures and checked derived
+    graphs, and the list of (class, windows, k, what) for every broken rule."""
     counts = {"biconvex": Counter(), "convex": Counter(), "interval": Counter()}
     broken = []
     for m, kappa, biconvex in models(limit):
+        for model in [m, ConvexModel(m.na, m.nb, m.windows)] if biconvex else [m]:
+            klass = "biconvex" if isinstance(model, BiconvexModel) else "convex"
+            counts[klass]["graphs"] += 1
+            if not derived_as_pairs(model):
+                broken.append((klass, m.windows, None, "derived graph differs from its window pairs"))
         if biconvex:
             counts["biconvex"]["models"] += 1
             for k in range(1, kappa + 2):
