@@ -5,17 +5,20 @@ Every vertex v becomes an in/out pair joined by a unit-capacity arc; each
 undirected edge contributes a unit arc in both directions between the
 out/in copies.  A query from s to t starts at the out-copy of s and ends
 at the in-copy of t, so a direct s-t edge is the unit arc s_out -> t_in,
-i.e. an edge counts as a path with no internal vertices.  One network is
-built per graph and answers any number of s-t queries: each query undoes
-the flow of the previous one and sets its own source and sink.
-Augmenting paths are found by BFS in insertion order, which makes the
-produced family deterministic.
+i.e. an edge counts as a path with no internal vertices.  One network
+per graph answers any number of s-t queries: each query undoes the flow
+of the previous one and sets its own source and sink.  A vertex's edge
+arcs are built when a search first scans its out-copy, so a query pays
+for the rows it reaches, not for the whole graph, and later queries
+reuse them.  Augmenting paths are found by BFS in a fixed arc order,
+which makes the produced family deterministic.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from itertools import chain, repeat
+from collections.abc import Iterator
+from itertools import repeat
+from weakref import proxy
 
 from .graphs import Graph, GraphError, _subset
 
@@ -33,40 +36,47 @@ def check_path(g: Graph, p: Path) -> None:
             raise GraphError("not-a-path", f"missing edge ({a}, {b})")
 
 
+def _row(net: _SplitNetwork, v: int, adj_v: frozenset[int]) -> Iterator[int]:
+    to, cap = net.to, net.cap
+    start, nbrs = len(to), sorted(adj_v)
+    to.extend(repeat(2 * v + 1, 2 * len(nbrs)))
+    to[start::2] = [2 * w for w in nbrs]
+    cap.extend([1, 0] * len(nbrs))
+    row = net.out[2 * v + 1] = [2 * v + 1, *range(start, len(to), 2)]
+    yield from row
+
+
 class _SplitNetwork:
     """Residual network of g with every vertex split, reused across queries.
 
     Node 2v is the in-copy of v and 2v + 1 its out-copy.  Arcs come in
     (forward, reverse) pairs at indices (2i, 2i + 1) with forward capacity
-    1: first the split arcs, 2v -> 2v + 1 at index 2v, then one pair per
-    directed edge u -> w, 2u + 1 -> 2w, in ascending (u, w) order.  Each
-    node lists its split arc first, then its edge arcs in ascending
-    neighbour order, so BFS order, flow values and path families depend
-    on the query alone, not on the queries before it.  An in-copy lists
-    only the reverse edge arcs that carry capacity, i.e. the edges into v
-    that carry flow; the others would be skipped anyway.  The split arcs
-    of s and t never carry flow: s_in leads only to the source, which is
-    already visited, and t_out is never reached, so splitting them gives
-    the flows of a network that leaves the endpoints whole.
+    1: first the split arcs, 2v -> 2v + 1 at index 2v, then the edge arcs
+    in the order their rows are built.  Until a scan first iterates
+    out-copy v, its list is a `_row` generator, which appends one pair per
+    directed edge v -> w, 2v + 1 -> 2w, puts v's list in its place and
+    yields it, so no search tests anything per visit.  An out-copy lists
+    its reverse split arc first, then its edge arcs in ascending neighbour
+    order.  An in-copy lists its split arc first, then the reverse edge
+    arcs that carry capacity, i.e. the edges into v that carry flow (the
+    others would be skipped anyway): at most one, as one unit leaves v_in
+    by its split arc, but at the sink, which no search scans.  So BFS
+    order, flow values and path families depend on the query alone, not on
+    the queries or rows before it.  The split arcs of s and t never carry
+    flow: s_in leads only to the source, which is already visited, and
+    t_out is never reached, so splitting them gives the flows of a network
+    that leaves the endpoints whole.
     """
 
     def __init__(self, g: Graph):
         n = g.n
-        adj = list(map(sorted, g.adj))
         self.base = base = 2 * n  # index of the first edge arc
-        first = [base]  # first[u]: the forward arc of u's first edge
-        for nbrs in adj:
-            first.append(first[-1] + 2 * len(nbrs))
-        self.to = to = [0] * first[-1]
-        to[0:base:2] = range(1, base, 2)
-        to[1:base:2] = range(0, base, 2)
-        to[base::2] = [2 * w for w in chain.from_iterable(adj)]
-        to[base + 1 :: 2] = chain.from_iterable(map(repeat, range(1, base, 2), map(len, adj)))
-        self.cap = [1, 0] * (len(to) // 2)
-        self.out: list[list[int]] = []
-        for v in range(n):
-            self.out.append([2 * v])
-            self.out.append([2 * v + 1, *range(first[v], first[v + 1], 2)])
+        self.to = to = [0] * base
+        to[0::2] = range(1, base, 2)
+        to[1::2] = range(0, base, 2)
+        self.cap = [1, 0] * n
+        net = proxy(self)  # a weak reference: the rows form no cycle with the network
+        self.out: list = [r for v in range(n) for r in ([2 * v], _row(net, v, g.adj[v]))]
         self.source = self.sink = -1
         self._touched: list[int] = []  # arcs the last query pushed flow along
 
@@ -124,7 +134,7 @@ class _SplitNetwork:
                 if a & 1:  # a leaves in-copy `node` and is now closed
                     out[node].remove(a)
                 else:  # the reverse of a leaves in-copy to[a] and is now open
-                    insort(out[to[a]], a ^ 1, lo=1)
+                    out[to[a]].append(a ^ 1)
 
     def extract_paths(self) -> list[Path]:
         """Decompose the current flow into s-t vertex sequences.

@@ -9,20 +9,24 @@ Run as a script, `python tests/atlas_sweep.py N` (networkx needed), it
 prints the graphs, solves, trims (solves whose inflated block was
 trimmed), failures and one sha256 over all partitions in order, then the
 gap table: per n and k = 2, 3, the k-connected graphs and how many of them
-have k disjoint CDSs.  The tier-1 suite walks N = 6.
+have k disjoint CDSs.  With `--every-family` it solves every family of k
+disjoint CDSs, in the order `brute_cds`'s search meets them, not just the
+first.  The tier-1 suite walks N = 6, first families only.
 """
 
 import hashlib
 import sys
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import networkx as nx
 
 from cdspart.engine import EngineError, GLInstance, PartitionState, solve
 from cdspart.formats import write_partition
 from cdspart.graphs import DominatingTree, Graph, vertex_connectivity
-from cdspart.verify import brute_cds, verify_gl
+from cdspart.verify import _adj_masks, _bits, _connected_mask, brute_cds, verify_gl
 
 
 def atlas_graphs(limit):
@@ -38,10 +42,33 @@ def compositions(n, k):
         yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
 
 
-def sweep(limit):
-    """The counts of graphs, solves, trims and failures, the sha256 over
-    every partition, and the list of (graph edges, terminals, demands,
-    what) for every failure."""
+def cds_families(g, k):
+    """Every family of k disjoint CDSs of g, in the order `brute_cds`'s
+    search meets them; the first is `brute_cds(g, k)`."""
+    adj = _adj_masks(g)
+    full = (1 << g.n) - 1
+    masks = []
+    for m in range(1, 1 << g.n):
+        if reduce(or_, (adj[v] for v in _bits(m)), m) == full and _connected_mask(adj, m):
+            masks.append(m)
+    masks.sort(key=lambda m: tuple(_bits(m)))
+
+    def grow(start, used, chosen):
+        if len(chosen) == k:
+            yield tuple(frozenset(_bits(m)) for m in chosen)
+            return
+        for idx in range(start, len(masks)):
+            if not masks[idx] & used:
+                yield from grow(idx + 1, used | masks[idx], [*chosen, masks[idx]])
+
+    return grow(0, 0, [])
+
+
+def sweep(limit, every_family=False):
+    """The counts of graphs, families, solves, trims and failures, the
+    sha256 over every partition, and the list of (graph edges, terminals,
+    demands, what) for every failure.  Each graph's first family at each k
+    is solved, or with `every_family` each of its families."""
     counts = Counter()
     digest = hashlib.sha256()
     broken = []
@@ -56,22 +83,27 @@ def sweep(limit):
         for g in atlas_graphs(limit):
             counts["graphs"] += 1
             k = 1
-            while k <= g.n and (family := brute_cds(g, k)) is not None:
-                trees = [DominatingTree(g, s) for s in family]
-                for terminals in combinations(range(g.n), k):
-                    for demands in compositions(g.n, k):
-                        counts["solves"] += 1
-                        inst = GLInstance(g, terminals, demands)
-                        try:
-                            p = solve(inst, trees)
-                        except EngineError as exc:
-                            what, p = repr(exc), ()
-                        else:
-                            what = None if verify_gl(inst, p).ok else "verify_gl fails"
-                        digest.update(write_partition(p).encode())
-                        if what is not None:
-                            counts["failures"] += 1
-                            broken.append((g.adj, terminals, demands, what))
+            while k <= g.n and (first := brute_cds(g, k)) is not None:
+                families = cds_families(g, k) if every_family else [first]
+                for i, family in enumerate(families):
+                    counts["families"] += 1
+                    if i == 0 and family != first:
+                        broken.append((g.adj, k, None, f"first family {family} is not {first}"))
+                    trees = [DominatingTree(g, s) for s in family]
+                    for terminals in combinations(range(g.n), k):
+                        for demands in compositions(g.n, k):
+                            counts["solves"] += 1
+                            inst = GLInstance(g, terminals, demands)
+                            try:
+                                p = solve(inst, trees)
+                            except EngineError as exc:
+                                what, p = repr(exc), ()
+                            else:
+                                what = None if verify_gl(inst, p).ok else "verify_gl fails"
+                            digest.update(write_partition(p).encode())
+                            if what is not None:
+                                counts["failures"] += 1
+                                broken.append((g.adj, terminals, demands, what))
                 k += 1
     finally:
         PartitionState.trim = trim
@@ -98,11 +130,12 @@ def gap_table(limit):
 
 
 if __name__ == "__main__":
-    limit = int(sys.argv[1]) if len(sys.argv) > 1 else 6
-    counts, digest, broken = sweep(limit)
+    args = [a for a in sys.argv[1:] if a != "--every-family"]
+    limit = int(args[0]) if args else 6
+    counts, digest, broken = sweep(limit, every_family="--every-family" in sys.argv)
     print(
-        f"n <= {limit}: {counts['graphs']} graphs, {counts['solves']} solves, "
-        f"{counts['trims']} trims, {counts['failures']} failures"
+        f"n <= {limit}: {counts['graphs']} graphs, {counts['families']} families, "
+        f"{counts['solves']} solves, {counts['trims']} trims, {counts['failures']} failures"
     )
     print(f"partitions sha256 {digest}")
     for (n, k), (connected, cds) in gap_table(limit).items():

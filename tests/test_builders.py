@@ -279,6 +279,15 @@ def test_every_small_window_model():
     assert [counts[c]["graphs"] for c in ("biconvex", "convex")] == [4988, 9298]
 
 
+def test_small_window_models_against_reference_flows():
+    # tests/window_sweep.py's flow sweep at N = 4: connectivity on every
+    # model and backbones at every k <= kappa + 1 equal the per-pair flows
+    # of tests/reference_flows.py
+    counts, broken = window_sweep.flow_sweep(4)
+    assert broken == []
+    assert (counts["models"], counts["backbones"]) == (1283, 1201)
+
+
 class TestCdsConvex:
     def test_complete_bipartite_k1(self):
         m = ConvexModel(na=4, nb=4, windows=tuple((0, 3) for _ in range(4)))

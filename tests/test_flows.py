@@ -247,7 +247,9 @@ class TestAgainstReferenceFlows:
     @pytest.mark.parametrize("seed", range(12))
     def test_reused_network_answers_as_fresh_ones(self, seed):
         # one network, many queries: capped ones stop with flow still on the
-        # network, and the next query must not see it
+        # network, and the next query must not see it; the reused network
+        # has built more rows than a fresh one, so their residual states are
+        # compared in vertex terms, not as arc arrays
         n = 12 + seed
         g = random_graph(seed, n, n * (2 + seed % 4), connected=True)
         net = _SplitNetwork(g)
@@ -259,7 +261,51 @@ class TestAgainstReferenceFlows:
             assert tuple(paths) == ref.disjoint_paths(g, s, t, cap)
             fresh = _SplitNetwork(g)
             fresh.max_flow(s, t, cap)
-            assert (net.cap, net.out) == (fresh.cap, fresh.out)
+            assert residual(g, net) == residual(g, fresh)
+        # every row was built once, however many queries scanned it
+        built = [v for v in range(n) if isinstance(net.out[2 * v + 1], list)]
+        assert len(net.to) == net.base + 2 * sum(len(g.adj[v]) for v in built)
+
+
+def residual(g, net):
+    """The residual state of a network over g in vertex terms, whatever rows
+    it has built.  An arc is named by its (tail, head) nodes, 2v and 2v + 1
+    for the in- and out-copy of v.  The first part maps each arc whose
+    capacity differs from a fresh network's to its capacity: the directed
+    edges that carry flow, their open reverse arcs and the used split arcs.
+    The second lists every node's arcs; a row not built yet reads as the
+    one it would build."""
+    to, cap = net.to, net.cap
+    changed = {(to[a ^ 1], to[a]): cap[a] for a in range(len(to)) if cap[a] != 1 - a % 2}
+    lists = [
+        [(to[a ^ 1], to[a]) for a in row] if isinstance(row, list)
+        else [(x, x - 1), *((x, 2 * w) for w in sorted(g.adj[x // 2]))]
+        for x, row in enumerate(net.out)
+    ]
+    return changed, lists
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_backbone_query_builds_few_rows(monkeypatch, seed):
+    # a_1 -> a_na for k = 2 on a dense convex model: the searches reach a
+    # handful of out-copies, so the network builds a handful of rows, not
+    # the 2m edge arcs of the whole graph
+    m = gen_convex(300, 600, 8, seed)
+    g, k = m.graph, 2
+    nets = []
+    init = _SplitNetwork.__init__
+
+    def kept_init(self, graph):
+        nets.append(self)
+        init(self, graph)
+
+    monkeypatch.setattr(flows_module._SplitNetwork, "__init__", kept_init)
+    assert len(vertex_disjoint_paths(g, m.a_id(0), m.a_id(m.na - 1), want=k)) == k
+    (net,) = nets
+    rows = sum(isinstance(row, list) for row in net.out[1::2])
+    edge_arcs = (len(net.to) - net.base) // 2
+    assert 1 <= rows <= 2 * k + 1
+    assert edge_arcs < 0.01 * 2 * g.m
 
 
 def test_one_network_per_connectivity_check(monkeypatch):

@@ -22,25 +22,33 @@ Every convex and biconvex model's derived graph must also equal the graph
 of its window pairs, listed one at a time (`graph_of`); for a biconvex
 model the convex model of the same windows is checked too.
 
+`flow_sweep` checks the flows on the same models against the frozen
+per-pair oracle of tests/reference_flows.py: connectivity on every model,
+`backbones` on every convex one.
+
 Run as a script, `python tests/window_sweep.py N`, it prints each class's
 models, calls and failures (biconvex and interval: calls that break the
-rule; convex: `InsufficientConnectivity` raises) and every broken rule; the
-tier-1 suite walks N = 5.  With `--table` it then prints the convex table
-of README.md, which runs `brute_cds` on every model (about a minute at
-N = 5).
+rule; convex: `InsufficientConnectivity` raises), then the flow sweep's
+models and backbone calls, and every broken rule; the tier-1 suite walks
+N = 5, and N = 4 for the flow sweep.  With `--table` it then prints the
+convex table of README.md, which runs `brute_cds` on every model (about a
+minute at N = 5).
 """
 
 import sys
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, repeat
 
+import reference_flows as ref
 from cdspart.builders import (
     InsufficientConnectivity,
+    backbones,
     cds_biconvex,
     cds_convex,
     cds_interval,
     extend_to_partition,
 )
+from cdspart.flows import make_induced
 from cdspart.graphs import GraphError, vertex_connectivity
 from cdspart.models import BiconvexModel, ConvexModel, IntervalModel
 from cdspart.verify import brute_cds, verify_cds_partition
@@ -137,6 +145,40 @@ def sweep(limit):
     return counts, broken
 
 
+def flow_sweep(limit):
+    """Counts of models, connectivity checks and backbone calls against the
+    frozen per-pair flows of tests/reference_flows.py, and the list of
+    (class, model, k, what) for every mismatch.  Every model's
+    `vertex_connectivity` must equal `ref.connectivity_capped(g, n - 1)`;
+    on a convex model with na > 1, at every k <= kappa + 1, `backbones`
+    must return `make_induced` of each `ref.disjoint_paths(g, a_1, a_na,
+    k)` path, or raise `InsufficientConnectivity` with their count when
+    there are fewer than k."""
+    counts, broken = Counter(), []
+    windowed = ((m, "biconvex" if bic else "convex", m.windows) for m, _, bic in models(limit))
+    spans = ((m, "interval", tuple(zip(m.lefts, m.rights))) for m, _ in interval_models(limit))
+    for m, klass, key in chain(windowed, spans):
+        g = m.graph
+        counts["models"] += 1
+        kappa = vertex_connectivity(g)
+        if kappa != ref.connectivity_capped(g, g.n - 1):
+            broken.append((klass, key, None, f"connectivity {kappa} differs from the reference"))
+        if klass == "interval" or m.na == 1:
+            continue
+        a1, a_na = m.a_id(0), m.a_id(m.na - 1)
+        for k in range(1, kappa + 2):
+            counts["backbones"] += 1
+            paths = ref.disjoint_paths(g, a1, a_na, k)
+            want = tuple(map(make_induced, repeat(g), paths)) if len(paths) == k else len(paths)
+            try:
+                out = backbones(m, g, k)
+            except InsufficientConnectivity as exc:
+                out = exc.achieved
+            if out != want:
+                broken.append((klass, key, k, f"backbones {out!r}, reference {want}"))
+    return counts, broken
+
+
 def convex_table(limit):
     """{(na, nb): Counter} over the convex models of that size: `models`,
     and summed over them the largest k at which `cds_convex` succeeds
@@ -162,6 +204,9 @@ if __name__ == "__main__":
     counts, broken = sweep(limit)
     for klass, c in counts.items():
         print(f"{klass}: {c['models']} models, {c['calls']} calls, {c['failures']} failures")
+    flow_counts, flow_broken = flow_sweep(limit)
+    print(f"flows: {flow_counts['models']} models, {flow_counts['backbones']} backbone calls")
+    broken += flow_broken
     for b in broken:
         print("BROKEN", *b)
     if "--table" in sys.argv:
