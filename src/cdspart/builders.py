@@ -32,19 +32,20 @@ class InsufficientConnectivity(BuilderError):
 
 
 def validate_family(g: Graph, sets: CdsFamily) -> None:
-    """Pairwise disjoint, each connected, each dominating; raises otherwise."""
+    """Pairwise disjoint, each connected, each dominating; raises otherwise,
+    naming the first failing set counted from 1."""
     bad = first_non_dominating(g, sets)
     seen: set[int] = set()
     for i, s in enumerate(sets):
         if not s:
-            raise BuilderError("empty-set", f"set {i}")
+            raise BuilderError("empty-set", f"set {i + 1}")
         if s & seen:
-            raise BuilderError("not-disjoint", f"set {i} overlaps an earlier one")
+            raise BuilderError("not-disjoint", f"set {i + 1} overlaps an earlier one")
         seen |= s
         if not is_connected_subset(g, s):
-            raise BuilderError("not-connected", f"set {i}")
+            raise BuilderError("not-connected", f"set {i + 1}")
         if i == bad:
-            raise BuilderError("not-dominating", f"set {i}")
+            raise BuilderError("not-dominating", f"set {i + 1}")
 
 
 def cds_interval(m: IntervalModel, k: int) -> CdsFamily:
@@ -84,11 +85,12 @@ def cds_interval(m: IntervalModel, k: int) -> CdsFamily:
     return out
 
 
-def backbones(m: ConvexModel, g: Graph, k: int) -> tuple[Path, ...]:
-    """k disjoint induced a_1..a_na paths of a convex (or biconvex) model,
-    endpoints kept (na = 1 gives (a_1,)); `g` is the model's derived graph."""
+def backbones(m: ConvexModel, k: int) -> tuple[Path, ...]:
+    """k disjoint induced a_1..a_na paths of a convex (or biconvex) model's
+    graph, endpoints kept (na = 1 gives (a_1,))."""
     if k < 1:
         raise BuilderError("bad-k", f"k={k}")
+    g = m.graph
     a1, a_na = m.a_id(0), m.a_id(m.na - 1)
     paths = vertex_disjoint_paths(g, a1, a_na, want=k) if m.na > 1 else ((a1,),)
     if len(paths) < k:
@@ -119,7 +121,7 @@ def cds_biconvex(m: BiconvexModel, k: int) -> CdsFamily:
     d1, dn = g.adj[m.b_id(0)], g.adj[m.b_id(m.nb - 1)]
     if min(len(d1), len(dn)) < k:
         raise InsufficientConnectivity(k, min(len(d1), len(dn)))
-    sets = [set(p[1:-1]) for p in backbones(m, g, k)]
+    sets = [set(p[1:-1]) for p in backbones(m, k)]
     free = set(range(m.na)).difference(*sets)
     xs, ys, zs = (sorted(f, reverse=True) for f in (free & d1 - dn, free & dn - d1, free & d1 & dn))
     miss1 = [s for s in sets if s & dn and not s & d1]
@@ -154,8 +156,7 @@ def cds_convex(m: ConvexModel, k: int) -> CdsFamily:
     bounds kappa below 4k, and `InsufficientConnectivity(4k, width)` is
     raised with the narrowest width; any other failure stands.
     """
-    g = m.graph
-    paths = backbones(m, g, k)
+    paths = backbones(m, k)
     sets = [set(p[1:-1]) for p in paths]
     for pos, a in enumerate(sorted(set(range(m.na)).difference(*paths))):
         sets[pos % k].add(a)
@@ -163,7 +164,7 @@ def cds_convex(m: ConvexModel, k: int) -> CdsFamily:
     sets[0].add(m.a_id(m.na - 1))
     out = tuple(frozenset(s) for s in sets)
     try:
-        validate_family(g, out)
+        validate_family(m.graph, out)
     except BuilderError as exc:
         width = min(hi - lo + 1 for lo, hi in m.windows)
         if exc.code == "not-dominating" and width < 4 * k:

@@ -21,6 +21,17 @@ from . import builders, engine, formats, generators, verify
 from .graphs import GraphError, vertex_connectivity
 from .models import BiconvexModel, ConvexModel, IntervalModel, interval_connectivity
 
+# Per structured class: its model type, generator, CDS builder and the size
+# flags `gen` reads, in the generator's argument order.  The generator and
+# builder are named, not held, so a wrapper set on their module (a tracer's,
+# a test's) is the one called.  `gen --class planted` is the one other
+# class: it reads --n and --extra-edges.
+_CLASSES = {
+    "interval": (IntervalModel, "gen_interval", "cds_interval", ("n",)),
+    "biconvex": (BiconvexModel, "gen_biconvex", "cds_biconvex", ("na", "nb")),
+    "convex": (ConvexModel, "gen_convex", "cds_convex", ("na", "nb")),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -31,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a seeded model / instance bundle")
     g.add_argument("--class", dest="klass", required=True,
-                   choices=["interval", "biconvex", "convex", "planted"])
+                   choices=[*_CLASSES, "planted"])
     g.add_argument("--n", type=int, help="vertex count (interval/planted)")
     g.add_argument("--na", type=int, help="A-side size (convex/biconvex)")
     g.add_argument("--nb", type=int, help="B-side size (convex/biconvex)")
@@ -44,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cds", help="build a CDS partition for a structured model")
     c.add_argument("--class", dest="klass", required=True,
-                   choices=["interval", "biconvex", "convex"])
+                   choices=list(_CLASSES))
     c.add_argument("-k", type=int, required=True)
     c.add_argument("input")
     c.add_argument("-o", "--output", required=True)
@@ -96,14 +107,11 @@ def _distinct_files(*paths: str | Path | None) -> None:
             raise formats.FormatError("usage", f"{first} and {path} name one file")
 
 
-# the size flags each `gen` class needs; --extra-edges is planted's alone
-_GEN_SIZES = {"interval": ("n",), "planted": ("n",), "convex": ("na", "nb"), "biconvex": ("na", "nb")}
-
-
 def _cmd_gen(args) -> int:
     klass = args.klass
-    sizes = _GEN_SIZES[klass]
-    reads = sizes + (("extra_edges",) if klass == "planted" else ())
+    planted = klass == "planted"
+    sizes = ("n",) if planted else _CLASSES[klass][3]
+    reads = sizes + (("extra_edges",) if planted else ())
     for name in ("n", "na", "nb", "extra_edges"):
         if name not in reads and getattr(args, name) is not None:
             flag = "--" + name.replace("_", "-")
@@ -111,29 +119,25 @@ def _cmd_gen(args) -> int:
     if any(getattr(args, name) is None for name in sizes):
         flags = " and ".join(f"--{name}" for name in sizes)
         raise formats.FormatError("usage", f"gen --class {klass} needs {flags}")
-    n = sum(getattr(args, name) for name in sizes)
+    counts = [getattr(args, name) for name in sizes]
+    n = sum(counts)
     if n > formats.MAX_VERTICES:  # parse_bundle's header bound, before anything is sized
         raise formats.FormatError("invariant", f"vertex count {n} exceeds {formats.MAX_VERTICES}")
-    if klass == "planted":
+    if planted:
         cds_path = Path(args.output).with_suffix(".cds")
         _distinct_files(args.output, cds_path)
         extra = args.extra_edges if args.extra_edges is not None else n // 4
         model, trees = generators.gen_planted_cds(n, args.k, extra, args.seed)
         comment = f"planted instance: n={n} k={args.k} extra={extra} seed={args.seed} prng=splitmix64"
-    elif klass == "interval":
-        model = generators.gen_interval(n, args.k, args.seed)
-        comment = f"interval model: n={n} target_k={args.k} seed={args.seed} prng=splitmix64"
     else:
-        fn = generators.gen_biconvex if klass == "biconvex" else generators.gen_convex
-        model = fn(args.na, args.nb, args.k, args.seed)
-        comment = (
-            f"{klass} model: na={args.na} nb={args.nb} target_k={args.k} seed={args.seed} prng=splitmix64"
-        )
+        model = getattr(generators, _CLASSES[klass][1])(*counts, args.k, args.seed)
+        shape = " ".join(f"{name}={count}" for name, count in zip(sizes, counts))
+        comment = f"{klass} model: {shape} target_k={args.k} seed={args.seed} prng=splitmix64"
     # write_bundle reads the model alone, so no graph is derived here
     terminals, demands = generators.gen_gl_extension(model.n, args.k, seed=args.seed ^ 0x5EED)
     bundle = formats.InstanceBundle(model=model, terminals=terminals, demands=demands)
     Path(args.output).write_text(formats.write_bundle(bundle, [comment]), encoding="utf-8")
-    if klass == "planted":
+    if planted:
         cds_path.write_text(formats.write_cds([t.vertices for t in trees]), encoding="utf-8")
         print(f"wrote {args.output} and {cds_path}")
     else:
@@ -144,20 +148,11 @@ def _cmd_gen(args) -> int:
 def _cmd_cds(args) -> int:
     _distinct_files(args.input, args.output)
     bundle = formats.parse_bundle(_read(args.input))
-    model = bundle.model
-    want = args.klass
-    if want == "interval":
-        if not isinstance(model, IntervalModel):
-            raise formats.FormatError("usage", f"{args.input} is not an interval model")
-        fam = builders.cds_interval(model, args.k)
-    elif want == "biconvex":
-        if not isinstance(model, BiconvexModel):
-            raise formats.FormatError("usage", f"{args.input} is not a biconvex model")
-        fam = builders.cds_biconvex(model, args.k)
-    else:
-        if not isinstance(model, ConvexModel):
-            raise formats.FormatError("usage", f"{args.input} is not a convex model")
-        fam = builders.cds_convex(model, args.k)
+    kind, _, build, _ = _CLASSES[args.klass]
+    if not isinstance(bundle.model, kind):
+        article = "an" if args.klass[0] in "aeiou" else "a"
+        raise formats.FormatError("usage", f"{args.input} is not {article} {args.klass} model")
+    fam = getattr(builders, build)(bundle.model, args.k)
     partition = builders.extend_to_partition(bundle.graph, fam)
     Path(args.output).write_text(formats.write_cds(partition), encoding="utf-8")
     print(f"wrote {args.output}")

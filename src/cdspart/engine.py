@@ -88,7 +88,8 @@ class GLInstance:
 
 
 def validate_cds_input(g: Graph, trees: Sequence[DominatingTree]) -> None:
-    """Check the trees in index order; the first failing tree is reported.
+    """Check the trees in index order; the first failing tree is reported,
+    counted from 1 as a CDS file numbers its sets.
 
     A tree is connected by construction.  Each tree must be built on `g`,
     dominate it and miss the earlier trees, checked in that order;
@@ -100,11 +101,11 @@ def validate_cds_input(g: Graph, trees: Sequence[DominatingTree]) -> None:
     seen: set[int] = set()
     for i, t in enumerate(trees):
         if t.graph is not g:
-            raise EngineError("invalid-cds-input", f"tree {i} is built on another graph")
+            raise EngineError("invalid-cds-input", f"tree {i + 1} is built on another graph")
         if i == bad:
-            raise EngineError("invalid-cds-input", f"tree {i}: not-dominating")
+            raise EngineError("invalid-cds-input", f"tree {i + 1}: not-dominating")
         if t.vertices & seen:
-            raise EngineError("invalid-cds-input", f"tree {i} overlaps an earlier tree")
+            raise EngineError("invalid-cds-input", f"tree {i + 1} overlaps an earlier tree")
         seen |= t.vertices
 
 

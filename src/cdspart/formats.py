@@ -156,16 +156,10 @@ def parse_bundle(text: str) -> InstanceBundle:
     lineno, toks, offset = _header(text)
     if toks[0] != "p" or len(toks) < 2:
         raise FormatError("syntax", f"expected 'p <kind> ...' header, got {' '.join(toks)}", lineno)
-    kind = toks[1]
-    if kind == "gl":
-        model, rows = _parse_graph(text, offset, lineno, toks)
-    elif kind == "interval":
-        rows = _rows_after(text, offset, lineno)
-        model = _parse_interval(rows, lineno, toks)
-    elif kind in ("convex", "biconvex"):
-        model, rows = _parse_convex(text, offset, lineno, toks, kind == "biconvex")
-    else:
-        raise FormatError("syntax", f"unknown model kind '{kind}'", lineno)
+    read = _SECTIONS.get(toks[1])
+    if read is None:
+        raise FormatError("syntax", f"unknown model kind '{toks[1]}'", lineno)
+    model, rows = read(text, offset, lineno, toks)
     terminals = demands = None
     row = next(rows, None)
     if row is not None:
@@ -176,12 +170,11 @@ def parse_bundle(text: str) -> InstanceBundle:
     return InstanceBundle(model=model, terminals=terminals, demands=demands)
 
 
-# Each section parser takes the header row's number and tokens, reads its
-# records and returns the model (`_parse_graph` and `_parse_convex` also
-# return the rows after the section, which they read from `text` at
-# `offset`, the start of the line after the header).  After a record loop
-# `lineno` is the last line read (the header when none was), which is
-# where a short section is reported.
+# Each section reader of `_SECTIONS` takes `text`, the `offset` of the line
+# after the header, and the header row's number and tokens; it reads its
+# records and returns the model and the rows after the section.  After a
+# record loop `lineno` is the last line read (the header when none was),
+# which is where a short section is reported.
 
 
 def _parse_graph(text: str, offset: int, lineno: int, toks: list[str]) -> tuple[Graph, Iterator[_Row]]:
@@ -296,12 +289,15 @@ def _name_edge_fault(lines: list[str], lineno: int, m: int) -> None:
         seen.add(edge)
 
 
-def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> IntervalModel:
+def _parse_interval(
+    text: str, offset: int, lineno: int, toks: list[str]
+) -> tuple[IntervalModel, Iterator[_Row]]:
     if len(toks) != 3:
         raise FormatError("syntax", "expected 'p interval <n>'", lineno)
     (n,) = _ints(toks[2:], lineno)
     if n < 0:
         raise FormatError("invariant", f"negative interval count {n}", lineno)
+    rows = _rows_after(text, offset, lineno)
     # keyed by id: the header count sizes nothing before the records are read
     spans: dict[int, tuple[int, int]] = {}
     for _, (lineno, toks) in zip(range(n), rows):
@@ -324,16 +320,13 @@ def _parse_interval(rows: Iterator[_Row], lineno: int, toks: list[str]) -> Inter
     if len(spans) < n:
         raise FormatError("syntax", f"expected {n} interval lines", lineno)
     ids = range(1, n + 1)
-    return IntervalModel(
-        lefts=tuple(spans[v][0] for v in ids), rights=tuple(spans[v][1] for v in ids)
-    )
+    lefts = tuple(spans[v][0] for v in ids)
+    return IntervalModel(lefts=lefts, rights=tuple(spans[v][1] for v in ids)), rows
 
 
-def _parse_convex(
-    text: str, offset: int, lineno: int, toks: list[str], biconvex: bool
-) -> tuple[ConvexModel, Iterator[_Row]]:
+def _parse_convex(text: str, offset: int, lineno: int, toks: list[str]) -> tuple[ConvexModel, Iterator[_Row]]:
     if len(toks) != 5:
-        raise FormatError("syntax", f"expected 'p {'biconvex' if biconvex else 'convex'} <nA> <nB> <m>'", lineno)
+        raise FormatError("syntax", f"expected 'p {toks[1]} <nA> <nB> <m>'", lineno)
     header = lineno
     na, nb, m = _ints(toks[2:], lineno)
     if min(na, nb, m) < 0:
@@ -348,10 +341,15 @@ def _parse_convex(
     if na + nb > MAX_VERTICES:
         raise FormatError("invariant", f"vertex count {na + nb} exceeds {MAX_VERTICES}", header)
     try:
-        cls = BiconvexModel if biconvex else ConvexModel
+        cls = BiconvexModel if toks[1] == "biconvex" else ConvexModel
         return cls(na=na, nb=nb, windows=tuple(windows)), rows
     except GraphError as exc:
         raise FormatError("invariant", str(exc)) from exc
+
+
+_SECTIONS = {
+    "gl": _parse_graph, "interval": _parse_interval, "convex": _parse_convex, "biconvex": _parse_convex,
+}
 
 
 def _window_section(windows: Sequence[tuple[int, int]]) -> list[str]:

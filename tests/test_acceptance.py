@@ -106,7 +106,7 @@ def test_03_biconvex_pipeline():
         if vertex_connectivity(g) != k:
             continue
         started = time.perf_counter()
-        stripped = [p[1:-1] for p in backbones(m, g, k)]
+        stripped = [p[1:-1] for p in backbones(m, k)]
         first = g.adj[m.b_id(0)]
         last = g.adj[m.b_id(m.nb - 1)]
         for p in stripped:
@@ -141,7 +141,7 @@ def test_04_convex_pipeline():
             assert is_k_connected(g, 4 * k)
             flow_checked += 1
         started = time.perf_counter()
-        for p in backbones(m, g, k):
+        for p in backbones(m, k):
             a_seq = [v for v in p if v < m.na]
             assert a_seq == sorted(a_seq), "A-vertices must be monotone"
             vs = set(p)

@@ -221,7 +221,7 @@ class TestCdsBiconvex:
         g = m.derive_graph()
         first = g.adj[m.b_id(0)]
         last = g.adj[m.b_id(m.nb - 1)]
-        for p in backbones(m, g, k):
+        for p in backbones(m, k):
             p = p[1:-1]
             assert len(set(p) & first) <= 1
             assert len(set(p) & last) <= 1
@@ -231,7 +231,7 @@ class TestCdsBiconvex:
         # a_1 sees every B-vertex: it is a CDS, and a cut vertex (or an
         # end of the one edge), so kappa = 1
         m = BiconvexModel(na=1, nb=nb, windows=((0, 0),) * nb)
-        assert backbones(m, m.graph, 1) == ((0,),)
+        assert backbones(m, 1) == ((0,),)
         assert cds_biconvex(m, 1) == (frozenset({0}),)
         with pytest.raises(InsufficientConnectivity) as exc:
             cds_biconvex(m, 2)
@@ -246,7 +246,7 @@ class TestCdsBiconvex:
     def test_end_b_vertex_degree_bounds_k(self):
         # two backbones a_1 b_j a_3, but b_1 sees a_1 alone
         m = BiconvexModel(na=3, nb=3, windows=((0, 0), (0, 2), (0, 2)))
-        assert len(backbones(m, m.graph, 2)) == 2
+        assert len(backbones(m, 2)) == 2
         with pytest.raises(InsufficientConnectivity) as exc:
             cds_biconvex(m, 2)
         assert (exc.value.wanted, exc.value.achieved) == (2, 1)
@@ -260,7 +260,7 @@ class TestCdsBiconvex:
         m = BiconvexModel(na=7, nb=8, windows=windows)
         assert vertex_connectivity(m.graph) == 2
         paths = ((0, 9, 1, 11, 4, 12, 6), (0, 8, 2, 10, 5, 13, 6))
-        monkeypatch.setattr(builders_module, "backbones", lambda m, g, k: paths)
+        monkeypatch.setattr(builders_module, "backbones", lambda m, k: paths)
         fam = cds_biconvex(m, 2)
         assert fam == (frozenset({9, 1, 11, 4, 12, 2}), frozenset({8, 10, 5, 13, 3}))
         assert verify_cds_family(m.graph, fam).ok
@@ -277,6 +277,15 @@ def test_every_small_window_model():
     assert models == [4988, 9298, 11527]
     # every convex and biconvex model's derived graph equals its window pairs
     assert [counts[c]["graphs"] for c in ("biconvex", "convex")] == [4988, 9298]
+
+
+def test_every_small_biconvex_b_order():
+    # tests/window_sweep.py's order sweep at N = 4: in every B-order other
+    # than window order that is biconvex, cds_biconvex succeeds at every
+    # k <= kappa and refuses kappa + 1
+    counts, broken = window_sweep.order_sweep(4)
+    assert broken == []
+    assert (counts["pairs"], counts["calls"]) == (1267, 2614)
 
 
 def test_small_window_models_against_reference_flows():
@@ -310,7 +319,7 @@ class TestCdsConvex:
     def test_path_properties(self, seed):
         k = 1 + seed % 4
         m = gen_convex(4 * k + 2, 8 * k + 8, 4 * k, seed)
-        for p in backbones(m, m.derive_graph(), k):
+        for p in backbones(m, k):
             a_seq = [v for v in p if v < m.na]
             assert a_seq == sorted(a_seq)
             vs = set(p)
@@ -331,7 +340,7 @@ class TestCdsConvex:
     def test_leftover_shares_are_balanced(self, seed):
         k = 2 + seed % 3
         m = gen_convex(4 * k + 2, 8 * k + 8, 4 * k, seed)
-        paths = backbones(m, m.derive_graph(), k)
+        paths = backbones(m, k)
         fam = cds_convex(m, k)
         shares = []
         for i, s in enumerate(fam):
@@ -372,7 +381,7 @@ class TestValidateFamily:
     @staticmethod
     def set_by_set(g, sets):
         seen = set()
-        for i, s in enumerate(sets):
+        for i, s in enumerate(sets, 1):
             if not s:
                 raise BuilderError("empty-set", f"set {i}")
             if s & seen:

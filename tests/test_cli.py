@@ -392,7 +392,23 @@ class TestDominationChecks:
         code, out = run(capsys, "partition", str(gl), "--cds", str(cds),
                         "-o", str(tmp_path / "p.part"))
         assert code == 2
-        assert out == "ERROR invalid-cds-input invalid-cds-input: tree 0: not-dominating\n"
+        assert out == "ERROR invalid-cds-input invalid-cds-input: tree 1: not-dominating\n"
+
+    @pytest.mark.parametrize("second,message", [
+        # {1} misses 3 and 4
+        ("1", "invalid-cds-input invalid-cds-input: tree 2: not-dominating"),
+        # {1, 4} is not connected
+        ("1 4", "invariant invariant violated: set 2: not-connected"),
+    ])
+    def test_set_faults_count_sets_from_one_exit_2(self, tmp_path, capsys, second, message):
+        # the path 1-2-3-4 with terminals 1 and 4; set 1 = {2, 3} is a CDS
+        gl = tmp_path / "p.gl"
+        gl.write_text("p gl 4 3\ne 1 2\ne 2 3\ne 3 4\nk 2\nt 1 2\nt 4 2\n")
+        cds = tmp_path / "p.cds"
+        cds.write_text(f"c 2\ns 1 2 3\ns 2 {second}\n")
+        code, out = run(capsys, "partition", str(gl), "--cds", str(cds),
+                        "-o", str(tmp_path / "p.part"))
+        assert (code, out) == (2, f"ERROR {message}\n")
 
     def test_partition_settles_domination_in_one_pass(self, tmp_path, monkeypatch):
         import importlib
@@ -618,6 +634,19 @@ class TestCds:
         assert main(["cds", "--class", "interval", "-k", "3", str(model),
                      "-o", str(tmp_path / "m.cdsp")]) == 0
         assert called == ["Graph"]
+
+    @pytest.mark.parametrize("klass,text,message", [
+        ("interval", "p biconvex 1 1 1\ne 1 1\n", "is not an interval model"),
+        ("biconvex", "p convex 1 1 1\ne 1 1\n", "is not a biconvex model"),
+        ("convex", "p interval 1\ni 1 1 1\n", "is not a convex model"),
+    ])
+    def test_model_of_another_class_exit_2(self, tmp_path, capsys, klass, text, message):
+        model = tmp_path / "m.txt"
+        model.write_text(text)
+        cdsf = tmp_path / "m.cdsp"
+        code, out = run(capsys, "cds", "--class", klass, "-k", "1", str(model), "-o", str(cdsf))
+        assert (code, out) == (2, f"ERROR usage {model} {message}\n")
+        assert not cdsf.exists()
 
     def test_empty_interval_model_exit_2(self, tmp_path, capsys):
         # n = 0 is a degenerate graph, as `connectivity` reports it

@@ -110,7 +110,7 @@ class TestCdsInputValidation:
         g = graph_of(3, [(0, 1), (1, 2)])
         t = DominatingTree(graph_of(3, [(0, 1), (1, 2)]), {1})
         inst = GLInstance(graph=g, terminals=(0,), demands=(3,))
-        with pytest.raises(EngineError, match="invalid-cds-input: tree 0 is built on another graph"):
+        with pytest.raises(EngineError, match="invalid-cds-input: tree 1 is built on another graph"):
             solve(inst, (t,))
 
     def test_id_n_of_the_solved_graph(self):
@@ -119,7 +119,7 @@ class TestCdsInputValidation:
         g = graph_of(3, [(0, 1), (1, 2)])
         t = DominatingTree(graph_of(4, [(0, 1), (1, 2), (1, 3)]), {1, 3})
         inst = GLInstance(graph=g, terminals=(0,), demands=(3,))
-        with pytest.raises(EngineError, match="invalid-cds-input: tree 0 is built on another graph"):
+        with pytest.raises(EngineError, match="invalid-cds-input: tree 1 is built on another graph"):
             solve(inst, (t,))
 
 
@@ -127,7 +127,7 @@ def validate_tree_by_tree(g, trees):
     """validate_cds_input as a loop of per-tree `validate` (each calls
     `dominates`): the reference for the reported tree and message."""
     seen = set()
-    for i, t in enumerate(trees):
+    for i, t in enumerate(trees, 1):
         if t.graph is not g:
             raise EngineError("invalid-cds-input", f"tree {i} is built on another graph")
         try:
@@ -196,9 +196,9 @@ class TestCheckPrecedence:
     @pytest.mark.parametrize("trees,message", [
         # built on another graph and not dominating
         ([DominatingTree(graph_of(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), {0, 1})],
-         "tree 0 is built on another graph"),
-        # overlaps tree 0 and does not dominate
-        ([DominatingTree(P5, {1, 2, 3}), DominatingTree(P5, {3})], "tree 1: not-dominating"),
+         "tree 1 is built on another graph"),
+        # overlaps tree 1 and does not dominate
+        ([DominatingTree(P5, {1, 2, 3}), DominatingTree(P5, {3})], "tree 2: not-dominating"),
     ])
     def test_first_fault_of_a_tree_wins(self, trees, message):
         assert outcome(validate_cds_input, P5, trees) == outcome(validate_tree_by_tree, P5, trees)

@@ -22,22 +22,27 @@ Every convex and biconvex model's derived graph must also equal the graph
 of its window pairs, listed one at a time (`graph_of`); for a biconvex
 model the convex model of the same windows is checked too.
 
+Window order is one B-order of each model.  `order_sweep` walks every
+other B-order that `BiconvexModel` accepts, under the biconvex rule above;
+some models are biconvex only in such an order.
+
 `flow_sweep` checks the flows on the same models against the frozen
 per-pair oracle of tests/reference_flows.py: connectivity on every model,
 `backbones` on every convex one.
 
 Run as a script, `python tests/window_sweep.py N`, it prints each class's
 models, calls and failures (biconvex and interval: calls that break the
-rule; convex: `InsufficientConnectivity` raises), then the flow sweep's
-models and backbone calls, and every broken rule; the tier-1 suite walks
-N = 5, and N = 4 for the flow sweep.  With `--table` it then prints the
-convex table of README.md, which runs `brute_cds` on every model (about a
-minute at N = 5).
+rule; convex: `InsufficientConnectivity` raises), then the order sweep's
+pairs and calls, the flow sweep's models and backbone calls, and every
+broken rule; the tier-1 suite walks N = 5, and N = 4 for the order and
+flow sweeps.  With `--table` it then prints the convex table of
+README.md, which runs `brute_cds` on every model (about a minute at
+N = 5).
 """
 
 import sys
 from collections import Counter
-from itertools import chain, combinations_with_replacement, repeat
+from itertools import chain, combinations_with_replacement, permutations, repeat
 
 import reference_flows as ref
 from cdspart.builders import (
@@ -105,6 +110,40 @@ def outcome(build, m, k):
         return exc
 
 
+def biconvex_faults(m, kappa):
+    """(k, what) for each k <= kappa + 1 at which `cds_biconvex` breaks its
+    rule: a family at every k <= kappa, `InsufficientConnectivity` at
+    kappa + 1."""
+    for k in range(1, kappa + 2):
+        out = outcome(cds_biconvex, m, k)
+        if not isinstance(out, tuple if k <= kappa else InsufficientConnectivity):
+            yield k, repr(out)
+
+
+def orders(limit):
+    """(model, kappa) for every B-order of a model of `models(limit)`,
+    other than its window order, that `BiconvexModel` accepts.  Some
+    models are biconvex only in such an order, and `models` walks them as
+    convex."""
+    for m, kappa, _ in models(limit):
+        for ws in sorted(set(permutations(m.windows)) - {m.windows}):
+            try:
+                yield BiconvexModel(m.na, m.nb, ws), kappa
+            except GraphError:
+                pass
+
+
+def order_sweep(limit):
+    """Counts of the (model, order) pairs of `orders(limit)` and of their
+    `cds_biconvex` calls, and the list of (windows, k, what) for every call
+    that breaks the biconvex rule of `biconvex_faults`."""
+    counts, broken = Counter(), []
+    for m, kappa in orders(limit):
+        counts.update(pairs=1, calls=kappa + 1)
+        broken += [(m.windows, k, what) for k, what in biconvex_faults(m, kappa)]
+    return counts, broken
+
+
 def sweep(limit):
     """Per class, the counts of models, calls, failures and checked derived
     graphs, and the list of (class, windows, k, what) for every broken rule."""
@@ -117,13 +156,10 @@ def sweep(limit):
             if not derived_as_pairs(model):
                 broken.append((klass, m.windows, None, "derived graph differs from its window pairs"))
         if biconvex:
-            counts["biconvex"]["models"] += 1
-            for k in range(1, kappa + 2):
-                counts["biconvex"]["calls"] += 1
-                out = outcome(cds_biconvex, m, k)
-                if not isinstance(out, tuple if k <= kappa else InsufficientConnectivity):
-                    counts["biconvex"]["failures"] += 1
-                    broken.append(("biconvex", m.windows, k, repr(out)))
+            counts["biconvex"].update(models=1, calls=kappa + 1)
+            for k, what in biconvex_faults(m, kappa):
+                counts["biconvex"]["failures"] += 1
+                broken.append(("biconvex", m.windows, k, what))
         counts["convex"]["models"] += 1
         for k in range(1, kappa + 1):
             counts["convex"]["calls"] += 1
@@ -171,7 +207,7 @@ def flow_sweep(limit):
             paths = ref.disjoint_paths(g, a1, a_na, k)
             want = tuple(map(make_induced, repeat(g), paths)) if len(paths) == k else len(paths)
             try:
-                out = backbones(m, g, k)
+                out = backbones(m, k)
             except InsufficientConnectivity as exc:
                 out = exc.achieved
             if out != want:
@@ -204,6 +240,9 @@ if __name__ == "__main__":
     counts, broken = sweep(limit)
     for klass, c in counts.items():
         print(f"{klass}: {c['models']} models, {c['calls']} calls, {c['failures']} failures")
+    order_counts, order_broken = order_sweep(limit)
+    print(f"orders: {order_counts['pairs']} (model, order) pairs, {order_counts['calls']} calls")
+    broken += [("biconvex", *b) for b in order_broken]
     flow_counts, flow_broken = flow_sweep(limit)
     print(f"flows: {flow_counts['models']} models, {flow_counts['backbones']} backbone calls")
     broken += flow_broken
