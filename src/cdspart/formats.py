@@ -13,7 +13,8 @@ import re
 from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count, islice
+from functools import partial
+from itertools import chain, count
 from typing import Iterable, Iterator, Sequence
 
 from .engine import CdsInput, GLInstance, TraceEvent
@@ -26,9 +27,9 @@ Model = Graph | IntervalModel | ConvexModel | BiconvexModel
 # by it; about 100 times the largest instance the benchmark writes.
 MAX_VERTICES = 1 << 20
 
-# Edge lines tokenized per split by the bulk reader: enough to amortise the
-# calls, few enough that the block's tokens never all exist at once.
-_BLOCK_LINES = 1 << 12
+# Characters of a `gl` edge section split at a time: enough to amortise the
+# calls, few enough that the section's tokens never all exist at once.
+_WINDOW = 1 << 16
 
 
 class FormatError(ValueError):
@@ -187,20 +188,13 @@ def _parse_graph(text: str, offset: int, lineno: int, toks: list[str]) -> tuple[
         raise FormatError("invariant", f"negative edge count {m}", lineno)
     if n > MAX_VERTICES:
         raise FormatError("invariant", f"vertex count {n} exceeds {MAX_VERTICES}", lineno)
-    lines = text[offset:].splitlines()
-    numbered = enumerate(lines, lineno + 1)
-    rows = _rows(numbered)
-    # One lookup range-checks a canonical id token and makes it 0-based; it
-    # also interns the ids.  m records name at most 2m ids, so the table
-    # holds the lowest min(n, 2m); a block with any other id is read by
-    # `_edge_lines`.
-    ids = dict(zip(map(str, range(1, min(n, 2 * m) + 1)), range(n)))
-    ends = _edge_block(lines[:m], m, ids)
-    if ends is None:
-        ends = _edge_lines(rows, lineno, m, n)
+    found = _edge_text(text, offset, m, n)
+    if found is None:
+        rows = _rows_after(text, offset, lineno)
+        us, vs = _edge_lines(rows, lineno, m, n)
     else:
-        next(islice(numbered, m, m), None)  # steps `rows` past the block
-    us, vs = ends
+        us, vs, end = found
+        rows = _rows_after(text, end, lineno + m)
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in zip(us, vs):
         adj[u].append(v)
@@ -208,40 +202,46 @@ def _parse_graph(text: str, offset: int, lineno: int, toks: list[str]) -> tuple[
     try:
         return Graph(adj), rows
     except GraphError:
-        _name_edge_fault(lines, lineno, m)
+        _name_edge_fault(text, offset, lineno, m)
         raise
 
 
-def _edge_block(
-    block: list[str], m: int, ids: dict[str, int]
-) -> tuple[list[int], list[int]] | None:
-    """The 0-based endpoints of m `gl` edge lines that are all canonical,
-    `e <u> <v>` with single spaces and ids in `ids`, read a few thousand
-    lines per split; None for any other block, which the per-line reader
-    then reads.
+def _edge_text(text: str, offset: int, m: int, n: int) -> tuple[list[int], list[int], int] | None:
+    """The 0-based endpoints of the m `gl` edge lines at `offset` in
+    `text`, and the offset past them, when every line is canonical,
+    `e <u> <v>` with single spaces, ids as `str` spells them and a `\n`
+    (or the end of the text); None otherwise, and the per-line reader
+    reads the section.
 
-    Joined with " \\n", k lines split on single spaces into 3k tokens
-    exactly when every line holds three: the token that starts each line
-    after the first then begins with the newline, so it must sit at a
-    multiple of 3 and read "\\ne".  A record split across lines, or a
-    line with a comment, a tab or a blank, fails this or the id lookups.
+    The text is split in place, a window of about `_WINDOW` characters
+    that ends at a `\n` at a time, on single spaces and at most 2 × (lines
+    left) times: after the window's leading "e", each canonical line gives
+    `<u>` and `<v>\ne`, and the last token, `<v>\n` and the rest of the
+    window, is cut at its `\n`.  A lookup range-checks an id token and
+    makes it 0-based, so any other token misses.  m records name at most
+    2m ids, so both tables hold the lowest min(n, 2m), sharing one int
+    per id.
     """
-    if len(block) != m:
-        return None
+    ids = dict(zip(map(str, range(1, min(n, 2 * m) + 1)), range(n)))
+    ends = {name + "\ne": v for name, v in ids.items()}
     us: list[int] = []
     vs: list[int] = []
-    for start in range(0, m, _BLOCK_LINES):
-        part = block[start : start + _BLOCK_LINES]
-        toks = " \n".join(part).split(" ")
-        k = len(part)
-        if len(toks) != 3 * k or toks[0] != "e" or toks[3::3].count("\ne") != k - 1:
+    start, left = offset, m
+    while left:
+        cut = text.find("\n", start + _WINDOW) + 1 or len(text)
+        toks = text[start:cut].split(" ", 2 * left)
+        if toks[0] != "e":
             return None
+        v, _, rest = toks[-1].partition("\n")
+        toks[-1] = v + "\ne"
         try:
-            us += map(ids.__getitem__, toks[1::3])
-            vs += map(ids.__getitem__, toks[2::3])
+            us += map(ids.__getitem__, toks[1::2])
+            vs += map(ends.__getitem__, toks[2::2])
         except KeyError:
             return None
-    return us, vs
+        left -= len(toks) // 2
+        start = cut - len(rest)
+    return us, vs, start
 
 
 def _edge_lines(rows: Iterator[_Row], lineno: int, m: int, n: int) -> tuple[list[int], list[int]]:
@@ -267,17 +267,17 @@ def _edge_lines(rows: Iterator[_Row], lineno: int, m: int, n: int) -> tuple[list
     return us, vs
 
 
-def _name_edge_fault(lines: list[str], lineno: int, m: int) -> None:
+def _name_edge_fault(text: str, offset: int, lineno: int, m: int) -> None:
     """Raise the error for a `gl` section whose records all parse but whose
     graph `Graph` rejects: the first self-loop or repeated edge in input
     order, named by the file's ids and its line.
 
-    Only then are the m records in `lines`, the lines after the header at
-    `lineno`, read again, so neither edge reader keeps per-edge state for
-    this fault.
+    Only then are the m records at `offset`, after the header at `lineno`,
+    split into lines and read again, so neither edge reader keeps per-edge
+    state for this fault.
     """
     seen: set[tuple[int, int]] = set()
-    records = _rows(enumerate(lines, lineno + 1))
+    records = _rows_after(text, offset, lineno)
     for _, (lineno, toks) in zip(range(m), records):
         u = int(toks[1])
         v = int(toks[2])
@@ -324,7 +324,9 @@ def _parse_interval(
     return IntervalModel(lefts=lefts, rights=tuple(spans[v][1] for v in ids)), rows
 
 
-def _parse_convex(text: str, offset: int, lineno: int, toks: list[str]) -> tuple[ConvexModel, Iterator[_Row]]:
+def _parse_convex(
+    cls: type[ConvexModel], text: str, offset: int, lineno: int, toks: list[str]
+) -> tuple[ConvexModel, Iterator[_Row]]:
     if len(toks) != 5:
         raise FormatError("syntax", f"expected 'p {toks[1]} <nA> <nB> <m>'", lineno)
     header = lineno
@@ -341,14 +343,14 @@ def _parse_convex(text: str, offset: int, lineno: int, toks: list[str]) -> tuple
     if na + nb > MAX_VERTICES:
         raise FormatError("invariant", f"vertex count {na + nb} exceeds {MAX_VERTICES}", header)
     try:
-        cls = BiconvexModel if toks[1] == "biconvex" else ConvexModel
         return cls(na=na, nb=nb, windows=tuple(windows)), rows
     except GraphError as exc:
         raise FormatError("invariant", str(exc)) from exc
 
 
 _SECTIONS = {
-    "gl": _parse_graph, "interval": _parse_interval, "convex": _parse_convex, "biconvex": _parse_convex,
+    "gl": _parse_graph, "interval": _parse_interval,
+    "convex": partial(_parse_convex, ConvexModel), "biconvex": partial(_parse_convex, BiconvexModel),
 }
 
 
@@ -504,28 +506,37 @@ def _extension_lines(terminals, demands) -> list[str]:
     return out
 
 
+def _write_graph(g: Graph) -> list[str]:
+    lines = [f"p gl {g.n} {g.m}"]
+    names = list(map(str, range(1, g.n + 1)))
+    for u, name in enumerate(names):
+        row = sorted(g.adj[u])
+        higher = row[bisect(row, u) :]
+        if higher:  # u's lines, joined once
+            head = f"e {name} "
+            lines.append(head + ("\n" + head).join(map(names.__getitem__, higher)))
+    return lines
+
+
+def _write_interval(model: IntervalModel) -> list[str]:
+    return [f"p interval {model.n}", *map("i {} {} {}".format, count(1), model.lefts, model.rights)]
+
+
+def _write_windows(kind: str, model: ConvexModel) -> list[str]:
+    m = sum(hi - lo + 1 for lo, hi in model.windows)
+    return [f"p {kind} {model.na} {model.nb} {m}", *_window_section(model.windows)]
+
+
+# The section writer of each model type, the other half of `_SECTIONS`.
+_WRITERS = {
+    Graph: _write_graph, IntervalModel: _write_interval,
+    ConvexModel: partial(_write_windows, "convex"), BiconvexModel: partial(_write_windows, "biconvex"),
+}
+
+
 def write_bundle(bundle: InstanceBundle, comments: Iterable[str] = ()) -> str:
     lines = [f"# {c}" for c in comments]
-    model = bundle.model
-    if isinstance(model, Graph):
-        lines.append(f"p gl {model.n} {model.m}")
-        names = list(map(str, range(1, model.n + 1)))
-        for u, name in enumerate(names):
-            row = sorted(model.adj[u])
-            higher = row[bisect(row, u) :]
-            if higher:  # u's lines, joined once
-                head = f"e {name} "
-                lines.append(head + ("\n" + head).join(map(names.__getitem__, higher)))
-    elif isinstance(model, IntervalModel):
-        lines.append(f"p interval {model.n}")
-        lines += [
-            f"i {v + 1} {model.lefts[v]} {model.rights[v]}" for v in range(model.n)
-        ]
-    else:
-        kind = "biconvex" if isinstance(model, BiconvexModel) else "convex"
-        m = sum(hi - lo + 1 for lo, hi in model.windows)
-        lines.append(f"p {kind} {model.na} {model.nb} {m}")
-        lines += _window_section(model.windows)
+    lines += _WRITERS[type(bundle.model)](bundle.model)
     lines += _extension_lines(bundle.terminals, bundle.demands)
     lines.append("")  # ends the last line without copying the text again
     return "\n".join(lines)

@@ -176,6 +176,14 @@ class TestErrorPaths:
         assert main(["gen", "--class", "interval", "--k", "2",
                      "--seed", "0", "-o", "/tmp/x"]) == 2
 
+    def test_parser_is_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        assert main(["gen", "--class", "interval", "--k", "2"]) == 2
+        assert main(["verify", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: cdspart verify")
+        assert main(["gen", "--class", "nope", "--k", "2", "--seed", "0", "-o", "x"]) == 2
+        assert cli.build_parser.cache_info().misses == 1
+
     def test_insufficient_connectivity_exit_1(self, tmp_path, capsys):
         model = tmp_path / "m.interval"
         model.write_text("p interval 3\ni 1 1 2\ni 2 2 3\ni 3 3 4\n")

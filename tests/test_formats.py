@@ -418,6 +418,9 @@ class TestReferenceParser:
             "p gl 3 3\ne 1 2\ne 2 1\ne 3 3\n",
             "p gl 3 3\ne 1 2\ne 3 3\ne 2 1\n",
             "p gl 3 2\ne 1 2\ne 1 5\n",
+            # an id above n and above 2m, and an edge line past m = 0
+            "p gl 10 1\ne 3 11\n",
+            "p gl 3 0\ne 1 2\n",
             "p gl 3 2\ne 1 2 3\ne 2 3\n",
             "p gl 3 2\ne 1 x\n",
             "p gl 3 -1\ne 1 2\n",
@@ -638,32 +641,72 @@ class TestReferenceParser:
         monkeypatch.setattr(formats, "_window_lines", per_line)
         assert [_outcome(_streamed_bundle, text) for text in texts] == expected
 
-    def test_blocks_of_several_splits(self):
-        """Faults and non-canonical lines past the bulk reader's first split."""
-        text = _planted_text(300, 30, 60, 5)
+    def test_blocks_of_several_splits(self, monkeypatch):
+        """Faults and non-canonical lines at and past the cuts of the
+        in-place `gl` reader's windows, and sections that end at a cut,
+        inside a window or without a final newline."""
+        text = _planted_text(400, 40, 60, 5)
         lines = text.split("\n")
-        m = int(lines[0].split()[3])
-        assert m > 2 * formats._BLOCK_LINES
-        mid = formats._BLOCK_LINES + 7
+        n, m = map(int, lines[0].split()[2:])
+        first, second = _window_cuts(text)[:2]  # the first lines of windows 2 and 3
+        assert second <= m
+
+        def splice(i, j, *new):
+            return "\n".join(lines[:i] + list(new) + lines[j:])
+
+        wide = "x" * formats._WINDOW
         cases = [
-            (mid, lines[mid] + " # x"),
-            (mid, lines[mid].replace(" ", "\t")),
-            (mid, ""),
-            (m, lines[1]),  # a repeated edge, last in the block
-            (m - 1, "e 1"),
+            splice(first, first + 1, lines[first] + " # x"),
+            splice(first - 1, first, lines[first - 1] + " # x"),
+            splice(first, first + 1, lines[first].replace(" ", "\t")),
+            splice(first, first + 1, ""),
+            splice(first, first + 1, "e 1 x"),  # a fault on a window's first line
+            splice(first - 1, first, "e 1"),  # and on its last line
+            splice(second - 1, second, f"e 1 {n + 1}"),
+            splice(m, m + 1, lines[1]),  # a repeated edge, last in the section
+            splice(m - 1, m, "e 1"),
+            # lines longer than the window
+            splice(first, first + 1, lines[first] + " # " + wide),
+            splice(first, first + 1, "e " + "0" * formats._WINDOW + lines[first][2:]),
+            # other line breaks inside the section
+            splice(first - 1, first, lines[first - 1] + "\r"),
+            splice(first - 1, first + 1, lines[first - 1] + "\r" + lines[first]),
+            splice(second, second + 2, lines[second] + "\x0b" + lines[second + 1]),
+            text.replace("\n", "\r\n"),
+            # one edge line too many, and one too few
+            splice(0, 1, f"p gl {n} {m + 1}"),
+            splice(0, 1, f"p gl {n} {m - 1}"),
         ]
-        assert_same_bundle_outcome(text)
-        for i, line in cases:
-            assert_same_bundle_outcome("\n".join(lines[:i] + [line] + lines[i + 1 :]))
+        for case in cases:
+            assert_same_bundle_outcome(case)
+        # the whole file, which ends inside a window; sections that end
+        # exactly at a window's cut, with and without the terminal rows
+        # after them; the last edge line with and without a final newline,
+        # with no rows after it: each is read in place
+        canonical = [
+            text,
+            "\n".join([f"p gl {n} {second - 1}", *lines[1:second], *lines[m + 1 :]]),
+            "\n".join([f"p gl {n} {first - 1}", *lines[1:first], ""]),
+            splice(m + 1, len(lines), ""),
+            "\n".join(lines[: m + 1]),
+        ]
+        expected = [_outcome(reference_parser.parse_bundle, case) for case in canonical]
+        assert all(e[0] is None for e in expected)  # `gl` bundles, not errors
+
+        def per_line(*args):
+            raise AssertionError("per-line edge reader called")
+
+        monkeypatch.setattr(formats, "_edge_lines", per_line)
+        assert [_outcome(_streamed_bundle, case) for case in canonical] == expected
 
     def test_convex_blocks_of_several_splits(self):
-        """Faults and non-canonical lines past the bulk reader's first
-        split of a convex section."""
+        """Faults and non-canonical lines of a convex section past the
+        first cut the `gl` reader would make."""
         text = write_bundle(InstanceBundle(model=gen_convex(50, 250, 8, 1)))
         lines = text.split("\n")
         m = int(lines[0].split()[4])
-        assert m > 2 * formats._BLOCK_LINES
-        mid = formats._BLOCK_LINES + 7
+        mid = _window_cuts(text)[0] + 7
+        assert mid < m
         a, b = lines[mid].split()[1:]
         cases = [
             (mid, lines[mid] + " # x"),
@@ -727,6 +770,18 @@ class TestReferenceParser:
         assert_same_sets_outcome(text, prefix, n)
 
 
+def _window_cuts(text):
+    """The indices in `text.split("\\n")` of the lines that start a window
+    of the in-place `gl` reader after the first, for a file whose first
+    line is its header; a convex file is cut at the same places."""
+    cuts = []
+    start = text.index("\n") + 1
+    while cut := text.find("\n", start + formats._WINDOW) + 1:
+        cuts.append(text.count("\n", 0, cut))
+        start = cut
+    return cuts
+
+
 def _planted_text(n, k, extra, seed):
     g, _ = gen_planted_cds(n, k, extra, seed)
     t, d = gen_gl_extension(g.n, k, seed)
@@ -754,8 +809,8 @@ def test_write_peak_memory_is_a_few_times_the_text(make, bound):
 
 def test_parse_peak_memory_is_linear_in_file_size():
     """A planted n=600, k=150 bundle (m ~ 79k, ~0.76 MB): the parse holds
-    every line of the file, but of an edge block's tokens only one split's
-    (a few thousand lines), never a token table of the whole file."""
+    the tokens of one window of the edge section at a time, never a line
+    list or a token table of the whole file."""
     g, _ = gen_planted_cds(600, 150, 150, 1)
     t, d = gen_gl_extension(g.n, 150, 1)
     text = write_bundle(InstanceBundle(model=g, terminals=t, demands=d))
@@ -766,6 +821,24 @@ def test_parse_peak_memory_is_linear_in_file_size():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * len(text), peak / len(text)
+
+
+def test_canonical_gl_file_is_read_in_place():
+    """A planted n=600, k=150 bundle: parse peak minus retained memory
+    stays at or below 6 times the text's length (about 3.5: one window's
+    tokens, the endpoint lists and the adjacency lists; about 10 when the
+    section is split into lines)."""
+    g, _ = gen_planted_cds(600, 150, 150, 1)
+    t, d = gen_gl_extension(g.n, 150, 1)
+    text = write_bundle(InstanceBundle(model=g, terminals=t, demands=d))
+    tracemalloc.start()
+    try:
+        bundle = parse_bundle(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (bundle.graph.adj, bundle.terminals, bundle.demands) == (g.adj, t, d)
+    assert peak - retained <= 6 * len(text), (peak - retained) / len(text)
 
 
 def test_canonical_window_file_is_read_in_place():
@@ -787,7 +860,8 @@ def test_canonical_window_file_is_read_in_place():
 
 def test_parsed_graph_is_compact_and_interned():
     """A planted n=600, k=150 bundle: the parsed graph keeps at most 135 B
-    per edge, and its adjacency holds each vertex id as one int object."""
+    per edge, and its adjacency holds each vertex id as one int object,
+    which the edge reader's two id tables share."""
     g, _ = gen_planted_cds(600, 150, 150, 1)
     t, d = gen_gl_extension(g.n, 150, 1)
     text = write_bundle(InstanceBundle(model=g, terminals=t, demands=d))
