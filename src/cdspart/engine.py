@@ -29,8 +29,8 @@ import heapq
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, islice
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .graphs import (
     DominatingTree,
@@ -129,7 +129,13 @@ class PartitionState:
     terminal in ascending order, `trees` maps tree index to vertex set with
     the lead first and the spare trees ascending, and `demands` is indexed
     by set index.  `tree_of` (vertex to tree index) and `tree_adj` (tree
-    vertex to its sorted tree neighbours) are the solve's one copy each.
+    vertex to the sorted list of its tree neighbours) are the solve's one
+    copy each.
+
+    `spreads` maps each tree whose spread (`add_trees`) completed to the
+    placements it made, kept across rounds until `retire` drops it; `_log`
+    holds every other placement with a parent: the non-tree pass, and a
+    spread that an emission cut short.
     """
 
     def __init__(
@@ -140,7 +146,7 @@ class PartitionState:
         demands: Mapping[int, int] | Sequence[int],
         trees: Mapping[int, set[int]],
         tree_of: dict[int, int],
-        tree_adj: dict[int, tuple[int, ...]],
+        tree_adj: dict[int, list[int]],
         *,
         trace: list[TraceEvent] | None = None,
     ):
@@ -165,7 +171,8 @@ class PartitionState:
         self.children: dict[int, int] = {}
         # set j -> (ti, heap, anchor), see `_growth_choice`
         self._frontiers: dict[int, tuple[int, list[int], set[int]]] = {}
-        self._log: list[int] = []  # non-terminal placements, which `retire` undoes
+        self.spreads: dict[int, list[int]] = {}
+        self._log: list[int] = []
         self._dirty: set[int] = set()  # sets touched since the last checkpoint
         self._ones = sorted((i for i in terminals if demands[i] == 1), reverse=True)
         # tree index -> its terminals' set indices, ascending; `strays` are on no tree
@@ -195,26 +202,29 @@ class PartitionState:
         raise _Emit(i, only)
 
     def add(self, v: int, i: int, parent: int | None) -> None:
-        if v not in self.members or v in self.placed:
+        # the hottest path: each dict is read once
+        placed = self.placed
+        if v not in self.members or v in placed:
             raise EngineError("state-invariant", f"add: {v} is not an unplaced member")
-        s = self.sets[i]
-        if len(s) == self.demands[i]:  # full, inlined on the hottest path
+        s, demand, hits = self.sets[i], self.demands[i], self.hit_count[i]
+        if len(s) == demand:  # full, inlined
             raise EngineError("state-invariant", f"add: set {i} is full")
         prev = self.vlabel_of.pop(v, None)
         if prev is not None:
             self.vlabel_sets[prev].discard(v)
         s.add(v)
-        self.placed[v] = i
+        placed[v] = i
         self.attach_parent[v] = parent
         self._dirty.add(i)
         if parent is not None:
-            if v not in self.graph.adj[parent] or self.placed.get(parent) != i:
+            if v not in self.graph.adj[parent] or placed.get(parent) != i:
                 raise EngineError("state-invariant", f"add: parent {parent} of {v} is off set {i}")
-            self.children[parent] = self.children.get(parent, 0) + 1
+            children = self.children
+            children[parent] = children.get(parent, 0) + 1
             self._log.append(v)
         ti = self.tree_of.get(v)
         if ti is not None:
-            self.hit_count[i][ti] = self.hit_count[i].get(ti, 0) + 1
+            hits[ti] = hits.get(ti, 0) + 1
             frontier = self._frontiers.get(i)
             if frontier is not None and ti in (self.lead, frontier[0]):
                 grow_ti, heap, anchor = frontier
@@ -224,7 +234,7 @@ class PartitionState:
         if self.trace is not None:
             self.trace.append(("place", v, i))
         # a terminal (no parent) emits in `place_terminals` instead
-        if parent is not None and len(s) == self.demands[i] and len(self.hit_count[i]) == 1:
+        if parent is not None and len(s) == demand and len(hits) == 1:
             self._emit(i)
 
     def remove(self, v: int, i: int) -> None:
@@ -271,30 +281,57 @@ class PartitionState:
             if not children[parent] and parent != terminal:
                 heapq.heappush(leaves, parent)
 
-    def retire(self, finished: Iterable[int], used: Iterable[int]) -> None:
-        """Undo all placements since the terminals' (each by `add`), check the whole
-        state before its last sets go, and take out finished sets and used trees."""
+    def retire(self, finished: Collection[int], used: Sequence[int]) -> None:
+        """Take out the finished sets and the used trees, undoing only what
+        the next round would not place again as it stands.
+
+        A tree's spread touches only its own vertices and its terminals'
+        sets, and depends only on the tree's rows, its terminals and their
+        demands.  A finished set's tree is always used, so any other tree
+        keeps all three unless strays join it: the next lead, when a used
+        tree still holds unfinished terminals.  The spreads of the used trees
+        and of that lead are dropped from `spreads`; every other kept spread
+        is exactly what a redo would place.  Its placements stay, and
+        `add_trees` skips it.  The dropped spreads' placements and `_log`
+        (the non-tree pass, and any spread cut short) are undone in
+        O(undone), each undone vertex leaving its set, its parent's child
+        count and its tree's hit count.  The next round's spreads and
+        non-tree pass, and so its single-tree run, then see the state that
+        redoing every spread would leave.  The whole state is checked
+        before its last sets go.
+        """
         if self.trace is not None:
             self.trace.append(("round",))
-        touched = {self.placed.pop(v) for v in self._log}
-        for v in self._log:
-            del self.attach_parent[v]
-        self._log, self.children = [], {}  # no vertex has a child left
-        self._dirty |= touched
-        for i in touched:
-            c = self.terminals[i]
-            self.sets[i], self.hit_count[i] = {c}, {self.tree_of[c]: 1}
-        if len(finished) == len(self.terminals):
+        terminals, spreads = self.terminals, self.spreads
+        strays = [i for ti in used for i in self.by_tree[ti] if i not in finished]
+        undo = [self._log]
+        for ti in used:
+            undo.append(spreads.pop(ti, ()))
+        if strays:  # they join the next lead, the lowest tree left
+            undo.append(spreads.pop(next(ti for ti in self.trees if ti not in used), ()))
+        placed, parent_of, children = self.placed, self.attach_parent, self.children
+        sets, hit_count, tree_of, dirty = self.sets, self.hit_count, self.tree_of, self._dirty
+        for v in chain.from_iterable(undo):
+            i = placed.pop(v)
+            children[parent_of.pop(v)] -= 1
+            sets[i].discard(v)
+            dirty.add(i)
+            ti = tree_of.get(v)
+            if ti is not None:
+                hit_count[i][ti] -= 1  # the terminal keeps it above 0
+        self._log = []
+        if len(finished) == len(terminals):
             self.check_invariants("solve")
         for i in finished:
-            c = self.terminals.pop(i)
-            del self.placed[c], self.attach_parent[c]
-            del self.sets[i], self.status[i]
-            del self.vlabel_sets[i], self.tlabel[i], self.hit_count[i]
+            c = terminals.pop(i)
+            del placed[c], parent_of[c]
+            del sets[i], self.status[i]
+            del self.vlabel_sets[i], self.tlabel[i], hit_count[i]
         for ti in used:
             for v in self.trees.pop(ti):
-                del self.tree_of[v], self.tree_adj[v]
-            self.strays += (i for i in self.by_tree.pop(ti) if i in self.terminals)
+                del tree_of[v], self.tree_adj[v]
+            del self.by_tree[ti]
+        self.strays += strays
         self.strays.sort()
 
     def steal(self, v: int, frm: int, to: int, parent: int) -> None:
@@ -440,8 +477,8 @@ def categorize_trees(state: PartitionState) -> dict[int, list[int]]:
             raise EngineError("invalid-cds-input", f"tree {lead} does not dominate {c}")
         insort(order, c)
         host.add(c)
-        adj[c] = (w,)
-        adj[w] = tuple(sorted((*adj[w], c)))
+        adj[c] = [w]
+        insort(adj[w], c)
         state.tree_of[c] = lead
         state.hit_count[i] = {lead: 1}  # the terminal's set touches the lead now
     by_tree[lead] = sorted(by_tree[lead] + strays)
@@ -455,11 +492,12 @@ def categorize_trees(state: PartitionState) -> dict[int, list[int]]:
 def _attach(state: PartitionState, v: int, what: str) -> None:
     """Add v to the lowest-index non-full set it neighbours, under its
     lowest neighbour there; `what` names v in the error."""
-    nbrs = state.graph.adj[v]
-    target = next((i for i, s in state.sets.items() if not state.full(i) and nbrs & s), None)
-    if target is None:
-        raise EngineError("state-invariant", f"{what} {v} touches no open set")
-    state.add(v, target, parent=min(nbrs & state.sets[target]))
+    nbrs, demands = state.graph.adj[v], state.demands
+    for i, s in state.sets.items():
+        if len(s) < demands[i] and not nbrs.isdisjoint(s):
+            state.add(v, i, parent=min(nbrs & s))
+            return
+    raise EngineError("state-invariant", f"{what} {v} touches no open set")
 
 
 def _lead_parent(state: PartitionState, v: int, i: int) -> int:
@@ -475,16 +513,25 @@ def add_trees(state: PartitionState) -> None:
 
     Trees are spread in ascending index, each BFS rooted at the tree's
     terminals in ascending id.  In the single-tree case only the lead tree
-    bears terminals.
+    bears terminals.  A spread kept from an earlier round (see
+    `PartitionState.retire`) is skipped: it is what the BFS would place
+    again.  A kept spread never emits, as it completed once, so the
+    spreads that do run emit in the same order as when all ran.  A
+    completed spread's placements move from `_log`, empty when a spread
+    starts, to `spreads`.
     """
-    for on in filter(None, state.by_tree.values()):
+    placed, tree_adj, spreads = state.placed, state.tree_adj, state.spreads
+    for ti, on in state.by_tree.items():
+        if not on or ti in spreads:
+            continue
         queue = deque(sorted(state.terminals[i] for i in on))
         while queue:
             x = queue.popleft()
-            for y in state.tree_adj[x]:
-                if y not in state.placed:
-                    state.add(y, state.placed[x], parent=x)
+            for y in tree_adj[x]:
+                if y not in placed:
+                    state.add(y, placed[x], parent=x)
                     queue.append(y)
+        spreads[ti], state._log = state._log, []
     for v in sorted(state.members.difference(state.tree_of, state.placed)):
         _attach(state, v, "non-tree vertex")
 
@@ -689,8 +736,12 @@ def solve(
     group able to cover its terminals' demands and runs the single-tree
     case on the group's union in a fresh state (inflating the first demand
     to absorb slack, which that state's `trim` takes off afterwards).
-    Retiring the finished blocks undoes the round's placements, so a round
-    costs what it changes.
+    Retiring the finished blocks undoes only the spreads the round changed
+    (the used trees', and the next lead's when strays join it) and the
+    non-tree placements.  Every other tree keeps its spread, which the next
+    round does not place again, so a round costs what it changes; the
+    partition is the one that redoing every spread gives (see
+    `PartitionState.retire`).
 
     Tree count: `trees` must hold at least `instance.k` trees, else
     EngineError("too-few-trees") is raised before any work.  All trees
@@ -709,7 +760,7 @@ def solve(
     # enter both in place.
     tree_sets = {ti: set(vs) for ti, vs in enumerate(validated)}
     tree_of = {v: ti for ti, tree in tree_sets.items() for v in tree}
-    tree_adj = {v: nbrs for t in trees[: instance.k] for v, nbrs in t.adjacency().items()}
+    tree_adj = {v: list(nbrs) for t in trees[: instance.k] for v, nbrs in t.adjacency().items()}
     # `retire` shrinks the state's members and terminals (the unfinished blocks)
     state = PartitionState(
         g, set(range(g.n)), dict(enumerate(instance.terminals)), instance.demands,

@@ -36,15 +36,15 @@ PINNED = [(44, 21, 13, 553), (60, 29, 4, 110), (142, 19, 18, 18)]
 SOLVE_DIGESTS = {
     (44, 21, 13, 553): (
         "032c9a3387b6eb97d3110f781f06693925e2066ae07cf3667d4bd07cfd84426a",
-        "9e540b2332736303ace8ba247ad0a36980490e19fd8ccd91c6e3b37dacf30cd6",
+        "900debf3d4b526813138e7d99bf6db4988c03d5acae262f4aff635d8f485b37d",
     ),
     (60, 29, 4, 110): (
         "932b522afbb968a933e1727a4200a2e679d7b0d84578b67675377879bfbe1c19",
-        "aff3b841498d7257d1d0213a5c82d8027b17a1b8035ecd135f9440bdc10cc339",
+        "10e15cc73ce74ad13777db15fb525c57314cf7ae8da669c155bad585edacbdc6",
     ),
     (142, 19, 18, 18): (
         "92da2079c0149534341416edfde8f88d653ff824bffb4d2881f92806640aa254",
-        "1f575f5d1f40de9fc29d9fb2ac2a895e8133bea059ecbc8db03513a4d8c603ba",
+        "bbc31260a80f616f9d289a36c294d5087d8b27fb27137669458429d6d6275c51",
     ),
 }
 
@@ -54,7 +54,7 @@ SOLVE_DIGESTS = {
 CHURN = [(n, n // 4, n // 4, seed) for n in (40, 80, 120, 200) for seed in range(10)]
 CHURN_DIGESTS = (
     "ab64a7e7f5a15dd56b7e19b2a124bbc1ab19798543727ae8f11210c7fbc6870d",
-    "9b3af3ceeaed0895c21c712977fd6fce5dc3eb864db2252c28144dba1b9d8744",
+    "6f2ec7002b2e5624e486e1fdbaf8fec2d9084a4166931a8f98296f749d3bbe1e",
 )
 CHURN_STRAYS = 6361  # terminals on no tree when their round begins
 
@@ -75,7 +75,7 @@ def corpus(size=600):
 # leaf removal, by 1 and 2 vertices; each partition passes `verify_gl`.
 CORPUS_DIGESTS = (
     "42ae0c4e906a32dfa00b82b1e33ea39d62afd2b0abb35d0c1dad428babfbae03",
-    "aff2f104e8ddda9dc5174b112557d954d6344d8ae4cb4679209976d51aeee3c6",
+    "4ecd047aac276f76d0dcebe6535de495580895439fd2464fec5621a48d4c22b9",
 )
 
 # gen arguments and `cds -k` (None: the planted trees)
@@ -88,7 +88,7 @@ CHAINS = {
 CHAIN_DIGESTS = {
     "planted": (
         "1809883d656445d68523e9112c776a16ec20ff8047f2f133dca7bb477254471c",
-        "8158d779933a43622ec686a625db54a843933f815226a7341eeb463cd8e6dc90",
+        "2cd8afcea5fd448b33afc1833d7a2e69307d62c8e1309a9fd1b85e1ca6c01fd3",
     ),
     "interval": (
         "2c8d0fc4f431fbcaba56d63e74615d8b6b319374bc6724d5a14b1f6b20fe1fd5",
