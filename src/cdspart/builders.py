@@ -2,15 +2,15 @@
 
 Each builder produces k pairwise-disjoint connected dominating sets for a
 sufficiently connected model (k-connected interval, k-connected biconvex,
-4k-connected convex bipartite) and self-checks its output before returning;
-`extend_to_partition` then absorbs the leftover vertices to form a full
-CDS partition.
+4k-connected convex bipartite) and checks them once, in its proof's form,
+before returning; `extend_to_partition` then gives the leftover vertices to
+set 0 to form a full CDS partition.
 """
 
 from __future__ import annotations
 
 from .flows import Path, make_induced, vertex_disjoint_paths
-from .graphs import Graph, GraphError, VertexSet, _subset, first_non_dominating, is_connected_subset
+from .graphs import Graph, GraphError, VertexSet, first_non_dominating, is_connected_subset
 from .models import BiconvexModel, ConvexModel, IntervalModel, interval_path_decomposition
 
 CdsFamily = tuple[VertexSet, ...]
@@ -81,8 +81,20 @@ def cds_interval(m: IntervalModel, k: int) -> CdsFamily:
                 sets[j].add(v)
                 due[ends.pop(v) + 1].append(j)
     out = tuple(frozenset(s) for s in sets)
-    validate_family(m.graph, out)
+    _check_separators(seps, out)
     return out
+
+
+def _check_separators(seps: list[VertexSet], sets: CdsFamily) -> None:
+    """`cds_interval`'s certificate in O(sum |S_i|): the sets are disjoint
+    and each meets every separator; raises otherwise, counting from 1."""
+    owner: dict[int, int] = {}
+    for i, s in enumerate(sets, 1):
+        if any(owner.setdefault(v, i) != i for v in s):
+            raise BuilderError("not-disjoint", f"set {i} overlaps an earlier one")
+    for i, sep in enumerate(seps, 1):
+        if missed := set(range(1, len(sets) + 1)).difference(map(owner.get, sep)):
+            raise BuilderError("misses-separator", f"set {min(missed)} misses separator {i}")
 
 
 def backbones(m: ConvexModel, k: int) -> tuple[Path, ...]:
@@ -173,21 +185,8 @@ def cds_convex(m: ConvexModel, k: int) -> CdsFamily:
     return out
 
 
-def extend_to_partition(g: Graph, fam: CdsFamily) -> tuple[VertexSet, ...]:
-    """Grow a disjoint CDS family into a CDS partition of V.
-
-    Every uncovered vertex is appended to the lowest-index set it is
-    adjacent to (one exists since each set dominates); supersets of a CDS
-    stay connected and dominating, so the result is a CDS partition.  An id
-    outside 0..n-1 raises `GraphError("bad-vertex")` before any set grows.
-    """
-    sets = [_subset(g, s) for s in fam]
-    for v in sorted(set(range(g.n)).difference(*sets)):
-        nbrs = g.adj[v]
-        for s in sets:
-            if nbrs & s:
-                s.add(v)
-                break
-        else:
-            raise BuilderError("not-dominating", f"vertex {v} is adjacent to no set")
-    return tuple(frozenset(s) for s in sets)
+def extend_to_partition(n: int, fam: CdsFamily) -> tuple[VertexSet, ...]:
+    """A CDS partition of 0..n-1 from a builder's checked family: set 0
+    dominates, so it is the lowest-index set each uncovered vertex touches,
+    and it takes them all (a superset of a CDS is a CDS)."""
+    return (frozenset(range(n)).difference(*fam[1:]), *fam[1:])

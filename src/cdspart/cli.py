@@ -157,7 +157,7 @@ def _cmd_cds(args) -> int:
         article = "an" if args.klass[0] in "aeiou" else "a"
         raise formats.FormatError("usage", f"{args.input} is not {article} {args.klass} model")
     fam = getattr(builders, build)(bundle.model, args.k)
-    partition = builders.extend_to_partition(bundle.graph, fam)
+    partition = builders.extend_to_partition(bundle.model.n, fam)
     Path(args.output).write_text(formats.write_cds(partition), encoding="utf-8")
     print(f"wrote {args.output}")
     return 0

@@ -1,7 +1,9 @@
 """Exhaustive oracles the tests check the package against.
 
 `verify_cds_family` re-derives disjointness, connectivity and domination
-of a family that need not cover V.  `brute_min_vertex_cut` and
+of a family that need not cover V.  `lowest_index_extension` grows a
+family into a partition one vertex at a time, the rule that
+`extend_to_partition`'s union must reproduce.  `brute_min_vertex_cut` and
 `brute_vertex_connectivity` find minimum vertex cuts by enumerating
 subsets, independently of the flow network in `cdspart.flows`, so they
 stay usable only on graphs of a few dozen vertices.  `scalar_shuffle`
@@ -36,6 +38,21 @@ def verify_cds_family(g: Graph, sets: Sequence[Iterable[int]]) -> VerificationRe
         if not dominates(g, b):
             v.append(("not-dominating", f"set {i}"))
     return VerificationReport(tuple(v))
+
+
+def lowest_index_extension(g: Graph, fam: Sequence[Iterable[int]]) -> tuple[frozenset[int], ...]:
+    """Each vertex outside the family, in ascending id, joins the
+    lowest-index set it is adjacent to; a vertex adjacent to no set raises
+    `GraphError("not-dominating")`."""
+    sets = [set(s) for s in fam]
+    for v in sorted(set(range(g.n)).difference(*sets)):
+        for s in sets:
+            if g.adj[v] & s:
+                s.add(v)
+                break
+        else:
+            raise GraphError("not-dominating", f"vertex {v} is adjacent to no set")
+    return tuple(frozenset(s) for s in sets)
 
 
 def brute_min_vertex_cut(g: Graph, s: int, t: int, max_n: int = 24) -> int:

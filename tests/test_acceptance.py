@@ -77,7 +77,7 @@ def test_02_interval_pipeline():
             flow_checked += 1
         started = time.perf_counter()
         fam = cds_interval(m, k)
-        part = extend_to_partition(g, fam)
+        part = extend_to_partition(g.n, fam)
         rep = verify_cds_partition(g, part)
         elapsed = time.perf_counter() - started
         assert rep.ok and len(part) == k, (seed, rep.render())
@@ -112,7 +112,7 @@ def test_03_biconvex_pipeline():
         for p in stripped:
             assert len(set(p) & first) <= 1 and len(set(p) & last) <= 1
         fam = cds_biconvex(m, k)
-        part = extend_to_partition(g, fam)
+        part = extend_to_partition(g.n, fam)
         rep = verify_cds_partition(g, part)
         elapsed = time.perf_counter() - started
         assert rep.ok and len(part) == k, (seed, rep.render())
@@ -148,7 +148,7 @@ def test_04_convex_pipeline():
             for w0 in range(m.na - 4 * k + 1):
                 assert len(set(range(w0, w0 + 4 * k)) & vs) <= 3
         fam = cds_convex(m, k)
-        part = extend_to_partition(g, fam)
+        part = extend_to_partition(g.n, fam)
         rep = verify_cds_partition(g, part)
         elapsed = time.perf_counter() - started
         assert rep.ok and len(part) == k, (seed, rep.render())

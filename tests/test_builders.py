@@ -24,7 +24,6 @@ from cdspart.generators import (
 )
 from cdspart.graphs import (
     DominatingTree,
-    Graph,
     GraphError,
     dominates,
     is_connected_subset,
@@ -41,7 +40,7 @@ from cdspart.verify import verify_cds_partition, verify_gl
 
 from conftest import edges_of, graph_of
 from reference_flows import disjoint_paths
-from reference_oracles import verify_cds_family
+from reference_oracles import lowest_index_extension, verify_cds_family
 
 
 def complete_interval(n):
@@ -67,7 +66,7 @@ class TestCdsInterval:
         g = m.derive_graph()
         assert vertex_connectivity(g) == 3
         fam = cds_interval(m, 3)
-        part = extend_to_partition(g, fam)
+        part = extend_to_partition(g.n, fam)
         assert verify_cds_partition(g, part).ok
 
     def test_insufficient_connectivity(self):
@@ -84,7 +83,7 @@ class TestCdsInterval:
         g = m.derive_graph()
         fam = cds_interval(m, k_use)
         assert verify_cds_family(g, fam).ok
-        assert verify_cds_partition(g, extend_to_partition(g, fam)).ok
+        assert verify_cds_partition(g, extend_to_partition(g.n, fam)).ok
 
 
 def flow_route(m, k):
@@ -190,7 +189,7 @@ class TestIntervalSweepAgainstFlow:
         m = gen_interval(60 + 10 * seed, k, seed)
         g = m.graph
         fam = cds_interval(m, k)
-        assert verify_cds_partition(g, extend_to_partition(g, fam)).ok
+        assert verify_cds_partition(g, extend_to_partition(g.n, fam)).ok
         terminals, demands = gen_gl_extension(g.n, k, seed=seed)
         inst = GLInstance(graph=g, terminals=terminals, demands=demands)
         part = solve(inst, [DominatingTree(g, s) for s in fam])
@@ -211,7 +210,7 @@ class TestCdsBiconvex:
         m = gen_biconvex(12 + 2 * k, 14 + 2 * k, k, seed)
         g = m.derive_graph()
         fam = cds_biconvex(m, k)
-        part = extend_to_partition(g, fam)
+        part = extend_to_partition(g.n, fam)
         assert verify_cds_partition(g, part).ok
 
     @pytest.mark.parametrize("seed", range(12))
@@ -305,7 +304,7 @@ class TestCdsConvex:
         assert len(fam) == 1
         # one backbone path plus all of A; remaining B-vertices come from extend
         assert set(range(4)) <= set(fam[0])
-        part = extend_to_partition(g, fam)
+        part = extend_to_partition(g.n, fam)
         assert verify_cds_partition(g, part).ok
 
     def test_one_a_vertex(self):
@@ -333,7 +332,7 @@ class TestCdsConvex:
         m = gen_convex(4 * k + 2, 8 * k + 8, 4 * k, seed)
         g = m.derive_graph()
         fam = cds_convex(m, k)
-        part = extend_to_partition(g, fam)
+        part = extend_to_partition(g.n, fam)
         assert verify_cds_partition(g, part).ok
 
     @pytest.mark.parametrize("seed", range(8))
@@ -353,26 +352,64 @@ class TestCdsConvex:
 
 class TestExtendToPartition:
     def test_already_complete_unchanged(self):
-        g = graph_of(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
         fam = (frozenset({0, 1}), frozenset({2, 3}))
-        assert extend_to_partition(g, fam) == fam
+        assert extend_to_partition(4, fam) == fam
 
     def test_k4_lowest_index_rule(self):
         g = graph_of(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        out = extend_to_partition(g, (frozenset({0}), frozenset({1})))
-        assert out == (frozenset({0, 2, 3}), frozenset({1}))
+        fam = (frozenset({0}), frozenset({1}))
+        assert extend_to_partition(4, fam) == (frozenset({0, 2, 3}), frozenset({1}))
+        assert lowest_index_extension(g, fam) == extend_to_partition(4, fam)
 
-    def test_orphan_vertex_error(self):
-        g = graph_of(4, [(0, 1), (2, 3)])
-        with pytest.raises(BuilderError, match="not-dominating"):
-            extend_to_partition(g, (frozenset({0}),))
+    def test_union_is_the_lowest_index_scan_on_seeded_models(self):
+        # every builder at every k up to the generator's target
+        families = 0
+        for seed in range(6):
+            k = 2 + seed % 3
+            runs = [(cds_interval, gen_interval(24 + 4 * seed, k, seed), k),
+                    (cds_biconvex, gen_biconvex(12 + 2 * k, 14 + 2 * k, k, seed), k),
+                    (cds_convex, gen_convex(4 * k + 2, 8 * k + 8, 4 * k, seed), k)]
+            for build, m, top in runs:
+                for j in range(1, top + 1):
+                    fam = build(m, j)
+                    assert extend_to_partition(m.n, fam) == lowest_index_extension(m.graph, fam)
+                    families += 1
+        assert families == 54
 
-    @pytest.mark.parametrize("bad,named", [({-1, 0}, -1), ({0, 3}, 3)])
-    def test_id_outside_the_graph_is_refused(self, bad, named):
-        # refused before any set grows, as `spanning_tree` and the flows do
-        triangle = Graph([[1, 2], [0, 2], [0, 1]])
-        with pytest.raises(GraphError, match=f"bad-vertex: {named} is not in 0..2"):
-            extend_to_partition(triangle, [frozenset(bad)])
+
+def test_union_is_the_lowest_index_scan_on_small_models():
+    # tests/window_sweep.py's union sweep at N = 4: every family of every
+    # builder at every k <= kappa extends as the reference scan does
+    counts, broken = window_sweep.union_sweep(4)
+    assert broken == []
+    assert counts == {"cds_biconvex": 510, "cds_convex": 607, "cds_interval": 1839}
+
+
+class TestIntervalCertificate:
+    """`cds_interval` checks its separator certificate with no graph."""
+
+    # four pairs of equal intervals [1, 2] .. [4, 5]: bags {0..3}, {2..5},
+    # {4..7}, separators {2, 3} and {4, 5}
+    m = IntervalModel(lefts=(1, 1, 2, 2, 3, 3, 4, 4), rights=(2, 2, 3, 3, 4, 4, 5, 5))
+
+    def seps(self):
+        bags = interval_path_decomposition(self.m)
+        return [a & b for a, b in zip(bags, bags[1:])]
+
+    def test_builder_family_passes(self):
+        assert self.seps() == [{2, 3}, {4, 5}]
+        fam = cds_interval(self.m, 2)
+        builders_module._check_separators(self.seps(), fam)
+        assert verify_cds_family(self.m.graph, fam).ok
+
+    @pytest.mark.parametrize("fam,message", [
+        (({2, 4}, {3}), "misses-separator: set 2 misses separator 2"),
+        (({4}, {2, 5}), "misses-separator: set 1 misses separator 1"),
+        (({2, 4}, {3, 4}), "not-disjoint: set 2 overlaps an earlier one"),
+    ])
+    def test_fires(self, fam, message):
+        with pytest.raises(BuilderError, match=f"^{message}$"):
+            builders_module._check_separators(self.seps(), tuple(map(frozenset, fam)))
 
 
 class TestValidateFamily:

@@ -580,7 +580,9 @@ class TestCds:
         ("convex", ["--na", "10", "--nb", "24", "--k", "8"], 2),
     ])
     def test_cds_derives_the_graph_once(self, tmp_path, monkeypatch, klass, sizes, k):
-        # the parser and the builder share the model's one derived graph
+        # the parser and a window builder share the model's one derived
+        # graph, so it is derived at most once; interval `cds` checks its
+        # certificate on the separators and derives none
         from cdspart.models import ConvexModel, IntervalModel
 
         model = tmp_path / "m.txt"
@@ -593,7 +595,7 @@ class TestCds:
             )
         assert main(["cds", "--class", klass, "-k", str(k), str(model),
                      "-o", str(tmp_path / "m.cdsp")]) == 0
-        assert len(derived) == 1
+        assert len(derived) == (klass != "interval")
 
     def test_biconvex_at_its_connectivity(self, tmp_path, capsys):
         # windows a1..a2, a1..a3, a1..a3, a2..a3: kappa = 2; the sets
@@ -622,26 +624,37 @@ class TestCds:
         assert (code, out) == (1, "ERROR insufficient-connectivity "
                                   "insufficient-connectivity: wanted 2, achieved 1\n")
 
-    def test_interval_cds_builds_one_graph_and_no_flow(self, tmp_path, monkeypatch):
-        # the separator sweep reads the clique path: the model's own graph,
-        # built once for the final check, is the only graph, and no flow
-        # network is built
+    def test_interval_cds_builds_no_graph_and_no_flow(self, tmp_path, capsys, monkeypatch):
+        # the separator sweep reads the clique path, the builder checks its
+        # certificate on the separators and the extension is a union: no
+        # graph is derived or built, no flow network either, and the file
+        # keeps its pinned bytes
+        import hashlib
+
         import cdspart.flows as flows
         from cdspart.graphs import Graph
+        from cdspart.models import IntervalModel
+        from test_golden import CDS_CHAINS, CDS_DIGESTS
 
-        model = tmp_path / "m.interval"
-        assert main(["gen", "--class", "interval", "--n", "40", "--k", "3", "--seed", "2",
-                     "-o", str(model)]) == 0
+        gen_args, k = CDS_CHAINS["interval"]
+        model, cds = tmp_path / "m.interval", tmp_path / "m.cds"
+        assert main(["gen", *gen_args, "-o", str(model)]) == 0
         called = []
+
+        def refuse(self):
+            raise RuntimeError("derive_graph called")
+
+        monkeypatch.setattr(IntervalModel, "derive_graph", refuse)
         graph_init = Graph.__init__
         monkeypatch.setattr(Graph, "__init__",
                             lambda self, adj: called.append("Graph") or graph_init(self, adj))
         init = flows._SplitNetwork.__init__
         monkeypatch.setattr(flows._SplitNetwork, "__init__",
                             lambda self, g: called.append("_SplitNetwork") or init(self, g))
-        assert main(["cds", "--class", "interval", "-k", "3", str(model),
-                     "-o", str(tmp_path / "m.cdsp")]) == 0
-        assert called == ["Graph"]
+        assert main(["cds", "--class", "interval", "-k", str(k), str(model), "-o", str(cds)]) == 0
+        capsys.readouterr()
+        assert called == []
+        assert hashlib.sha256(cds.read_bytes()).hexdigest() == CDS_DIGESTS["interval"]
 
     @pytest.mark.parametrize("klass,text,message", [
         ("interval", "p biconvex 1 1 1\ne 1 1\n", "is not an interval model"),

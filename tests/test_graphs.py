@@ -154,7 +154,7 @@ class TestOrderIndependence:
             for build, k in builds:
                 fams = [build(model, k) for model in (m, twin)]
                 assert fams[0] == fams[1]
-                parts = [extend_to_partition(model.graph, fam) for model, fam in zip((m, twin), fams)]
+                parts = [extend_to_partition(model.n, fam) for model, fam in zip((m, twin), fams)]
                 assert parts[0] == parts[1]
 
 

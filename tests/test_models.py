@@ -177,7 +177,7 @@ class TestIntervalConnectivity:
             assert vertex_connectivity(m.derive_graph()) == interval_connectivity(m)
 
     @pytest.mark.parametrize(
-        "call,derivations", [(interval_connectivity, 0), (lambda m: cds_interval(m, 3), 1)],
+        "call,derivations", [(interval_connectivity, 0), (lambda m: cds_interval(m, 3), 0)],
         ids=["interval_connectivity", "cds_interval"],
     )
     def test_graph_is_derived_once(self, monkeypatch, call, derivations):

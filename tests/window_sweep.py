@@ -26,6 +26,10 @@ Window order is one B-order of each model.  `order_sweep` walks every
 other B-order that `BiconvexModel` accepts, under the biconvex rule above;
 some models are biconvex only in such an order.
 
+`union_sweep` runs every builder at every k <= kappa (top for interval)
+and checks that `extend_to_partition` grows each family it returns as
+the lowest-index scan of tests/reference_oracles.py does.
+
 `flow_sweep` checks the flows on the same models against the frozen
 per-pair oracle of tests/reference_flows.py: connectivity on every model,
 `backbones` on every convex one.
@@ -33,18 +37,19 @@ per-pair oracle of tests/reference_flows.py: connectivity on every model,
 Run as a script, `python tests/window_sweep.py N`, it prints each class's
 models, calls and failures (biconvex and interval: calls that break the
 rule; convex: `InsufficientConnectivity` raises), then the order sweep's
-pairs and calls, the flow sweep's models and backbone calls, and every
-broken rule; the tier-1 suite walks N = 5, and N = 4 for the order and
-flow sweeps.  With `--table` it then prints the convex table of
+pairs and calls, the union sweep's families, the flow sweep's models and
+backbone calls, and every broken rule; the tier-1 suite walks N = 5, and
+N = 4 for the order, union and flow sweeps.  With `--table` it then prints the convex table of
 README.md, which runs `brute_cds` on every model (about a minute at
 N = 5).
 """
 
 import sys
 from collections import Counter
-from itertools import chain, combinations_with_replacement, permutations, repeat
+from itertools import chain, combinations_with_replacement, permutations, product, repeat
 
 import reference_flows as ref
+from reference_oracles import lowest_index_extension
 from cdspart.builders import (
     InsufficientConnectivity,
     backbones,
@@ -99,7 +104,7 @@ def verified(m, out):
     """True iff `out` is a family that grows into a verified CDS partition."""
     if not isinstance(out, tuple):
         return False
-    return verify_cds_partition(m.graph, extend_to_partition(m.graph, out)).ok
+    return verify_cds_partition(m.graph, extend_to_partition(m.n, out)).ok
 
 
 def outcome(build, m, k):
@@ -181,6 +186,28 @@ def sweep(limit):
     return counts, broken
 
 
+def union_sweep(limit):
+    """Per builder, the count of families it returns at every k <= kappa
+    on `models(limit)` (`cds_biconvex` on the biconvex ones, `cds_convex` on
+    every one) and at every k <= top on `interval_models(limit)`, and the
+    list of (builder, model, k) for every family whose `extend_to_partition`
+    differs from its `lowest_index_extension`."""
+    counts, broken = Counter(), []
+    windowed = (
+        ((cds_biconvex, cds_convex) if bic else (cds_convex,), m, kappa, m.windows)
+        for m, kappa, bic in models(limit)
+    )
+    spans = (((cds_interval,), m, top, tuple(zip(m.lefts, m.rights))) for m, top in interval_models(limit))
+    for builds, m, top, key in chain(windowed, spans):
+        for build, k in product(builds, range(1, top + 1)):
+            out = outcome(build, m, k)
+            if isinstance(out, tuple):
+                counts[build.__name__] += 1
+                if extend_to_partition(m.n, out) != lowest_index_extension(m.graph, out):
+                    broken.append((build.__name__, key, k))
+    return counts, broken
+
+
 def flow_sweep(limit):
     """Counts of models, connectivity checks and backbone calls against the
     frozen per-pair flows of tests/reference_flows.py, and the list of
@@ -243,6 +270,9 @@ if __name__ == "__main__":
     order_counts, order_broken = order_sweep(limit)
     print(f"orders: {order_counts['pairs']} (model, order) pairs, {order_counts['calls']} calls")
     broken += [("biconvex", *b) for b in order_broken]
+    union_counts, union_broken = union_sweep(limit)
+    print("union:", ", ".join(f"{union_counts[b]} {b} families" for b in sorted(union_counts)))
+    broken += [("union", *b) for b in union_broken]
     flow_counts, flow_broken = flow_sweep(limit)
     print(f"flows: {flow_counts['models']} models, {flow_counts['backbones']} backbone calls")
     broken += flow_broken
