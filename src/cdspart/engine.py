@@ -30,7 +30,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import (
     DominatingTree,
@@ -281,9 +281,20 @@ class PartitionState:
             if not children[parent] and parent != terminal:
                 heapq.heappush(leaves, parent)
 
-    def retire(self, finished: Collection[int], used: Sequence[int]) -> None:
-        """Take out the finished sets and the used trees, undoing only what
-        the next round would not place again as it stands.
+    def retire(
+        self, finished: Mapping[int, VertexSet], used: Sequence[int], validated: Sequence[VertexSet]
+    ) -> None:
+        """End a round: take the finished blocks and the used trees out,
+        undoing only what the next round would not place again as it stands.
+
+        A round that finished no block raises `no-progress`.  Each finished
+        block leaves `members`.  Then the certificate: every tree the round
+        changed (the lead, which strays grow, the used trees, and any tree a
+        block took a vertex from, which must be a used one) must still hold
+        `validated[ti]`, its vertex set as validated before the first round.
+        That set dominates all of V.  Rounds only ever add vertices to a
+        tree, and a superset of it dominates whatever is left, so inclusion
+        is as strict as a domination re-check.
 
         A tree's spread touches only its own vertices and its terminals'
         sets, and depends only on the tree's rows, its terminals and their
@@ -293,42 +304,45 @@ class PartitionState:
         and of that lead are dropped from `spreads`; every other kept spread
         is exactly what a redo would place.  Its placements stay, and
         `add_trees` skips it.  The dropped spreads' placements and `_log`
-        (the non-tree pass, and any spread cut short) are undone in
-        O(undone), each undone vertex leaving its set, its parent's child
-        count and its tree's hit count.  The next round's spreads and
-        non-tree pass, and so its single-tree run, then see the state that
-        redoing every spread would leave.  The whole state is checked
-        before its last sets go.
+        (the non-tree pass, and any spread cut short) are undone by `remove`
+        in O(undone), leaves first: `_log` is the round's latest, and a
+        spread lists each parent, of its own tree, before its children.  The
+        next round's spreads and non-tree pass, and so its single-tree run,
+        then see the state that redoing every spread would leave.  The whole
+        state is checked before its last sets go.
         """
+        if not finished:
+            raise EngineError("no-progress", "a round finished no block")
+        members, trees, tree_of, terminals = self.members, self.trees, self.tree_of, self.terminals
+        changed = {self.lead, *used}
+        for block in finished.values():
+            members.difference_update(block)
+            changed.update(tree_of[v] for v in block if v in tree_of)
+        for ti in sorted(changed):
+            tree = trees[ti]
+            if ti not in used and not (tree <= members and all(tree_of[v] == ti for v in tree)):
+                raise EngineError("state-invariant", f"retire: tree {ti} lost a vertex or overlaps")
+            if not validated[ti] <= tree:
+                raise EngineError("state-invariant", f"retire: tree {ti} lost a validated vertex")
         if self.trace is not None:
             self.trace.append(("round",))
-        terminals, spreads = self.terminals, self.spreads
+        spreads, placed = self.spreads, self.placed
         strays = [i for ti in used for i in self.by_tree[ti] if i not in finished]
-        undo = [self._log]
-        for ti in used:
-            undo.append(spreads.pop(ti, ()))
+        dropped = [spreads.pop(ti, ()) for ti in used]
         if strays:  # they join the next lead, the lowest tree left
-            undo.append(spreads.pop(next(ti for ti in self.trees if ti not in used), ()))
-        placed, parent_of, children = self.placed, self.attach_parent, self.children
-        sets, hit_count, tree_of, dirty = self.sets, self.hit_count, self.tree_of, self._dirty
-        for v in chain.from_iterable(undo):
-            i = placed.pop(v)
-            children[parent_of.pop(v)] -= 1
-            sets[i].discard(v)
-            dirty.add(i)
-            ti = tree_of.get(v)
-            if ti is not None:
-                hit_count[i][ti] -= 1  # the terminal keeps it above 0
+            dropped.append(spreads.pop(next(ti for ti in trees if ti not in used), ()))
+        for v in chain(reversed(self._log), *map(reversed, dropped)):
+            self.remove(v, placed[v])
         self._log = []
         if len(finished) == len(terminals):
             self.check_invariants("solve")
         for i in finished:
             c = terminals.pop(i)
-            del placed[c], parent_of[c]
-            del sets[i], self.status[i]
-            del self.vlabel_sets[i], self.tlabel[i], hit_count[i]
+            del placed[c], self.attach_parent[c]
+            del self.sets[i], self.status[i]
+            del self.vlabel_sets[i], self.tlabel[i], self.hit_count[i]
         for ti in used:
-            for v in self.trees.pop(ti):
+            for v in trees.pop(ti):
                 del tree_of[v], self.tree_adj[v]
             del self.by_tree[ti]
         self.strays += strays
@@ -736,12 +750,13 @@ def solve(
     group able to cover its terminals' demands and runs the single-tree
     case on the group's union in a fresh state (inflating the first demand
     to absorb slack, which that state's `trim` takes off afterwards).
-    Retiring the finished blocks undoes only the spreads the round changed
-    (the used trees', and the next lead's when strays join it) and the
-    non-tree placements.  Every other tree keeps its spread, which the next
-    round does not place again, so a round costs what it changes; the
-    partition is the one that redoing every spread gives (see
-    `PartitionState.retire`).
+    Every round ends in one `PartitionState.retire`, which checks the
+    trees the round changed against their validated vertex sets and undoes
+    only the spreads the round changed (the used trees', and the next
+    lead's when strays join it) and the non-tree placements.  Every other
+    tree keeps its spread, which the next round does not place again, so a
+    round costs what it changes; the partition is the one that redoing
+    every spread gives.
 
     Tree count: `trees` must hold at least `instance.k` trees, else
     EngineError("too-few-trees") is raised before any work.  All trees
@@ -751,10 +766,7 @@ def solve(
     if len(trees) < instance.k:
         raise EngineError("too-few-trees", f"{len(trees)} trees for {instance.k} terminals")
     validate_cds_input(g, trees)
-    # Retire certificate: each tree's vertex set as validated above, which
-    # dominates all of V.  Rounds only ever add vertices to a tree, and a
-    # superset of it dominates whatever is left, so retire checks inclusion.
-    validated = [t.vertices for t in trees[: instance.k]]
+    validated = [t.vertices for t in trees[: instance.k]]  # retire's certificate
     # The one copy of each tree's vertex set, and the one tree index and
     # tree adjacency over them: stray terminals grow the lead tree's set and
     # enter both in place.
@@ -766,47 +778,29 @@ def solve(
         g, set(range(g.n)), dict(enumerate(instance.terminals)), instance.demands,
         tree_sets, tree_of, tree_adj, trace=trace,
     )
-    members, terminals = state.members, state.terminals
     blocks_out: dict[int, VertexSet] = {}
-
-    def retire(finished: dict[int, VertexSet], used: list[int]) -> None:
-        if not finished:
-            raise EngineError("no-progress", "a round finished no block")
-        # the changed trees: the lead (strays grow it), the used ones and any a block touches
-        changed = {state.lead, *used}
-        for i, block in finished.items():
-            blocks_out[i] = block
-            members.difference_update(block)
-            changed.update(tree_of[v] for v in block if v in tree_of)
-        for ti in sorted(changed):
-            tree = tree_sets[ti]
-            if ti not in used and not (tree <= members and all(tree_of[v] == ti for v in tree)):
-                raise EngineError("state-invariant", f"retire: tree {ti} lost a vertex or overlaps")
-            if not validated[ti] <= tree:
-                raise EngineError("state-invariant", f"retire: tree {ti} lost a validated vertex")
-        state.retire(finished, used)
-
-    while terminals:
+    while state.terminals:
         by_tree = categorize_trees(state)
         try:
             _place(state)
         except _Emit as e:
-            retire({e.set_index: frozenset(state.sets[e.set_index])}, [e.tree_index])
-            continue
-        lead, group, extras, gprime = _choose_group(state, by_tree)
-        first = group[0]
-        demands = {i: instance.demands[i] for i in group}
-        delta = len(gprime) - sum(demands.values())  # >= 0, as `_choose_group` checks
-        demands[first] += delta
-        run = PartitionState(
-            g, frozenset(gprime), {i: terminals[i] for i in group}, demands,
-            {ti: tree_sets[ti] for ti in (lead, *extras)}, tree_of, tree_adj, trace=trace,
-        )
-        finished, used = _run_single_tree(run)
-        if delta > 0 and first in finished:
-            run.trim(first, instance.demands[first])
-            finished[first] = frozenset(run.sets[first])
-        retire(finished, used)
-    if members:
-        raise EngineError("state-invariant", f"{len(members)} vertices left unassigned")
+            finished, used = {e.set_index: frozenset(state.sets[e.set_index])}, [e.tree_index]
+        else:
+            lead, group, extras, gprime = _choose_group(state, by_tree)
+            first = group[0]
+            demands = {i: instance.demands[i] for i in group}
+            delta = len(gprime) - sum(demands.values())  # >= 0, as `_choose_group` checks
+            demands[first] += delta
+            run = PartitionState(
+                g, frozenset(gprime), {i: state.terminals[i] for i in group}, demands,
+                {ti: tree_sets[ti] for ti in (lead, *extras)}, tree_of, tree_adj, trace=trace,
+            )
+            finished, used = _run_single_tree(run)
+            if delta > 0 and first in finished:
+                run.trim(first, instance.demands[first])
+                finished[first] = frozenset(run.sets[first])
+        blocks_out.update(finished)
+        state.retire(finished, used, validated)
+    if state.members:
+        raise EngineError("state-invariant", f"{len(state.members)} vertices left unassigned")
     return tuple(blocks_out[i] for i in range(instance.k))

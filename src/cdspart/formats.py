@@ -2,8 +2,8 @@
 extensions, CDS families and partitions.
 
 Files use 1-based ids (DIMACS habit) and allow `#` comments anywhere; all
-ids are 0-based in memory and the conversion lives entirely in this
-module.  Writers emit a canonical form (sorted edges, fixed record order)
+ids are 0-based in memory and the conversion of records lives entirely in
+this module (`verify`'s reports spell ids as the files do).  Writers emit a canonical form (sorted edges, fixed record order)
 so parse/write round-trips are byte-stable.
 """
 

@@ -2,7 +2,9 @@
 
 The verifiers re-derive every property from graph primitives alone (they
 never trust solver state), report all violations rather than the first,
-and serialize to a line format of `OK` or `FAIL <rule-id> <detail>`.  The
+and serialize to a line format of `OK` or `FAIL <rule-id> <detail>`.  A
+detail names blocks and vertices as the files spell them: blocks count
+from 1 and vertex v is printed as v + 1.  The
 oracles exhaustively search tiny instances and return lexicographically
 smallest witnesses so golden tests are reproducible.
 """
@@ -38,15 +40,15 @@ _LISTED = 10
 def _partition_violations(g: Graph, blocks: list[frozenset[int]]) -> list[tuple[str, str]]:
     out: list[tuple[str, str]] = []
     seen: dict[int, int] = {}
-    for i, b in enumerate(blocks):
+    for i, b in enumerate(blocks, 1):
         for v in b:
             if not 0 <= v < g.n:
-                out.append(("partition", f"block {i} holds unknown vertex {v}"))
+                out.append(("partition", f"block {i} holds unknown vertex {v + 1}"))
             elif v in seen:
-                out.append(("partition", f"vertex {v} in blocks {seen[v]} and {i}"))
+                out.append(("partition", f"vertex {v + 1} in blocks {seen[v]} and {i}"))
             else:
                 seen[v] = i
-    missing = [v for v in range(g.n) if v not in seen]
+    missing = [v + 1 for v in range(g.n) if v not in seen]
     if len(missing) > _LISTED:
         out.append(
             ("partition", f"{len(missing)} uncovered vertices, first {_LISTED} {missing[:_LISTED]}")
@@ -73,11 +75,11 @@ def verify_gl(instance: GLInstance, p: Sequence[Iterable[int]]) -> VerificationR
     if len(blocks) != instance.k:
         v.append(("partition", f"{len(blocks)} blocks for k={instance.k}"))
     v += _partition_violations(g, blocks)
-    for i, b in enumerate(blocks[: instance.k]):
-        if len(b) != instance.demands[i]:
-            v.append(("size-mismatch", f"block {i} has {len(b)}, demand {instance.demands[i]}"))
-        if instance.terminals[i] not in b:
-            v.append(("terminal-missing", f"terminal {instance.terminals[i]} not in block {i}"))
+    for i, (b, c, d) in enumerate(zip(blocks, instance.terminals, instance.demands), 1):
+        if len(b) != d:
+            v.append(("size-mismatch", f"block {i} has {len(b)}, demand {d}"))
+        if c not in b:
+            v.append(("terminal-missing", f"terminal {c + 1} not in block {i}"))
         if not _connected(g, b):
             v.append(("not-connected", f"block {i}"))
     return VerificationReport(tuple(v))
@@ -87,14 +89,14 @@ def verify_cds_partition(g: Graph, p: Sequence[Iterable[int]]) -> VerificationRe
     """Check partition-of-V plus per-block connectivity and domination."""
     blocks = [frozenset(b) for b in p]
     v = _partition_violations(g, blocks)
-    for i, b in enumerate(blocks):
+    for i, b in enumerate(blocks, 1):
         if not _connected(g, b):
             v.append(("not-connected", f"block {i}"))
         if not dominates(g, b):
             uncovered = next(
                 w for w in range(g.n) if w not in b and not (g.adj[w] & b)
             )
-            v.append(("not-dominating", f"block {i} misses vertex {uncovered}"))
+            v.append(("not-dominating", f"block {i} misses vertex {uncovered + 1}"))
     return VerificationReport(tuple(v))
 
 

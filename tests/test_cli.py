@@ -172,6 +172,22 @@ class TestErrorPaths:
         assert code == 1
         assert out.startswith("FAIL")
 
+    @pytest.mark.parametrize("what,text,line", [
+        ("gl", "v 1 1 2\nv 2 4\n", "FAIL partition uncovered vertices [3]"),
+        ("cds", "c 2\ns 1 1\ns 2 2 3 4\n", "FAIL not-dominating block 1 misses vertex 3"),
+        ("cds", "c 2\ns 1 1 2 3\ns 2 1 4\n", "FAIL partition vertex 1 in blocks 1 and 2"),
+    ])
+    def test_verify_names_blocks_and_vertices_as_the_files_do(
+        self, tmp_path, capsys, what, text, line
+    ):
+        gl = tmp_path / "g.gl"
+        gl.write_text("p gl 4 3\ne 1 2\ne 2 3\ne 3 4\nk 2\nt 1 2\nt 4 2\n")
+        obj = tmp_path / "obj"
+        obj.write_text(text)
+        code, out = run(capsys, "verify", "--what", what, str(gl), str(obj))
+        assert code == 1
+        assert out.splitlines()[0] == line
+
     def test_usage_error_exit_2(self, capsys):
         assert main(["gen", "--class", "interval", "--k", "2",
                      "--seed", "0", "-o", "/tmp/x"]) == 2

@@ -799,6 +799,32 @@ class TestStateInvariants:
             solve(inst, trees)
         assert shrunk
 
+    def test_retire_undoes_through_remove(self, monkeypatch):
+        # a terminal slipped into the undo log once: `retire` undoes each
+        # vertex by `remove`, which refuses a terminal
+        inst, trees = planted(3, 80, 8)
+        retire = PartitionState.retire
+
+        def logging_a_terminal(self, *args):
+            monkeypatch.setattr(PartitionState, "retire", retire)
+            self._log.append(self.terminals[min(self.terminals)])
+            retire(self, *args)
+
+        monkeypatch.setattr(PartitionState, "retire", logging_a_terminal)
+        with pytest.raises(EngineError, match=r"state-invariant: remove: \d+ is the terminal of set"):
+            solve(inst, trees)
+
+    def test_retire_takes_the_finished_blocks_out_of_members(self):
+        trees = k4_trees()
+        state = make_state(K4, trees, [0, 2], [2, 2])
+        state.members = set(state.members)  # shrinkable, as `solve` builds it
+        categorize_trees(state)
+        with pytest.raises(eng_module._Emit):
+            eng_module._place(state)  # set 0 fills on tree 0
+        block = frozenset(state.sets[0])
+        state.retire({0: block}, [0], [t.vertices for t in trees])
+        assert block == {0, 1} and state.members == {2, 3}
+
     def test_orphan_vertex_raises_state_invariant(self):
         # tree {1, 2} does not dominate 0, whose only neighbour 3 is unplaced
         # when 0 is reached: no open set is adjacent to it
@@ -1028,10 +1054,12 @@ class TestKeptSpreads:
         retire, add = PartitionState.retire, PartitionState.add
         adds, steals = Counter(), 0
 
-        def redoing_every_spread(self, finished, used):
-            self._log += chain.from_iterable(self.spreads.values())
+        def redoing_every_spread(self, finished, used, validated):
+            # the kept spreads are older than the round's `_log`, which
+            # `retire` undoes first
+            self._log[:0] = chain.from_iterable(self.spreads.values())
             self.spreads.clear()
-            retire(self, finished, used)
+            retire(self, finished, used, validated)
 
         def counted_add(self, *args, **kwargs):
             adds[PartitionState.retire is redoing_every_spread] += 1

@@ -34,7 +34,7 @@ class TestVerifyGl:
         g = graph_of(4, [(0, 1), (1, 2), (2, 3)])
         inst = GLInstance(graph=g, terminals=(0, 1), demands=(2, 2))
         rep = verify_gl(inst, [{0, 3}, {1, 2}])
-        assert ("not-connected", "block 0") in rep.violations
+        assert ("not-connected", "block 1") in rep.violations
 
     def test_coverage_violations(self):
         inst = GLInstance(graph=k4(), terminals=(0, 1), demands=(2, 2))
@@ -47,7 +47,7 @@ class TestPartitionRules:
 
     def test_unknown_vertex(self):
         rep = verify_cds_partition(k4(), [{0, 1, 7}, {2, 3}])
-        assert ("partition", "block 0 holds unknown vertex 7") in rep.violations
+        assert ("partition", "block 1 holds unknown vertex 8") in rep.violations
 
     def test_unknown_vertex_block_is_not_connected(self):
         # on the path 0-8, -1 once read vertex 8's neighbours, so {-1, 7}
@@ -56,26 +56,26 @@ class TestPartitionRules:
         blocks = [{-1, 7}, set(range(7)) | {8}]
         inst = GLInstance(graph=g, terminals=(7, 0), demands=(2, 7))
         for rep in (verify_gl(inst, blocks), verify_cds_partition(g, blocks)):
-            assert ("partition", "block 0 holds unknown vertex -1") in rep.violations
-            assert ("not-connected", "block 0") in rep.violations
+            assert ("partition", "block 1 holds unknown vertex 0") in rep.violations
+            assert ("not-connected", "block 1") in rep.violations
 
     def test_vertex_in_two_blocks(self):
         rep = verify_cds_partition(k4(), [{0, 1}, {1, 2, 3}])
-        assert ("partition", "vertex 1 in blocks 0 and 1") in rep.violations
+        assert ("partition", "vertex 2 in blocks 1 and 2") in rep.violations
 
     def test_few_uncovered_vertices_are_listed(self):
         rep = verify_cds_partition(k4(), [{0, 1}])
-        assert ("partition", "uncovered vertices [2, 3]") in rep.violations
+        assert ("partition", "uncovered vertices [3, 4]") in rep.violations
 
     def test_many_uncovered_vertices_are_counted(self):
         g = graph_of(1000, [])
         rep = verify_cds_partition(g, [{5}])
-        line = "FAIL partition 999 uncovered vertices, first 10 [0, 1, 2, 3, 4, 6, 7, 8, 9, 10]"
+        line = "FAIL partition 999 uncovered vertices, first 10 [1, 2, 3, 4, 5, 7, 8, 9, 10, 11]"
         assert rep.render().splitlines()[0] == line
 
     def test_ten_uncovered_vertices_are_still_listed(self):
         rep = verify_cds_partition(graph_of(11, []), [{10}])
-        assert ("partition", f"uncovered vertices {list(range(10))}") in rep.violations
+        assert ("partition", f"uncovered vertices {list(range(1, 11))}") in rep.violations
 
     def test_wrong_block_count(self):
         inst = GLInstance(graph=k4(), terminals=(0, 1), demands=(2, 2))
@@ -87,8 +87,8 @@ class TestVerifyCds:
     def test_disconnected_block(self):
         # a 6-cycle split into {0, 3} and the rest: 0 and 3 are not adjacent
         rep = verify_cds_partition(cycle(6), [{0, 3}, {1, 2, 4, 5}])
-        assert ("not-connected", "block 0") in rep.violations
         assert ("not-connected", "block 1") in rep.violations
+        assert ("not-connected", "block 2") in rep.violations
 
     def test_k4_halves(self):
         assert verify_cds_partition(k4(), [{0, 1}, {2, 3}]).ok
@@ -96,7 +96,7 @@ class TestVerifyCds:
     def test_c6_halves_fail_domination(self):
         rep = verify_cds_partition(cycle(6), [{0, 1, 2}, {3, 4, 5}])
         assert not rep.ok
-        assert ("not-dominating", "block 0 misses vertex 4") in rep.violations
+        assert ("not-dominating", "block 1 misses vertex 5") in rep.violations
 
     def test_family_allows_partial_cover(self):
         assert verify_cds_family(k4(), [{0}, {1}]).ok
