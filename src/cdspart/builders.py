@@ -9,6 +9,8 @@ set 0 to form a full CDS partition.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .flows import Path, make_induced, vertex_disjoint_paths
 from .graphs import Graph, GraphError, VertexSet, first_non_dominating, is_connected_subset
 from .models import BiconvexModel, ConvexModel, IntervalModel, interval_path_decomposition
@@ -31,9 +33,11 @@ class InsufficientConnectivity(BuilderError):
         self.achieved = achieved
 
 
-def validate_family(g: Graph, sets: CdsFamily) -> None:
-    """Pairwise disjoint, each connected, each dominating; raises otherwise,
-    naming the first failing set counted from 1."""
+def validate_family(g: Graph, sets: Sequence[VertexSet]) -> None:
+    """The one check of a CDS family, shared with `engine.solve`: each set,
+    from set 1 on, must be non-empty, miss the earlier sets, be connected
+    and dominate, checked in that order; the first fault raises, naming its
+    set counted from 1."""
     bad = first_non_dominating(g, sets)
     seen: set[int] = set()
     for i, s in enumerate(sets):

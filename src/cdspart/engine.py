@@ -32,14 +32,8 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import (
-    DominatingTree,
-    Graph,
-    GraphError,
-    VertexSet,
-    first_non_dominating,
-    is_connected_subset,
-)
+from .builders import validate_family
+from .graphs import DominatingTree, Graph, GraphError, VertexSet, is_connected_subset
 
 CdsInput = tuple[DominatingTree, ...]
 TraceEvent = tuple
@@ -88,25 +82,16 @@ class GLInstance:
 
 
 def validate_cds_input(g: Graph, trees: Sequence[DominatingTree]) -> None:
-    """Check the trees in index order; the first failing tree is reported,
-    counted from 1 as a CDS file numbers its sets.
-
-    A tree is connected by construction.  Each tree must be built on `g`,
-    dominate it and miss the earlier trees, checked in that order;
-    domination is settled for all trees by one `first_non_dominating` call.
+    """Check that there is a tree and that every tree is built on `g`, then
+    check the trees' vertex sets as one family (`builders.validate_family`);
+    a failing tree or set is counted from 1, as a CDS file numbers its sets.
     """
     if not trees:
         raise EngineError("invalid-cds-input", "no trees")
-    bad = first_non_dominating(g, [t.vertices for t in trees])
-    seen: set[int] = set()
     for i, t in enumerate(trees):
         if t.graph is not g:
             raise EngineError("invalid-cds-input", f"tree {i + 1} is built on another graph")
-        if i == bad:
-            raise EngineError("invalid-cds-input", f"tree {i + 1}: not-dominating")
-        if t.vertices & seen:
-            raise EngineError("invalid-cds-input", f"tree {i + 1} overlaps an earlier tree")
-        seen |= t.vertices
+    validate_family(g, [t.vertices for t in trees])
 
 
 class _Emit(Exception):

@@ -483,8 +483,8 @@ def build_cds_input(g: Graph, sets: Sequence[VertexSet]) -> CdsInput:
     """One `DominatingTree` per set.
 
     A set fails here only when it is empty or disconnected, since the
-    parser range-checks every id.  Domination is left to
-    `engine.validate_cds_input`, which `solve` runs on every input.
+    parser range-checks every id.  Disjointness and domination are left
+    to `builders.validate_family`, which `solve` runs on every input.
     """
     trees = []
     for i, s in enumerate(sets):

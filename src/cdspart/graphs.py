@@ -63,7 +63,7 @@ class DominatingTree:
     Construction raises `GraphError` for an empty set, an id outside
     0..n-1 or a disconnected set (see `spanning_tree`).  Domination is
     checked by `validate`, or for a whole family by
-    `engine.validate_cds_input`.
+    `builders.validate_family`, which `solve` runs on its trees.
     """
 
     __slots__ = ("graph", "vertices", "edges")

@@ -181,6 +181,11 @@ class TestIntervalSweepAgainstFlow:
         with pytest.raises(BuilderError, match="bad-k"):
             cds_interval(complete_interval(3), k)
 
+    def test_backbones_k_below_one(self):
+        m = ConvexModel(na=2, nb=1, windows=((0, 1),))
+        with pytest.raises(BuilderError, match="^bad-k: k=0$"):
+            backbones(m, 0)
+
     @pytest.mark.parametrize("seed", range(1, 9))
     def test_families_extend_and_solve(self, seed):
         # each family is a CDS partition once extended, and the trees it

@@ -359,6 +359,19 @@ class TestErrorPaths:
         code, out = run(capsys, "connectivity", str(model))
         assert (code, out) == (2, f"ERROR invariant invariant violated: {message}\n")
 
+    @pytest.mark.parametrize("extension,message", [
+        ("", "file carries no terminal/demand extension"),
+        ("k 2\nt 1 2\nt 5 2\n", "terminal 5 out of range 1..4 (line 7)"),
+    ])
+    def test_partition_instance_faults_exit_2(self, tmp_path, capsys, extension, message):
+        gl = tmp_path / "p.gl"
+        gl.write_text("p gl 4 3\ne 1 2\ne 2 3\ne 3 4\n" + extension)
+        cds = tmp_path / "p.cds"
+        cds.write_text("c 1\ns 1 1 2 3 4\n")
+        code, out = run(capsys, "partition", str(gl), "--cds", str(cds),
+                        "-o", str(tmp_path / "p.part"))
+        assert (code, out) == (2, f"ERROR invariant invariant violated: {message}\n")
+
     def test_convex_b_count_sizes_nothing_exit_2(self, tmp_path):
         # under an address-space cap, so a parser that sized a container by
         # the header count fails with MemoryError instead of eating memory
@@ -416,11 +429,11 @@ class TestDominationChecks:
         code, out = run(capsys, "partition", str(gl), "--cds", str(cds),
                         "-o", str(tmp_path / "p.part"))
         assert code == 2
-        assert out == "ERROR invalid-cds-input invalid-cds-input: tree 1: not-dominating\n"
+        assert out == "ERROR not-dominating not-dominating: set 1\n"
 
     @pytest.mark.parametrize("second,message", [
         # {1} misses 3 and 4
-        ("1", "invalid-cds-input invalid-cds-input: tree 2: not-dominating"),
+        ("1", "not-dominating not-dominating: set 2"),
         # {1, 4} is not connected
         ("1 4", "invariant invariant violated: set 2: not-connected"),
     ])
@@ -705,6 +718,19 @@ class TestOracleGl:
         code, out = run(capsys, "oracle", "--what", "gl", str(gl))
         assert code == 0
         assert out == "v 1 1 3\nv 2 2 4\n"
+
+    K4 = "p gl 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
+
+    @pytest.mark.parametrize("text,flags,expected", [
+        (K4, ["--what", "cds", "-k", "2"], (0, "c 2\ns 1 1\ns 2 2\n")),
+        (K4, ["--what", "cds"], (2, "ERROR usage oracle --what cds needs -k\n")),
+        # the star centred at 1: the blocks of 2 and of 3 would both need 1
+        ("p gl 4 3\ne 1 2\ne 1 3\ne 1 4\nk 2\nt 2 2\nt 3 2\n", ["--what", "gl"], (1, "INFEASIBLE\n")),
+    ])
+    def test_oracle_outcomes(self, tmp_path, capsys, text, flags, expected):
+        gl = tmp_path / "t.gl"
+        gl.write_text(text)
+        assert run(capsys, "oracle", *flags, str(gl)) == expected
 
 
 class TestDeterminism:

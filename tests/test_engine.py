@@ -28,7 +28,7 @@ from cdspart.engine import (
     solve,
     validate_cds_input,
 )
-from cdspart.builders import cds_biconvex, cds_interval
+from cdspart.builders import BuilderError, cds_biconvex, cds_interval
 from cdspart.formats import build_cds_input
 from cdspart.generators import (
     SplitMix64,
@@ -45,6 +45,7 @@ from cdspart.graphs import (
 )
 from cdspart.verify import brute_cds, brute_gl, verify_gl
 
+import test_builders
 from conftest import graph_of, random_graph
 from test_golden import CHURN
 
@@ -97,17 +98,22 @@ class TestGLInstanceValidation:
         with pytest.raises(EngineError, match=match):
             GLInstance(graph=K4, terminals=(0, 1), demands=(4,))
 
+    def test_terminal_out_of_range(self):
+        g = graph_of(3, [(0, 1), (1, 2)])
+        with pytest.raises(EngineError, match="^invalid-instance: terminal 3 out of range$"):
+            GLInstance(graph=g, terminals=(0, 3), demands=(1, 2))
+
 
 class TestCdsInputValidation:
     def test_overlapping_trees(self):
         t = DominatingTree(K4, {0, 1})
-        with pytest.raises(EngineError, match="invalid-cds-input"):
+        with pytest.raises(BuilderError, match="^not-disjoint: set 2 overlaps an earlier one$"):
             validate_cds_input(K4, (t, t))
 
     def test_non_dominating_tree(self):
         g = graph_of(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         t = DominatingTree(g, {0, 1})
-        with pytest.raises(EngineError, match="invalid-cds-input"):
+        with pytest.raises(BuilderError, match="^not-dominating: set 1$"):
             validate_cds_input(g, (t,))
 
     def test_no_trees(self):
@@ -133,19 +139,13 @@ class TestCdsInputValidation:
 
 
 def validate_tree_by_tree(g, trees):
-    """validate_cds_input as a loop of per-tree `validate` (each calls
-    `dominates`): the reference for the reported tree and message."""
-    seen = set()
+    """validate_cds_input by hand, the reference for the reported tree and
+    message: every tree's graph, then the set-by-set family check of
+    tests/test_builders.py (one `dominates` call per set)."""
     for i, t in enumerate(trees, 1):
         if t.graph is not g:
             raise EngineError("invalid-cds-input", f"tree {i} is built on another graph")
-        try:
-            t.validate()
-        except GraphError as exc:
-            raise EngineError("invalid-cds-input", f"tree {i}: {exc}") from exc
-        if t.vertices & seen:
-            raise EngineError("invalid-cds-input", f"tree {i} overlaps an earlier tree")
-        seen |= t.vertices
+    test_builders.TestValidateFamily.set_by_set(g, [t.vertices for t in trees])
 
 
 def drop_leaf(tree):
@@ -200,18 +200,20 @@ P5 = graph_of(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
 
 class TestCheckPrecedence:
-    """A tree with two faults reports the one a tree-by-tree check meets first."""
+    """A tree with two faults reports the one the reference check meets
+    first: the graph before the family, and an overlap before domination."""
 
     @pytest.mark.parametrize("trees,message", [
         # built on another graph and not dominating
         ([DominatingTree(graph_of(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), {0, 1})],
          "tree 1 is built on another graph"),
         # overlaps tree 1 and does not dominate
-        ([DominatingTree(P5, {1, 2, 3}), DominatingTree(P5, {3})], "tree 2: not-dominating"),
+        ([DominatingTree(P5, {1, 2, 3}), DominatingTree(P5, {3})],
+         "not-disjoint: set 2 overlaps an earlier one"),
     ])
     def test_first_fault_of_a_tree_wins(self, trees, message):
         assert outcome(validate_cds_input, P5, trees) == outcome(validate_tree_by_tree, P5, trees)
-        with pytest.raises(EngineError, match=message):
+        with pytest.raises(GraphError, match=message):
             validate_cds_input(P5, trees)
 
 
@@ -813,6 +815,12 @@ class TestStateInvariants:
         monkeypatch.setattr(PartitionState, "retire", logging_a_terminal)
         with pytest.raises(EngineError, match=r"state-invariant: remove: \d+ is the terminal of set"):
             solve(inst, trees)
+
+    def test_retire_without_a_finished_block_raises_no_progress(self):
+        trees = k4_trees()
+        state = make_state(K4, trees, [0, 2], [2, 2])
+        with pytest.raises(EngineError, match="^no-progress: a round finished no block$"):
+            state.retire({}, [0], [t.vertices for t in trees])
 
     def test_retire_takes_the_finished_blocks_out_of_members(self):
         trees = k4_trees()

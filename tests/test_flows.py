@@ -52,6 +52,10 @@ class TestVertexDisjointPaths:
         with pytest.raises(GraphError, match="identical-endpoints"):
             vertex_disjoint_paths(k_complete(3), 1, 1)
 
+    def test_want_below_one(self):
+        with pytest.raises(GraphError, match="^bad-want: want=0$"):
+            vertex_disjoint_paths(k_complete(3), 0, 1, want=0)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_count_matches_brute_cut(self, seed):
         n = 6 + seed % 7
@@ -103,6 +107,17 @@ class TestIdsOutsideTheGraph:
     def test_make_induced(self):
         with pytest.raises(GraphError, match="bad-vertex: -1 is not in 0..2"):
             make_induced(Graph(self.TRIANGLE), (-1, 1))
+
+
+@pytest.mark.parametrize("p, message", [
+    ((), "^empty-path$"),
+    ((0, 1, 0), r"^repeated-vertex: \(0, 1, 0\)$"),
+    ((0, 2), r"^not-a-path: missing edge \(0, 2\)$"),
+])
+def test_check_path_names_the_fault(p, message):
+    # the path 0-1-2: (0, 2) is no edge
+    with pytest.raises(GraphError, match=message):
+        check_path(graph_of(3, [(0, 1), (1, 2)]), p)
 
 
 class TestLocalConnectivity:

@@ -308,3 +308,7 @@ class TestGenGlExtension:
     def test_k_one(self):
         _, demands = gen_gl_extension(9, 1, 0)
         assert demands == (9,)
+
+    def test_k_zero(self):
+        with pytest.raises(GraphError, match="^generation-failed: need 1 <= k <= n, got k=0, n=9$"):
+            gen_gl_extension(9, 0, 0)

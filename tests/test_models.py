@@ -43,6 +43,10 @@ class TestIntervalModel:
         with pytest.raises(GraphError, match="bad-model"):
             IntervalModel(lefts=(3,), rights=(1,))
 
+    def test_endpoint_counts_differ(self):
+        with pytest.raises(GraphError, match="^bad-model: interval endpoint counts differ$"):
+            IntervalModel(lefts=(1, 2), rights=(3,))
+
     def test_derive_overlap(self):
         m = IntervalModel(lefts=(1, 2, 5), rights=(3, 4, 6))
         g = m.derive_graph()
@@ -200,6 +204,10 @@ class TestConvexModels:
     def test_window_out_of_range(self):
         with pytest.raises(GraphError, match="bad-model"):
             ConvexModel(na=3, nb=1, windows=((0, 3),))
+
+    def test_window_count_differs_from_nb(self):
+        with pytest.raises(GraphError, match="^bad-model: window count differs from nb$"):
+            ConvexModel(na=3, nb=2, windows=((0, 2),))
 
     def test_biconvex_contiguity_enforced(self):
         # b0 sees a0..a1, b1 sees a2, b2 sees a0..a2: a0 has B-neighbors {0, 2}

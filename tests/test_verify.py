@@ -172,6 +172,10 @@ class TestBruteCds:
         with pytest.raises(GraphError, match="too-large-for-oracle"):
             brute_cds(g, 1)
 
+    def test_k_below_one(self):
+        with pytest.raises(GraphError, match="^bad-k: k=0$"):
+            brute_cds(k4(), 0)
+
 
 class TestBruteMinCut:
     def test_adjacent_edge_convention(self):
